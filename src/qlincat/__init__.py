@@ -22,10 +22,9 @@ from .graded import (
     DegreeMismatch,
     GradedSpace,
     even_space,
-    koszul_gram,
     koszul_pairing,
+    koszul_signs,
     pi_image,
-    pi_matrix,
     space_of,
     tensor_power_basis,
 )
@@ -43,13 +42,13 @@ from .homs import (
     spans_equal,
 )
 from .linalg import (
+    InvariantViolation,
     Matrix,
     NotComplementary,
     annihilator,
     kernel_basis,
     projectors,
     rank,
-    rank_bareiss,
 )
 from .pbw import (
     Extraction,
@@ -91,4 +90,24 @@ from .spaces import (
     objects_equal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ComposableTriple", "WrongShape", "coassociativity_check", "composable_triple",
+    "comultiplication_check", "counit_check", "determinant_2x2",
+    "determinant_multiplicativity",
+    "DegreeMismatch", "GradedSpace", "even_space", "koszul_pairing", "koszul_signs",
+    "pi_image", "space_of", "tensor_power_basis",
+    "AlphabetMismatch", "ComponentCountMismatch", "HomAlgebra", "RelationSet",
+    "bilinear_form_relations", "degree2_quotient", "derive_relations_general",
+    "derive_relations_sudbery", "hom_algebra", "relation_set", "spans_equal",
+    "InvariantViolation", "Matrix", "NotComplementary", "annihilator",
+    "kernel_basis", "projectors", "rank",
+    "Extraction", "PBWVerdict", "TooLarge", "classical_dimension",
+    "dimension_oracle", "pbw_criterion", "pbw_extract_constant",
+    "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",
+    "confluence_check", "failed_overlaps", "format_poly", "matrix_alphabet",
+    "monomial_compare", "normal_form",
+    "BMatrix", "RepeatedCoefficient", "build_B", "normalized_B",
+    "rmatrix_relation_span", "yang_baxter_check",
+    "BadParameters", "QuantumObject", "dual_object", "make_classical",
+    "make_general", "make_normalized", "make_sudbery", "objects_equal",
+]

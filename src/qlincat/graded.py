@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix
-
 
 class DegreeMismatch(Exception):
     """Words do not have the degree required by the operation."""
@@ -90,35 +88,22 @@ def koszul_pairing(
     return Fraction(koszul_sign(space.parities[b], space.parities[c]))
 
 
-def koszul_gram(space: GradedSpace) -> Matrix:
-    """Gram matrix of the degree-2 pairing: a signed diagonal matrix."""
-    n = space.dim
-    signs = []
-    for a, b in product(range(n), repeat=2):
-        signs.append(koszul_sign(space.parities[a], space.parities[b]))
-    return Matrix(
-        [
-            [Fraction(signs[i]) if i == j else Fraction(0) for j in range(n * n)]
-            for i in range(n * n)
-        ]
-    )
-
-
-def pi_matrix(space: GradedSpace) -> Matrix:
-    """Coordinate matrix of the parity-reversion isomorphism on the tensor square.
-
-    Diagonal with entry (-1)**par(A) at word (A, B); it is its own inverse.
-    """
-    n = space.dim
-    entries = [(-1) ** space.parities[a] for a, _ in product(range(n), repeat=2)]
-    return Matrix(
-        [
-            [Fraction(entries[i]) if i == j else Fraction(0) for j in range(n * n)]
-            for i in range(n * n)
-        ]
-    )
+def koszul_signs(space: GradedSpace) -> tuple[int, ...]:
+    """Diagonal of the degree-2 pairing's Gram matrix: the sign
+    (-1)**(par(A)*par(B)) at word (A, B), lexicographic in (A, B)."""
+    par = space.parities
+    return tuple(koszul_sign(par[a], par[b]) for a, b in product(range(space.dim), repeat=2))
 
 
 def pi_image(space: GradedSpace, vec) -> tuple[Fraction, ...]:
-    """Apply the parity-reversion isomorphism to a tensor-square vector."""
-    return pi_matrix(space).apply(vec)
+    """Apply the parity-reversion isomorphism to a tensor-square vector.
+
+    The coordinate at word (A, B) is multiplied by (-1)**par(A); the map is
+    its own inverse.
+    """
+    n = space.dim
+    if len(vec) != n * n:
+        raise ValueError("vector length must be dim**2")
+    return tuple(
+        -Fraction(x) if space.parities[i // n] else Fraction(x) for i, x in enumerate(vec)
+    )

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graded import koszul_gram
-from .linalg import Matrix, annihilator, rank, row_basis, rref, vstack
-from .rewrite import Alphabet, NCPoly, Word, degree2_words_desc, matrix_alphabet, word_key
+from .graded import koszul_signs
+from .linalg import InvariantViolation, Matrix, annihilator, rank, row_basis, row_spans_equal
+from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet, reduced_relations
 from .spaces import QuantumObject
 
 
@@ -44,7 +44,7 @@ class RelationSet:
 
     @property
     def span_dim(self) -> int:
-        return rank(self.matrix) if self.polys else 0
+        return rank(self.matrix)
 
 
 def relation_set(alphabet: Alphabet, polys) -> RelationSet:
@@ -74,18 +74,18 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
     """Relation span from annihilator bases, component by component.
 
     The number of relations always equals the sum over components of
-    dim(Ann I_k of source) * dim(I_k of target); this linear independence
-    is asserted.
+    dim(Ann I_k of source) * dim(I_k of target); InvariantViolation is
+    raised if this linear independence fails.
     """
     if src.s != tgt.s:
         raise ComponentCountMismatch(f"source has {src.s} components, target {tgt.s}")
     n, m = src.space.dim, tgt.space.dim
     alphabet = matrix_alphabet(src.space, tgt.space)
-    gram = koszul_gram(src.space)
+    signs = koszul_signs(src.space)
     polys: list[NCPoly] = []
     expected = 0
     for comp_v, comp_w in zip(src.components, tgt.components):
-        ann = annihilator(comp_v, n * n, gram)
+        ann = annihilator(comp_v, n * n, signs)
         fbasis = row_basis(comp_w)
         expected += len(ann) * len(fbasis)
         for g in ann:
@@ -103,10 +103,12 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
                         w = (a * m + k, b * m + l)
                         terms[w] = terms.get(w, Fraction(0)) + sign * gc * fc
                 poly = NCPoly(alphabet, terms)
-                assert not poly.is_zero, "degenerate relation from independent pair"
+                if poly.is_zero:
+                    raise InvariantViolation("degenerate relation from independent pair")
                 polys.append(poly.monic())
     rs = relation_set(alphabet, polys)
-    assert rs.span_dim == expected, "relation span smaller than the component count"
+    if rs.span_dim != expected:
+        raise InvariantViolation("relation span smaller than the component count")
     return rs
 
 
@@ -162,12 +164,7 @@ def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> Relation
 def spans_equal(r1: RelationSet, r2: RelationSet) -> bool:
     if r1.alphabet != r2.alphabet:
         raise AlphabetMismatch("relation sets over different alphabets")
-    k1, k2 = rank(r1.matrix), rank(r2.matrix)
-    if k1 != k2:
-        return False
-    if not r1.polys or not r2.polys:
-        return k1 == k2 == 0
-    return rank(vstack(r1.matrix, r2.matrix)) == k1
+    return row_spans_equal(r1.matrix.data, r2.matrix.data)
 
 
 def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
@@ -208,21 +205,9 @@ class QuotientMap:
 
 
 def degree2_quotient(rels: RelationSet) -> QuotientMap:
-    alphabet = rels.alphabet
-    n = alphabet.size
-    words = degree2_words_desc(alphabet)
-    permuted = Matrix(
-        [[row[w[0] * n + w[1]] for w in words] for row in rels.matrix.data]
-    ) if rels.polys else Matrix.zeros(0, n * n)
-    red, pivots = rref(permuted)
-    pivot_set = set(pivots)
-    basis = tuple(sorted((words[j] for j in range(len(words)) if j not in pivot_set),
-                         key=word_key))
+    reduced = reduced_relations(rels)
+    n = rels.alphabet.size
+    basis = tuple(w for w in product(range(n), repeat=2) if w not in reduced)
     coords: dict[Word, dict[Word, Fraction]] = {w: {w: Fraction(1)} for w in basis}
-    for r, pc in enumerate(pivots):
-        coords[words[pc]] = {
-            words[j]: -red.data[r][j]
-            for j in range(len(words))
-            if j != pc and red.data[r][j]
-        }
+    coords.update(reduced)
     return QuotientMap(basis, coords)

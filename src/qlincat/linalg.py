@@ -1,24 +1,34 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse elimination engine.
 
 Every scalar is a ``fractions.Fraction``; there is no floating point
-anywhere in this package.  Vectors are tuples of Fractions, matrices are
-immutable grids.  Two independent elimination strategies (plain rational
-pivoting and fraction-free Bareiss) are provided so ranks can be
-cross-checked.
+anywhere in this package.  Every elimination runs through ``_echelon``:
+rows are ``{column: int}`` dicts with denominators cleared per row, the
+pivot of a row is its largest column, and rows are kept gcd-normalised.
+The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
+into the reduced echelon form (pivot entries 1) for the callers that need
+that form.  The largest-column pivot is the leading word of the monomial
+order; callers that work in natural column order (kernels, row bases,
+solving, inverses, ``rref``) reflect column c to ncols-1-c so that the
+leftmost column is pivoted first.  ``Matrix`` is a small immutable dense
+grid for the projector, braid and counit arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 class NotComplementary(Exception):
     """The given subspaces do not form a direct-sum decomposition."""
+
+
+class InvariantViolation(Exception):
+    """An exact result contradicts itself; it would be wrong to return it."""
 
 
 def frac(x) -> Fraction:
@@ -50,22 +60,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
+        return cls([[ZERO] * cols for _ in range(rows)])
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.data)) if self.rows else Matrix([])
@@ -73,10 +72,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        zero = Fraction(0)
         out = []
         for row in self.data:
-            acc = [zero] * other.cols
+            acc = [ZERO] * other.cols
             for a, orow in zip(row, other.data):
                 if a:
                     for j, b in enumerate(orow):
@@ -112,162 +110,198 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch")
-    return Matrix([ra + rb for ra, rb in zip(a.data, b.data)])
+def _cleared(terms: dict) -> dict:
+    """The nonzero entries of a rational row, scaled to integers by the
+    least common multiple of their denominators."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols and a.rows and b.rows:
-        raise ValueError("column count mismatch")
-    return Matrix(list(a.data) + list(b.data))
+def _int_rows(vectors: Iterable[Sequence], reflect: bool = False) -> list[dict[int, int]]:
+    """Dense rational rows as sparse integer rows, columns optionally reflected."""
+    out = []
+    for v in vectors:
+        last = len(v) - 1
+        out.append(_cleared({last - c if reflect else c: x for c, x in enumerate(v) if x}))
+    return out
+
+
+def _normalised(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """piv[col] * row - row[col] * piv, which is zero at col, gcd-normalised."""
+    a, b = row[col], piv[col]
+    new = {c: b * v for c, v in row.items() if c != col}
+    for c, v in piv.items():
+        if c == col:
+            continue
+        nv = new.get(c, 0) - a * v
+        if nv:
+            new[c] = nv
+        elif c in new:
+            del new[c]
+    return _normalised(new)
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward fraction-free elimination of sparse integer rows.
+
+    Returns the echelon rows keyed by their pivot column, so the rank is its
+    length.  The pivot of a row is its largest column: cancelling it against
+    a stored row only introduces smaller columns, so every reduction
+    terminates.  Nothing is back-substituted.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {c: v for c, v in row.items() if v}
+        while work:
+            lead = max(work)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = _normalised(work)
+                break
+            work = _cancel(work, piv, lead)
+    return pivots
+
+
+def _reduce(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """Back-substitution: the reduced echelon form of an ``_echelon`` result.
+
+    Each row keeps only its own pivot among the pivot columns and is scaled
+    so that its pivot entry is 1.  Rows are reduced in ascending pivot order,
+    so each row is cancelled only against rows that are already reduced.
+    """
+    done: dict[int, dict[int, int]] = {}
+    for lead in sorted(echelon):
+        row = echelon[lead]
+        for c in [c for c in row if c != lead and c in done]:
+            row = _cancel(row, done[c], c)
+        done[lead] = row
+    return {
+        lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+        for lead, row in done.items()
+    }
+
+
+def _rank(vectors: Iterable[Sequence]) -> int:
+    return len(_echelon(_int_rows(vectors)))
+
+
+def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
+    """Reduced echelon rows in natural column order: (pivot column, dense
+    row) pairs with ascending pivots.  The columns are reflected for the
+    engine, so its largest-column pivot is the leftmost natural column."""
+    last = ncols - 1
+    reduced = _reduce(_echelon(_int_rows(vectors, reflect=True)))
+    out = []
+    for lead in sorted(reduced, reverse=True):
+        v = [ZERO] * ncols
+        for c, x in reduced[lead].items():
+            v[last - c] = x
+        out.append((last - lead, tuple(v)))
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, by rational pivoting."""
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(rows) if nr else m, tuple(pivots)
+    """Reduced row echelon form (zero rows last) and its pivot columns."""
+    if not m.rows:
+        return m, ()
+    pairs = _rref_rows(m.data, m.cols)
+    zero = (ZERO,) * m.cols
+    rows = tuple(row for _, row in pairs) + (zero,) * (m.rows - len(pairs))
+    return Matrix._wrap(rows), tuple(pc for pc, _ in pairs)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def rank_bareiss(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers."""
-    rows = []
-    for row in m.data:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], rows[r])]
-        prev = piv
-        r += 1
-    return r
+    return _rank(m.data)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : m v = 0}; checks rank-nullity."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    """Basis of the right null space {v : m v = 0}; checks rank-nullity
+    against an independent forward rank and that m annihilates the basis."""
+    pairs = _rref_rows(m.data, m.cols)
+    pivot_set = {pc for pc, _ in pairs}
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [ZERO] * m.cols
+        v[fc] = ONE
+        for pc, row in pairs:
+            v[pc] = -row[fc]
         basis.append(tuple(v))
-    assert len(basis) == m.cols - len(pivots), "rank-nullity violated"
+    if len(basis) != m.cols - rank(m):
+        raise InvariantViolation("rank-nullity violated")
     for v in basis:
-        assert all(x == 0 for x in m.apply(v)), "kernel vector not annihilated"
+        if any(m.apply(v)):
+            raise InvariantViolation("kernel vector not annihilated")
     return basis
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    red, pivots = rref(hstack(m, Matrix.identity(m.rows)))
-    if len(pivots) != m.rows:
+    n = m.rows
+    aug = [row + tuple(ONE if i == j else ZERO for j in range(n)) for i, row in enumerate(m.data)]
+    pairs = _rref_rows(aug, 2 * n)
+    if any(pc >= n for pc, _ in pairs):
         raise ValueError("singular matrix")
-    return Matrix([row[m.cols:] for row in red.data])
+    return Matrix._wrap(tuple(row[n:] for _, row in pairs))
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
     """One exact solution of m x = b, or None if inconsistent."""
-    aug, pivots = rref(hstack(m, Matrix([[x] for x in b])))
-    for i in range(m.rows):
-        if all(aug.data[i][j] == 0 for j in range(m.cols)) and aug.data[i][m.cols] != 0:
+    if len(b) != m.rows:
+        raise ValueError("row count mismatch")
+    pairs = _rref_rows([row + (frac(x),) for row, x in zip(m.data, b)], m.cols + 1)
+    x = [ZERO] * m.cols
+    for pc, row in pairs:
+        if pc == m.cols:
             return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        if pc < m.cols:
-            x[pc] = aug.data[r][m.cols]
-        elif aug.data[r][m.cols] != 0:
-            return None
+        x[pc] = row[m.cols]
     return tuple(x)
 
 
 def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Deterministic basis of the row span of the given vectors."""
+    """Deterministic basis of the row span: the nonzero rows of its rref."""
     if not vectors:
         return []
-    red, pivots = rref(Matrix(vectors))
-    return [red.data[i] for i in range(len(pivots))]
+    return [row for _, row in _rref_rows(vectors, len(vectors[0]))]
 
 
 def row_space_contains(vectors: Sequence[Vector], v: Sequence) -> bool:
-    if not vectors:
-        return all(frac(x) == 0 for x in v)
-    base = Matrix(vectors)
-    return rank(base) == rank(vstack(base, Matrix([v])))
+    return _rank(vectors) == _rank([*vectors, v])
 
 
-def row_spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    if not a and not b:
-        return True
-    if not a:
-        return rank(Matrix(b)) == 0
-    if not b:
-        return rank(Matrix(a)) == 0
-    ra, rb = rank(Matrix(a)), rank(Matrix(b))
-    return ra == rb == rank(vstack(Matrix(a), Matrix(b)))
+def row_spans_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
+    ra, rb = _rank(a), _rank(b)
+    return ra == rb == _rank([*a, *b])
 
 
 def annihilator(
     spanning: Sequence[Sequence],
     dim: int,
-    gram: Matrix | None = None,
+    signs: Sequence[int] | None = None,
 ) -> list[Vector]:
     """Basis of {g : <g, f> = 0 for all f in the span}.
 
-    The pairing is <g, f> = sum_u g[u] * gram[u][u'] * f[u']; by default the
-    gram matrix is the identity (standard dual pairing).
+    The pairing is <g, f> = sum_u g[u] * signs[u] * f[u]; by default every
+    sign is 1 (standard dual pairing).
     """
     vecs = [tuple(frac(x) for x in f) for f in spanning]
     for f in vecs:
         if len(f) != dim:
             raise ValueError("vector length mismatch")
     if not vecs:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(dim)) for j in range(dim)]
-    if gram is None:
-        rows = vecs
-    else:
-        rows = [gram.apply(f) for f in vecs]
-    return kernel_basis(Matrix(rows))
+        return [tuple(ONE if i == j else ZERO for i in range(dim)) for j in range(dim)]
+    if signs is not None:
+        vecs = [tuple(s * x for s, x in zip(signs, f)) for f in vecs]
+    return kernel_basis(Matrix._wrap(tuple(vecs)))
 
 
 def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matrix]:

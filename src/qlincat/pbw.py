@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, gcd
+from math import comb
 
 from .homs import HomAlgebra
+from .linalg import _cleared, _echelon
 from .spaces import QuantumObject
 
 ORACLE_WORD_LIMIT = 10**6
@@ -42,62 +43,6 @@ def classical_dimension(parities, degree: int) -> int:
     return total
 
 
-def _sparse_rank(rows: list[dict[int, int]]) -> int:
-    """Exact rank of sparse integer rows (cols keyed by word index).
-
-    The pivot of a stored row is its largest column, so eliminating the
-    largest pivoted column of a work row only introduces smaller columns and
-    the reduction terminates.  All arithmetic is integer (fraction-free with
-    gcd normalization).
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rk = 0
-    for row in rows:
-        work = {c: v for c, v in row.items() if v}
-        while work:
-            lead = max(work)
-            piv = pivots.get(lead)
-            if piv is None:
-                g = 0
-                for v in work.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    work = {c: v // g for c, v in work.items()}
-                pivots[lead] = work
-                rk += 1
-                break
-            a = work[lead]
-            b = piv[lead]
-            new = {c: b * v for c, v in work.items() if c != lead}
-            for c, v in piv.items():
-                if c == lead:
-                    continue
-                nv = new.get(c, 0) - a * v
-                if nv:
-                    new[c] = nv
-                elif c in new:
-                    del new[c]
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-            work = new
-    return rk
-
-
-def _int_relation_terms(rels) -> list[list[tuple[tuple[int, int], int]]]:
-    """Relation polynomials with denominators cleared to integers."""
-    out = []
-    for poly in rels.polys:
-        den = 1
-        for c in poly.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        out.append([(w, int(c * den)) for w, c in poly.terms.items()])
-    return out
-
-
 def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
     """Exact dimension of the degree-d part of the quotient algebra."""
     if degree < 2:
@@ -105,7 +50,7 @@ def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
     n = hom.alphabet.size
     if n**degree > ORACLE_WORD_LIMIT:
         raise TooLarge(f"{n}**{degree} words exceed the oracle guard")
-    rel_terms = _int_relation_terms(hom.relations)
+    rel_terms = [list(_cleared(p.terms).items()) for p in hom.relations.polys]
     rows: list[dict[int, int]] = []
     for i in range(degree - 1):
         tail = degree - 2 - i
@@ -124,7 +69,7 @@ def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
                         idx = upre + (g * n + h) * n**tail + vidx
                         row[idx] = c
                     rows.append(row)
-    return n**degree - _sparse_rank(rows)
+    return n**degree - len(_echelon(rows))
 
 
 @dataclass(frozen=True)

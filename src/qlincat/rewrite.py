@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from string import ascii_letters
 
 from .graded import GradedSpace
-from .linalg import Matrix, frac, rref
+from .linalg import _cleared, _echelon, _reduce, frac
 
 Word = tuple[int, ...]
 
@@ -156,12 +155,6 @@ def format_poly(p: NCPoly) -> str:
     return text
 
 
-def degree2_words_desc(alphabet: Alphabet) -> list[Word]:
-    words = list(product(range(alphabet.size), repeat=2))
-    words.sort(key=word_key, reverse=True)
-    return words
-
-
 def nonordered_degree2_words(alphabet: Alphabet) -> set[Word]:
     """Left sides a complete quadratic system must have: descending pairs
     plus squares of odd letters (an odd variable may not repeat)."""
@@ -194,27 +187,36 @@ class RewriteSystem:
         return not self.missing_leaders and not self.unexpected_leaders
 
 
+def reduced_relations(relations) -> dict[Word, dict[Word, Fraction]]:
+    """Reduced echelon form of a quadratic relation span in the monomial order.
+
+    Maps each leading degree-2 word to the combination of smaller words it
+    equals modulo the span, both in descending word order.  Word (g, h) is
+    column g * n + h, so the largest column is the leading word.
+    """
+    n = relations.alphabet.size
+    rows = [
+        _cleared({g * n + h: c for (g, h), c in p.terms.items()})
+        for p in relations.polys
+    ]
+    reduced = _reduce(_echelon(rows))
+    return {
+        divmod(lead, n): {
+            divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)
+            if c != lead
+        }
+        for lead in sorted(reduced, reverse=True)
+    }
+
+
 def build_rewrite_system(relations) -> RewriteSystem:
     """Echelonize a quadratic relation set against the monomial order and
     solve each reduced relation for its leading word."""
     alphabet = relations.alphabet
-    n = alphabet.size
-    words = degree2_words_desc(alphabet)
-    col_of_word = {w: j for j, w in enumerate(words)}
-    mat = relations.matrix
-    permuted = Matrix(
-        [[row[w[0] * n + w[1]] for w in words] for row in mat.data]
-    )
-    red, pivots = rref(permuted)
-    rules: dict[Word, NCPoly] = {}
-    for r, pc in enumerate(pivots):
-        lead = words[pc]
-        rest = {
-            words[j]: -red.data[r][j]
-            for j in range(len(words))
-            if j != pc and red.data[r][j]
-        }
-        rules[lead] = NCPoly(alphabet, rest)
+    rules = {
+        lead: NCPoly(alphabet, rest)
+        for lead, rest in reduced_relations(relations).items()
+    }
     expected = nonordered_degree2_words(alphabet)
     leaders = set(rules)
     missing = tuple(sorted(expected - leaders))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedSpace, koszul_gram
+from .graded import GradedSpace, koszul_signs
 from .linalg import (
     Matrix,
     NotComplementary,
@@ -212,9 +212,9 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     if obj.s != 2:
         raise ValueError("dual_object requires a two-component object")
     n = obj.space.dim
-    gram = koszul_gram(obj.space)
-    ann_j = tuple(annihilator(obj.components[1], n * n, gram))
-    ann_i = tuple(annihilator(obj.components[0], n * n, gram))
+    signs = koszul_signs(obj.space)
+    ann_j = tuple(annihilator(obj.components[1], n * n, signs))
+    ann_i = tuple(annihilator(obj.components[0], n * n, signs))
     qp = None
     kind = "general"
     if obj.qp is not None:

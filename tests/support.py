@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from qlincat import (
     GradedSpace,
@@ -89,3 +90,35 @@ def even2_sudbery(p21, q21, name: str = ""):
     q = ((one, 1 / q21), (q21, one))
     p = ((one, 1 / p21), (p21, one))
     return make_sudbery(space_of((0, 0)), q, p, name)
+
+
+def rank_bareiss(m) -> int:
+    """Rank by fraction-free (Bareiss) elimination over the integers.
+
+    Independent of the package's elimination engine (dense, leftmost-column
+    pivots, exact division by the previous pivot), so tests compare ranks
+    against it.
+    """
+    rows = []
+    for row in m.data:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        rows.append([int(x * den) for x in row])
+    nr, nc = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(nc):
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], rows[r])]
+        prev = piv
+        r += 1
+    return r

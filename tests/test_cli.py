@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -276,3 +277,19 @@ def test_serialization_roundtrip(tmp_path):
         loaded = load_object(str(path))
         assert q.objects_equal(loaded, obj)
         assert loaded.kind == obj.kind
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["hom", "--form", "both"], 0,
+         "3a501242291b2fa45a998e3215d22075f088e597f9c4f5e7ee2fd795cb45f5fb"),
+        (["pbw", "--oracle", "--degree", "3"], 1,
+         "b66e7b78aa7ca2412aed14e3aa07a1587915c82fbc01ebb386ccf151bfa39fe7"),
+    ],
+)
+def test_json_output_is_byte_identical_to_golden(capsys, argv, code, digest):
+    pair = [str(SAMPLES / "sudbery_alpha.json"), str(SAMPLES / "sudbery_beta.json")]
+    assert main([argv[0], *pair, *argv[1:], "--json"]) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -7,11 +7,10 @@ from qlincat.graded import (
     DegreeMismatch,
     GradedSpace,
     even_space,
-    koszul_gram,
     koszul_pairing,
     koszul_sign,
+    koszul_signs,
     pi_image,
-    pi_matrix,
     reversed_parity_space,
     space_of,
     tensor_power_basis,
@@ -72,19 +71,17 @@ def test_koszul_pairing_degree_error():
 
 def test_gram_is_signed_permutation():
     sp = space_of((0, 1, 1))
-    g = koszul_gram(sp)
-    for i in range(9):
-        for j in range(9):
-            if i == j:
-                assert g.data[i][j] in (1, -1)
-            else:
-                assert g.data[i][j] == 0
-    assert rank(g) == 9
+    signs = koszul_signs(sp)
+    assert len(signs) == 9
+    for i, (a, b) in enumerate(tensor_power_basis(sp, 2)):
+        assert signs[i] in (1, -1)
+        assert signs[i] == koszul_pairing(sp, (a, b), (a, b))
 
 
 def test_pi_even_is_identity():
     sp = even_space(2)
-    assert pi_matrix(sp) == Matrix.identity(4)
+    vec = tuple(Fraction(i + 1, 3) for i in range(4))
+    assert pi_image(sp, vec) == vec
 
 
 def test_pi_sign_on_odd_first_factor():

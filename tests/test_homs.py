@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qlincat import homs
 from qlincat.graded import even_space, space_of
 from qlincat.homs import (
     AlphabetMismatch,
@@ -16,7 +17,7 @@ from qlincat.homs import (
     relation_set,
     spans_equal,
 )
-from qlincat.linalg import Matrix, rank
+from qlincat.linalg import InvariantViolation, Matrix, rank
 from qlincat.rewrite import NCPoly, matrix_alphabet
 from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery
 
@@ -378,3 +379,22 @@ def test_hom_algebra_factory():
     assert hom_g.alphabet.size == 4
     with pytest.raises(ValueError):
         hom_algebra(src, src, "other")
+
+
+def _corrupt_annihilator(monkeypatch, corrupt):
+    real = homs.annihilator
+    monkeypatch.setattr(homs, "annihilator", lambda *args: corrupt(real(*args)))
+
+
+def test_degenerate_relation_raises(monkeypatch):
+    _corrupt_annihilator(monkeypatch, lambda ann: [tuple(0 * x for x in ann[0])] + ann[1:])
+    cl = make_classical(even_space(2))
+    with pytest.raises(InvariantViolation, match="degenerate"):
+        derive_relations_general(cl, cl)
+
+
+def test_dependent_relations_raise(monkeypatch):
+    _corrupt_annihilator(monkeypatch, lambda ann: ann[:1] * len(ann))
+    cl = make_classical(even_space(2))
+    with pytest.raises(InvariantViolation, match="span smaller"):
+        derive_relations_general(cl, cl)

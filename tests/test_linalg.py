@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlincat import linalg
 from qlincat.linalg import (
+    InvariantViolation,
     Matrix,
     NotComplementary,
     annihilator,
@@ -12,16 +15,14 @@ from qlincat.linalg import (
     kron,
     projectors,
     rank,
-    rank_bareiss,
     row_spans_equal,
     rref,
     solve,
-    vstack,
 )
-from qlincat.graded import koszul_gram, space_of
+from qlincat.graded import koszul_signs, space_of
 from qlincat.spaces import make_classical, make_sudbery
 
-from support import rand_nonzero
+from support import rand_nonzero, rank_bareiss
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -121,25 +122,25 @@ def test_annihilator_pairing_check():
     q = Fraction(2)
     vec = (Fraction(0), Fraction(1), -q, Fraction(0))
     space = space_of((0, 0))
-    gram = koszul_gram(space)
-    ann = annihilator([vec], 4, gram)
+    signs = koszul_signs(space)
+    ann = annihilator([vec], 4, signs)
     assert len(ann) == 3
     for g in ann:
-        pairing = sum(g[i] * gram.data[i][i] * vec[i] for i in range(4))
+        pairing = sum(g[i] * signs[i] * vec[i] for i in range(4))
         assert pairing == 0
 
 
 def test_annihilator_involution():
     rng = random.Random(9)
     space = space_of((0, 1, 0))
-    gram = koszul_gram(space)
+    signs = koszul_signs(space)
     for _ in range(10):
         vecs = [tuple(rand_nonzero(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(9)) for _ in range(3)]
         vecs = [v for v in vecs if any(v)]
         if not vecs:
             continue
-        once = annihilator(vecs, 9, gram)
-        twice = annihilator(once, 9, gram.transpose())
+        once = annihilator(vecs, 9, signs)
+        twice = annihilator(once, 9, signs)
         assert row_spans_equal(twice, vecs)
 
 
@@ -206,5 +207,71 @@ def test_rref_pivots_monotone():
         assert list(pivots) == sorted(pivots)
         for r, pc in enumerate(pivots):
             assert red.data[r][pc] == 1
-        stacked = vstack(m, red)
+        stacked = Matrix(m.data + red.data)
         assert rank(stacked) == rank(m)
+
+
+def test_inverse_rejects_singular():
+    with pytest.raises(ValueError):
+        inverse(Matrix([[1, 2], [2, 4]]))
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def small_matrices(draw):
+    """Rational matrices up to 6x7, including 0x0, zero rows and zero columns."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 7)) if rows else 0
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    data = []
+    for _ in range(rows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            data.append([Fraction(0)] * cols)
+        else:
+            data.append([Fraction(0) if c in zero_cols else draw(rationals) for c in range(cols)])
+    return Matrix(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_engine_properties_against_bareiss(m):
+    r = rank(m)
+    assert r == rank_bareiss(m)
+    assert r + len(kernel_basis(m)) == m.cols
+    red, pivots = rref(m)
+    assert len(pivots) == r
+    assert list(pivots) == sorted(set(pivots))
+    for row, pc in enumerate(pivots):
+        assert red.data[row][pc] == 1
+
+
+def _corrupt_reduce(monkeypatch, corrupt):
+    real = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda echelon: corrupt(real(echelon)))
+
+
+def test_kernel_rank_nullity_violation_raises(monkeypatch):
+    def drop_a_pivot_row(reduced):
+        reduced.pop(max(reduced))
+        return reduced
+
+    _corrupt_reduce(monkeypatch, drop_a_pivot_row)
+    with pytest.raises(InvariantViolation, match="rank-nullity"):
+        kernel_basis(Matrix([[1, 1, 0], [0, 1, 1]]))
+
+
+def test_kernel_vector_not_annihilated_raises(monkeypatch):
+    def perturb_free_entries(reduced):
+        return {
+            lead: {c: v + (c != lead) for c, v in row.items()}
+            for lead, row in reduced.items()
+        }
+
+    _corrupt_reduce(monkeypatch, perturb_free_entries)
+    with pytest.raises(InvariantViolation, match="annihilated"):
+        kernel_basis(Matrix([[1, 1]]))

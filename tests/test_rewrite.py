@@ -6,7 +6,7 @@ import pytest
 
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, relation_set
-from qlincat.linalg import Matrix, rank, vstack
+from qlincat.linalg import Matrix, rank
 from qlincat.pbw import classical_dimension, dimension_oracle
 from qlincat.rewrite import (
     Alphabet,
@@ -168,7 +168,7 @@ def test_normal_form_soundness_degree3():
         vec = [Fraction(0)] * 64
         for (g, h, k), c in diff.terms.items():
             vec[g * 16 + h * 4 + k] = c
-        assert rank(vstack(ideal, Matrix([vec]))) == base_rank
+        assert rank(Matrix(ideal.data + (tuple(vec),))) == base_rank
 
 
 def test_confluence_classical():

@@ -5,7 +5,7 @@ import pytest
 
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
-from qlincat.linalg import Matrix, rank, row_spans_equal, vstack
+from qlincat.linalg import Matrix, rank, row_spans_equal
 from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
     RepeatedCoefficient,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlincat.graded import even_space, koszul_gram, space_of
+from qlincat.graded import even_space, koszul_signs, space_of
 from qlincat.linalg import Matrix, NotComplementary, annihilator, rank, row_spans_equal
 from qlincat.spaces import (
     BadParameters,
@@ -195,7 +195,7 @@ def test_dual_involution():
 def test_dual_components_are_annihilators():
     rng = random.Random(34)
     obj = rand_sudbery(rng, even_space(2))
-    gram = koszul_gram(obj.space)
+    signs = koszul_signs(obj.space)
     dual = dual_object(obj)
-    assert row_spans_equal(dual.components[0], annihilator(obj.components[1], 4, gram))
-    assert row_spans_equal(dual.components[1], annihilator(obj.components[0], 4, gram))
+    assert row_spans_equal(dual.components[0], annihilator(obj.components[1], 4, signs))
+    assert row_spans_equal(dual.components[1], annihilator(obj.components[0], 4, signs))
