@@ -56,6 +56,7 @@ from .pbw import (
     TooLarge,
     classical_dimension,
     dimension_oracle,
+    oracle_dims,
     pbw_criterion,
     pbw_extract_constant,
 )
@@ -102,7 +103,7 @@ __all__ = [
     "InvariantViolation", "Matrix", "NotComplementary", "annihilator",
     "kernel_basis", "projectors", "rank",
     "Extraction", "PBWVerdict", "TooLarge", "classical_dimension",
-    "dimension_oracle", "pbw_criterion", "pbw_extract_constant",
+    "dimension_oracle", "oracle_dims", "pbw_criterion", "pbw_extract_constant",
     "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",
     "confluence_check", "failed_overlaps", "format_poly", "matrix_alphabet",
     "monomial_compare", "normal_form",

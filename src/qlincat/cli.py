@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 
 from .bialgebra import (
+    ComposableTriple,
     WrongShape,
     coassociativity_check,
-    composable_triple,
     comultiplication_check,
     counit_check,
     determinant_2x2,
@@ -26,10 +26,11 @@ from .homs import (
     ComponentCountMismatch,
     derive_relations_general,
     derive_relations_sudbery,
+    hom_algebra,
     spans_equal,
 )
 from .linalg import NotComplementary
-from .pbw import TooLarge, pbw_criterion, pbw_extract_constant
+from .pbw import TooLarge, oracle_dims, pbw_criterion, pbw_extract_constant
 from .rewrite import build_rewrite_system, confluence_check, failed_overlaps, format_poly
 from .rmatrix import normalized_B, yang_baxter_check
 from .graded import space_of
@@ -253,10 +254,10 @@ def cmd_hom(args) -> int:
 def cmd_pbw(args) -> int:
     src = load_object(args.source)
     tgt = load_object(args.target)
-    degree = args.degree if args.oracle else None
-    verdict = pbw_criterion(src, tgt, oracle_degree=degree)
-    rels = derive_relations_general(src, tgt)
-    system = build_rewrite_system(rels)
+    verdict = pbw_criterion(src, tgt, oracle_degree=None)
+    hom = hom_algebra(src, tgt)
+    dims = oracle_dims(hom, args.degree) if args.oracle else ()
+    system = build_rewrite_system(hom.relations)
     overlaps = confluence_check(system)
     failed = failed_overlaps(overlaps)
     doc = {
@@ -269,8 +270,7 @@ def cmd_pbw(args) -> int:
         "overlaps": len(overlaps),
         "overlaps_failed": len(failed),
         "oracle": [
-            {"degree": d, "dim": dim, "classical": cl}
-            for d, dim, cl in verdict.oracle_dims
+            {"degree": d, "dim": dim, "classical": cl} for d, dim, cl in dims
         ],
     }
     if args.json:
@@ -288,7 +288,7 @@ def cmd_pbw(args) -> int:
         else:
             print("constant target: none (no consistent ratio constant)")
         print(f"confluence: {len(overlaps)} overlaps, {len(failed)} failed")
-        for d, dim, cl in verdict.oracle_dims:
+        for d, dim, cl in dims:
             print(f"oracle degree {d}: dim {dim} classical {cl}")
     return 0 if verdict.criterion_holds else 1
 
@@ -328,12 +328,24 @@ def cmd_yb(args) -> int:
     return 0 if all(ok for _, ok in results) else 1
 
 
+def _chain_triples(objs) -> list[ComposableTriple]:
+    """The triples (i, i+1, i+2) of a chain of objects, deriving each hom
+    algebra (i, i+1) and (i, i+2) exactly once."""
+    if len(objs) < 3:
+        return []
+    steps = [hom_algebra(a, b) for a, b in zip(objs, objs[1:])]
+    return [
+        ComposableTriple(a, b, c, steps[i], steps[i + 1], hom_algebra(a, c))
+        for i, (a, b, c) in enumerate(zip(objs, objs[1:], objs[2:]))
+    ]
+
+
 def cmd_bialgebra(args) -> int:
     objs = [load_object(f) for f in args.files]
-    checks = []
-    for i in range(len(objs) - 2):
-        triple = composable_triple(objs[i], objs[i + 1], objs[i + 2])
-        checks.append((f"comultiplication({i},{i+1},{i+2})", comultiplication_check(triple)))
+    checks = [
+        (f"comultiplication({i},{i+1},{i+2})", comultiplication_check(triple))
+        for i, triple in enumerate(_chain_triples(objs))
+    ]
     if len(objs) >= 4:
         for i in range(len(objs) - 3):
             ok = coassociativity_check(objs[i], objs[i + 1], objs[i + 2], objs[i + 3])
@@ -358,12 +370,10 @@ def cmd_det(args) -> int:
     for i in range(len(objs) - 1):
         det = determinant_2x2(objs[i], objs[i + 1])
         dets.append((f"det({i},{i+1})", det))
-    mults = []
-    for i in range(len(objs) - 2):
-        triple = composable_triple(objs[i], objs[i + 1], objs[i + 2])
-        mults.append(
-            (f"multiplicative({i},{i+1},{i+2})", determinant_multiplicativity(triple))
-        )
+    mults = [
+        (f"multiplicative({i},{i+1},{i+2})", determinant_multiplicativity(triple))
+        for i, triple in enumerate(_chain_triples(objs))
+    ]
     if args.json:
         _emit(
             {

@@ -11,6 +11,9 @@ relation
 For two-parameter objects the closed single-relation formula (one relation
 per index quadruple, with ratio coefficients) is implemented separately and
 must produce the same span, which tests enforce.
+
+A relation span is stored once, as polynomials; the elimination engine
+reads it through ``rewrite.relation_rows``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from fractions import Fraction
 from itertools import product
 
 from .graded import koszul_signs
-from .linalg import InvariantViolation, Matrix, annihilator, rank, row_basis, row_spans_equal
-from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet, reduced_relations
+from .linalg import InvariantViolation, Matrix, _echelon, annihilator, row_basis
+from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet, reduced_relations, relation_rows
 from .spaces import QuantumObject
 
 
@@ -35,29 +38,28 @@ class AlphabetMismatch(Exception):
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A span of quadratic relations: as polynomials and as a coefficient
-    matrix over the lexicographic degree-2 word basis."""
+    """A span of quadratic relations, stored as nonzero polynomials."""
 
     alphabet: Alphabet
     polys: tuple[NCPoly, ...]
-    matrix: Matrix
 
     @property
     def span_dim(self) -> int:
-        return rank(self.matrix)
+        return len(_echelon(relation_rows(self)))
+
+    @property
+    def matrix(self) -> Matrix:
+        """Read-only dense coefficient matrix over the lexicographic degree-2
+        word basis, built on each access.  Nothing in the package reads it."""
+        words = list(product(range(self.alphabet.size), repeat=2))
+        if not self.polys:
+            return Matrix.zeros(0, len(words))
+        zero = Fraction(0)
+        return Matrix([[p.terms.get(w, zero) for w in words] for p in self.polys])
 
 
 def relation_set(alphabet: Alphabet, polys) -> RelationSet:
-    polys = tuple(p for p in polys if not p.is_zero)
-    n = alphabet.size
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * (n * n)
-        for (g, h), c in p.terms.items():
-            row[g * n + h] += c
-        rows.append(row)
-    mat = Matrix(rows) if rows else Matrix.zeros(0, n * n)
-    return RelationSet(alphabet, polys, mat)
+    return RelationSet(alphabet, tuple(p for p in polys if not p.is_zero))
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> Relation
 def spans_equal(r1: RelationSet, r2: RelationSet) -> bool:
     if r1.alphabet != r2.alphabet:
         raise AlphabetMismatch("relation sets over different alphabets")
-    return row_spans_equal(r1.matrix.data, r2.matrix.data)
+    both = RelationSet(r1.alphabet, r1.polys + r2.polys)
+    return r1.span_dim == r2.span_dim == both.span_dim
 
 
 def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
@@ -178,13 +181,8 @@ def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
     return derive_relations_general(obj, dual_object(obj))
 
 
-def hom_algebra(src: QuantumObject, tgt: QuantumObject, form: str = "general") -> HomAlgebra:
-    if form == "general":
-        rels = derive_relations_general(src, tgt)
-    elif form == "sudbery":
-        rels = derive_relations_sudbery(src, tgt)
-    else:
-        raise ValueError(f"unknown derivation form {form!r}")
+def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:
+    rels = derive_relations_general(src, tgt)
     return HomAlgebra(src, tgt, rels.alphabet, rels)
 
 

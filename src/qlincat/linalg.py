@@ -8,8 +8,8 @@ The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
 into the reduced echelon form (pivot entries 1) for the callers that need
 that form.  The largest-column pivot is the leading word of the monomial
 order; callers that work in natural column order (kernels, row bases,
-solving, inverses, ``rref``) reflect column c to ncols-1-c so that the
-leftmost column is pivoted first.  ``Matrix`` is a small immutable dense
+solving and inverses) reflect column c to ncols-1-c so that the leftmost
+column is pivoted first.  ``Matrix`` is a small immutable dense
 grid for the projector, braid and counit arithmetic.
 """
 
@@ -91,11 +91,6 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         )
 
     def scale(self, c) -> "Matrix":
@@ -207,16 +202,6 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form (zero rows last) and its pivot columns."""
-    if not m.rows:
-        return m, ()
-    pairs = _rref_rows(m.data, m.cols)
-    zero = (ZERO,) * m.cols
-    rows = tuple(row for _, row in pairs) + (zero,) * (m.rows - len(pairs))
-    return Matrix._wrap(rows), tuple(pc for pc, _ in pairs)
-
-
 def rank(m: Matrix) -> int:
     return _rank(m.data)
 
@@ -272,10 +257,6 @@ def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:
     if not vectors:
         return []
     return [row for _, row in _rref_rows(vectors, len(vectors[0]))]
-
-
-def row_space_contains(vectors: Sequence[Vector], v: Sequence) -> bool:
-    return _rank(vectors) == _rank([*vectors, v])
 
 
 def row_spans_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:

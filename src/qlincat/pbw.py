@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import comb
 
-from .homs import HomAlgebra
-from .linalg import _cleared, _echelon
+from .homs import HomAlgebra, hom_algebra
+from .linalg import _echelon
+from .rewrite import relation_rows
 from .spaces import QuantumObject
 
 ORACLE_WORD_LIMIT = 10**6
@@ -50,7 +51,7 @@ def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
     n = hom.alphabet.size
     if n**degree > ORACLE_WORD_LIMIT:
         raise TooLarge(f"{n}**{degree} words exceed the oracle guard")
-    rel_terms = [list(_cleared(p.terms).items()) for p in hom.relations.polys]
+    rel_rows = [list(row.items()) for row in relation_rows(hom.relations)]
     rows: list[dict[int, int]] = []
     for i in range(degree - 1):
         tail = degree - 2 - i
@@ -63,13 +64,23 @@ def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
                 vidx = 0
                 for g in v:
                     vidx = vidx * n + g
-                for rel in rel_terms:
-                    row = {}
-                    for (g, h), c in rel:
-                        idx = upre + (g * n + h) * n**tail + vidx
-                        row[idx] = c
-                    rows.append(row)
+                for rel in rel_rows:
+                    rows.append({upre + col * n**tail + vidx: c for col, c in rel})
     return n**degree - len(_echelon(rows))
+
+
+def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
+    """(degree, exact dimension, classical dimension) for every degree from
+    2 to top.  Raises ValueError for top < 2, which asks for no degree."""
+    if top < 2:
+        raise ValueError("oracle needs degree >= 2")
+    n = hom.alphabet.size
+    if n**top > ORACLE_WORD_LIMIT:
+        raise TooLarge(f"{n}**{top} words exceed the oracle guard")
+    return tuple(
+        (d, dimension_oracle(hom, d), classical_dimension(hom.alphabet.parities, d))
+        for d in range(2, top + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -128,37 +139,6 @@ def pbw_extract_constant(obj: QuantumObject) -> Extraction | None:
     return Extraction(c, tuple(positions))
 
 
-def _ordering_by_enumeration(obj: QuantumObject) -> Extraction | None:
-    """Brute-force cross-check of the ordering search (small dims only)."""
-    if obj.qp is None:
-        return None
-    q, p = obj.qp
-    n = obj.space.dim
-    if n <= 1:
-        return Extraction(Fraction(1), tuple(range(n)), unconstrained=True)
-    candidates = {p[a][b] / q[a][b] for a in range(n) for b in range(n) if a != b}
-    candidates |= {1 / c for c in candidates}
-    for c in sorted(candidates):
-        if c == 0:
-            continue
-        for perm in permutations(range(n)):
-            positions = perm
-            ok = True
-            for a in range(n):
-                for b in range(n):
-                    if a == b:
-                        continue
-                    s = (positions[b] > positions[a]) - (positions[b] < positions[a])
-                    if p[a][b] != q[a][b] * c**s:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return Extraction(c, tuple(positions))
-    return None
-
-
 @dataclass(frozen=True)
 class PBWVerdict:
     criterion_holds: bool
@@ -182,33 +162,17 @@ def pbw_criterion(
 ) -> PBWVerdict:
     """Classical-dimension criterion: both constants extract and agree up to
     inverse.  The verdict optionally carries exact quotient dimensions
-    against the classical counts up to oracle_degree for cross-checking."""
+    against the classical counts up to oracle_degree (at least 2) for
+    cross-checking; see ``oracle_dims``."""
     ea = pbw_extract_constant(src)
     eb = pbw_extract_constant(tgt)
     holds = ea is not None and eb is not None and _compatible(ea, eb)
-    dims: list[tuple[int, int, int]] = []
-    if oracle_degree is not None and oracle_degree >= 2:
-        from .homs import hom_algebra
-
-        size = src.space.dim * tgt.space.dim
-        if size**oracle_degree > ORACLE_WORD_LIMIT:
-            raise TooLarge(
-                f"{size}**{oracle_degree} words exceed the oracle guard"
-            )
-        hom = hom_algebra(src, tgt)
-        for d in range(2, oracle_degree + 1):
-            dims.append(
-                (
-                    d,
-                    dimension_oracle(hom, d),
-                    classical_dimension(hom.alphabet.parities, d),
-                )
-            )
+    dims = () if oracle_degree is None else oracle_dims(hom_algebra(src, tgt), oracle_degree)
     return PBWVerdict(
         criterion_holds=holds,
         constant_source=ea.constant if ea else None,
         constant_target=eb.constant if eb else None,
         ordering_source=ea.positions if ea else None,
         ordering_target=eb.positions if eb else None,
-        oracle_dims=tuple(dims),
+        oracle_dims=dims,
     )

@@ -187,19 +187,28 @@ class RewriteSystem:
         return not self.missing_leaders and not self.unexpected_leaders
 
 
+def relation_rows(relations) -> list[dict[int, int]]:
+    """The quadratic relations as sparse integer rows for the elimination
+    engine, denominators cleared per row.
+
+    Word (g, h) is column g * n + h, so the largest column of a row is the
+    leading word of its relation in the monomial order.
+    """
+    n = relations.alphabet.size
+    return [
+        _cleared({g * n + h: c for (g, h), c in p.terms.items()})
+        for p in relations.polys
+    ]
+
+
 def reduced_relations(relations) -> dict[Word, dict[Word, Fraction]]:
     """Reduced echelon form of a quadratic relation span in the monomial order.
 
     Maps each leading degree-2 word to the combination of smaller words it
-    equals modulo the span, both in descending word order.  Word (g, h) is
-    column g * n + h, so the largest column is the leading word.
+    equals modulo the span, both in descending word order.
     """
     n = relations.alphabet.size
-    rows = [
-        _cleared({g * n + h: c for (g, h), c in p.terms.items()})
-        for p in relations.polys
-    ]
-    reduced = _reduce(_echelon(rows))
+    reduced = _reduce(_echelon(relation_rows(relations)))
     return {
         divmod(lead, n): {
             divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 from qlincat import (
+    Extraction,
     GradedSpace,
     NotComplementary,
     make_sudbery,
@@ -90,6 +92,37 @@ def even2_sudbery(p21, q21, name: str = ""):
     q = ((one, 1 / q21), (q21, one))
     p = ((one, 1 / p21), (p21, one))
     return make_sudbery(space_of((0, 0)), q, p, name)
+
+
+def ordering_by_enumeration(obj) -> Extraction | None:
+    """Brute-force reference for ``pbw_extract_constant`` (small dims only):
+    try every candidate constant against every basis ordering."""
+    if obj.qp is None:
+        return None
+    q, p = obj.qp
+    n = obj.space.dim
+    if n <= 1:
+        return Extraction(Fraction(1), tuple(range(n)), unconstrained=True)
+    candidates = {p[a][b] / q[a][b] for a in range(n) for b in range(n) if a != b}
+    candidates |= {1 / c for c in candidates}
+    for c in sorted(candidates):
+        if c == 0:
+            continue
+        for positions in permutations(range(n)):
+            ok = True
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    s = (positions[b] > positions[a]) - (positions[b] < positions[a])
+                    if p[a][b] != q[a][b] * c**s:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return Extraction(c, tuple(positions))
+    return None
 
 
 def rank_bareiss(m) -> int:

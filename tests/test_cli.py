@@ -4,9 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from qlincat import cli, homs
 from qlincat.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_objects"
+
+
+def samples(*names: str) -> list[str]:
+    return [str(SAMPLES / f"{name}.json") for name in names]
+
+
+PAIR = samples("sudbery_alpha", "sudbery_beta")
+CHAIN = samples("normalized_q2", "normalized_q3", "normalized_q7")
 
 
 def write(tmp_path: Path, name: str, doc: dict) -> str:
@@ -249,6 +258,37 @@ def test_pbw_too_large_guard(tmp_path, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+def test_pbw_oracle_below_degree_two_is_refused(capsys):
+    assert main(["pbw", *CHAIN[:2], "--oracle", "--degree", "1", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle needs degree >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, derives",
+    [
+        (["pbw", *CHAIN[:2], "--oracle"], 1),
+        (["bialgebra", *CHAIN, CHAIN[0]], 9),
+        (["det", *CHAIN, CHAIN[0]], 5),
+    ],
+)
+def test_each_hom_algebra_is_derived_once_per_call(monkeypatch, capsys, argv, derives):
+    calls = []
+
+    def counting(src, tgt):
+        calls.append((src.name, tgt.name))
+        return real(src, tgt)
+
+    real = homs.derive_relations_general
+    # cli binds the name itself, so both bindings are counted
+    monkeypatch.setattr(homs, "derive_relations_general", counting)
+    monkeypatch.setattr(cli, "derive_relations_general", counting)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == derives, calls
+
+
 def test_serialization_roundtrip(tmp_path):
     import qlincat as q
     from qlincat.cli import load_object, object_to_json
@@ -282,14 +322,17 @@ def test_serialization_roundtrip(tmp_path):
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
-        (["hom", "--form", "both"], 0,
+        (["hom", *PAIR, "--form", "both"], 0,
          "3a501242291b2fa45a998e3215d22075f088e597f9c4f5e7ee2fd795cb45f5fb"),
-        (["pbw", "--oracle", "--degree", "3"], 1,
+        (["pbw", *PAIR, "--oracle", "--degree", "3"], 1,
          "b66e7b78aa7ca2412aed14e3aa07a1587915c82fbc01ebb386ccf151bfa39fe7"),
+        (["bialgebra", *CHAIN], 0,
+         "c837779cf41e62860cb72bd1fdb0e972f65c192836d1fcb874f4efb9d90d8f30"),
+        (["det", *CHAIN], 0,
+         "36e02c493a864063a144220a894b3d39c491f35f4783fef34e917caf2a2e58ae"),
     ],
 )
 def test_json_output_is_byte_identical_to_golden(capsys, argv, code, digest):
-    pair = [str(SAMPLES / "sudbery_alpha.json"), str(SAMPLES / "sudbery_beta.json")]
-    assert main([argv[0], *pair, *argv[1:], "--json"]) == code
+    assert main([*argv, "--json"]) == code
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest

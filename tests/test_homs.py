@@ -197,23 +197,29 @@ def test_one_dimensional_even_target_gives_linear_form_relations():
 
 def test_one_column_relation_in_span():
     # even column K: t_A^K t_B^K - p_{BA} t_B^K t_A^K lies in the span
-    from qlincat.linalg import row_space_contains
-
     src = even2_sudbery(2, 3)
     tgt = even2_sudbery(4, 5)
     rels = derive_relations_general(src, tgt)
     _, p = src.qp
-    n = rels.alphabet.size
     for k in range(2):
         for a in range(2):
             for b in range(2):
                 if a == b:
                     continue
-                vec = [Fraction(0)] * (n * n)
                 g1, g2 = a * 2 + k, b * 2 + k
-                vec[g1 * n + g2] += 1
-                vec[g2 * n + g1] -= p[b][a]
-                assert row_space_contains(list(rels.matrix.data), vec)
+                rel = NCPoly(rels.alphabet, {(g1, g2): 1, (g2, g1): -p[b][a]})
+                padded = relation_set(rels.alphabet, rels.polys + (rel,))
+                assert spans_equal(rels, padded)
+
+
+def test_relation_matrix_view_matches_polys():
+    rels = derive_relations_general(even2_sudbery(2, 3), even2_sudbery(4, 5))
+    n = rels.alphabet.size
+    m = rels.matrix
+    assert (m.rows, m.cols) == (len(rels.polys), n * n)
+    for row, p in zip(m.data, rels.polys):
+        assert {divmod(c, n): x for c, x in enumerate(row) if x} == p.terms
+    assert relation_set(rels.alphabet, []).matrix.rows == 0
 
 
 def test_bilinear_form_relations_classical():
@@ -373,12 +379,9 @@ def test_normalized_branch_vanishing_sides():
 
 def test_hom_algebra_factory():
     src = even2_sudbery(2, 3)
-    hom_g = hom_algebra(src, src, "general")
-    hom_s = hom_algebra(src, src, "sudbery")
-    assert spans_equal(hom_g.relations, hom_s.relations)
-    assert hom_g.alphabet.size == 4
-    with pytest.raises(ValueError):
-        hom_algebra(src, src, "other")
+    hom = hom_algebra(src, src)
+    assert spans_equal(hom.relations, derive_relations_sudbery(src, src))
+    assert hom.alphabet.size == 4
 
 
 def _corrupt_annihilator(monkeypatch, corrupt):

@@ -8,7 +8,6 @@ from qlincat.homs import hom_algebra
 from qlincat.linalg import Matrix, _echelon
 from qlincat.pbw import (
     TooLarge,
-    _ordering_by_enumeration,
     classical_dimension,
     dimension_oracle,
     pbw_criterion,
@@ -18,6 +17,7 @@ from qlincat.spaces import make_classical, make_sudbery
 
 from support import (
     even2_sudbery,
+    ordering_by_enumeration,
     rand_constant,
     rank_bareiss,
     rand_sudbery,
@@ -138,7 +138,7 @@ def test_extract_nontransitive_fails():
     ]
     obj = make_sudbery(even_space(3), q, p)
     assert pbw_extract_constant(obj) is None
-    assert _ordering_by_enumeration(obj) is None
+    assert ordering_by_enumeration(obj) is None
 
 
 def test_extract_mixed_ratio_values_fails():
@@ -180,7 +180,7 @@ def test_extract_agrees_with_enumeration():
         else:
             obj = rand_sudbery(rng, sp)
         fast = pbw_extract_constant(obj)
-        slow = _ordering_by_enumeration(obj)
+        slow = ordering_by_enumeration(obj)
         assert (fast is None) == (slow is None)
 
 

@@ -60,7 +60,7 @@ def test_eigenspaces_recover_decomposition():
     obj = even2_sudbery(2, 3)
     b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
     for lam, comp in zip(b.coefficients, obj.components):
-        shifted = b.matrix - Matrix.identity(4).scale(lam)
+        shifted = b.matrix + Matrix.identity(4).scale(-lam)
         assert row_spans_equal(kernel_basis(shifted), list(comp))
 
 
