@@ -44,6 +44,7 @@ from .spaces import (
 )
 
 FORMAT = "quantum-object/1"
+MAX_DIM = 8  # checking a dense general object takes seconds at this dim
 
 
 class ObjectSpecError(Exception):
@@ -85,8 +86,8 @@ def load_object(path: str) -> QuantumObject:
         raise ObjectSpecError(f'{path}: format: must be "{FORMAT}"')
     name = doc.get("name", "")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ObjectSpecError(f"{path}: dim: must be a positive integer")
+    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise ObjectSpecError(f"{path}: dim: must be an integer from 1 to {MAX_DIM}")
     parities = doc.get("parities", [0] * dim)
     if (
         not isinstance(parities, list)

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, on one sparse elimination engine.
 
 Every scalar is a ``fractions.Fraction``; there is no floating point
-anywhere in this package.  Every elimination runs through ``_echelon``:
+anywhere in this package.  Every elimination runs through ``_insert``:
 rows are ``{column: int}`` dicts with denominators cleared per row, the
 pivot of a row is its largest column, and rows are kept gcd-normalised.
 The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
@@ -143,24 +143,27 @@ def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int
     return _normalised(new)
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward fraction-free elimination of sparse integer rows.
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int] | None:
+    """Reduce a sparse integer row against echelon rows keyed by their pivot,
+    the largest column; cancelling a pivot adds only smaller columns.  Store
+    and return the row if it is new to their span, else return None."""
+    work = {c: v for c, v in row.items() if v}
+    while work:
+        lead = max(work)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = work = _normalised(work)
+            return work
+        work = _cancel(work, piv, lead)
+    return None
 
-    Returns the echelon rows keyed by their pivot column, so the rank is its
-    length.  The pivot of a row is its largest column: cancelling it against
-    a stored row only introduces smaller columns, so every reduction
-    terminates.  Nothing is back-substituted.
-    """
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward fraction-free elimination: the echelon rows keyed by pivot
+    column, so the rank is their number.  Nothing is back-substituted."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        work = {c: v for c, v in row.items() if v}
-        while work:
-            lead = max(work)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = _normalised(work)
-                break
-            work = _cancel(work, piv, lead)
+        _insert(pivots, row)
     return pivots
 
 

@@ -1,23 +1,22 @@
 """The graded-dimension oracle and the quantum-constant criterion.
 
-The oracle is ground truth: the degree-d part of the quadratic ideal is
-spanned by word (x) relation (x) word placements, and the quotient dimension
-is the word count minus the exact rank of that stack.  The criterion side
-never looks at the ideal: it extracts a single constant c from the ratios
-p^{AB}/q^{AB} of each object (two-valued structure {c, 1/c} plus a
-transitive comparison pattern) and asks whether the two constants agree up
-to inverse.  Tests confirm the two sides always agree at degree 3.
+The oracle is ground truth: the degree-d quotient dimension is the word
+count minus the exact rank of the ideal's degree-d part, built degree by
+degree from I_d = I_{d-1} V + V I_{d-1} (Polishchuk and Positselski,
+2005).  The criterion side never looks at the ideal: it extracts one
+constant c from the ratios p^{AB}/q^{AB} of each object (values {c, 1/c}
+in a transitive comparison pattern) and asks whether the two constants
+agree up to inverse.  Tests confirm the two sides always agree at degree 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 from .homs import HomAlgebra, hom_algebra
-from .linalg import _echelon
+from .linalg import _echelon, _insert
 from .rewrite import relation_rows
 from .spaces import QuantumObject
 
@@ -44,43 +43,40 @@ def classical_dimension(parities, degree: int) -> int:
     return total
 
 
-def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
-    """Exact dimension of the degree-d part of the quotient algebra."""
-    if degree < 2:
-        raise ValueError("oracle needs degree >= 2")
-    n = hom.alphabet.size
-    if n**degree > ORACLE_WORD_LIMIT:
-        raise TooLarge(f"{n}**{degree} words exceed the oracle guard")
-    rel_rows = [list(row.items()) for row in relation_rows(hom.relations)]
-    rows: list[dict[int, int]] = []
-    for i in range(degree - 1):
-        tail = degree - 2 - i
-        for u in product(range(n), repeat=i):
-            upre = 0
-            for g in u:
-                upre = upre * n + g
-            upre *= n ** (tail + 2)
-            for v in product(range(n), repeat=tail):
-                vidx = 0
-                for g in v:
-                    vidx = vidx * n + g
-                for rel in rel_rows:
-                    rows.append({upre + col * n**tail + vidx: c for col, c in rel})
-    return n**degree - len(_echelon(rows))
-
-
 def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     """(degree, exact dimension, classical dimension) for every degree from
-    2 to top.  Raises ValueError for top < 2, which asks for no degree."""
+    2 to top; raises ValueError for top < 2, which asks for no degree.
+
+    One pass carries the echelon of the ideal's degree-d part I_d forward.
+    Appending a letter x maps column c to c * n + x and keeps every pivot
+    the largest column, so I_{d-1} V needs no elimination.  V I_{d-2} V lies
+    in I_{d-1} V, so only x N is reduced, where N holds the rows that became
+    new pivots at degree d - 1.
+    """
     if top < 2:
         raise ValueError("oracle needs degree >= 2")
     n = hom.alphabet.size
     if n**top > ORACLE_WORD_LIMIT:
         raise TooLarge(f"{n}**{top} words exceed the oracle guard")
+    echelon = _echelon(relation_rows(hom.relations))
+    new = list(echelon.values())
+    ranks = [len(echelon)]
+    for d in range(3, top + 1):
+        shift = n ** (d - 1)
+        echelon = {lead * n + x: {c * n + x: v for c, v in row.items()}
+                   for lead, row in echelon.items() for x in range(n)}
+        left = ({x * shift + c: v for c, v in row.items()} for x in range(n) for row in new)
+        new = [row for row in (_insert(echelon, r) for r in left) if row is not None]
+        ranks.append(len(echelon))
     return tuple(
-        (d, dimension_oracle(hom, d), classical_dimension(hom.alphabet.parities, d))
-        for d in range(2, top + 1)
+        (d, n**d - rank, classical_dimension(hom.alphabet.parities, d))
+        for d, rank in enumerate(ranks, start=2)
     )
+
+
+def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
+    """Exact dimension of the degree-d part of the quotient algebra."""
+    return oracle_dims(hom, degree)[-1][1]
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 from qlincat import (
     Extraction,
     GradedSpace,
     NotComplementary,
+    make_general,
     make_sudbery,
     space_of,
 )
+from qlincat.linalg import _echelon
+from qlincat.rewrite import relation_rows
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -49,6 +52,19 @@ def rand_sudbery(rng: random.Random, space: GradedSpace, name: str = ""):
         p = rand_reciprocal(rng, space)
         try:
             return make_sudbery(space, q, p, name)
+        except NotComplementary:
+            continue
+
+
+def rand_general(rng: random.Random, space: GradedSpace, name: str = ""):
+    """Two-component object whose components are spanned by dense random
+    vectors, so its relations are not homogeneous in any index grading."""
+    n2 = space.dim**2
+    while True:
+        vecs = [tuple(rand_nonzero(rng) for _ in range(n2)) for _ in range(n2)]
+        k = rng.randint(1, n2 - 1)
+        try:
+            return make_general(space, [vecs[:k], vecs[k:]], name)
         except NotComplementary:
             continue
 
@@ -155,3 +171,30 @@ def rank_bareiss(m) -> int:
         prev = piv
         r += 1
     return r
+
+
+def placement_oracle(hom, degree: int) -> int:
+    """Reference for ``dimension_oracle``: the word count minus the rank of
+    every placement u r v of a relation r between words u and v whose
+    lengths sum to degree - 2.
+
+    It shares the package's elimination engine but none of the oracle's
+    degree recursion, so tests compare the two dimensions.
+    """
+    n = hom.alphabet.size
+    rel_rows = [list(row.items()) for row in relation_rows(hom.relations)]
+    rows: list[dict[int, int]] = []
+    for i in range(degree - 1):
+        tail = degree - 2 - i
+        for u in product(range(n), repeat=i):
+            upre = 0
+            for g in u:
+                upre = upre * n + g
+            upre *= n ** (tail + 2)
+            for v in product(range(n), repeat=tail):
+                vidx = 0
+                for g in v:
+                    vidx = vidx * n + g
+                for rel in rel_rows:
+                    rows.append({upre + col * n**tail + vidx: c for col, c in rel})
+    return n**degree - len(_echelon(rows))

@@ -110,6 +110,17 @@ def test_object_rejects_zero_lambda(tmp_path, capsys):
     assert "lam" in capsys.readouterr().err
 
 
+def test_object_dim_above_limit_is_refused(tmp_path, capsys):
+    # no "parities": a default of dim zeros must not be built either
+    doc = {"format": "quantum-object/1", "name": "huge", "dim": 10**9, "kind": "classical"}
+    assert main(["object", write(tmp_path, "huge.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dim: must be an integer from 1 to {cli.MAX_DIM}" in captured.err
+    doc["dim"] = cli.MAX_DIM
+    assert main(["object", write(tmp_path, "limit.json", doc), "--json"]) == 0
+
+
 def test_object_rejects_wrong_format(tmp_path, capsys):
     doc = classical_doc()
     doc["format"] = "something-else"
@@ -330,6 +341,8 @@ def test_serialization_roundtrip(tmp_path):
          "c837779cf41e62860cb72bd1fdb0e972f65c192836d1fcb874f4efb9d90d8f30"),
         (["det", *CHAIN], 0,
          "36e02c493a864063a144220a894b3d39c491f35f4783fef34e917caf2a2e58ae"),
+        (["pbw", *PAIR, "--oracle", "--degree", "5"], 1,
+         "f62ae8da7e7434d871ac292559c337946dbbdb63a3e612a9122c4ad265b9c4d3"),
     ],
 )
 def test_json_output_is_byte_identical_to_golden(capsys, argv, code, digest):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlincat import pbw
 from qlincat.graded import even_space, space_of
 from qlincat.homs import hom_algebra
 from qlincat.linalg import Matrix, _echelon
@@ -10,15 +12,19 @@ from qlincat.pbw import (
     TooLarge,
     classical_dimension,
     dimension_oracle,
+    oracle_dims,
     pbw_criterion,
     pbw_extract_constant,
 )
 from qlincat.spaces import make_classical, make_sudbery
 
 from support import (
+    MIXED_SHAPES,
     even2_sudbery,
     ordering_by_enumeration,
+    placement_oracle,
     rand_constant,
+    rand_general,
     rank_bareiss,
     rand_sudbery,
     sudbery_with_constant,
@@ -107,6 +113,92 @@ def test_oracle_guard():
         dimension_oracle(hom, 8)
     with pytest.raises(ValueError):
         dimension_oracle(hom, 1)
+
+
+def test_oracle_guards_raise_before_elimination(monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("eliminated before the guard")
+
+    monkeypatch.setattr(pbw, "_echelon", no_elimination)
+    monkeypatch.setattr(pbw, "_insert", no_elimination)
+    cl = make_classical(even_space(3))
+    hom = hom_algebra(cl, cl)
+    for oracle in (dimension_oracle, oracle_dims):
+        with pytest.raises(TooLarge):
+            oracle(hom, 8)
+        with pytest.raises(ValueError, match="degree >= 2"):
+            oracle(hom, 1)
+
+
+def test_oracle_dims_is_one_pass(monkeypatch):
+    calls = []
+    real = pbw._echelon
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(pbw, "_echelon", counting)
+    hom = hom_algebra(even2_sudbery(2, 1), even2_sudbery(3, 1))
+    dims = oracle_dims(hom, 5)
+    assert [d for d, _, _ in dims] == [2, 3, 4, 5]
+    assert len(calls) == 1
+
+
+def _oracle_pair(rng, kind, src_shape, tgt_shape):
+    """A YES pair, a NO pair, or a non-homogeneous general source."""
+    src_space, tgt_space = space_of(src_shape), space_of(tgt_shape)
+    if kind == "general":
+        return rand_general(rng, src_space), rand_sudbery(rng, tgt_space)
+    c = rand_constant(rng)
+    other = rng.choice([c, 1 / c])
+    if kind == "no":
+        while other in (c, 1 / c):
+            other = rand_constant(rng)
+    return sudbery_with_constant(rng, src_space, c), sudbery_with_constant(rng, tgt_space, other)
+
+
+def _assert_oracle_matches_placements(src, tgt):
+    # every alphabet from MIXED_SHAPES has at most 9 letters: 9**4 < 10**4
+    hom = hom_algebra(src, tgt)
+    reference = [placement_oracle(hom, d) for d in range(2, 5)]
+    assert [dim for _, dim, _ in oracle_dims(hom, 4)] == reference
+    assert [dimension_oracle(hom, d) for d in range(2, 5)] == reference
+
+
+@st.composite
+def oracle_pairs(draw):
+    kind = draw(st.sampled_from(["yes", "no", "general"]))
+    # dense general relations grow long coefficients: keep those at 4 letters
+    shapes = [s for s in MIXED_SHAPES if len(s) == 2] if kind == "general" else MIXED_SHAPES
+    src_shape, tgt_shape = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return _oracle_pair(rng, kind, src_shape, tgt_shape)
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+def test_oracle_matches_placement_oracle(pair):
+    _assert_oracle_matches_placements(*pair)
+
+
+@pytest.mark.parametrize("kind", ["yes", "general"])
+def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
+    # the recursion then keeps only I_{d-1} V and drops the rows V N_{d-1}
+    monkeypatch.setattr(pbw, "_insert", lambda pivots, row: None)
+    src, tgt = _oracle_pair(random.Random(7), kind, (0, 1), (0, 0))
+    with pytest.raises(AssertionError):
+        _assert_oracle_matches_placements(src, tgt)
+
+
+@pytest.mark.parametrize("shape, top", [((0, 0), 8), ((0, 0, 1), 5)])
+def test_oracle_known_answers_at_stretch_sizes(shape, top):
+    rng = random.Random(131)
+    dims = oracle_dims(hom_algebra(*_oracle_pair(rng, "yes", shape, shape)), top)
+    assert [d for d, _, _ in dims] == list(range(2, top + 1))
+    assert all(dim == cl for _, dim, cl in dims)
+    dims = oracle_dims(hom_algebra(*_oracle_pair(rng, "no", shape, shape)), top)
+    assert any(dim < cl for _, dim, cl in dims)
 
 
 def test_extract_classical_is_one_identity_order():
