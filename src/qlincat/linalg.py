@@ -9,8 +9,11 @@ into the reduced echelon form (pivot entries 1) for the callers that need
 that form.  The largest-column pivot is the leading word of the monomial
 order; callers that work in natural column order (kernels, row bases,
 solving and inverses) reflect column c to ncols-1-c so that the leftmost
-column is pivoted first.  ``Matrix`` is a small immutable dense
-grid for the projector, braid and counit arithmetic.
+column is pivoted first.  The yes/no checks form no dense product:
+``kernel_basis`` verifies its basis with integer dot products against the
+cleared rows, and ``check_complementary`` decides a direct sum from ranks
+alone.  ``Matrix`` is a small immutable dense grid kept for the
+projectors, the braid matrix and the counit values.
 """
 
 from __future__ import annotations
@@ -211,7 +214,8 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of the right null space {v : m v = 0}; checks rank-nullity
-    against an independent forward rank and that m annihilates the basis."""
+    against an independent forward rank and that m annihilates the basis,
+    both on the cleared integer rows of m."""
     pairs = _rref_rows(m.data, m.cols)
     pivot_set = {pc for pc, _ in pairs}
     basis = []
@@ -223,10 +227,12 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         for pc, row in pairs:
             v[pc] = -row[fc]
         basis.append(tuple(v))
-    if len(basis) != m.cols - rank(m):
+    rows = _int_rows(m.data)
+    if len(basis) != m.cols - len(_echelon(rows)):
         raise InvariantViolation("rank-nullity violated")
     for v in basis:
-        if any(m.apply(v)):
+        w = _cleared(dict(enumerate(v)))
+        if any(sum(x * w.get(c, 0) for c, x in row.items()) for row in rows):
             raise InvariantViolation("kernel vector not annihilated")
     return basis
 
@@ -288,6 +294,20 @@ def annihilator(
     return kernel_basis(Matrix._wrap(tuple(vecs)))
 
 
+def check_complementary(components: Sequence[Sequence[Sequence]], dim: int) -> None:
+    """Raise NotComplementary unless the component spans form a direct-sum
+    decomposition of the dim-dimensional ambient space; ranks only."""
+    total = sum(_rank(comp) for comp in components)
+    if total != dim:
+        raise NotComplementary(
+            f"component dimensions sum to {total}, ambient dimension is {dim}"
+        )
+    if _rank([v for comp in components for v in comp]) != dim:
+        raise NotComplementary("joint spanning matrix is rank-deficient")
+    if any(len(v) != dim for comp in components for v in comp):
+        raise ValueError(f"component vectors must have {dim} coordinates")
+
+
 def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matrix]:
     """Projectors P_k onto each component along the others.
 
@@ -295,16 +315,9 @@ def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matri
     decomposition of the dim-dimensional ambient space.  The returned
     projectors satisfy P_k P_l = delta_kl P_k and sum_k P_k = 1 exactly.
     """
+    check_complementary(components, dim)
     bases = [row_basis(comp) for comp in components]
-    total = sum(len(b) for b in bases)
-    if total != dim:
-        raise NotComplementary(
-            f"component dimensions sum to {total}, ambient dimension is {dim}"
-        )
-    cols: list[Vector] = [v for b in bases for v in b]
-    c = Matrix(cols).transpose()
-    if rank(c) != dim:
-        raise NotComplementary("joint spanning matrix is rank-deficient")
+    c = Matrix([v for b in bases for v in b]).transpose()
     ci = inverse(c)
     out = []
     start = 0
@@ -317,17 +330,3 @@ def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matri
             out.append(block @ Matrix(ci.data[start:stop]))
         start = stop
     return out
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            out.append(
-                tuple(
-                    a.data[i][j] * b.data[k][l]
-                    for j in range(a.cols)
-                    for l in range(b.cols)
-                )
-            )
-    return Matrix._wrap(tuple(out))

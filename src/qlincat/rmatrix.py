@@ -1,6 +1,11 @@
 """Projector combinations on the tensor square, the braid-relation check,
 and the relation span they induce on matrix entries.
 
+The braid check never forms a matrix on the tensor cube: it applies B to
+the first and to the last two factors of each cube basis word through the
+sparse integer columns of B, and compares the two triple products one
+column at a time.
+
 The degree-2 coaction is represented as a matrix over the word bases whose
 entries are quadratic noncommutative polynomials; sandwiching it between the
 two projector combinations and subtracting reads off scalar relations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .homs import RelationSet, relation_set
-from .linalg import Matrix, frac, kron
+from .linalg import Matrix, _cleared, frac
 from .rewrite import NCPoly, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -56,12 +61,48 @@ def normalized_B(obj: QuantumObject, lam) -> BMatrix:
 
 
 def yang_baxter_check(b: BMatrix) -> bool:
-    """Exact equality of the two triple products on the tensor cube."""
+    """Exact equality B12 B23 B12 = B23 B12 B23 on the tensor cube.
+
+    B12 acts on the first two factors of V (x) V (x) V and B23 on the last
+    two.  Both sides are compared column by column over the n**3 basis
+    words, using the nonzero columns of B scaled to integers by one common
+    denominator (both sides scale alike, so the verdict is unchanged).
+    """
     n = b.object.space.dim
-    eye = Matrix.identity(n)
-    b12 = kron(b.matrix, eye)
-    b23 = kron(eye, b.matrix)
-    return b12 @ b23 @ b12 == b23 @ b12 @ b23
+    nn = n * n
+    scaled = _cleared(
+        {(r, c): x for r, row in enumerate(b.matrix.data) for c, x in enumerate(row) if x}
+    )
+    cols: list[dict[int, int]] = [{} for _ in range(nn)]
+    for (r, c), x in scaled.items():
+        cols[c][r] = x
+
+    def b12(v: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for idx, x in v.items():
+            pair, last = divmod(idx, n)
+            for r, y in cols[pair].items():
+                key = r * n + last
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    def b23(v: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for idx, x in v.items():
+            first, pair = divmod(idx, nn)
+            for r, y in cols[pair].items():
+                key = first * nn + r
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    for word in range(n * nn):
+        e = {word: 1}
+        diff = b12(b23(b12(e)))
+        for k, x in b23(b12(b23(e))).items():
+            diff[k] = diff.get(k, 0) - x
+        if any(diff.values()):
+            return False
+    return True
 
 
 def coaction_degree2(src: QuantumObject, tgt: QuantumObject):

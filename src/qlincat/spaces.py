@@ -18,10 +18,11 @@ from .linalg import (
     Matrix,
     NotComplementary,
     Vector,
+    _rank,
     annihilator,
+    check_complementary,
     frac,
     projectors,
-    rank,
     row_spans_equal,
 )
 
@@ -65,9 +66,7 @@ class QuantumObject:
         return len(self.components)
 
     def component_dims(self) -> tuple[int, ...]:
-        return tuple(
-            rank(Matrix(comp)) if comp else 0 for comp in self.components
-        )
+        return tuple(_rank(comp) for comp in self.components)
 
     def projectors(self) -> list[Matrix]:
         return projectors(self.components, self.space.dim**2)
@@ -133,9 +132,8 @@ def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:
     """The undeformed object: skew-symmetric and symmetric tensors."""
     qc = classical_params(space)
     i_span, j_span = _pair_spans(space, qc, qc)
-    obj = QuantumObject(space, (i_span, j_span), "classical", (qc, qc), None, name)
-    obj.projectors()
-    return obj
+    check_complementary((i_span, j_span), space.dim**2)
+    return QuantumObject(space, (i_span, j_span), "classical", (qc, qc), None, name)
 
 
 def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
@@ -146,10 +144,9 @@ def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
     pm = _as_param_matrix(p, n, "p")
     validate_sudbery_params(space, qm, pm)
     i_span, j_span = _pair_spans(space, qm, pm)
+    check_complementary((i_span, j_span), space.dim**2)
     kind = "classical" if qm == pm == classical_params(space) else "sudbery"
-    obj = QuantumObject(space, (i_span, j_span), kind, (qm, pm), None, name)
-    obj.projectors()
-    return obj
+    return QuantumObject(space, (i_span, j_span), kind, (qm, pm), None, name)
 
 
 def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> QuantumObject:
@@ -198,9 +195,8 @@ def make_general(space: GradedSpace, components, name: str = "") -> QuantumObjec
     )
     if len(comps) < 2:
         raise ValueError("need at least two components")
-    obj = QuantumObject(space, comps, "general", None, None, name)
-    obj.projectors()
-    return obj
+    check_complementary(comps, space.dim**2)
+    return QuantumObject(space, comps, "general", None, None, name)
 
 
 def dual_object(obj: QuantumObject) -> QuantumObject:
@@ -215,6 +211,7 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     signs = koszul_signs(obj.space)
     ann_j = tuple(annihilator(obj.components[1], n * n, signs))
     ann_i = tuple(annihilator(obj.components[0], n * n, signs))
+    check_complementary((ann_j, ann_i), n * n)
     qp = None
     kind = "general"
     if obj.qp is not None:
@@ -223,12 +220,10 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
         pd = tuple(tuple(1 / q[a][b] for b in range(n)) for a in range(n))
         qp = (qd, pd)
         kind = "classical" if obj.kind == "classical" else "sudbery"
-    dual = QuantumObject(
+    return QuantumObject(
         obj.space, (ann_j, ann_i), kind, qp, None,
         f"dual({obj.name})" if obj.name else "",
     )
-    dual.projectors()
-    return dual
 
 
 def objects_equal(a: QuantumObject, b: QuantumObject) -> bool:

@@ -11,11 +11,13 @@ from qlincat import (
     Extraction,
     GradedSpace,
     NotComplementary,
+    degree2_quotient,
     make_general,
     make_sudbery,
     space_of,
 )
-from qlincat.linalg import _echelon
+from qlincat.bialgebra import _delta_bidegree
+from qlincat.linalg import Matrix, _echelon
 from qlincat.rewrite import relation_rows
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -198,3 +200,63 @@ def placement_oracle(hom, degree: int) -> int:
                 for rel in rel_rows:
                     rows.append({upre + col * n**tail + vidx: c for col, c in rel})
     return n**degree - len(_echelon(rows))
+
+
+def kron(a, b):
+    """Dense Kronecker product of two ``Matrix`` values."""
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            out.append(
+                [
+                    a.data[i][j] * b.data[k][l]
+                    for j in range(a.cols)
+                    for l in range(b.cols)
+                ]
+            )
+    return Matrix(out)
+
+
+def dense_yang_baxter(b) -> bool:
+    """Reference for ``yang_baxter_check``: B12 = B (x) 1 and B23 = 1 (x) B
+    as dense n**3 x n**3 matrices, and the two triple products compared."""
+    eye = Matrix.identity(b.object.space.dim)
+    b12 = kron(b.matrix, eye)
+    b23 = kron(eye, b.matrix)
+    return b12 @ b23 @ b12 == b23 @ b12 @ b23
+
+
+def _reduce_bidegree(expansion, q1, q2):
+    """An expansion over pairs of degree-2 words reduced in the quotient
+    coordinates of both factors, in Fractions; zero entries dropped."""
+    out = {}
+    for (w1, w2), c in expansion.items():
+        for bw1, c1 in q1.coords[w1].items():
+            for bw2, c2 in q2.coords[w2].items():
+                key = (bw1, bw2)
+                out[key] = out.get(key, Fraction(0)) + c * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def comultiplication_reference(triple) -> bool:
+    """Reference for ``comultiplication_check`` on Fraction coordinates."""
+    q1 = degree2_quotient(triple.hom_ab.relations)
+    q2 = degree2_quotient(triple.hom_bc.relations)
+    return not any(
+        _reduce_bidegree(_delta_bidegree(rel.terms, triple.a, triple.b, triple.c), q1, q2)
+        for rel in triple.hom_ac.relations.polys
+    )
+
+
+def determinant_reference(triple, dets) -> bool:
+    """Reference for ``determinant_multiplicativity``: both sides reduced
+    separately in Fraction coordinates and compared."""
+    det_ab, det_bc, det_ac = dets
+    q1 = degree2_quotient(triple.hom_ab.relations)
+    q2 = degree2_quotient(triple.hom_bc.relations)
+    lhs = _reduce_bidegree(_delta_bidegree(det_ac.terms, triple.a, triple.b, triple.c), q1, q2)
+    rhs_raw = {}
+    for w1, c1 in det_ab.terms.items():
+        for w2, c2 in det_bc.terms.items():
+            rhs_raw[(w1, w2)] = rhs_raw.get((w1, w2), Fraction(0)) + c1 * c2
+    return lhs == _reduce_bidegree(rhs_raw, q1, q2)

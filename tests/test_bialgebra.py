@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlincat.bialgebra import (
     ComposableTriple,
@@ -20,7 +21,14 @@ from qlincat.linalg import Matrix
 from qlincat.rewrite import NCPoly, build_rewrite_system, normal_form
 from qlincat.spaces import make_classical, make_normalized, make_sudbery
 
-from support import even2_sudbery, rand_sudbery
+from support import (
+    MIXED_SHAPES,
+    comultiplication_reference,
+    determinant_reference,
+    even2_sudbery,
+    rand_nonzero,
+    rand_sudbery,
+)
 
 
 def intro_chain(lam=5):
@@ -202,3 +210,52 @@ def test_determinant_multiplicativity_corrupted_fails():
     det_ac = determinant_2x2(a, c)
     bad = det_ac + NCPoly(det_ac.alphabet, {(0, 3): Fraction(1, 2)})
     assert not determinant_multiplicativity(triple, dets=(det_ab, det_bc, bad))
+
+
+def _scale_one_coefficient(rng, poly: NCPoly) -> NCPoly:
+    terms = dict(poly.terms)
+    word = rng.choice(sorted(terms))
+    terms[word] *= rng.choice([Fraction(7), Fraction(-1, 3), Fraction(0)])
+    return NCPoly(poly.alphabet, terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.sampled_from(MIXED_SHAPES), min_size=3, max_size=3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_integer_reduction_matches_fraction_reference_coproduct(shapes, corrupt, seed):
+    rng = random.Random(seed)
+    a, b, c = (rand_sudbery(rng, space_of(s)) for s in shapes)
+    triple = composable_triple(a, b, c)
+    if corrupt:
+        polys = list(triple.hom_ac.relations.polys)
+        i = rng.randrange(len(polys))
+        polys[i] = _scale_one_coefficient(rng, polys[i])
+        hom = triple.hom_ac
+        bad = HomAlgebra(a, c, hom.alphabet, relation_set(hom.alphabet, polys))
+        triple = ComposableTriple(a, b, c, triple.hom_ab, triple.hom_bc, bad)
+    assert comultiplication_check(triple) == comultiplication_reference(triple)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed):
+    rng = random.Random(seed)
+    a, b, c = (rand_sudbery(rng, even_space(2)) for _ in range(3))
+    triple = composable_triple(a, b, c)
+    fa, fb, fc = (rand_nonzero(rng) for _ in range(3))
+    dets = [
+        determinant_2x2(a, b, (fa, fb)),
+        determinant_2x2(b, c, (fb, fc)),
+        determinant_2x2(a, c, (fa, fc)),
+    ]
+    if corrupt < 3:  # corrupt one of the three determinants
+        dets[corrupt] = _scale_one_coefficient(rng, dets[corrupt])
+    dets = tuple(dets)
+    expected = determinant_reference(triple, dets)
+    assert determinant_multiplicativity(triple, dets=dets) == expected
+    if corrupt == 3:
+        assert expected
+        assert determinant_multiplicativity(triple, rescales=(fa, fb, fc))

@@ -12,7 +12,6 @@ from qlincat.linalg import (
     annihilator,
     inverse,
     kernel_basis,
-    kron,
     projectors,
     rank,
     row_basis,
@@ -22,7 +21,7 @@ from qlincat.linalg import (
 from qlincat.graded import koszul_signs, space_of
 from qlincat.spaces import make_classical, make_sudbery
 
-from support import rand_nonzero, rank_bareiss
+from support import kron, rand_nonzero, rank_bareiss
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):

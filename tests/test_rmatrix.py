@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
-from qlincat.linalg import Matrix, rank, row_spans_equal
+from qlincat.linalg import Matrix, inverse, rank, row_spans_equal
 from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
+    BMatrix,
     RepeatedCoefficient,
     build_B,
     normalized_B,
@@ -16,7 +18,17 @@ from qlincat.rmatrix import (
 )
 from qlincat.spaces import make_classical, make_general, make_normalized, make_sudbery
 
-from support import even2_sudbery, rand_constant, rand_sudbery, sudbery_with_constant
+from support import (
+    MIXED_SHAPES,
+    dense_yang_baxter,
+    even2_sudbery,
+    kron,
+    rand_constant,
+    rand_general,
+    rand_nonzero,
+    rand_sudbery,
+    sudbery_with_constant,
+)
 
 
 def super_swap(space):
@@ -199,3 +211,71 @@ def test_pbw_extraction_failure_breaks_yb_coherence():
     assert not all(
         yang_baxter_check(normalized_B(obj, lam)) for lam in (Fraction(3), Fraction(1, 3))
     )
+
+
+@st.composite
+def braid_matrices(draw):
+    """B matrices that pass and fail the braid relation: normalized forms of
+    random Sudbery objects at lam = c, 1/c and one other value, also in a
+    random basis, and dense random general objects with distinct random
+    coefficients."""
+    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        coeffs = [rand_nonzero(rng) for _ in range(2)]
+        while coeffs[0] == coeffs[1]:
+            coeffs[1] = rand_nonzero(rng)
+        return [build_B(rand_general(rng, space), coeffs)]
+    if draw(st.booleans()):
+        obj = sudbery_with_constant(rng, space, rand_constant(rng))
+    else:
+        obj = rand_sudbery(rng, space)
+    ext = pbw_extract_constant(obj)
+    lams = {ext.constant, 1 / ext.constant} if ext is not None else set()
+    other = rand_constant(rng)
+    while other in lams:
+        other = rand_constant(rng)
+    bs = [normalized_B(obj, lam) for lam in sorted(lams | {other}) if lam != -1]
+    # a change of basis g of V keeps each verdict and makes B dense
+    while True:
+        g = Matrix([[rand_nonzero(rng) for _ in range(space.dim)] for _ in range(space.dim)])
+        if rank(g) == space.dim:
+            break
+    gg = kron(g, g)
+    ggi = inverse(gg)
+    return bs + [BMatrix(b.object, b.coefficients, gg @ b.matrix @ ggi) for b in bs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(braid_matrices())
+def test_braid_check_matches_dense_reference(bs):
+    for b in bs:
+        assert yang_baxter_check(b) == dense_yang_baxter(b)
+
+
+def _perturbed(b: BMatrix, row: int, col: int) -> BMatrix:
+    data = [list(r) for r in b.matrix.data]
+    data[row][col] += 1
+    return BMatrix(b.object, b.coefficients, Matrix(data))
+
+
+def test_braid_check_fails_on_perturbed_entry():
+    rng = random.Random(61)
+    obj = sudbery_with_constant(rng, space_of((0, 0, 1)), Fraction(5, 2))
+    b = normalized_B(obj, Fraction(5, 2))
+    assert yang_baxter_check(b) and dense_yang_baxter(b)
+    bad = _perturbed(b, 1, 3)
+    assert not dense_yang_baxter(bad)
+    assert not yang_baxter_check(bad)
+
+
+def test_braid_check_builds_no_dense_product(monkeypatch):
+    good = normalized_B(even2_sudbery(2, 3), Fraction(2, 3))
+    bad = _perturbed(good, 0, 1)
+
+    def refuse(self, other):
+        raise AssertionError("dense product in the braid check")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert yang_baxter_check(good)
+    assert not yang_baxter_check(bad)

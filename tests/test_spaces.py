@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlincat import spaces
 from qlincat.graded import even_space, koszul_signs, space_of
 from qlincat.linalg import Matrix, NotComplementary, annihilator, rank, row_spans_equal
 from qlincat.spaces import (
@@ -147,6 +148,39 @@ def test_general_constructor_rejects_overlap():
             even_space(2),
             [[(f(1), f(0), f(0), f(0))], [(f(1), f(0), f(0), f(0)), (f(0), f(1), f(0), f(0)), (f(0), f(0), f(1), f(0)), (f(0), f(0), f(0), f(1))]],
         )
+
+
+def test_general_constructor_messages():
+    f = Fraction
+    e = [tuple(f(int(i == j)) for j in range(4)) for i in range(4)]
+    with pytest.raises(NotComplementary, match="component dimensions sum to 5, ambient dimension is 4"):
+        make_general(even_space(2), [[e[0]], e])
+    with pytest.raises(NotComplementary, match="joint spanning matrix is rank-deficient"):
+        make_general(even_space(2), [[e[0]], [e[0], e[1], e[2]]])
+    # full rank, but in a 5-dimensional space instead of V' (x) V'
+    e5 = [tuple(f(int(i == j)) for j in range(5)) for i in range(4)]
+    with pytest.raises(ValueError):
+        make_general(even_space(2), [e5[:2], e5[2:]])
+
+
+def test_constructors_build_no_projectors(monkeypatch):
+    calls = []
+    real = spaces.projectors
+
+    def counting(components, dim):
+        calls.append(dim)
+        return real(components, dim)
+
+    monkeypatch.setattr(spaces, "projectors", counting)
+    sp = space_of((0, 1))
+    cl = make_classical(sp)
+    sud = make_sudbery(sp, [[1, 2], [Fraction(1, 2), -1]], [[1, 3], [Fraction(1, 3), -1]])
+    make_normalized(even_space(2), [[1, 2], [Fraction(1, 2), 1]], -1, 7)
+    make_general(sp, cl.components)
+    dual_object(sud)
+    assert calls == []
+    cl.projectors()  # the counter does see the lookup
+    assert calls == [4]
 
 
 def test_dual_of_classical_is_classical():
