@@ -7,6 +7,9 @@ of classical dimension), so none of the checks here assume the PBW property
 of the algebras involved.  The reductions run on integers: each factor's
 coordinates are scaled by one common denominator and each expansion is
 cleared of its denominators, which changes no answer to "is it zero?".
+The determinant's area form comes from the same degree-2 quotient routine
+as the hom algebras (``homs._quotient``), applied to the parity-reversed
+coordinate algebra: T(V) modulo the Pi-image of the second component.
 """
 
 from __future__ import annotations
@@ -14,16 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .graded import pi_image
 from .homs import (
     HomAlgebra,
     QuotientMap,
+    _quotient,
     degree2_quotient,
     hom_algebra,
 )
-from .linalg import Matrix, _cleared, frac, row_basis, solve
+from .linalg import Matrix, _cleared, _int_rows, frac
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -97,14 +100,11 @@ def _delta_bidegree(
 def _integer_coords(q: QuotientMap) -> dict[Word, dict[Word, int]]:
     """The quotient coordinates of every degree-2 word, all scaled by one
     common denominator to integers."""
-    den = 1
-    for vec in q.coords.values():
-        for c in vec.values():
-            den = lcm(den, c.denominator)
-    return {
-        w: {bw: c.numerator * (den // c.denominator) for bw, c in vec.items()}
-        for w, vec in q.coords.items()
-    }
+    out: dict[Word, dict[Word, int]] = {w: {} for w in q.coords}
+    flat = {(w, bw): c for w, vec in q.coords.items() for bw, c in vec.items()}
+    for (w, bw), x in _cleared(flat).items():
+        out[w][bw] = x
+    return out
 
 
 def _reduces_to_zero(
@@ -182,40 +182,27 @@ def counit_check(obj: QuantumObject, substitution: Matrix | None = None) -> bool
     n = obj.space.dim
     values = substitution if substitution is not None else Matrix.identity(n)
     hom = hom_algebra(obj, obj)
-    if not counit_substitution_ok(hom, values):
-        return False
-    for a in range(n):
-        for s in range(n):
-            # (eps (x) 1) Delta(t_A^S) = sum_K eps(t_A^K) t_K^S must be t_A^S
-            left = {k: values.data[a][k] for k in range(n) if values.data[a][k]}
-            if left != {a: Fraction(1)}:
-                return False
-            # (1 (x) eps) Delta(t_A^S) = sum_K t_A^K eps(t_K^S) must be t_A^S
-            right = {k: values.data[k][s] for k in range(n) if values.data[k][s]}
-            if right != {s: Fraction(1)}:
-                return False
-    return True
+    # (eps (x) 1) Delta(t_A^S) = sum_K eps(t_A^K) t_K^S and
+    # (1 (x) eps) Delta(t_A^S) = sum_K t_A^K eps(t_K^S) are both t_A^S
+    # exactly when the substitution is the identity
+    return counit_substitution_ok(hom, values) and values == Matrix.identity(n)
 
 
 def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fraction]:
     """Coefficients gamma with [xi^a xi^b] = gamma_{ab} [xi^1 xi^2] in the
-    degree-2 part of the parity-reversed coordinate algebra."""
+    degree-2 part of the parity-reversed coordinate algebra, the quotient
+    by the Pi-image of the second component.  That part must be spanned by
+    the area form [xi^1 xi^2]."""
     n = obj.space.dim
-    rel_vectors = [pi_image(obj.space, v) for v in obj.components[1]]
-    base = row_basis(rel_vectors)
-    area = [Fraction(0)] * (n * n)
-    area[0 * n + 1] = Fraction(1)
-    columns = [tuple(area)] + [tuple(v) for v in base]
-    mat = Matrix(columns).transpose()
-    gammas: dict[tuple[int, int], Fraction] = {}
-    for a, b in product(range(n), repeat=2):
-        target = [Fraction(0)] * (n * n)
-        target[a * n + b] = Fraction(1)
-        x = solve(mat, target)
-        if x is None:
-            raise WrongShape("area form is degenerate for this object")
-        gammas[(a, b)] = x[0]
-    return gammas
+    q = _quotient(n, _int_rows(pi_image(obj.space, v) for v in obj.components[1]))
+    if q.dim != 1 or not q.coords.get((0, 1)):
+        raise WrongShape("area form is degenerate for this object")
+    (word,) = q.basis
+    area = q.coords[(0, 1)][word]
+    return {
+        (a, b): q.coords[(a, b)].get(word, 0) / area
+        for a, b in product(range(n), repeat=2)
+    }
 
 
 def _check_det_shape(obj: QuantumObject) -> None:

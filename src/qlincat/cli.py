@@ -32,7 +32,7 @@ from .homs import (
 from .linalg import NotComplementary
 from .pbw import TooLarge, oracle_dims, pbw_criterion, pbw_extract_constant
 from .rewrite import build_rewrite_system, confluence_check, failed_overlaps, format_poly
-from .rmatrix import normalized_B, yang_baxter_check
+from .rmatrix import RepeatedCoefficient, normalized_B, yang_baxter_check
 from .graded import space_of
 from .spaces import (
     BadParameters,
@@ -54,9 +54,17 @@ class ObjectSpecError(Exception):
     offending field path and the violated condition."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans and floats are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rat(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ObjectSpecError(f"{path}: expected a rational string, got {value!r}")
+    # Fraction expands "1e1000000" to a million digits; refuse exponents
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ObjectSpecError(f"{path}: exponent notation is not accepted: {value!r}")
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
@@ -88,18 +96,20 @@ def load_object(path: str) -> QuantumObject:
         raise ObjectSpecError(f'{path}: format: must be "{FORMAT}"')
     name = doc.get("name", "")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+    if not _is_int(dim) or not 1 <= dim <= MAX_DIM:
         raise ObjectSpecError(f"{path}: dim: must be an integer from 1 to {MAX_DIM}")
     parities = doc.get("parities", [0] * dim)
     if (
         not isinstance(parities, list)
         or len(parities) != dim
-        or any(p not in (0, 1) for p in parities)
+        or any(not _is_int(p) or p not in (0, 1) for p in parities)
     ):
         raise ObjectSpecError(f"{path}: parities: must be {dim} bits")
     space = space_of(parities)
     kind = doc.get("kind")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ObjectSpecError(f"{path}: params: must be an object")
     try:
         if kind == "classical":
             return make_classical(space, name)
@@ -110,7 +120,7 @@ def load_object(path: str) -> QuantumObject:
         if kind == "normalized":
             q = _rat_matrix(params.get("q"), "params.q", dim)
             eps = params.get("eps")
-            if eps not in (1, -1):
+            if not _is_int(eps) or eps not in (1, -1):
                 raise ObjectSpecError(f"{path}: params.eps: must be 1 or -1")
             lam = _rat(params.get("lam"), "params.lam")
             return make_normalized(space, q, eps, lam, name)
@@ -122,6 +132,10 @@ def load_object(path: str) -> QuantumObject:
                 )
             parsed = []
             for k, comp in enumerate(comps):
+                if not isinstance(comp, list):
+                    raise ObjectSpecError(
+                        f"{path}: params.components[{k}]: must be a list of vectors"
+                    )
                 vecs = []
                 for i, vec in enumerate(comp):
                     if not isinstance(vec, list) or len(vec) != dim * dim:
@@ -302,7 +316,7 @@ def cmd_yb(args) -> int:
         raise ObjectSpecError("yb needs a two-parameter object or an explicit --lam")
     candidates = []
     if args.lam is not None:
-        candidates.append(Fraction(args.lam))
+        candidates.append(_rat(args.lam, "--lam"))
     else:
         extraction = pbw_extract_constant(obj)
         if extraction is not None:
@@ -452,16 +466,18 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ObjectSpecError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (BadParameters, NotComplementary, ComponentCountMismatch, WrongShape) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (
+        ObjectSpecError,
+        BadParameters,
+        NotComplementary,
+        ComponentCountMismatch,
+        WrongShape,
+        RepeatedCoefficient,
+        ValueError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -202,10 +202,15 @@ class QuotientMap:
         return len(self.basis)
 
 
-def degree2_quotient(rels: RelationSet) -> QuotientMap:
-    reduced = reduced_relations(rels)
-    n = rels.alphabet.size
+def _quotient(n: int, rows) -> QuotientMap:
+    """The degree-2 quotient of the free algebra on n letters by the span of
+    ``relation_rows``-style integer rows (word (g, h) is column g * n + h)."""
+    reduced = reduced_relations(n, rows)
     basis = tuple(w for w in product(range(n), repeat=2) if w not in reduced)
     coords: dict[Word, dict[Word, Fraction]] = {w: {w: Fraction(1)} for w in basis}
     coords.update(reduced)
     return QuotientMap(basis, coords)
+
+
+def degree2_quotient(rels: RelationSet) -> QuotientMap:
+    return _quotient(rels.alphabet.size, relation_rows(rels))

@@ -7,13 +7,16 @@ pivot of a row is its largest column, and rows are kept gcd-normalised.
 The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
 into the reduced echelon form (pivot entries 1) for the callers that need
 that form.  The largest-column pivot is the leading word of the monomial
-order; callers that work in natural column order (kernels, row bases,
-solving and inverses) reflect column c to ncols-1-c so that the leftmost
-column is pivoted first.  The yes/no checks form no dense product:
+order; callers that work in natural column order (kernels, row bases and
+inverses) reflect column c to ncols-1-c so that the leftmost column is
+pivoted first.  The yes/no checks form no dense product:
 ``kernel_basis`` verifies its basis with integer dot products against the
 cleared rows, and ``check_complementary`` decides a direct sum from ranks
-alone.  ``Matrix`` is a small immutable dense grid kept for the
-projectors, the braid matrix and the counit values.
+alone.  There is no linear solver: quotient coordinates are read from the
+reduced echelon form (``homs._quotient``).  ``Matrix`` is a small
+immutable dense grid kept as the type of the projectors and of the braid
+matrix B built from them, of the counit substitution, and of the
+read-only dense view of a relation span.
 """
 
 from __future__ import annotations
@@ -246,19 +249,6 @@ def inverse(m: Matrix) -> Matrix:
     if any(pc >= n for pc, _ in pairs):
         raise ValueError("singular matrix")
     return Matrix._wrap(tuple(row[n:] for _, row in pairs))
-
-
-def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One exact solution of m x = b, or None if inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError("row count mismatch")
-    pairs = _rref_rows([row + (frac(x),) for row, x in zip(m.data, b)], m.cols + 1)
-    x = [ZERO] * m.cols
-    for pc, row in pairs:
-        if pc == m.cols:
-            return None
-        x[pc] = row[m.cols]
-    return tuple(x)
 
 
 def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:

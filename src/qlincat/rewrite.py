@@ -201,14 +201,14 @@ def relation_rows(relations) -> list[dict[int, int]]:
     ]
 
 
-def reduced_relations(relations) -> dict[Word, dict[Word, Fraction]]:
-    """Reduced echelon form of a quadratic relation span in the monomial order.
+def reduced_relations(n: int, rows) -> dict[Word, dict[Word, Fraction]]:
+    """Reduced echelon form of a quadratic relation span in the monomial order,
+    given the letter count n and the span as ``relation_rows``-style rows.
 
     Maps each leading degree-2 word to the combination of smaller words it
     equals modulo the span, both in descending word order.
     """
-    n = relations.alphabet.size
-    reduced = _reduce(_echelon(relation_rows(relations)))
+    reduced = _reduce(_echelon(rows))
     return {
         divmod(lead, n): {
             divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)
@@ -224,7 +224,7 @@ def build_rewrite_system(relations) -> RewriteSystem:
     alphabet = relations.alphabet
     rules = {
         lead: NCPoly(alphabet, rest)
-        for lead, rest in reduced_relations(relations).items()
+        for lead, rest in reduced_relations(alphabet.size, relation_rows(relations)).items()
     }
     expected = nonordered_degree2_words(alphabet)
     leaders = set(rules)

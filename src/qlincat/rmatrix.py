@@ -6,11 +6,11 @@ the first and to the last two factors of each cube basis word through the
 sparse integer columns of B, and compares the two triple products one
 column at a time.
 
-The degree-2 coaction is represented as a matrix over the word bases whose
-entries are quadratic noncommutative polynomials; sandwiching it between the
-two projector combinations and subtracting reads off scalar relations
-without any hand-transcribed index signs (the Koszul factor lives in the
-coaction entries only).
+The relations in projector form are the entries of
+B_source . coaction - coaction . B_target.  Each entry is summed directly
+from the nonzero entries of the two B matrices, each coaction entry being
+one signed monomial; no table of coaction polynomials is built, and the
+Koszul sign of the coaction is the only sign involved.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .graded import koszul_sign
 from .homs import RelationSet, relation_set
 from .linalg import Matrix, _cleared, frac
-from .rewrite import NCPoly, matrix_alphabet
+from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -44,7 +45,9 @@ def build_B(obj: QuantumObject, coefficients) -> BMatrix:
     if len(coeffs) != obj.s:
         raise ValueError(f"need {obj.s} coefficients, got {len(coeffs)}")
     if len(set(coeffs)) != len(coeffs):
-        raise RepeatedCoefficient(f"coefficients {coeffs} are not pairwise distinct")
+        raise RepeatedCoefficient(
+            f"coefficients {', '.join(map(str, coeffs))} are not pairwise distinct"
+        )
     projs = obj.projectors()
     dim = obj.space.dim**2
     total = Matrix.zeros(dim, dim)
@@ -105,46 +108,41 @@ def yang_baxter_check(b: BMatrix) -> bool:
     return True
 
 
-def coaction_degree2(src: QuantumObject, tgt: QuantumObject):
-    """Matrix of the degree-2 covering coaction over the word bases.
-
-    Entry at (row word (C, D), column word (K, L)) is
-    (-1)**(par(D)*(par(C)+par(K))) t_C^K t_D^L.
-    """
-    n, m = src.space.dim, tgt.space.dim
-    alphabet = matrix_alphabet(src.space, tgt.space)
-    pv, pw = src.space.parities, tgt.space.parities
-    table = [[None] * (m * m) for _ in range(n * n)]
-    for c, d in product(range(n), repeat=2):
-        for k, l in product(range(m), repeat=2):
-            sign = -1 if (pv[d] * (pv[c] + pw[k])) % 2 else 1
-            table[c * n + d][k * m + l] = NCPoly.monomial(
-                alphabet, (c * m + k, d * m + l), sign
-            )
-    return alphabet, table
-
-
 def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
     """Span of the entries of B_source . coaction - coaction . B_target.
 
+    The degree-2 coaction has entry (-1)**(par(D)*(par(C)+par(K))) t_C^K t_D^L
+    at row word (C, D) and column word (K, L); each entry of the difference
+    is summed directly from the nonzero entries of the two B matrices.
     With shared pairwise-distinct coefficients (matching component roles)
     this equals the defining relation span of the matrix-entry algebra; with
     mismatched coefficients it generally differs.
     """
     src, tgt = b_src.object, b_tgt.object
     n, m = src.space.dim, tgt.space.dim
-    alphabet, delta = coaction_degree2(src, tgt)
-    ba, bb = b_src.matrix, b_tgt.matrix
+    pv, pw = src.space.parities, tgt.space.parities
+    alphabet = matrix_alphabet(src.space, tgt.space)
+    # sign[i][k]: the coaction sign at row word i = (C, D) and target index k
+    sign = [
+        [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
+        for c, d in product(range(n), repeat=2)
+    ]
+    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in b_src.matrix.data]
+    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*b_tgt.matrix.data)]
     polys = []
     for i in range(n * n):
+        c, d = divmod(i, n)
         for j in range(m * m):
-            acc = NCPoly.zero(alphabet)
-            for k in range(n * n):
-                if ba.data[i][k]:
-                    acc = acc + delta[k][j].scale(ba.data[i][k])
-            for k in range(m * m):
-                if bb.data[k][j]:
-                    acc = acc - delta[i][k].scale(bb.data[k][j])
-            if not acc.is_zero:
-                polys.append(acc.monic())
+            k, l = divmod(j, m)
+            terms: dict[Word, Fraction] = {}
+            for r, x in a_rows[i]:
+                w = (r // n * m + k, r % n * m + l)
+                terms[w] = terms.get(w, 0) + sign[r][k] * x
+            for r, x in b_cols[j]:
+                kk, ll = divmod(r, m)
+                w = (c * m + kk, d * m + ll)
+                terms[w] = terms.get(w, 0) - sign[i][kk] * x
+            poly = NCPoly(alphabet, terms)
+            if not poly.is_zero:
+                polys.append(poly.monic())
     return relation_set(alphabet, polys)

@@ -1,0 +1,67 @@
+"""One SHA-256 over the CLI's behaviour on every sample object.
+
+Runs each subcommand in-process over ``sample_objects/``, in text and in
+``--json`` form: ``object`` and ``yb`` on each file, ``hom --form both``
+and ``pbw --oracle`` on each ordered pair, ``bialgebra`` and ``det`` on
+each ordered triple (files may repeat).  Prints the number of calls and
+one digest over (argv, exit code, stdout, stderr) of every call, so two
+checkouts behave the same on these inputs iff they print the same line:
+
+    python tests/cli_digest.py
+
+The package is imported from this checkout's ``src/``.  Not collected by
+pytest (no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qlincat.cli import main  # noqa: E402
+
+
+def calls() -> list[list[str]]:
+    files = sorted(f"sample_objects/{p.name}" for p in (ROOT / "sample_objects").glob("*.json"))
+    out = []
+    for f in files:
+        out += [["object", f], ["yb", f]]
+    for pair in product(files, repeat=2):
+        out += [["hom", *pair, "--form", "both"], ["pbw", *pair, "--oracle"]]
+    for triple in product(files, repeat=3):
+        out += [["bialgebra", *triple], ["det", *triple]]
+    return [argv + tail for argv in out for tail in ([], ["--json"])]
+
+
+def run(argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        except Exception as exc:  # a traceback is behaviour too: record it
+            code = f"raised {type(exc).__name__}: {exc}"
+    return argv, code, out.getvalue(), err.getvalue()
+
+
+def main_digest() -> None:
+    os.chdir(ROOT)
+    digest = hashlib.sha256()
+    argvs = calls()
+    for argv in argvs:
+        digest.update(json.dumps(run(argv)).encode("utf-8"))
+    print(f"{len(argvs)} calls {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -16,9 +16,11 @@ from qlincat import (
     make_sudbery,
     space_of,
 )
-from qlincat.bialgebra import _delta_bidegree
-from qlincat.linalg import Matrix, _echelon
-from qlincat.rewrite import relation_rows
+from qlincat.bialgebra import WrongShape, _delta_bidegree
+from qlincat.graded import pi_image
+from qlincat.homs import relation_set
+from qlincat.linalg import Matrix, _echelon, _rref_rows, frac, row_basis
+from qlincat.rewrite import NCPoly, matrix_alphabet, relation_rows
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -260,3 +262,80 @@ def determinant_reference(triple, dets) -> bool:
         for w2, c2 in det_bc.terms.items():
             rhs_raw[(w1, w2)] = rhs_raw.get((w1, w2), Fraction(0)) + c1 * c2
     return lhs == _reduce_bidegree(rhs_raw, q1, q2)
+
+
+def solve(m, b):
+    """One exact solution of m x = b, or None if inconsistent."""
+    if len(b) != m.rows:
+        raise ValueError("row count mismatch")
+    pairs = _rref_rows([row + (frac(x),) for row, x in zip(m.data, b)], m.cols + 1)
+    x = [Fraction(0)] * m.cols
+    for pc, row in pairs:
+        if pc == m.cols:
+            return None
+        x[pc] = row[m.cols]
+    return tuple(x)
+
+
+def xi_quotient_reference(obj):
+    """Reference for ``bialgebra._xi_quotient_coefficients``: for each word
+    (a, b), solve e_ab = gamma_ab e_01 + (relation span) with a dense
+    transpose and one ``solve`` per word."""
+    n = obj.space.dim
+    rel_vectors = [pi_image(obj.space, v) for v in obj.components[1]]
+    base = row_basis(rel_vectors)
+    area = [Fraction(0)] * (n * n)
+    area[0 * n + 1] = Fraction(1)
+    columns = [tuple(area)] + [tuple(v) for v in base]
+    mat = Matrix(columns).transpose()
+    gammas = {}
+    for a, b in product(range(n), repeat=2):
+        target = [Fraction(0)] * (n * n)
+        target[a * n + b] = Fraction(1)
+        x = solve(mat, target)
+        if x is None:
+            raise WrongShape("area form is degenerate for this object")
+        gammas[(a, b)] = x[0]
+    return gammas
+
+
+def coaction_degree2(src, tgt):
+    """Matrix of the degree-2 covering coaction over the word bases.
+
+    Entry at (row word (C, D), column word (K, L)) is
+    (-1)**(par(D)*(par(C)+par(K))) t_C^K t_D^L.
+    """
+    n, m = src.space.dim, tgt.space.dim
+    alphabet = matrix_alphabet(src.space, tgt.space)
+    pv, pw = src.space.parities, tgt.space.parities
+    table = [[None] * (m * m) for _ in range(n * n)]
+    for c, d in product(range(n), repeat=2):
+        for k, l in product(range(m), repeat=2):
+            sign = -1 if (pv[d] * (pv[c] + pw[k])) % 2 else 1
+            table[c * n + d][k * m + l] = NCPoly.monomial(
+                alphabet, (c * m + k, d * m + l), sign
+            )
+    return alphabet, table
+
+
+def rmatrix_relation_span_reference(b_src, b_tgt):
+    """Reference for ``rmatrix_relation_span``: the entries of
+    B_source . coaction - coaction . B_target summed as polynomials over the
+    ``coaction_degree2`` table."""
+    src, tgt = b_src.object, b_tgt.object
+    n, m = src.space.dim, tgt.space.dim
+    alphabet, delta = coaction_degree2(src, tgt)
+    ba, bb = b_src.matrix, b_tgt.matrix
+    polys = []
+    for i in range(n * n):
+        for j in range(m * m):
+            acc = NCPoly.zero(alphabet)
+            for k in range(n * n):
+                if ba.data[i][k]:
+                    acc = acc + delta[k][j].scale(ba.data[i][k])
+            for k in range(m * m):
+                if bb.data[k][j]:
+                    acc = acc - delta[i][k].scale(bb.data[k][j])
+            if not acc.is_zero:
+                polys.append(acc.monic())
+    return relation_set(alphabet, polys)

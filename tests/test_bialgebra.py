@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlincat import bialgebra
 from qlincat.bialgebra import (
     ComposableTriple,
     WrongShape,
@@ -16,10 +18,10 @@ from qlincat.bialgebra import (
     determinant_multiplicativity,
 )
 from qlincat.graded import even_space, space_of
-from qlincat.homs import HomAlgebra, hom_algebra, relation_set
+from qlincat.homs import HomAlgebra, QuotientMap, hom_algebra, relation_set
 from qlincat.linalg import Matrix
 from qlincat.rewrite import NCPoly, build_rewrite_system, normal_form
-from qlincat.spaces import make_classical, make_normalized, make_sudbery
+from qlincat.spaces import make_classical, make_general, make_normalized, make_sudbery
 
 from support import (
     MIXED_SHAPES,
@@ -28,6 +30,7 @@ from support import (
     even2_sudbery,
     rand_nonzero,
     rand_sudbery,
+    xi_quotient_reference,
 )
 
 
@@ -259,3 +262,46 @@ def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed)
     if corrupt == 3:
         assert expected
         assert determinant_multiplicativity(triple, rescales=(fa, fb, fc))
+
+
+def _assert_determinant_matches_reference(seed):
+    rng = random.Random(seed)
+    src, tgt = (rand_sudbery(rng, even_space(2)) for _ in range(2))
+    rescale = (rand_nonzero(rng), rand_nonzero(rng))
+    det = determinant_2x2(src, tgt, rescale)
+    with mock.patch.object(bialgebra, "_xi_quotient_coefficients", xi_quotient_reference):
+        assert det == determinant_2x2(src, tgt, rescale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_determinant_matches_dense_solve_reference(seed):
+    _assert_determinant_matches_reference(seed)
+
+
+def test_determinant_property_fails_on_negated_area_coordinate(monkeypatch):
+    real = bialgebra._quotient
+
+    def negate_one(n, rows):
+        q = real(n, rows)
+        coords = dict(q.coords)
+        coords[(1, 0)] = {w: -x for w, x in coords[(1, 0)].items()}
+        return QuotientMap(q.basis, coords)
+
+    monkeypatch.setattr(bialgebra, "_quotient", negate_one)
+    with pytest.raises(AssertionError):
+        _assert_determinant_matches_reference(5)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        # a two-dimensional quotient has no single area form
+        [[(0, 1, -1, 0), (0, 1, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)]],
+        # a one-dimensional quotient in which [xi^1 xi^2] vanishes
+        [[(0, 0, 1, 0)], [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]],
+    ],
+)
+def test_area_form_must_span_the_quotient(components):
+    with pytest.raises(WrongShape):
+        bialgebra._xi_quotient_coefficients(make_general(even_space(2), components))

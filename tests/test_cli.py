@@ -137,6 +137,43 @@ def test_object_bad_rational_path(tmp_path, capsys):
     assert "params.q[0][1]" in capsys.readouterr().err
 
 
+def _with(doc: dict, **fields) -> dict:
+    return {**doc, **fields}
+
+
+GENERAL_2 = {"format": "quantum-object/1", "name": "g", "dim": 2, "kind": "general"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, field",
+    [
+        ("yb", None, ["--lam", "-1"], "coefficients 1, 1 are not pairwise distinct"),
+        ("yb", None, ["--lam", "1/0"], "--lam"),
+        ("yb", None, ["--lam", "1e3"], "--lam: exponent notation"),
+        ("object", _with(sudbery_doc(2, 3), params=[]), [], "params: must be an object"),
+        ("object", _with(GENERAL_2, params={"components": [5, []]}), [],
+         "params.components[0]: must be a list"),
+        ("object", normalized_doc(2, lam="1e100000"), [], "params.lam: exponent notation"),
+        ("object", _with(classical_doc(), dim=True), [], "dim: must be an integer"),
+        ("object", _with(classical_doc(), parities=[0, True]), [], "parities: must be"),
+        ("object", normalized_doc(2, eps=True), [], "params.eps"),
+        ("object", normalized_doc(2, eps=1.0), [], "params.eps"),
+    ],
+    ids=[
+        "lam-repeats-coefficient", "lam-zero-denominator", "lam-exponent",
+        "params-list", "component-not-list", "file-lam-exponent",
+        "dim-bool", "parity-bool", "eps-bool", "eps-float",
+    ],
+)
+def test_bad_input_exits_two(tmp_path, capsys, command, doc, extra, field):
+    path = PAIR[0] if doc is None else write(tmp_path, "bad.json", doc)
+    assert main([command, path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert field in captured.err
+
+
 def test_hom_fixed_pair_relations(tmp_path, capsys):
     src = write(tmp_path, "a.json", sudbery_doc(2, 3))
     tgt = write(tmp_path, "b.json", sudbery_doc(4, 5))
@@ -343,6 +380,12 @@ def test_serialization_roundtrip(tmp_path):
          "36e02c493a864063a144220a894b3d39c491f35f4783fef34e917caf2a2e58ae"),
         (["pbw", *PAIR, "--oracle", "--degree", "5"], 1,
          "f62ae8da7e7434d871ac292559c337946dbbdb63a3e612a9122c4ad265b9c4d3"),
+        (["object", *samples("super11")], 0,
+         "a4eecc0b2676ea12eeeea6463f75d2dc5ac19385a141ac409dcac165e59a66cb"),
+        (["yb", *samples("nontransitive3")], 1,
+         "985f433f1b9dfdf0d5166a15bd0716cd031ae76772e8e2233ca993a14737ac64"),
+        (["yb", *samples("sudbery_alpha")], 0,
+         "dd80ba79ae91b375861a442bc3d874270fea697f76f768dd44c29345d2a7a91a"),
     ],
 )
 def test_json_output_is_byte_identical_to_golden(capsys, argv, code, digest):

@@ -16,7 +16,6 @@ from qlincat.linalg import (
     rank,
     row_basis,
     row_spans_equal,
-    solve,
 )
 from qlincat.graded import koszul_signs, space_of
 from qlincat.spaces import make_classical, make_sudbery
@@ -87,14 +86,6 @@ def test_field_axioms_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * (1 / a) == 1
         assert a - a == 0
-
-
-def test_solve_consistent_and_inconsistent():
-    m = Matrix([[1, 2], [3, 4]])
-    x = solve(m, (5, 11))
-    assert x is not None and m.apply(x) == (Fraction(5), Fraction(11))
-    bad = Matrix([[1, 1], [2, 2]])
-    assert solve(bad, (1, 3)) is None
 
 
 def test_inverse_roundtrip():

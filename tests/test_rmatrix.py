@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlincat import rmatrix
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
 from qlincat.linalg import Matrix, inverse, rank, row_spans_equal
@@ -27,6 +28,7 @@ from support import (
     rand_general,
     rand_nonzero,
     rand_sudbery,
+    rmatrix_relation_span_reference,
     sudbery_with_constant,
 )
 
@@ -213,6 +215,13 @@ def test_pbw_extraction_failure_breaks_yb_coherence():
     )
 
 
+def _distinct_pair(rng):
+    coeffs = [rand_nonzero(rng) for _ in range(2)]
+    while coeffs[0] == coeffs[1]:
+        coeffs[1] = rand_nonzero(rng)
+    return coeffs
+
+
 @st.composite
 def braid_matrices(draw):
     """B matrices that pass and fail the braid relation: normalized forms of
@@ -222,10 +231,7 @@ def braid_matrices(draw):
     space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        coeffs = [rand_nonzero(rng) for _ in range(2)]
-        while coeffs[0] == coeffs[1]:
-            coeffs[1] = rand_nonzero(rng)
-        return [build_B(rand_general(rng, space), coeffs)]
+        return [build_B(rand_general(rng, space), _distinct_pair(rng))]
     if draw(st.booleans()):
         obj = sudbery_with_constant(rng, space, rand_constant(rng))
     else:
@@ -279,3 +285,33 @@ def test_braid_check_builds_no_dense_product(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     assert yang_baxter_check(good)
     assert not yang_baxter_check(bad)
+
+
+def _assert_span_matches_reference(src_shape, tgt_shape, matching, seed):
+    rng = random.Random(seed)
+    src = rand_sudbery(rng, space_of(src_shape))
+    tgt = rand_sudbery(rng, space_of(tgt_shape))
+    c_src = _distinct_pair(rng)
+    c_tgt = c_src if matching else _distinct_pair(rng)
+    b_src, b_tgt = build_B(src, c_src), build_B(tgt, c_tgt)
+    # the same polynomials in the same order, not only the same span
+    assert rmatrix_relation_span(b_src, b_tgt) == rmatrix_relation_span_reference(b_src, b_tgt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_rmatrix_span_matches_coaction_table_reference(src_shape, tgt_shape, matching, seed):
+    _assert_span_matches_reference(src_shape, tgt_shape, matching, seed)
+
+
+def test_rmatrix_span_property_fails_without_coaction_sign(monkeypatch):
+    # every coaction entry then carries sign +1, also where it should be -1
+    monkeypatch.setattr(rmatrix, "koszul_sign", lambda p1, p2: 1)
+    _assert_span_matches_reference((0, 0), (0, 0), True, 3)
+    with pytest.raises(AssertionError):
+        _assert_span_matches_reference((0, 1), (0, 1), True, 3)
