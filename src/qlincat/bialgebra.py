@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graded import pi_image
+from .graded import koszul_sign, pi_image
 from .homs import (
     HomAlgebra,
     QuotientMap,
@@ -26,7 +26,7 @@ from .homs import (
     degree2_quotient,
     hom_algebra,
 )
-from .linalg import Matrix, _cleared, _int_rows, frac
+from .linalg import Matrix, _cleared, _echelon, _int_rows, frac
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -89,7 +89,7 @@ def _delta_bidegree(
         aa, s = divmod(g1, l)
         bb, t = divmod(g2, l)
         for k, ll in product(range(m), repeat=2):
-            sign = -1 if ((pb[k] + pc[s]) * (pa[bb] + pb[ll])) % 2 else 1
+            sign = koszul_sign(pb[k] + pc[s], pa[bb] + pb[ll])
             w1 = (aa * m + k, bb * m + ll)
             w2 = (k * l + s, ll * l + t)
             key = (w1, w2)
@@ -194,7 +194,7 @@ def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fract
     by the Pi-image of the second component.  That part must be spanned by
     the area form [xi^1 xi^2]."""
     n = obj.space.dim
-    q = _quotient(n, _int_rows(pi_image(obj.space, v) for v in obj.components[1]))
+    q = _quotient(n, _echelon(_int_rows(pi_image(obj.space, v) for v in obj.components[1])))
     if q.dim != 1 or not q.coords.get((0, 1)):
         raise WrongShape("area form is degenerate for this object")
     (word,) = q.basis

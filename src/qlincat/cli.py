@@ -95,6 +95,8 @@ def load_object(path: str) -> QuantumObject:
     if doc.get("format") != FORMAT:
         raise ObjectSpecError(f'{path}: format: must be "{FORMAT}"')
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ObjectSpecError(f"{path}: name: must be a string")
     dim = doc.get("dim")
     if not _is_int(dim) or not 1 <= dim <= MAX_DIM:
         raise ObjectSpecError(f"{path}: dim: must be an integer from 1 to {MAX_DIM}")

@@ -12,19 +12,22 @@ For two-parameter objects the closed single-relation formula (one relation
 per index quadruple, with ratio coefficients) is implemented separately and
 must produce the same span, which tests enforce.
 
-A relation span is stored once, as polynomials; the elimination engine
-reads it through ``rewrite.relation_rows``.
+A relation span is stored once, as polynomials, and eliminated once: every
+reader takes its ``RelationSet.echelon`` and its degree-2 ``quotient``
+(one back-substitution of that echelon) and none of them mutates either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
-from .graded import koszul_signs
-from .linalg import InvariantViolation, Matrix, _echelon, annihilator, row_basis
-from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet, reduced_relations, relation_rows
+from .graded import koszul_sign, koszul_signs
+from .linalg import InvariantViolation, Matrix, _cleared, _echelon, _reduce, _same_span
+from .linalg import annihilator, row_basis
+from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -43,9 +46,23 @@ class RelationSet:
     alphabet: Alphabet
     polys: tuple[NCPoly, ...]
 
+    @cached_property
+    def echelon(self) -> dict[int, dict[int, int]]:
+        """The engine's echelon of the span: word (g, h) is column g * n + h,
+        so the pivot of a row is the leading word of its relation."""
+        n = self.alphabet.size
+        return _echelon(
+            _cleared({g * n + h: c for (g, h), c in p.terms.items()}) for p in self.polys
+        )
+
+    @cached_property
+    def quotient(self) -> QuotientMap:
+        """The degree-2 part of the quotient algebra by this span."""
+        return _quotient(self.alphabet.size, self.echelon)
+
     @property
     def span_dim(self) -> int:
-        return len(_echelon(relation_rows(self)))
+        return len(self.echelon)
 
     @property
     def matrix(self) -> Matrix:
@@ -101,7 +118,7 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
                         fc = f[k * m + l]
                         if not fc:
                             continue
-                        sign = -1 if (src.space.parities[b] * tgt.space.parities[k]) % 2 else 1
+                        sign = koszul_sign(src.space.parities[b], tgt.space.parities[k])
                         w = (a * m + k, b * m + l)
                         terms[w] = terms.get(w, Fraction(0)) + sign * gc * fc
                 poly = NCPoly(alphabet, terms)
@@ -145,11 +162,9 @@ def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> Relation
         for k, l in product(range(m), repeat=2):
             denom = pw[l][k] + qw[l][k]
             c1 = (pv[b][a] + qv[b][a]) / denom
-            if (pav[a] * paw[l] + pav[b] * paw[k]) % 2:
-                c1 = -c1
+            c1 *= koszul_sign(pav[a], paw[l]) * koszul_sign(pav[b], paw[k])
             c2 = (pv[b][a] * pw[l][k] - qv[b][a] * qw[l][k]) / denom
-            if ((pav[a] + pav[b]) * paw[k]) % 2:
-                c2 = -c2
+            c2 *= koszul_sign(pav[a] + pav[b], paw[k])
             terms: dict[Word, Fraction] = {}
             for w, c in (
                 ((a * m + k, b * m + l), Fraction(1)),
@@ -166,8 +181,7 @@ def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> Relation
 def spans_equal(r1: RelationSet, r2: RelationSet) -> bool:
     if r1.alphabet != r2.alphabet:
         raise AlphabetMismatch("relation sets over different alphabets")
-    both = RelationSet(r1.alphabet, r1.polys + r2.polys)
-    return r1.span_dim == r2.span_dim == both.span_dim
+    return _same_span(r1.echelon, r2.echelon)
 
 
 def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
@@ -202,15 +216,24 @@ class QuotientMap:
         return len(self.basis)
 
 
-def _quotient(n: int, rows) -> QuotientMap:
+def _quotient(n: int, echelon: dict[int, dict[int, int]]) -> QuotientMap:
     """The degree-2 quotient of the free algebra on n letters by the span of
-    ``relation_rows``-style integer rows (word (g, h) is column g * n + h)."""
-    reduced = reduced_relations(n, rows)
-    basis = tuple(w for w in product(range(n), repeat=2) if w not in reduced)
+    an ``_echelon`` result whose column g * n + h is the word (g, h): each
+    leading word of the reduced echelon form equals the smaller words left
+    in its row, both in descending word order."""
+    reduced = _reduce(echelon)
+    leads = {
+        divmod(lead, n): {
+            divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)
+            if c != lead
+        }
+        for lead in sorted(reduced, reverse=True)
+    }
+    basis = tuple(w for w in product(range(n), repeat=2) if w not in leads)
     coords: dict[Word, dict[Word, Fraction]] = {w: {w: Fraction(1)} for w in basis}
-    coords.update(reduced)
+    coords.update(leads)
     return QuotientMap(basis, coords)
 
 
 def degree2_quotient(rels: RelationSet) -> QuotientMap:
-    return _quotient(rels.alphabet.size, relation_rows(rels))
+    return rels.quotient

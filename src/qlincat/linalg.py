@@ -12,8 +12,9 @@ inverses) reflect column c to ncols-1-c so that the leftmost column is
 pivoted first.  The yes/no checks form no dense product:
 ``kernel_basis`` verifies its basis with integer dot products against the
 cleared rows, and ``check_complementary`` decides a direct sum from ranks
-alone.  There is no linear solver: quotient coordinates are read from the
-reduced echelon form (``homs._quotient``).  ``Matrix`` is a small
+alone; ``_same_span`` inserts one span's echelon rows into a copy of the
+other's.  There is no linear solver: quotient coordinates are read from
+the reduced echelon form (``homs._quotient``).  ``Matrix`` is a small
 immutable dense grid kept as the type of the projectors and of the braid
 matrix B built from them, of the counit substitution, and of the
 read-only dense view of a relation span.
@@ -258,9 +259,17 @@ def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:
     return [row for _, row in _rref_rows(vectors, len(vectors[0]))]
 
 
+def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> bool:
+    """Do two ``_echelon`` results span the same rows?  Equal ranks, and no
+    row of eb is new to a copy of ea; neither argument is changed."""
+    if len(ea) != len(eb):
+        return False
+    pivots = dict(ea)
+    return all(_insert(pivots, row) is None for row in eb.values())
+
+
 def row_spans_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    ra, rb = _rank(a), _rank(b)
-    return ra == rb == _rank([*a, *b])
+    return _same_span(_echelon(_int_rows(a)), _echelon(_int_rows(b)))
 
 
 def annihilator(

@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .homs import HomAlgebra, hom_algebra
-from .linalg import _echelon, _insert
-from .rewrite import relation_rows
+from .linalg import _insert
 from .spaces import QuantumObject
 
 ORACLE_WORD_LIMIT = 10**6
@@ -47,7 +46,8 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     """(degree, exact dimension, classical dimension) for every degree from
     2 to top; raises ValueError for top < 2, which asks for no degree.
 
-    One pass carries the echelon of the ideal's degree-d part I_d forward.
+    One pass carries the echelon of I_d forward from ``RelationSet.echelon``,
+    which it never changes (degree 3 onwards is a new dict).
     Appending a letter x maps column c to c * n + x and keeps every pivot
     the largest column, so I_{d-1} V needs no elimination.  V I_{d-2} V lies
     in I_{d-1} V, so only x N is reduced, where N holds the rows that became
@@ -56,9 +56,11 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     if top < 2:
         raise ValueError("oracle needs degree >= 2")
     n = hom.alphabet.size
-    if n**top > ORACLE_WORD_LIMIT:
-        raise TooLarge(f"{n}**{top} words exceed the oracle guard")
-    echelon = _echelon(relation_rows(hom.relations))
+    # bound the degree before computing a power; only one letter needs it
+    if top >= ORACLE_WORD_LIMIT.bit_length() or n**top > ORACLE_WORD_LIMIT:
+        what = f"{n}**{top} words exceed" if n > 1 else f"degree {top} exceeds"
+        raise TooLarge(f"{what} the oracle guard")
+    echelon = hom.relations.echelon
     new = list(echelon.values())
     ranks = [len(echelon)]
     for d in range(3, top + 1):
@@ -116,9 +118,6 @@ def pbw_extract_constant(obj: QuantumObject) -> Extraction | None:
             return None
         return Extraction(Fraction(1), tuple(range(n)))
     cinv = 1 / c
-    for r in ratios.values():
-        if r != c and r != cinv:
-            return None
     # tournament: A points at B when the (A, B) ratio equals c
     wins = [0] * n
     for (a, b), r in ratios.items():

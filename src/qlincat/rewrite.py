@@ -4,7 +4,8 @@ monomial order, normal forms, and the cubic-overlap confluence check.
 Letters are the generators t_A^K of a matrix of noncommuting entries,
 numbered row-major (letter id = A * cols + K), so the natural integer order
 on ids is exactly the row-major generator order.  Words of equal degree are
-compared lexicographically; shorter words come first.
+compared lexicographically; shorter words come first.  Rewrite rules are
+read from a relation set's degree-2 quotient: nothing here eliminates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from string import ascii_letters
 
 from .graded import GradedSpace
-from .linalg import _cleared, _echelon, _reduce, frac
+from .linalg import frac
 
 Word = tuple[int, ...]
 
@@ -187,45 +188,13 @@ class RewriteSystem:
         return not self.missing_leaders and not self.unexpected_leaders
 
 
-def relation_rows(relations) -> list[dict[int, int]]:
-    """The quadratic relations as sparse integer rows for the elimination
-    engine, denominators cleared per row.
-
-    Word (g, h) is column g * n + h, so the largest column of a row is the
-    leading word of its relation in the monomial order.
-    """
-    n = relations.alphabet.size
-    return [
-        _cleared({g * n + h: c for (g, h), c in p.terms.items()})
-        for p in relations.polys
-    ]
-
-
-def reduced_relations(n: int, rows) -> dict[Word, dict[Word, Fraction]]:
-    """Reduced echelon form of a quadratic relation span in the monomial order,
-    given the letter count n and the span as ``relation_rows``-style rows.
-
-    Maps each leading degree-2 word to the combination of smaller words it
-    equals modulo the span, both in descending word order.
-    """
-    reduced = _reduce(_echelon(rows))
-    return {
-        divmod(lead, n): {
-            divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)
-            if c != lead
-        }
-        for lead in sorted(reduced, reverse=True)
-    }
-
-
 def build_rewrite_system(relations) -> RewriteSystem:
-    """Echelonize a quadratic relation set against the monomial order and
-    solve each reduced relation for its leading word."""
+    """Each leading word rewrites to its coordinates in the degree-2
+    quotient (``relations.quotient``), the smaller words it equals."""
     alphabet = relations.alphabet
-    rules = {
-        lead: NCPoly(alphabet, rest)
-        for lead, rest in reduced_relations(alphabet.size, relation_rows(relations)).items()
-    }
+    q = relations.quotient
+    basis = set(q.basis)
+    rules = {w: NCPoly(alphabet, rest) for w, rest in q.coords.items() if w not in basis}
     expected = nonordered_degree2_words(alphabet)
     leaders = set(rules)
     missing = tuple(sorted(expected - leaders))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedSpace, koszul_signs
+from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
     Matrix,
     NotComplementary,
@@ -119,13 +119,8 @@ def _pair_spans(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
 
 def classical_params(space: GradedSpace) -> ParamMatrix:
     n = space.dim
-    return tuple(
-        tuple(
-            Fraction((-1) ** (space.parities[a] * space.parities[b]))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
+    par = space.parities
+    return tuple(tuple(Fraction(koszul_sign(par[a], par[b])) for b in range(n)) for a in range(n))
 
 
 def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:

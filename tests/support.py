@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from qlincat import (
     Extraction,
@@ -20,7 +20,7 @@ from qlincat.bialgebra import WrongShape, _delta_bidegree
 from qlincat.graded import pi_image
 from qlincat.homs import relation_set
 from qlincat.linalg import Matrix, _echelon, _rref_rows, frac, row_basis
-from qlincat.rewrite import NCPoly, matrix_alphabet, relation_rows
+from qlincat.rewrite import NCPoly, matrix_alphabet
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -177,16 +177,29 @@ def rank_bareiss(m) -> int:
     return r
 
 
+def relation_int_rows(rels) -> list[dict[int, int]]:
+    """Each relation as an integer row, denominators cleared, word (g, h)
+    at column g * n + h: the test suite's own copy of the encoding that
+    ``RelationSet.echelon`` eliminates."""
+    n = rels.alphabet.size
+    rows = []
+    for p in rels.polys:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        rows.append({g * n + h: int(c * den) for (g, h), c in p.terms.items()})
+    return rows
+
+
 def placement_oracle(hom, degree: int) -> int:
     """Reference for ``dimension_oracle``: the word count minus the rank of
     every placement u r v of a relation r between words u and v whose
     lengths sum to degree - 2.
 
-    It shares the package's elimination engine but none of the oracle's
-    degree recursion, so tests compare the two dimensions.
+    It shares the package's elimination engine but neither its encoding of
+    relations as rows nor the oracle's degree recursion, so tests compare
+    the two dimensions.
     """
     n = hom.alphabet.size
-    rel_rows = [list(row.items()) for row in relation_rows(hom.relations)]
+    rel_rows = [list(row.items()) for row in relation_int_rows(hom.relations)]
     rows: list[dict[int, int]] = []
     for i in range(degree - 1):
         tail = degree - 2 - i

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from qlincat import cli, homs
+from qlincat import cli, homs, linalg
 from qlincat.cli import main
+
+from support import relation_int_rows
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_objects"
 
@@ -158,11 +162,12 @@ GENERAL_2 = {"format": "quantum-object/1", "name": "g", "dim": 2, "kind": "gener
         ("object", _with(classical_doc(), parities=[0, True]), [], "parities: must be"),
         ("object", normalized_doc(2, eps=True), [], "params.eps"),
         ("object", normalized_doc(2, eps=1.0), [], "params.eps"),
+        ("object", _with(classical_doc(), name={"x": 1}), [], "name: must be a string"),
     ],
     ids=[
         "lam-repeats-coefficient", "lam-zero-denominator", "lam-exponent",
         "params-list", "component-not-list", "file-lam-exponent",
-        "dim-bool", "parity-bool", "eps-bool", "eps-float",
+        "dim-bool", "parity-bool", "eps-bool", "eps-float", "name-object",
     ],
 )
 def test_bad_input_exits_two(tmp_path, capsys, command, doc, extra, field):
@@ -306,6 +311,17 @@ def test_pbw_too_large_guard(tmp_path, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim, degree", [(1, 20), (2, 10**12)])
+def test_pbw_oracle_degree_is_bounded_before_any_power(tmp_path, capsys, dim, degree):
+    # a one-letter alphabet has one word in every degree, so only the degree
+    # bound refuses it; at dim 2 the power 16**degree is never computed
+    a = write(tmp_path, "a.json", classical_doc(dim))
+    assert main(["pbw", a, a, "--oracle", "--degree", str(degree), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("too large: ")
+
+
 def test_pbw_oracle_below_degree_two_is_refused(capsys):
     assert main(["pbw", *CHAIN[:2], "--oracle", "--degree", "1", "--json"]) == 2
     captured = capsys.readouterr()
@@ -335,6 +351,48 @@ def test_each_hom_algebra_is_derived_once_per_call(monkeypatch, capsys, argv, de
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
     assert len(calls) == derives, calls
+
+
+def _rows_key(rows) -> tuple:
+    return tuple(sorted(tuple(sorted(row.items())) for row in rows))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pbw", *CHAIN[:2], "--oracle"],
+        ["hom", *PAIR, "--form", "both"],
+        ["bialgebra", *CHAIN, CHAIN[0]],
+        ["det", *CHAIN, CHAIN[0]],
+    ],
+)
+def test_each_relation_span_is_eliminated_once_per_call(monkeypatch, capsys, argv):
+    spans: Counter = Counter()
+    passes: Counter = Counter()
+
+    def tracking(alphabet, polys):
+        rels = real_relation_set(alphabet, polys)
+        spans[_rows_key(relation_int_rows(rels))] += 1
+        return rels
+
+    def counting(rows):
+        rows = list(rows)
+        passes[_rows_key(rows)] += 1
+        return real_echelon(rows)
+
+    real_relation_set, real_echelon = homs.relation_set, linalg._echelon
+    # every module binding of relation_set and of the engine's _echelon
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("qlincat"):
+            continue
+        if hasattr(module, "relation_set"):
+            monkeypatch.setattr(module, "relation_set", tracking)
+        if hasattr(module, "_echelon"):
+            monkeypatch.setattr(module, "_echelon", counting)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    assert spans
+    assert {key: passes[key] for key in spans} == dict(spans)
 
 
 def test_serialization_roundtrip(tmp_path):

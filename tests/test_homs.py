@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,8 @@ from qlincat.homs import (
     spans_equal,
 )
 from qlincat.linalg import InvariantViolation, Matrix, rank
-from qlincat.rewrite import NCPoly, matrix_alphabet
+from qlincat.pbw import oracle_dims
+from qlincat.rewrite import NCPoly, build_rewrite_system, matrix_alphabet
 from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery
 
 from support import even2_sudbery, rand_nonzero, rand_sudbery
@@ -46,6 +48,36 @@ def test_classical_relations_are_supercommutators():
         src, tgt = make_classical(space_of(pv)), make_classical(space_of(pw))
         rels = derive_relations_general(src, tgt)
         assert spans_equal(rels, supercommutator_relations(src.space, tgt.space))
+
+
+def test_general_derivation_fails_without_its_koszul_sign(monkeypatch):
+    """Negative control for the sign in the general derivation: with
+    ``koszul_sign`` forced to 1 the supercommutator span is missed on a
+    super shape but still found on an even one."""
+    monkeypatch.setattr(homs, "koszul_sign", lambda p1, p2: 1)
+    even = make_classical(space_of((0, 0)))
+    rels = derive_relations_general(even, even)
+    assert spans_equal(rels, supercommutator_relations(even.space, even.space))
+    sup = make_classical(space_of((0, 1)))
+    rels = derive_relations_general(sup, sup)
+    assert not spans_equal(rels, supercommutator_relations(sup.space, sup.space))
+
+
+def test_readers_leave_the_span_echelon_and_quotient_unchanged():
+    rng = random.Random(17)
+    for shape in [(0, 0), (0, 1), (0, 0, 1)]:
+        src, tgt = rand_sudbery(rng, space_of(shape)), rand_sudbery(rng, space_of(shape))
+        hom = hom_algebra(src, tgt)
+        rels, closed = hom.relations, derive_relations_sudbery(src, tgt)
+        echelon, quotient = deepcopy(rels.echelon), deepcopy(rels.quotient)
+        oracle_dims(hom, 4)
+        assert spans_equal(rels, closed) and spans_equal(closed, rels)
+        spans_equal(rels, hom_algebra(tgt, src).relations)
+        build_rewrite_system(rels)
+        degree2_quotient(rels)
+        assert rels.echelon == echelon
+        assert rels.quotient == quotient
+        assert degree2_quotient(rels) is rels.quotient
 
 
 def test_fixed_two_parameter_pair_matches_closed_coefficients():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import pbw
+from qlincat import homs, linalg, pbw
 from qlincat.graded import even_space, space_of
-from qlincat.homs import hom_algebra
+from qlincat.homs import HomAlgebra, hom_algebra, relation_set
 from qlincat.linalg import Matrix, _echelon
 from qlincat.pbw import (
     TooLarge,
@@ -115,34 +115,57 @@ def test_oracle_guard():
         dimension_oracle(hom, 1)
 
 
+def _unreduced(hom):
+    """The same hom algebra over a new relation set whose echelon is not
+    computed yet."""
+    return HomAlgebra(hom.source, hom.target, hom.alphabet,
+                      relation_set(hom.alphabet, hom.relations.polys))
+
+
 def test_oracle_guards_raise_before_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("eliminated before the guard")
 
-    monkeypatch.setattr(pbw, "_echelon", no_elimination)
-    monkeypatch.setattr(pbw, "_insert", no_elimination)
     cl = make_classical(even_space(3))
-    hom = hom_algebra(cl, cl)
-    for oracle in (dimension_oracle, oracle_dims):
-        with pytest.raises(TooLarge):
-            oracle(hom, 8)
-        with pytest.raises(ValueError, match="degree >= 2"):
-            oracle(hom, 1)
+    one = make_classical(even_space(1))
+    cases = [
+        (_unreduced(hom_algebra(cl, cl)), 8),
+        (_unreduced(hom_algebra(one, one)), 20),
+        (_unreduced(hom_algebra(one, one)), 10**12),
+        (_unreduced(hom_algebra(cl, cl)), 10**12),
+    ]
+    # the oracle's elimination: the relation span's echelon and pbw's inserts
+    monkeypatch.setattr(homs, "_echelon", no_elimination)
+    monkeypatch.setattr(pbw, "_insert", no_elimination)
+    for hom, degree in cases:
+        for oracle in (dimension_oracle, oracle_dims):
+            with pytest.raises(TooLarge):
+                oracle(hom, degree)
+            with pytest.raises(ValueError, match="degree >= 2"):
+                oracle(hom, 1)
+
+
+def test_one_letter_oracle_below_the_degree_bound():
+    one = make_classical(even_space(1))
+    dims = oracle_dims(hom_algebra(one, one), 19)
+    assert dims == tuple((d, 1, 1) for d in range(2, 20))
 
 
 def test_oracle_dims_is_one_pass(monkeypatch):
     calls = []
-    real = pbw._echelon
 
     def counting(rows):
         calls.append(1)
-        return real(rows)
+        raise AssertionError("the oracle eliminated from scratch")
 
-    monkeypatch.setattr(pbw, "_echelon", counting)
     hom = hom_algebra(even2_sudbery(2, 1), even2_sudbery(3, 1))
+    # the oracle starts from the relation span's echelon, computed once when
+    # the span was derived, and eliminates nothing from scratch
+    for module in (homs, linalg):
+        monkeypatch.setattr(module, "_echelon", counting)
     dims = oracle_dims(hom, 5)
     assert [d for d, _, _ in dims] == [2, 3, 4, 5]
-    assert len(calls) == 1
+    assert not calls
 
 
 def _oracle_pair(rng, kind, src_shape, tgt_shape):
