@@ -384,15 +384,13 @@ def cmd_bialgebra(args) -> int:
 
 def cmd_det(args) -> int:
     objs = [load_object(f) for f in args.files]
-    checks = []
-    dets = []
-    for i in range(len(objs) - 1):
-        det = determinant_2x2(objs[i], objs[i + 1])
-        dets.append((f"det({i},{i+1})", det))
-    mults = [
-        (f"multiplicative({i},{i+1},{i+2})", determinant_multiplicativity(triple))
-        for i, triple in enumerate(_chain_triples(objs))
-    ]
+    adjacent = [determinant_2x2(a, b) for a, b in zip(objs, objs[1:])]
+    dets = [(f"det({i},{i+1})", det) for i, det in enumerate(adjacent)]
+    mults = []
+    for i, t in enumerate(_chain_triples(objs)):
+        three = (adjacent[i], adjacent[i + 1], determinant_2x2(t.a, t.c))
+        ok = determinant_multiplicativity(t, dets=three)
+        mults.append((f"multiplicative({i},{i+1},{i+2})", ok))
     if args.json:
         _emit(
             {

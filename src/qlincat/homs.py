@@ -2,8 +2,9 @@
 quantum space objects.
 
 Two independent derivations are provided.  The general one runs over every
-component: each pair (g, f) with g in a basis of the annihilator of the
-source component and f in a basis of the target component contributes the
+component: each pair (g, f) with g in a basis of the annihilator of a
+source component (``QuantumObject.annihilators``) and f in a basis of the
+matching target component (``QuantumObject.bases``) contributes the
 relation
 
     sum (-1)**(par(B)*par(K)) g^{AB} f_{KL} t_A^K t_B^L = 0.
@@ -24,9 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .graded import koszul_sign, koszul_signs
+from .graded import koszul_sign
 from .linalg import InvariantViolation, Matrix, _cleared, _echelon, _reduce, _same_span
-from .linalg import annihilator, row_basis
 from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -100,12 +100,9 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
         raise ComponentCountMismatch(f"source has {src.s} components, target {tgt.s}")
     n, m = src.space.dim, tgt.space.dim
     alphabet = matrix_alphabet(src.space, tgt.space)
-    signs = koszul_signs(src.space)
     polys: list[NCPoly] = []
     expected = 0
-    for comp_v, comp_w in zip(src.components, tgt.components):
-        ann = annihilator(comp_v, n * n, signs)
-        fbasis = row_basis(comp_w)
+    for ann, fbasis in zip(src.annihilators, tgt.bases):
         expected += len(ann) * len(fbasis)
         for g in ann:
             for f in fbasis:

@@ -3,15 +3,21 @@ decomposition of the tensor square of its dual.
 
 An object carries s complementary subspaces of V' (x) V' (s = 2 being the
 I (+) J case), each stored as a list of spanning vectors over the degree-2
-word basis.  Named constructors cover the classical decomposition, the
-two-parameter (Sudbery-type) family, and its one-parameter normalized form.
-Parameter matrices are exact rationals, never indeterminates.
+word basis.  Named constructors cover the two-parameter (Sudbery-type)
+family, its classical point (both matrices the Koszul signs) and its
+one-parameter normalized form.  Parameter matrices are exact rationals,
+never indeterminates.
+
+Each object reduces its components once, in ``QuantumObject.bases`` and
+``QuantumObject.annihilators``; the hom relations and the dual object read
+them and never change them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
@@ -23,6 +29,7 @@ from .linalg import (
     check_complementary,
     frac,
     projectors,
+    row_basis,
     row_spans_equal,
 )
 
@@ -65,7 +72,20 @@ class QuantumObject:
     def s(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def bases(self) -> tuple[tuple[Vector, ...], ...]:
+        """A row basis of each component (the nonzero rows of its rref)."""
+        return tuple(tuple(row_basis(comp)) for comp in self.components)
+
+    @cached_property
+    def annihilators(self) -> tuple[tuple[Vector, ...], ...]:
+        """A basis of each component's annihilator under the Koszul pairing."""
+        signs, dim = koszul_signs(self.space), self.space.dim**2
+        return tuple(tuple(annihilator(comp, dim, signs)) for comp in self.components)
+
     def component_dims(self) -> tuple[int, ...]:
+        # forward ranks, not len(self.bases): `qlincat object` needs no basis,
+        # and back-substitution cost it 0.2 s on a dense random dim-8 file
         return tuple(_rank(comp) for comp in self.components)
 
     def projectors(self) -> list[Matrix]:
@@ -77,7 +97,7 @@ def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) 
     n = space.dim
     for label, m in (("q", q), ("p", p)):
         for a in range(n):
-            expected = Fraction((-1) ** space.parities[a])
+            expected = Fraction(koszul_sign(space.parities[a], space.parities[a]))
             if m[a][a] != expected:
                 raise BadParameters(
                     f"{label}[{a}][{a}] = {m[a][a]}, must equal (-1)**parity = {expected}"
@@ -126,9 +146,7 @@ def classical_params(space: GradedSpace) -> ParamMatrix:
 def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:
     """The undeformed object: skew-symmetric and symmetric tensors."""
     qc = classical_params(space)
-    i_span, j_span = _pair_spans(space, qc, qc)
-    check_complementary((i_span, j_span), space.dim**2)
-    return QuantumObject(space, (i_span, j_span), "classical", (qc, qc), None, name)
+    return make_sudbery(space, qc, qc, name)
 
 
 def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
@@ -203,9 +221,7 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     if obj.s != 2:
         raise ValueError("dual_object requires a two-component object")
     n = obj.space.dim
-    signs = koszul_signs(obj.space)
-    ann_j = tuple(annihilator(obj.components[1], n * n, signs))
-    ann_i = tuple(annihilator(obj.components[0], n * n, signs))
+    ann_i, ann_j = obj.annihilators
     check_complementary((ann_j, ann_i), n * n)
     qp = None
     kind = "general"

@@ -18,7 +18,7 @@ from qlincat import (
 )
 from qlincat.bialgebra import WrongShape, _delta_bidegree
 from qlincat.graded import pi_image
-from qlincat.homs import relation_set
+from qlincat.homs import HomAlgebra, relation_set
 from qlincat.linalg import Matrix, _echelon, _rref_rows, frac, row_basis
 from qlincat.rewrite import NCPoly, matrix_alphabet
 
@@ -105,6 +105,20 @@ def sudbery_with_constant(
     return make_sudbery(space, q, tuple(tuple(r) for r in p), name)
 
 
+def criterion_pair(rng: random.Random, kind: str, src_shape, tgt_shape):
+    """A YES pair (constants equal up to inverse), a NO pair (constants that
+    are not), or a non-homogeneous general source with a two-parameter target."""
+    src_space, tgt_space = space_of(src_shape), space_of(tgt_shape)
+    if kind == "general":
+        return rand_general(rng, src_space), rand_sudbery(rng, tgt_space)
+    c = rand_constant(rng)
+    other = rng.choice([c, 1 / c])
+    if kind == "no":
+        while other in (c, 1 / c):
+            other = rand_constant(rng)
+    return sudbery_with_constant(rng, src_space, c), sudbery_with_constant(rng, tgt_space, other)
+
+
 def even2_sudbery(p21, q21, name: str = ""):
     """Purely even dim-2 object from the two upper parameters p^{21}, q^{21}."""
     p21, q21 = Fraction(p21), Fraction(q21)
@@ -112,6 +126,26 @@ def even2_sudbery(p21, q21, name: str = ""):
     q = ((one, 1 / q21), (q21, one))
     p = ((one, 1 / p21), (p21, one))
     return make_sudbery(space_of((0, 0)), q, p, name)
+
+
+def scale_diagonal_word(hom: HomAlgebra, factor) -> HomAlgebra:
+    """hom with one coefficient scaled: the first term, in the first relation
+    that has one, whose letters are both diagonal entries t_A^A t_B^B.  The
+    identity substitution sends exactly those words to 1, so it no longer
+    kills that relation."""
+    m = hom.target.space.dim
+    diagonal = {a * m + a for a in range(m)}
+    polys = list(hom.relations.polys)
+    for i, poly in enumerate(polys):
+        word = next((w for w in poly.terms if set(w) <= diagonal), None)
+        if word is not None:
+            terms = dict(poly.terms)
+            terms[word] *= factor
+            polys[i] = NCPoly(poly.alphabet, terms)
+            return HomAlgebra(
+                hom.source, hom.target, hom.alphabet, relation_set(hom.alphabet, polys)
+            )
+    raise ValueError("no relation has a word of two diagonal entries")
 
 
 def ordering_by_enumeration(obj) -> Extraction | None:

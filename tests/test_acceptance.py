@@ -5,20 +5,24 @@ them); every comparison is exact span/value equality, nothing is
 approximate.
 """
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from qlincat import bialgebra
 from qlincat.bialgebra import (
     ComposableTriple,
     coassociativity_check,
     composable_triple,
     comultiplication_check,
     counit_check,
+    counit_substitution_ok,
     determinant_2x2,
     determinant_multiplicativity,
 )
+from qlincat.cli import main, object_to_json
 from qlincat.graded import even_space, space_of
 from qlincat.homs import (
     HomAlgebra,
@@ -51,6 +55,7 @@ from support import (
     even2_sudbery,
     rand_constant,
     rand_sudbery,
+    scale_diagonal_word,
     sudbery_with_constant,
 )
 
@@ -295,7 +300,7 @@ def test_criterion_08_yang_baxter():
                "relation; the fixed non-transitive dim-3 instance fails it")
 
 
-def test_criterion_09_bialgebra_axioms():
+def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
     rng = random.Random(9009)
     sp = even_space(2)
     chain = [
@@ -325,9 +330,22 @@ def test_criterion_09_bialgebra_axioms():
                    relation_set(triple.hom_ac.alphabet, polys)),
     )
     assert not comultiplication_check(corrupted)
-    assert not counit_check(a, Matrix([[2, 0], [0, 1]]))
+    assert not counit_substitution_ok(hom_algebra(a, a), Matrix([[0, 1], [1, 0]]))
+    real = bialgebra.hom_algebra
+    monkeypatch.setattr(
+        bialgebra, "hom_algebra", lambda x, y: scale_diagonal_word(real(x, y), 3)
+    )
+    assert not counit_check(a)
+    files = []
+    for i, obj in enumerate((a, b, c)):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(object_to_json(obj)), encoding="utf-8")
+        files.append(str(path))
+    assert main(["bialgebra", *files]) == 1
+    assert "counit(0): FAIL" in capsys.readouterr().out
     _passed(9, "comultiplication, coassociativity and counit pass on 21 triples "
-               "(chain u=2,3,7 lam=5 included); corrupted controls fail")
+               "(chain u=2,3,7 lam=5 included); corrupted controls fail, and "
+               "qlincat bialgebra exits 1 on a corrupted endomorphism algebra")
 
 
 def test_criterion_10_determinant():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from qlincat.bialgebra import (
     determinant_2x2,
     determinant_multiplicativity,
 )
+from qlincat.cli import main
 from qlincat.graded import even_space, space_of
 from qlincat.homs import HomAlgebra, QuotientMap, hom_algebra, relation_set
 from qlincat.linalg import Matrix
@@ -30,8 +32,14 @@ from support import (
     even2_sudbery,
     rand_nonzero,
     rand_sudbery,
+    scale_diagonal_word,
     xi_quotient_reference,
 )
+
+CHAIN = [
+    str(Path(__file__).resolve().parent.parent / "sample_objects" / f"normalized_q{u}.json")
+    for u in (2, 3, 7)
+]
 
 
 def intro_chain(lam=5):
@@ -119,10 +127,19 @@ def test_counit_classical_and_deformed():
     assert counit_check(rand_sudbery(rng, space_of((0, 0, 1))))
 
 
-def test_counit_nonidentity_substitution_fails():
+def test_counit_nonidentity_substitution_fails(monkeypatch, capsys):
     obj = even2_sudbery(2, 3)
-    assert not counit_check(obj, Matrix([[2, 0], [0, 1]]))
-    assert not counit_check(obj, Matrix([[0, 1], [1, 0]]))
+    assert not counit_substitution_ok(hom_algebra(obj, obj), Matrix([[0, 1], [1, 0]]))
+    # an endomorphism algebra with one relation that the identity does not kill
+    real = bialgebra.hom_algebra
+    monkeypatch.setattr(
+        bialgebra, "hom_algebra", lambda a, b: scale_diagonal_word(real(a, b), 3)
+    )
+    assert not counit_check(obj)
+    assert main(["bialgebra", *CHAIN]) == 1
+    out = capsys.readouterr().out
+    assert "comultiplication(0,1,2): pass" in out
+    assert all(f"counit({i}): FAIL" in out for i in range(3))
 
 
 def test_counit_only_on_endomorphism_algebras():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qlincat import cli, homs, linalg
+from qlincat import bialgebra, cli, homs, linalg
 from qlincat.cli import main
 
 from support import relation_int_rows
@@ -393,6 +393,52 @@ def test_each_relation_span_is_eliminated_once_per_call(monkeypatch, capsys, arg
     capsys.readouterr()
     assert spans
     assert {key: passes[key] for key in spans} == dict(spans)
+
+
+@pytest.mark.parametrize(
+    "argv, reductions",
+    [
+        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, id="pbw"),
+        pytest.param(["hom", *PAIR, "--form", "both"], 2, id="hom"),
+        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 8, id="bialgebra"),
+        pytest.param(["det", *CHAIN, CHAIN[0]], 6, id="det"),
+    ],
+)
+def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, reductions):
+    # two components per object: each source's annihilators and each
+    # target's bases, once per object however many homs it takes part in
+    calls: Counter = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("annihilator", "row_basis"):
+        wrapped = counting(name, getattr(linalg, name))
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("qlincat") and hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"annihilator": reductions, "row_basis": reductions}
+
+
+def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):
+    # three printed determinants plus one det(i, i+2) per triple
+    calls = []
+    real = bialgebra._xi_quotient_coefficients
+
+    def counting(obj):
+        calls.append(obj.name)
+        return real(obj)
+
+    monkeypatch.setattr(bialgebra, "_xi_quotient_coefficients", counting)
+    assert main(["det", *CHAIN, CHAIN[0], "--json"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["q2", "q2", "q3", "q3", "q7"]
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qlincat import homs
+from qlincat import homs, spaces
 from qlincat.graded import even_space, space_of
 from qlincat.homs import (
     AlphabetMismatch,
@@ -417,8 +417,9 @@ def test_hom_algebra_factory():
 
 
 def _corrupt_annihilator(monkeypatch, corrupt):
-    real = homs.annihilator
-    monkeypatch.setattr(homs, "annihilator", lambda *args: corrupt(real(*args)))
+    # objects built after the patch compute their annihilators through it
+    real = spaces.annihilator
+    monkeypatch.setattr(spaces, "annihilator", lambda *args: corrupt(real(*args)))
 
 
 def test_degenerate_relation_raises(monkeypatch):

@@ -20,11 +20,11 @@ from qlincat.spaces import make_classical, make_sudbery
 
 from support import (
     MIXED_SHAPES,
+    criterion_pair,
     even2_sudbery,
     ordering_by_enumeration,
     placement_oracle,
     rand_constant,
-    rand_general,
     rank_bareiss,
     rand_sudbery,
     sudbery_with_constant,
@@ -168,19 +168,6 @@ def test_oracle_dims_is_one_pass(monkeypatch):
     assert not calls
 
 
-def _oracle_pair(rng, kind, src_shape, tgt_shape):
-    """A YES pair, a NO pair, or a non-homogeneous general source."""
-    src_space, tgt_space = space_of(src_shape), space_of(tgt_shape)
-    if kind == "general":
-        return rand_general(rng, src_space), rand_sudbery(rng, tgt_space)
-    c = rand_constant(rng)
-    other = rng.choice([c, 1 / c])
-    if kind == "no":
-        while other in (c, 1 / c):
-            other = rand_constant(rng)
-    return sudbery_with_constant(rng, src_space, c), sudbery_with_constant(rng, tgt_space, other)
-
-
 def _assert_oracle_matches_placements(src, tgt):
     # every alphabet from MIXED_SHAPES has at most 9 letters: 9**4 < 10**4
     hom = hom_algebra(src, tgt)
@@ -196,7 +183,7 @@ def oracle_pairs(draw):
     shapes = [s for s in MIXED_SHAPES if len(s) == 2] if kind == "general" else MIXED_SHAPES
     src_shape, tgt_shape = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    return _oracle_pair(rng, kind, src_shape, tgt_shape)
+    return criterion_pair(rng, kind, src_shape, tgt_shape)
 
 
 @settings(max_examples=15, deadline=None)
@@ -209,7 +196,7 @@ def test_oracle_matches_placement_oracle(pair):
 def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
     # the recursion then keeps only I_{d-1} V and drops the rows V N_{d-1}
     monkeypatch.setattr(pbw, "_insert", lambda pivots, row: None)
-    src, tgt = _oracle_pair(random.Random(7), kind, (0, 1), (0, 0))
+    src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
 
@@ -217,10 +204,10 @@ def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
 @pytest.mark.parametrize("shape, top", [((0, 0), 8), ((0, 0, 1), 5)])
 def test_oracle_known_answers_at_stretch_sizes(shape, top):
     rng = random.Random(131)
-    dims = oracle_dims(hom_algebra(*_oracle_pair(rng, "yes", shape, shape)), top)
+    dims = oracle_dims(hom_algebra(*criterion_pair(rng, "yes", shape, shape)), top)
     assert [d for d, _, _ in dims] == list(range(2, top + 1))
     assert all(dim == cl for _, dim, cl in dims)
-    dims = oracle_dims(hom_algebra(*_oracle_pair(rng, "no", shape, shape)), top)
+    dims = oracle_dims(hom_algebra(*criterion_pair(rng, "no", shape, shape)), top)
     assert any(dim < cl for _, dim, cl in dims)
 
 

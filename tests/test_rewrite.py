@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlincat import rewrite
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, relation_set
 from qlincat.linalg import Matrix, rank
@@ -23,7 +25,13 @@ from qlincat.rewrite import (
 from qlincat.homs import hom_algebra
 from qlincat.spaces import make_classical, make_sudbery
 
-from support import even2_sudbery, rand_sudbery, sudbery_with_constant
+from support import (
+    MIXED_SHAPES,
+    criterion_pair,
+    even2_sudbery,
+    rand_sudbery,
+    sudbery_with_constant,
+)
 
 
 def test_monomial_compare_letters():
@@ -262,3 +270,51 @@ def test_failed_overlaps_on_mismatched_constants():
     system = build_rewrite_system(derive_relations_general(src, tgt))
     assert system.complete
     assert failed_overlaps(confluence_check(system))
+
+
+def two_normal_form_verdicts(system):
+    """The definition the check stands for: overlap x y z is resolved when
+    rule[xy] z and x rule[yz] have the same normal form."""
+    al = system.alphabet
+    lefts = sorted(system.rules, key=word_key)
+    verdicts = []
+    for xy in lefts:
+        for yz in (w for w in lefts if w[0] == xy[1]):
+            x, z = xy[0], yz[1]
+            via_left = NCPoly(al, {w + (z,): c for w, c in system.rules[xy].terms.items()})
+            via_right = NCPoly(al, {(x,) + w: c for w, c in system.rules[yz].terms.items()})
+            verdicts.append(
+                ((x, xy[1], z), normal_form(via_left, system) == normal_form(via_right, system))
+            )
+    return verdicts
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["yes", "no"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_confluence_matches_two_normal_forms(kind, src_shape, tgt_shape, seed):
+    src, tgt = criterion_pair(random.Random(seed), kind, src_shape, tgt_shape)
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    reports = confluence_check(system)
+    assert [(r.word, r.resolved) for r in reports] == two_normal_form_verdicts(system)
+
+
+def test_confluence_makes_one_normal_form_per_overlap(monkeypatch):
+    calls = []
+    real = rewrite.normal_form
+
+    def counting(p, system):
+        calls.append(p)
+        return real(p, system)
+
+    monkeypatch.setattr(rewrite, "normal_form", counting)
+    reports = []
+    for tgt in (even2_sudbery(2, 1), even2_sudbery(3, 1)):  # YES, then NO
+        rels = derive_relations_general(even2_sudbery(2, 1), tgt)
+        reports += confluence_check(build_rewrite_system(rels))
+    assert {r.resolved for r in reports} == {True, False}
+    assert len(calls) == len(reports)

@@ -77,9 +77,9 @@ def test_sudbery_bad_reciprocity():
 
 
 def test_sudbery_bad_diagonal():
-    with pytest.raises(BadParameters):
+    with pytest.raises(BadParameters, match=r"^q\[0\]\[0\] = 2, must equal \(-1\)\*\*parity = 1$"):
         make_sudbery(even_space(2), [[2, 2], [Fraction(1, 2), 1]], [[1, 3], [Fraction(1, 3), 1]])
-    with pytest.raises(BadParameters):
+    with pytest.raises(BadParameters, match=r"^q\[1\]\[1\] = 1, must equal \(-1\)\*\*parity = -1$"):
         # odd index must have diagonal -1
         make_sudbery(space_of((0, 1)), [[1, 2], [Fraction(1, 2), 1]], [[1, 3], [Fraction(1, 3), -1]])
 
