@@ -26,7 +26,7 @@ from .homs import (
     degree2_quotient,
     hom_algebra,
 )
-from .linalg import Matrix, _cleared, _echelon, _int_rows, frac
+from .linalg import Matrix, _cleared, _echelon, _int_rows
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -201,16 +201,13 @@ def _check_det_shape(obj: QuantumObject) -> None:
         raise WrongShape("determinant needs purely even dim-2 two-parameter objects")
 
 
-def determinant_2x2(
-    src: QuantumObject,
-    tgt: QuantumObject,
-    rescale: tuple | None = None,
-) -> NCPoly:
+def determinant_2x2(src: QuantumObject, tgt: QuantumObject) -> NCPoly:
     """Coefficient of the source area form in the coaction image of the
     target area form: for parameters (q, p) this is ad - p^{21} cb.
 
-    The optional rescale = (f_src, f_tgt) multiplies the result by
-    f_src / f_tgt, the coboundary freedom of the area forms.
+    Rescaling the area forms by f_src and f_tgt multiplies it by
+    f_src / f_tgt (the coboundary freedom); callers that want that pass
+    ``det.scale(f_src / f_tgt)`` to ``determinant_multiplicativity``.
     """
     _check_det_shape(src)
     _check_det_shape(tgt)
@@ -225,34 +222,24 @@ def determinant_2x2(
             continue
         w = (a * m + 0, b * m + 1)
         terms[w] = terms.get(w, Fraction(0)) + coeff
-    det = NCPoly(alphabet, terms)
-    if rescale is not None:
-        f_src, f_tgt = frac(rescale[0]), frac(rescale[1])
-        if f_src == 0 or f_tgt == 0:
-            raise ValueError("rescale factors must be nonzero")
-        det = det.scale(f_src / f_tgt)
-    return det
+    return NCPoly(alphabet, terms)
 
 
 def determinant_multiplicativity(
     triple: ComposableTriple,
-    rescales: tuple | None = None,
     dets: tuple[NCPoly, NCPoly, NCPoly] | None = None,
 ) -> bool:
     """Delta(det over the composite) equals det (x) det in the degree-2
     quotient coordinates of the factor algebras.
 
-    rescales = (f_a, f_b, f_c) applies the coboundary freedom consistently;
     dets = (det_ab, det_bc, det_ac) passes the three determinants instead
-    (already computed by the caller, or corrupted for negative controls).
+    of computing them: already computed by the caller, rescaled by a
+    consistent coboundary, or corrupted for negative controls.
     """
-    fa, fb, fc = (
-        tuple(frac(f) for f in rescales) if rescales is not None else (1, 1, 1)
-    )
     if dets is None:
-        det_ab = determinant_2x2(triple.a, triple.b, (fa, fb))
-        det_bc = determinant_2x2(triple.b, triple.c, (fb, fc))
-        det_ac = determinant_2x2(triple.a, triple.c, (fa, fc))
+        det_ab = determinant_2x2(triple.a, triple.b)
+        det_bc = determinant_2x2(triple.b, triple.c)
+        det_ac = determinant_2x2(triple.a, triple.c)
     else:
         det_ab, det_bc, det_ac = dets
     c1 = _integer_coords(degree2_quotient(triple.hom_ab.relations))

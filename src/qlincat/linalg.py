@@ -8,16 +8,17 @@ The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
 into the reduced echelon form (pivot entries 1) for the callers that need
 that form.  The largest-column pivot is the leading word of the monomial
 order; callers that work in natural column order (kernels, row bases and
-inverses) reflect column c to ncols-1-c so that the leftmost column is
+spectral sums) reflect column c to ncols-1-c so that the leftmost column is
 pivoted first.  The yes/no checks form no dense product:
 ``kernel_basis`` verifies its basis with integer dot products against the
 cleared rows, and ``check_complementary`` decides a direct sum from ranks
 alone; ``_same_span`` inserts one span's echelon rows into a copy of the
 other's.  There is no linear solver: quotient coordinates are read from
-the reduced echelon form (``homs._quotient``).  ``Matrix`` is a small
-immutable dense grid kept as the type of the projectors and of the braid
-matrix B built from them, of the counit substitution, and of the
-read-only dense view of a relation span.
+the reduced echelon form (``homs._quotient``).  ``Matrix`` is an immutable
+dense value type with no arithmetic.  It is the type of the projectors and
+of the braid matrix B, both read by ``spectral_sum`` from one elimination
+over component bases, of the counit substitution, and of the read-only
+dense view of a relation span.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def frac(x) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of Fractions; a value type with no arithmetic."""
 
     __slots__ = ("data", "rows", "cols")
 
@@ -71,41 +72,14 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data)) if self.rows else Matrix([])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for row in self.data:
-            acc = [ZERO] * other.cols
-            for a, orow in zip(row, other.data):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix._wrap(tuple(out))
-
-    def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch in apply")
-        return tuple(sum(a * frac(b) for a, b in zip(row, v)) for row in self.data)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix([[c * a for a in row] for row in self.data])
+        m = cls._wrap(tuple((ZERO,) * cols for _ in range(rows)))
+        m.cols = cols
+        return m
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        if not isinstance(other, Matrix):
+            return False
+        return (self.cols, self.data) == (other.cols, other.data)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -241,17 +215,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = [row + tuple(ONE if i == j else ZERO for j in range(n)) for i, row in enumerate(m.data)]
-    pairs = _rref_rows(aug, 2 * n)
-    if any(pc >= n for pc, _ in pairs):
-        raise ValueError("singular matrix")
-    return Matrix._wrap(tuple(row[n:] for _, row in pairs))
-
-
 def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:
     """Deterministic basis of the row span: the nonzero rows of its rref."""
     if not vectors:
@@ -307,25 +270,30 @@ def check_complementary(components: Sequence[Sequence[Sequence]], dim: int) -> N
         raise ValueError(f"component vectors must have {dim} coordinates")
 
 
+def spectral_sum(bases: Sequence[Sequence[Sequence]], values: Sequence, dim: int) -> Matrix:
+    """The matrix M with M v = values[k] * v for every v in bases[k].
+
+    One elimination of the rows (v, values[k] * v): when the bases together
+    form a basis of the dim-dimensional space, they reduce to the rows
+    (e_i, column i of M).  Raises InvariantViolation otherwise.
+    """
+    rows = [tuple(v) + tuple(frac(lam) * x for x in v) for b, lam in zip(bases, values) for v in b]
+    pairs = _rref_rows(rows, 2 * dim)
+    if len(rows) != dim or [pc for pc, _ in pairs] != list(range(dim)):
+        raise InvariantViolation(f"the bases do not form a basis of a {dim}-dimensional space")
+    return Matrix._wrap(tuple(tuple(row[dim + r] for _, row in pairs) for r in range(dim)))
+
+
 def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matrix]:
     """Projectors P_k onto each component along the others.
 
     Raises NotComplementary unless the component spans form a direct-sum
-    decomposition of the dim-dimensional ambient space.  The returned
-    projectors satisfy P_k P_l = delta_kl P_k and sum_k P_k = 1 exactly.
+    decomposition of the dim-dimensional ambient space.  P_k is the
+    ``spectral_sum`` that is 1 on component k and 0 on the others.
     """
     check_complementary(components, dim)
     bases = [row_basis(comp) for comp in components]
-    c = Matrix([v for b in bases for v in b]).transpose()
-    ci = inverse(c)
-    out = []
-    start = 0
-    for b in bases:
-        stop = start + len(b)
-        if start == stop:
-            out.append(Matrix.zeros(dim, dim))
-        else:
-            block = Matrix([row[start:stop] for row in c.data])
-            out.append(block @ Matrix(ci.data[start:stop]))
-        start = stop
-    return out
+    return [
+        spectral_sum(bases, [int(k == j) for j in range(len(bases))], dim)
+        for k in range(len(bases))
+    ]

@@ -1,6 +1,11 @@
 """Projector combinations on the tensor square, the braid-relation check,
 and the relation span they induce on matrix entries.
 
+B = sum_k lambda_k P_k acts as lambda_k on the k-th component of
+V' (x) V'.  ``build_B`` reads it from the object's cached component bases
+in one elimination (``linalg.spectral_sum``); it forms no projector and no
+dense sum.
+
 The braid check never forms a matrix on the tensor cube: it applies B to
 the first and to the last two factors of each cube basis word through the
 sparse integer columns of B, and compares the two triple products one
@@ -21,7 +26,7 @@ from itertools import product
 
 from .graded import koszul_sign
 from .homs import RelationSet, relation_set
-from .linalg import Matrix, _cleared, frac
+from .linalg import Matrix, _cleared, frac, spectral_sum
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -48,12 +53,7 @@ def build_B(obj: QuantumObject, coefficients) -> BMatrix:
         raise RepeatedCoefficient(
             f"coefficients {', '.join(map(str, coeffs))} are not pairwise distinct"
         )
-    projs = obj.projectors()
-    dim = obj.space.dim**2
-    total = Matrix.zeros(dim, dim)
-    for lam, p in zip(coeffs, projs):
-        total = total + p.scale(lam)
-    return BMatrix(obj, coeffs, total)
+    return BMatrix(obj, coeffs, spectral_sum(obj.bases, coeffs, obj.space.dim**2))
 
 
 def normalized_B(obj: QuantumObject, lam) -> BMatrix:

@@ -266,13 +266,98 @@ def kron(a, b):
     return Matrix(out)
 
 
+def transpose(m):
+    """Dense transpose of a ``Matrix``."""
+    return Matrix(zip(*m.data)) if m.rows else Matrix([])
+
+
+def matmul(a, b):
+    """Dense product of two ``Matrix`` values."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    out = []
+    for row in a.data:
+        acc = [Fraction(0)] * b.cols
+        for x, brow in zip(row, b.data):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return Matrix(out)
+
+
+def mat_add(a, b):
+    """Entrywise sum of two ``Matrix`` values of one shape."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch in sum")
+    return Matrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, b.data)])
+
+
+def mat_scale(m, c):
+    """The ``Matrix`` m with every entry multiplied by c."""
+    c = frac(c)
+    return Matrix([[c * x for x in row] for row in m.data])
+
+
+def mat_apply(m, v) -> tuple:
+    """The vector m v."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch in apply")
+    return tuple(sum((a * frac(x) for a, x in zip(row, v)), Fraction(0)) for row in m.data)
+
+
+def inverse(m):
+    """Dense inverse of a square ``Matrix``: the right half of the reduced
+    echelon form of (m | 1); ValueError if m is singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of non-square matrix")
+    n = m.rows
+    one, zero = Fraction(1), Fraction(0)
+    aug = [row + tuple(one if i == j else zero for j in range(n)) for i, row in enumerate(m.data)]
+    pairs = _rref_rows(aug, 2 * n)
+    if len(pairs) != n or any(pc >= n for pc, _ in pairs):
+        raise ValueError("singular matrix")
+    return Matrix([row[n:] for _, row in pairs])
+
+
+def projectors_reference(components, dim):
+    """Reference for ``linalg.projectors``: C has the component bases as
+    columns, and P_k is the k-th column block of C times the k-th row block
+    of C^{-1}, by a dense inverse and dense products."""
+    bases = [row_basis(comp) for comp in components]
+    c = transpose(Matrix([v for b in bases for v in b]))
+    ci = inverse(c)
+    out = []
+    start = 0
+    for b in bases:
+        stop = start + len(b)
+        if start == stop:
+            out.append(Matrix.zeros(dim, dim))
+        else:
+            block = Matrix([row[start:stop] for row in c.data])
+            out.append(matmul(block, Matrix(ci.data[start:stop])))
+        start = stop
+    return out
+
+
+def b_matrix_reference(obj, coefficients):
+    """Reference for ``rmatrix.build_B``: sum_k lambda_k P_k as a dense sum
+    of the scaled ``projectors_reference`` matrices."""
+    dim = obj.space.dim**2
+    total = Matrix.zeros(dim, dim)
+    for lam, p in zip(coefficients, projectors_reference(obj.components, dim)):
+        total = mat_add(total, mat_scale(p, lam))
+    return total
+
+
 def dense_yang_baxter(b) -> bool:
     """Reference for ``yang_baxter_check``: B12 = B (x) 1 and B23 = 1 (x) B
     as dense n**3 x n**3 matrices, and the two triple products compared."""
     eye = Matrix.identity(b.object.space.dim)
     b12 = kron(b.matrix, eye)
     b23 = kron(eye, b.matrix)
-    return b12 @ b23 @ b12 == b23 @ b12 @ b23
+    return matmul(matmul(b12, b23), b12) == matmul(matmul(b23, b12), b23)
 
 
 def _reduce_bidegree(expansion, q1, q2):
@@ -334,7 +419,7 @@ def xi_quotient_reference(obj):
     area = [Fraction(0)] * (n * n)
     area[0 * n + 1] = Fraction(1)
     columns = [tuple(area)] + [tuple(v) for v in base]
-    mat = Matrix(columns).transpose()
+    mat = transpose(Matrix(columns))
     gammas = {}
     for a, b in product(range(n), repeat=2):
         target = [Fraction(0)] * (n * n)

@@ -375,8 +375,13 @@ def test_criterion_10_determinant():
         objs = [rand_sudbery(rng, sp) for _ in range(3)]
         triple = composable_triple(*objs)
         assert determinant_multiplicativity(triple)
-        scales = tuple(rand_constant(rng) for _ in range(3))
-        assert determinant_multiplicativity(triple, rescales=scales)
+        fa, fb, fc = (rand_constant(rng) for _ in range(3))
+        dets = (
+            determinant_2x2(objs[0], objs[1]).scale(fa / fb),
+            determinant_2x2(objs[1], objs[2]).scale(fb / fc),
+            determinant_2x2(objs[0], objs[2]).scale(fa / fc),
+        )
+        assert determinant_multiplicativity(triple, dets=dets)
     _passed(10, "determinant ad - p^{21} cb with all alternate closed forms; "
                 "multiplicativity on the fixed chain and 10 random chains, "
                 "with coboundary rescalings")

@@ -207,19 +207,24 @@ def test_determinant_multiplicativity_random_chains():
         assert determinant_multiplicativity(composable_triple(a, b, c))
 
 
-def test_determinant_multiplicativity_rescaled():
-    a, b, c = intro_chain()
-    triple = composable_triple(a, b, c)
-    assert determinant_multiplicativity(
-        triple, rescales=(Fraction(2), Fraction(1, 3), Fraction(7, 5))
+def rescaled_dets(triple, fa, fb, fc):
+    """det_ab, det_bc and det_ac under the coboundary rescaling of the area
+    forms of a, b and c by fa, fb and fc."""
+    return (
+        determinant_2x2(triple.a, triple.b).scale(fa / fb),
+        determinant_2x2(triple.b, triple.c).scale(fb / fc),
+        determinant_2x2(triple.a, triple.c).scale(fa / fc),
     )
 
 
-def test_determinant_rescale_factor():
-    a, b, _ = intro_chain()
-    det = determinant_2x2(a, b)
-    scaled = determinant_2x2(a, b, rescale=(Fraction(3), Fraction(5)))
-    assert scaled == det.scale(Fraction(3, 5))
+def test_determinant_multiplicativity_rescaled():
+    a, b, c = intro_chain()
+    triple = composable_triple(a, b, c)
+    dets = rescaled_dets(triple, Fraction(2), Fraction(1, 3), Fraction(7, 5))
+    assert determinant_multiplicativity(triple, dets=dets)
+    # an inconsistent rescaling (det_ac scaled alone) breaks it
+    bad = dets[:2] + (dets[2].scale(3),)
+    assert not determinant_multiplicativity(triple, dets=bad)
 
 
 def test_determinant_multiplicativity_corrupted_fails():
@@ -265,12 +270,7 @@ def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed)
     rng = random.Random(seed)
     a, b, c = (rand_sudbery(rng, even_space(2)) for _ in range(3))
     triple = composable_triple(a, b, c)
-    fa, fb, fc = (rand_nonzero(rng) for _ in range(3))
-    dets = [
-        determinant_2x2(a, b, (fa, fb)),
-        determinant_2x2(b, c, (fb, fc)),
-        determinant_2x2(a, c, (fa, fc)),
-    ]
+    dets = list(rescaled_dets(triple, *(rand_nonzero(rng) for _ in range(3))))
     if corrupt < 3:  # corrupt one of the three determinants
         dets[corrupt] = _scale_one_coefficient(rng, dets[corrupt])
     dets = tuple(dets)
@@ -278,16 +278,14 @@ def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed)
     assert determinant_multiplicativity(triple, dets=dets) == expected
     if corrupt == 3:
         assert expected
-        assert determinant_multiplicativity(triple, rescales=(fa, fb, fc))
 
 
 def _assert_determinant_matches_reference(seed):
     rng = random.Random(seed)
     src, tgt = (rand_sudbery(rng, even_space(2)) for _ in range(2))
-    rescale = (rand_nonzero(rng), rand_nonzero(rng))
-    det = determinant_2x2(src, tgt, rescale)
+    det = determinant_2x2(src, tgt)
     with mock.patch.object(bialgebra, "_xi_quotient_coefficients", xi_quotient_reference):
-        assert det == determinant_2x2(src, tgt, rescale)
+        assert det == determinant_2x2(src, tgt)
 
 
 @settings(max_examples=25, deadline=None)

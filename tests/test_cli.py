@@ -426,6 +426,27 @@ def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, reducti
     assert calls == {"annihilator": reductions, "row_basis": reductions}
 
 
+def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
+    # both braid matrices read the cached component bases (one row_basis per
+    # component), complementarity is checked once on load, and nothing inverts
+    calls: Counter = Counter()
+    for name in ("row_basis", "check_complementary", "inverse"):
+        real = getattr(linalg, name, None)
+        if real is None:
+            continue
+
+        def wrapper(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("qlincat") and hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
+    assert (calls["row_basis"], calls["check_complementary"], calls["inverse"]) == (2, 1, 0)
+
+
 def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):
     # three printed determinants plus one det(i, i+2) per triple
     calls = []

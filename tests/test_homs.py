@@ -251,7 +251,13 @@ def test_relation_matrix_view_matches_polys():
     assert (m.rows, m.cols) == (len(rels.polys), n * n)
     for row, p in zip(m.data, rels.polys):
         assert {divmod(c, n): x for c, x in enumerate(row) if x} == p.terms
-    assert relation_set(rels.alphabet, []).matrix.rows == 0
+    empty = relation_set(rels.alphabet, []).matrix
+    assert (empty.rows, empty.cols) == (0, n * n)
+    # the even dim-1 classical object: End has one generator and no relation
+    cl = make_classical(even_space(1))
+    view = hom_algebra(cl, cl).relations.matrix
+    assert (view.rows, view.cols) == (0, 1)
+    assert view == Matrix.zeros(0, 1) != Matrix.zeros(0, 0)
 
 
 def test_bilinear_form_relations_classical():

@@ -10,17 +10,26 @@ from qlincat.linalg import (
     Matrix,
     NotComplementary,
     annihilator,
-    inverse,
     kernel_basis,
     projectors,
     rank,
     row_basis,
     row_spans_equal,
+    spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
 from qlincat.spaces import make_classical, make_sudbery
 
-from support import kron, rand_nonzero, rank_bareiss
+from support import (
+    inverse,
+    kron,
+    mat_add,
+    mat_apply,
+    mat_scale,
+    matmul,
+    rand_nonzero,
+    rank_bareiss,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -68,7 +77,7 @@ def test_kernel_random_rank6():
     basis = kernel_basis(m)
     assert len(basis) == 4
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in mat_apply(m, v))
 
 
 def test_rank_nullity_randomized():
@@ -89,12 +98,14 @@ def test_field_axioms_randomized():
 
 
 def test_inverse_roundtrip():
+    # the dense reference inverse that the projector property compares against
     rng = random.Random(3)
     while True:
         m = rand_matrix(rng, 4, 4)
         if rank(m) == 4:
             break
-    assert m @ inverse(m) == Matrix.identity(4)
+    assert matmul(m, inverse(m)) == Matrix.identity(4)
+    assert matmul(inverse(m), m) == Matrix.identity(4)
 
 
 def test_annihilator_whole_space():
@@ -139,8 +150,8 @@ def test_projectors_classical_split():
     p_i, p_j = projectors(obj.components, 4)
     swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     eye = Matrix.identity(4)
-    assert p_j == (eye + swap).scale(Fraction(1, 2))
-    assert p_i == (eye + swap.scale(-1)).scale(Fraction(1, 2))
+    assert p_j == mat_scale(mat_add(eye, swap), Fraction(1, 2))
+    assert p_i == mat_scale(mat_add(eye, mat_scale(swap, -1)), Fraction(1, 2))
 
 
 def test_projectors_sudbery_identities():
@@ -153,16 +164,16 @@ def test_projectors_sudbery_identities():
     eye = Matrix.identity(4)
     total = Matrix.zeros(4, 4)
     for a, p in enumerate(ps):
-        total = total + p
-        assert p @ p == p
+        total = mat_add(total, p)
+        assert matmul(p, p) == p
         for b, p2 in enumerate(ps):
             if a != b:
-                assert p @ p2 == Matrix.zeros(4, 4)
+                assert matmul(p, p2) == Matrix.zeros(4, 4)
     assert total == eye
     # images are the components
     for p, comp in zip(ps, obj.components):
         for v in comp:
-            assert p.apply(v) == tuple(v)
+            assert mat_apply(p, v) == tuple(v)
 
 
 def test_projectors_trivial_parameters_match_classical():
@@ -210,6 +221,30 @@ def test_rref_pivots_monotone():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         inverse(Matrix([[1, 2], [2, 4]]))
+
+
+def test_spectral_sum_eigenvectors():
+    rng = random.Random(3)
+    while True:
+        m = rand_matrix(rng, 4, 4)
+        if rank(m) == 4:
+            break
+    bases = [m.data[:1], m.data[1:3], (), m.data[3:]]
+    values = [Fraction(2), Fraction(-1, 3), Fraction(9), Fraction(0)]
+    s = spectral_sum(bases, values, 4)
+    for b, lam in zip(bases, values):
+        for v in b:
+            assert mat_apply(s, v) == tuple(lam * x for x in v)
+    assert spectral_sum(bases, [1, 1, 1, 1], 4) == Matrix.identity(4)
+
+
+def test_spectral_sum_rejects_dependent_bases():
+    f = Fraction
+    e0, e1, e01 = (f(1), f(0)), (f(0), f(1)), (f(1), f(1))
+    assert spectral_sum([[e0], [e01]], [1, 2], 2) == Matrix([[1, 1], [0, 2]])
+    for bases in ([[e0], [e0]], [[e0, e01], [e1]], [[e0], []], [[e0, e0], [e1]]):
+        with pytest.raises(InvariantViolation):
+            spectral_sum(bases, [1, 2], 2)
 
 
 rationals = st.one_of(

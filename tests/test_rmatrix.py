@@ -1,13 +1,16 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import rmatrix
+import qlincat
+from qlincat import linalg, rmatrix
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
-from qlincat.linalg import Matrix, inverse, rank, row_spans_equal
+from qlincat.linalg import InvariantViolation, Matrix, projectors, rank, row_spans_equal
 from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
     BMatrix,
@@ -21,9 +24,16 @@ from qlincat.spaces import make_classical, make_general, make_normalized, make_s
 
 from support import (
     MIXED_SHAPES,
+    b_matrix_reference,
     dense_yang_baxter,
     even2_sudbery,
+    inverse,
     kron,
+    mat_add,
+    mat_apply,
+    mat_scale,
+    matmul,
+    projectors_reference,
     rand_constant,
     rand_general,
     rand_nonzero,
@@ -50,12 +60,12 @@ def test_classical_B_is_signed_swap():
         cl = make_classical(sp)
         b = build_B(cl, [-1, 1])  # -1 on the skew part, +1 on the symmetric part
         assert b.matrix == super_swap(sp)
-        assert b.matrix @ b.matrix == Matrix.identity(sp.dim**2)
+        assert matmul(b.matrix, b.matrix) == Matrix.identity(sp.dim**2)
         assert yang_baxter_check(b)
         # coefficients (1, -1) give the opposite signed permutation, also square one
         b_neg = build_B(cl, [1, -1])
-        assert b_neg.matrix == super_swap(sp).scale(-1)
-        assert b_neg.matrix @ b_neg.matrix == Matrix.identity(sp.dim**2)
+        assert b_neg.matrix == mat_scale(super_swap(sp), -1)
+        assert matmul(b_neg.matrix, b_neg.matrix) == Matrix.identity(sp.dim**2)
         assert yang_baxter_check(b_neg)
 
 
@@ -65,7 +75,7 @@ def test_build_B_eigenstructure():
     # components are eigenspaces: (B - lam) v = 0
     for lam, comp in zip((Fraction(1), Fraction(-5)), obj.components):
         for v in comp:
-            assert b.matrix.apply(v) == tuple(lam * x for x in v)
+            assert mat_apply(b.matrix, v) == tuple(lam * x for x in v)
 
 
 def test_eigenspaces_recover_decomposition():
@@ -74,7 +84,7 @@ def test_eigenspaces_recover_decomposition():
     obj = even2_sudbery(2, 3)
     b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
     for lam, comp in zip(b.coefficients, obj.components):
-        shifted = b.matrix + Matrix.identity(4).scale(-lam)
+        shifted = mat_add(b.matrix, mat_scale(Matrix.identity(4), -lam))
         assert row_spans_equal(kernel_basis(shifted), list(comp))
 
 
@@ -90,12 +100,12 @@ def test_build_B_three_components():
     projs = obj.projectors()
     total = Matrix.zeros(4, 4)
     for lam, p in zip((0, 1, 2), projs):
-        total = total + p.scale(lam)
+        total = mat_add(total, mat_scale(p, lam))
     assert b.matrix == total
     # eigenprojection recovers each component
     for lam, comp in zip((f(0), f(1), f(2)), comps):
         for v in comp:
-            assert b.matrix.apply(v) == tuple(lam * x for x in v)
+            assert mat_apply(b.matrix, v) == tuple(lam * x for x in v)
 
 
 def test_build_B_repeated_coefficient():
@@ -249,7 +259,9 @@ def braid_matrices(draw):
             break
     gg = kron(g, g)
     ggi = inverse(gg)
-    return bs + [BMatrix(b.object, b.coefficients, gg @ b.matrix @ ggi) for b in bs]
+    return bs + [
+        BMatrix(b.object, b.coefficients, matmul(matmul(gg, b.matrix), ggi)) for b in bs
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -275,16 +287,98 @@ def test_braid_check_fails_on_perturbed_entry():
     assert not yang_baxter_check(bad)
 
 
-def test_braid_check_builds_no_dense_product(monkeypatch):
+def test_braid_check_builds_no_dense_product():
+    # no package module defines or calls a dense matrix product or inverse,
+    # and Matrix has no arithmetic
+    dense = {"__matmul__", "__rmatmul__", "inverse", "transpose"}
+    for path in sorted(Path(qlincat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not isinstance(node, ast.MatMult), f"dense product at {where}"
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in dense, f"{node.name} defined at {where}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                assert name not in dense, f"{name} called at {where}"
+    for name in ("__matmul__", "__add__", "scale", "apply", "transpose"):
+        assert not hasattr(Matrix, name), name
+    assert not hasattr(linalg, "inverse")
     good = normalized_B(even2_sudbery(2, 3), Fraction(2, 3))
-    bad = _perturbed(good, 0, 1)
-
-    def refuse(self, other):
-        raise AssertionError("dense product in the braid check")
-
-    monkeypatch.setattr(Matrix, "__matmul__", refuse)
     assert yang_baxter_check(good)
-    assert not yang_baxter_check(bad)
+    assert not yang_baxter_check(_perturbed(good, 0, 1))
+
+
+@st.composite
+def spectral_objects(draw):
+    """Objects whose B and projectors come from ``spectral_sum``: two-parameter
+    objects over ``MIXED_SHAPES``, dense general objects, dense three-component
+    objects and general objects with one empty component; with pairwise
+    distinct coefficients, one per component."""
+    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sudbery", "general", "three", "empty"]))
+    if kind == "sudbery":
+        obj = rand_sudbery(rng, space)
+    elif kind == "general":
+        obj = rand_general(rng, space)
+    else:
+        n2 = space.dim**2
+        while True:
+            vecs = [tuple(rand_nonzero(rng) for _ in range(n2)) for _ in range(n2)]
+            if rank(Matrix(vecs)) == n2:
+                break
+        if kind == "three":
+            i, j = sorted(rng.sample(range(1, n2), 2))
+            comps = [vecs[:i], vecs[i:j], vecs[j:]]
+        else:
+            comps = [vecs, []]
+            rng.shuffle(comps)
+        obj = make_general(space, comps)
+    coeffs = []
+    while len(coeffs) < obj.s:
+        c = rand_nonzero(rng)
+        if c not in coeffs:
+            coeffs.append(c)
+    return obj, coeffs
+
+
+def _assert_spectral_sums_match_reference(obj, coeffs):
+    dim = obj.space.dim**2
+    assert build_B(obj, coeffs).matrix == b_matrix_reference(obj, coeffs)
+    assert projectors(obj.components, dim) == projectors_reference(obj.components, dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spectral_objects())
+def test_spectral_sums_match_inverse_reference(case):
+    _assert_spectral_sums_match_reference(*case)
+
+
+def test_spectral_sum_property_fails_on_swapped_values(monkeypatch):
+    # each value assigned to the next component instead of its own
+    real = linalg.spectral_sum
+
+    def rotated(bases, values, dim):
+        return real(bases, list(values[1:]) + list(values[:1]), dim)
+
+    monkeypatch.setattr(rmatrix, "spectral_sum", rotated)
+    monkeypatch.setattr(linalg, "spectral_sum", rotated)
+    obj = even2_sudbery(2, 3)
+    with pytest.raises(AssertionError):
+        assert build_B(obj, [1, -5]).matrix == b_matrix_reference(obj, [1, -5])
+    with pytest.raises(AssertionError):
+        assert projectors(obj.components, 4) == projectors_reference(obj.components, 4)
+
+
+def test_build_B_rejects_dependent_bases():
+    e = [tuple(Fraction(i == j) for j in range(4)) for i in range(4)]
+    obj = make_general(even_space(2), [e[:2], e[2:]])
+    assert obj.bases == ((e[0], e[1]), (e[2], e[3]))
+    # the cached bases corrupted so that both components contain e_0
+    obj.__dict__["bases"] = ((e[0], e[1]), (e[0], e[3]))
+    with pytest.raises(InvariantViolation):
+        build_B(obj, [1, 2])
 
 
 def _assert_span_matches_reference(src_shape, tgt_shape, matching, seed):
