@@ -88,11 +88,12 @@ class Matrix:
 
 def _cleared(terms: dict) -> dict:
     """The nonzero entries of a rational row, scaled to integers by the
-    least common multiple of their denominators."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
+    least common multiple of their denominators, each distinct denominator
+    taken once."""
+    dens = {c.denominator for c in terms.values()}
+    den = lcm(*dens)
+    factor = {d: den // d for d in dens}
+    return {k: c.numerator * factor[c.denominator] for k, c in terms.items() if c}
 
 
 def _int_rows(vectors: Iterable[Sequence], reflect: bool = False) -> list[dict[int, int]]:

@@ -6,18 +6,28 @@ numbered row-major (letter id = A * cols + K), so the natural integer order
 on ids is exactly the row-major generator order.  Words of equal degree are
 compared lexicographically; shorter words come first.  Rewrite rules are
 read from a relation set's degree-2 quotient: nothing here eliminates.
+
+``normal_form`` rewrites ``Fraction`` polynomials and is the public
+reference.  ``confluence_check`` decides each cubic overlap on integers
+instead: its rules are cleared once, and each overlap's difference is
+reduced as one integer row over words encoded as integers, largest word
+first, with the same verdict as the normal form of that difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from string import ascii_letters
 
 from .graded import GradedSpace
-from .linalg import frac
+from .linalg import _cleared, frac
 
 Word = tuple[int, ...]
+# A rule cleared to integers, P * lead = sum r_u * u: (P, {u: r_u}), words
+# of degree 2 encoded as g * n + h.
+IntRule = tuple[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -231,24 +241,77 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
     rule[xy] z - x rule[yz] has normal form zero.  Normal forms are linear,
     so this is the comparison of the two normal forms, made with one.
 
+    The difference is reduced on integers.  Each rule is cleared once to
+    P lead = sum r_u u with P > 0, and a degree-3 word (x, y, z) is the integer
+    x n^2 + y n + z, so integer order is the monomial order.  The overlap
+    row, scaled by P_xy P_yz, repeatedly cancels its largest word by the
+    rule at that word's leftmost reducible pair, the strategy of
+    ``normal_form``.  A rewrite adds only smaller words, so a largest word
+    that no rule reduces keeps its coefficient in the normal form, and the
+    overlap is unresolved; an emptied row is resolved.
+
     An empty failure list means the normal form is path-independent in
     degree 3, which for quadratic systems settles linear independence of the
     ordered monomials in every degree.
     """
+    n = system.alphabet.size
+    rules: dict[int, IntRule] = {}
+    for (g, h), rule in system.rules.items():
+        lead = g * n + h
+        row = _cleared({lead: 1, **{u * n + v: c for (u, v), c in rule.terms.items()}})
+        rules[lead] = (row.pop(lead), row)
     lefts = sorted(system.rules, key=word_key)
     by_first: dict[int, list[Word]] = {}
     for w in lefts:
         by_first.setdefault(w[0], []).append(w)
     reports = []
     for xy in lefts:
+        p_xy, rest_xy = rules[xy[0] * n + xy[1]]
         for yz in by_first.get(xy[1], ()):
             x, z = xy[0], yz[1]
-            diff = {w + (z,): c for w, c in system.rules[xy].terms.items()}
-            for w, c in system.rules[yz].terms.items():
-                diff[(x,) + w] = diff.get((x,) + w, 0) - c
-            resolved = normal_form(NCPoly(system.alphabet, diff), system).is_zero
-            reports.append(Overlap((x, xy[1], z), resolved))
+            p_yz, rest_yz = rules[yz[0] * n + yz[1]]
+            row = {u * n + z: p_yz * r for u, r in rest_xy.items()}
+            for u, r in rest_yz.items():
+                k = x * n * n + u
+                v = row.get(k, 0) - p_xy * r
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+            reports.append(Overlap((x, xy[1], z), _resolves(row, rules, n)))
     return reports
+
+
+def _resolves(row: dict[int, int], rules: dict[int, IntRule], n: int) -> bool:
+    """Cancel the largest word of an integer degree-3 row until the row is
+    empty (True) or its largest word has no reducible pair (False)."""
+    n2 = n * n
+    while row:
+        w = max(row)
+        head, z = divmod(w, n)
+        rule = rules.get(head)
+        if rule is not None:
+            p, rest = rule
+            shifted = [(u * n + z, r) for u, r in rest.items()]
+        else:
+            x, tail = divmod(w, n2)
+            rule = rules.get(tail)
+            if rule is None:
+                return False
+            p, rest = rule
+            shifted = [(x * n2 + u, r) for u, r in rest.items()]
+        a = row.pop(w)
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            row = {k: p * v for k, v in row.items()}
+        for k, r in shifted:
+            v = row.get(k, 0) + a * r
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+    return True
 
 
 def failed_overlaps(reports: list[Overlap]) -> list[Overlap]:

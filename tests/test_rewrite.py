@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qlincat import rewrite
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, relation_set
-from qlincat.linalg import Matrix, rank
+from qlincat.linalg import _cleared, _echelon, _insert
 from qlincat.pbw import classical_dimension, dimension_oracle
 from qlincat.rewrite import (
     Alphabet,
@@ -20,6 +21,7 @@ from qlincat.rewrite import (
     monomial_compare,
     nonordered_degree2_words,
     normal_form,
+    reduce_once,
     word_key,
 )
 from qlincat.homs import hom_algebra
@@ -29,7 +31,10 @@ from support import (
     MIXED_SHAPES,
     criterion_pair,
     even2_sudbery,
+    rand_general,
+    rand_nonzero,
     rand_sudbery,
+    relation_int_rows,
     sudbery_with_constant,
 )
 
@@ -144,19 +149,23 @@ def test_odd_square_rewrites_to_zero():
     assert normal_form(square, system).is_zero
 
 
-def _ideal_rows_degree3(rels):
+def _degree3_ideal(rels):
+    """Echelon of the degree-3 part of the ideal: each relation row times a
+    letter on the left and on the right, word (g, h, k) at column
+    g n^2 + h n + k."""
     n = rels.alphabet.size
     rows = []
-    for rel in rels.polys:
+    for row in relation_int_rows(rels):
         for x in range(n):
-            pre = {}
-            post = {}
-            for (g, h), c in rel.terms.items():
-                pre[x * n * n + g * n + h] = c
-                post[g * n * n + h * n + x] = c
-            for row in (pre, post):
-                rows.append([row.get(i, Fraction(0)) for i in range(n**3)])
-    return Matrix(rows)
+            rows.append({x * n * n + c: v for c, v in row.items()})
+            rows.append({c * n + x: v for c, v in row.items()})
+    return _echelon(rows)
+
+
+def _in_ideal(ideal, p: NCPoly) -> bool:
+    n = p.alphabet.size
+    row = _cleared({(g * n + h) * n + k: c for (g, h, k), c in p.terms.items()})
+    return _insert(dict(ideal), row) is None
 
 
 def test_normal_form_soundness_degree3():
@@ -165,18 +174,45 @@ def test_normal_form_soundness_degree3():
     tgt = rand_sudbery(rng, even_space(2))
     rels = derive_relations_general(src, tgt)
     system = build_rewrite_system(rels)
-    ideal = _ideal_rows_degree3(rels)
-    base_rank = rank(ideal)
+    ideal = _degree3_ideal(rels)
     for _ in range(10):
         word = tuple(rng.randrange(4) for _ in range(3))
         p = NCPoly.monomial(system.alphabet, word)
-        diff = p - normal_form(p, system)
-        if diff.is_zero:
-            continue
-        vec = [Fraction(0)] * 64
-        for (g, h, k), c in diff.terms.items():
-            vec[g * 16 + h * 4 + k] = c
-        assert rank(Matrix(ideal.data + (tuple(vec),))) == base_rank
+        assert _in_ideal(ideal, p - normal_form(p, system))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["yes", "no", "general"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_normal_form_is_sound(kind, src_shape, tgt_shape, seed):
+    # every rewrite step subtracts a multiple of a relation, so p - nf(p)
+    # lies in the degree-3 part of the ideal, complete system or not
+    rng = random.Random(seed)
+    src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
+    rels = hom_algebra(src, tgt).relations
+    system = build_rewrite_system(rels)
+    al = system.alphabet
+    ideal = _degree3_ideal(rels)
+    p = NCPoly(
+        al,
+        {tuple(rng.randrange(al.size) for _ in range(3)): rand_nonzero(rng) for _ in range(4)},
+    )
+    diff = p - normal_form(p, system)
+    assert _in_ideal(ideal, diff)
+    if kind == "yes":
+        # control: on a PBW pair the ordered words are independent modulo
+        # the ideal, so one of them added to the difference leaves it
+        ordered = [
+            w
+            for w in product(range(al.size), repeat=3)
+            if reduce_once(w, system) is None
+        ]
+        word = rng.choice(ordered)
+        assert not _in_ideal(ideal, diff + NCPoly.monomial(al, word))
 
 
 def test_confluence_classical():
@@ -289,32 +325,80 @@ def two_normal_form_verdicts(system):
     return verdicts
 
 
+def _verdicts(system):
+    return [(r.word, r.resolved) for r in confluence_check(system)]
+
+
+def _drop_rule(system, lead):
+    """The system without one rule: its leading word goes missing."""
+    rules = {w: r for w, r in system.rules.items() if w != lead}
+    return replace(system, rules=rules, missing_leaders=system.missing_leaders + (lead,))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    st.sampled_from(["yes", "no"]),
+    st.sampled_from(["yes", "no", "general"]),
     st.sampled_from(MIXED_SHAPES),
     st.sampled_from(MIXED_SHAPES),
     st.integers(0, 2**32 - 1),
 )
 def test_confluence_matches_two_normal_forms(kind, src_shape, tgt_shape, seed):
-    src, tgt = criterion_pair(random.Random(seed), kind, src_shape, tgt_shape)
+    rng = random.Random(seed)
+    if kind == "general":
+        # dense rules with unequal denominators on both sides; the target
+        # stays at dimension 2 so that the Fraction reference stays fast
+        src = rand_general(rng, space_of(src_shape))
+        tgt = rand_general(rng, space_of(tgt_shape[:2]))
+    else:
+        src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
     system = build_rewrite_system(hom_algebra(src, tgt).relations)
-    reports = confluence_check(system)
-    assert [(r.word, r.resolved) for r in reports] == two_normal_form_verdicts(system)
+    assert _verdicts(system) == two_normal_form_verdicts(system)
+    incomplete = _drop_rule(system, rng.choice(sorted(system.rules)))
+    assert not incomplete.complete
+    assert _verdicts(incomplete) == two_normal_form_verdicts(incomplete)
 
 
-def test_confluence_makes_one_normal_form_per_overlap(monkeypatch):
-    calls = []
-    real = rewrite.normal_form
+def test_confluence_general_rules_clear_to_non_unit_denominators():
+    rng = random.Random(5)
+    src = rand_general(rng, space_of((0, 1)))
+    tgt = rand_general(rng, space_of((0, 0)))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    assert any(c.denominator > 1 for r in system.rules.values() for c in r.terms.values())
+    assert _verdicts(system) == two_normal_form_verdicts(system)
 
-    def counting(p, system):
-        calls.append(p)
-        return real(p, system)
 
-    monkeypatch.setattr(rewrite, "normal_form", counting)
-    reports = []
-    for tgt in (even2_sudbery(2, 1), even2_sudbery(3, 1)):  # YES, then NO
-        rels = derive_relations_general(even2_sudbery(2, 1), tgt)
-        reports += confluence_check(build_rewrite_system(rels))
+@pytest.mark.parametrize("seed", range(6))
+def test_confluence_fails_on_one_scaled_rule_coefficient(seed):
+    rng = random.Random(seed)
+    src, tgt = criterion_pair(rng, "yes", rng.choice(MIXED_SHAPES), rng.choice(MIXED_SHAPES))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    assert system.complete and not failed_overlaps(confluence_check(system))
+    lead = max((w for w, r in system.rules.items() if r.terms), key=word_key)
+    terms = dict(system.rules[lead].terms)
+    word = max(terms, key=word_key)
+    terms[word] *= 3
+    broken = replace(system, rules={**system.rules, lead: NCPoly(system.alphabet, terms)})
+    verdicts = _verdicts(broken)
+    assert not all(resolved for _, resolved in verdicts)
+    assert verdicts == two_normal_form_verdicts(broken)
+
+
+def test_confluence_makes_no_normal_form(monkeypatch):
+    # the overlaps are decided on integers: no normal form, no polynomial
+    # and no Fraction arithmetic once the rules are built
+    src = even2_sudbery(2, 1)
+    systems = [
+        build_rewrite_system(derive_relations_general(src, tgt))
+        for tgt in (even2_sudbery(2, 1), even2_sudbery(3, 1))  # YES, then NO
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("confluence_check left the integers")
+
+    monkeypatch.setattr(rewrite, "normal_form", forbidden)
+    monkeypatch.setattr(NCPoly, "__init__", forbidden)
+    for op in ("add", "sub", "mul", "truediv", "radd", "rsub", "rmul", "rtruediv", "neg"):
+        monkeypatch.setattr(Fraction, f"__{op}__", forbidden)
+    reports = [r for system in systems for r in confluence_check(system)]
+    monkeypatch.undo()
     assert {r.resolved for r in reports} == {True, False}
-    assert len(calls) == len(reports)
