@@ -4,9 +4,10 @@ Every scalar is a ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Every elimination runs through ``_insert``:
 rows are ``{column: int}`` dicts with denominators cleared per row, the
 pivot of a row is its largest column, and rows are kept gcd-normalised.
-The forward pass alone gives the rank.  ``_reduce`` back-substitutes it
-into the reduced echelon form (pivot entries 1) for the callers that need
-that form.  The largest-column pivot is the leading word of the monomial
+The forward pass alone gives the rank.  ``_back_substituted`` reduces it
+on integers (the form the dimension oracle reads) and ``_reduce`` scales
+that to the reduced echelon form (pivot entries 1) for the callers that
+need it.  The largest-column pivot is the leading word of the monomial
 order; callers that work in natural column order (kernels, row bases and
 spectral sums) reflect column c to ncols-1-c so that the leftmost column is
 pivoted first.  The yes/no checks form no dense product:
@@ -149,22 +150,26 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _reduce(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """Back-substitution: the reduced echelon form of an ``_echelon`` result.
-
-    Each row keeps only its own pivot among the pivot columns and is scaled
-    so that its pivot entry is 1.  Rows are reduced in ascending pivot order,
-    so each row is cancelled only against rows that are already reduced.
-    """
+def _back_substituted(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Integer back-substitution of an ``_echelon`` result: each row keeps
+    only its own pivot among the pivot columns, gcd-normalised.  Rows are
+    reduced in ascending pivot order, so each row is cancelled only against
+    rows that are already reduced."""
     done: dict[int, dict[int, int]] = {}
     for lead in sorted(echelon):
         row = echelon[lead]
         for c in [c for c in row if c != lead and c in done]:
             row = _cancel(row, done[c], c)
         done[lead] = row
+    return done
+
+
+def _reduce(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon form of an ``_echelon`` result: its
+    ``_back_substituted`` rows scaled so that each pivot entry is 1."""
     return {
         lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
-        for lead, row in done.items()
+        for lead, row in _back_substituted(echelon).items()
     }
 
 

@@ -16,6 +16,7 @@ from qlincat.pbw import (
     pbw_criterion,
     pbw_extract_constant,
 )
+from qlincat.rewrite import build_rewrite_system, confluence_check, failed_overlaps
 from qlincat.spaces import make_classical, make_sudbery
 
 from support import (
@@ -134,8 +135,10 @@ def test_oracle_guards_raise_before_elimination(monkeypatch):
         (_unreduced(hom_algebra(one, one)), 10**12),
         (_unreduced(hom_algebra(cl, cl)), 10**12),
     ]
-    # the oracle's elimination: the relation span's echelon and pbw's inserts
+    # the oracle's elimination: the relation span's echelon, its
+    # back-substitution and pbw's inserts
     monkeypatch.setattr(homs, "_echelon", no_elimination)
+    monkeypatch.setattr(pbw, "_back_substituted", no_elimination)
     monkeypatch.setattr(pbw, "_insert", no_elimination)
     for hom, degree in cases:
         for oracle in (dimension_oracle, oracle_dims):
@@ -160,7 +163,8 @@ def test_oracle_dims_is_one_pass(monkeypatch):
 
     hom = hom_algebra(even2_sudbery(2, 1), even2_sudbery(3, 1))
     # the oracle starts from the relation span's echelon, computed once when
-    # the span was derived, and eliminates nothing from scratch
+    # the span was derived; after that it inserts only each degree's new
+    # rows, one at a time, and never eliminates a set of rows from scratch
     for module in (homs, linalg):
         monkeypatch.setattr(module, "_echelon", counting)
     dims = oracle_dims(hom, 5)
@@ -194,11 +198,46 @@ def test_oracle_matches_placement_oracle(pair):
 
 @pytest.mark.parametrize("kind", ["yes", "general"])
 def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
-    # the recursion then keeps only I_{d-1} V and drops the rows V N_{d-1}
+    # the recursion then keeps only I_{d-1} V and drops the rows V M_{d-1}
     monkeypatch.setattr(pbw, "_insert", lambda pivots, row: None)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
+    # words with a reducible prefix then stay in the rows x M_{d-1} and in
+    # the prefix relations, so those rows are not reduced modulo I_{d-1} V
+    monkeypatch.setattr(pbw, "_cancel", lambda row, piv, col: row)
+    src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
+    with pytest.raises(AssertionError):
+        _assert_oracle_matches_placements(src, tgt)
+
+
+def _assert_degree_independent(hom):
+    # pbw.oracle_dims, not the imported name, so that a control can wrap it
+    top = 5 if hom.alphabet.size <= 4 else 4
+    full = pbw.oracle_dims(hom, top)
+    for d in range(2, top + 1):
+        assert pbw.oracle_dims(hom, d) == full[: d - 1]
+        assert dimension_oracle(hom, d) == full[d - 2][1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+def test_oracle_dims_do_not_depend_on_the_requested_degree(pair):
+    _assert_degree_independent(hom_algebra(*pair))
+
+
+def test_degree_property_fails_when_results_leak_across_degrees(monkeypatch):
+    # an oracle that remembers the first answer per hom algebra, whatever
+    # the degree asked for
+    real, seen = pbw.oracle_dims, {}
+    monkeypatch.setattr(pbw, "oracle_dims", lambda hom, top: seen.setdefault(id(hom), real(hom, top)))
+    hom = hom_algebra(*criterion_pair(random.Random(7), "yes", (0, 1), (0, 0)))
+    with pytest.raises(AssertionError):
+        _assert_degree_independent(hom)
 
 
 @pytest.mark.parametrize("shape, top", [((0, 0), 8), ((0, 0, 1), 5)])
@@ -352,15 +391,31 @@ def test_oracle_degree4_confidence_run():
     assert dimension_oracle(bad, 4) < classical_dimension(bad.alphabet.parities, 4)
 
 
-def test_criterion_positive_randomized():
-    rng = random.Random(101)
-    for _ in range(6):
-        parities = rng.choice([(0, 0), (0, 1), (0, 0, 1)])
-        sp = space_of(parities)
-        c = rand_constant(rng)
-        src = sudbery_with_constant(rng, sp, c)
-        tgt = sudbery_with_constant(rng, sp, rng.choice([c, 1 / c]))
-        verdict = pbw_criterion(src, tgt, oracle_degree=3)
-        assert verdict.criterion_holds
-        for _, dim, cl in verdict.oracle_dims:
-            assert dim == cl
+def _assert_criterion_matches_oracle_and_confluence(src, tgt):
+    verdict = pbw_criterion(src, tgt, oracle_degree=3)
+    classical = all(dim == cl for _, dim, cl in verdict.oracle_dims)
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    confluent = not failed_overlaps(confluence_check(system))
+    assert verdict.criterion_holds == classical
+    assert verdict.criterion_holds == confluent
+
+
+@st.composite
+def criterion_pairs(draw):
+    kind = draw(st.sampled_from(["yes", "no"]))
+    src_shape, tgt_shape = draw(st.sampled_from(MIXED_SHAPES)), draw(st.sampled_from(MIXED_SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return criterion_pair(rng, kind, src_shape, tgt_shape)
+
+
+@settings(max_examples=20, deadline=None)
+@given(criterion_pairs())
+def test_criterion_agrees_with_oracle_and_confluence(pair):
+    _assert_criterion_matches_oracle_and_confluence(*pair)
+
+
+def test_criterion_property_fails_when_every_constant_is_compatible(monkeypatch):
+    monkeypatch.setattr(pbw, "_compatible", lambda ea, eb: True)
+    src, tgt = criterion_pair(random.Random(7), "no", (0, 1), (0, 0))
+    with pytest.raises(AssertionError):
+        _assert_criterion_matches_oracle_and_confluence(src, tgt)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlincat import spaces
-from qlincat.graded import even_space, koszul_signs, space_of
+from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
 from qlincat.linalg import Matrix, NotComplementary, annihilator, rank, row_spans_equal
 from qlincat.spaces import (
     BadParameters,
@@ -17,7 +19,7 @@ from qlincat.spaces import (
 )
 from qlincat.pbw import pbw_extract_constant
 
-from support import rand_sudbery
+from support import MIXED_SHAPES, rand_general, rand_sudbery
 
 
 def test_classical_dims_even2():
@@ -220,10 +222,52 @@ def test_dual_sudbery_closed_form():
         assert all(pd[a][b] == 1 / q[a][b] for a in range(n) for b in range(n))
 
 
-def test_dual_involution():
-    rng = random.Random(21)
-    obj = rand_sudbery(rng, space_of((0, 1)))
-    assert objects_equal(dual_object(dual_object(obj)), obj)
+def _koszul_orthogonal(space, gs, fs) -> bool:
+    words = list(product(range(space.dim), repeat=2))
+    return all(
+        sum(g[i] * f[i] * koszul_pairing(space, w, w) for i, w in enumerate(words)) == 0
+        for g in gs
+        for f in fs
+    )
+
+
+def _assert_dual_is_an_involution(obj):
+    dual = dual_object(obj)
+    # each dual component annihilates the other original component under
+    # the Koszul pairing, read here from ``koszul_pairing``, not the signs
+    assert _koszul_orthogonal(obj.space, dual.components[0], obj.components[1])
+    assert _koszul_orthogonal(obj.space, dual.components[1], obj.components[0])
+    assert dual.component_dims() == obj.component_dims()
+    twice = dual_object(dual)
+    assert objects_equal(twice, obj)
+    assert (twice.kind, twice.qp) == (obj.kind, obj.qp)
+
+
+@st.composite
+def dualisable_objects(draw):
+    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sudbery", "general", "classical"]))
+    if kind == "classical":
+        return make_classical(space)
+    return rand_sudbery(rng, space) if kind == "sudbery" else rand_general(rng, space)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dualisable_objects())
+def test_dual_involution(obj):
+    _assert_dual_is_an_involution(obj)
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 1, 1)])
+def test_dual_property_fails_without_koszul_signs(monkeypatch, shape):
+    # a dual over the plain pairing is still an involution, but it no longer
+    # annihilates a component whose vectors mix words of two odd letters
+    # with other words (a two-parameter component never does)
+    monkeypatch.setattr(spaces, "koszul_signs", lambda space: (1,) * space.dim**2)
+    obj = rand_general(random.Random(21), space_of(shape))
+    with pytest.raises(AssertionError):
+        _assert_dual_is_an_involution(obj)
 
 
 def test_dual_components_are_annihilators():
