@@ -26,7 +26,7 @@ from .homs import (
     degree2_quotient,
     hom_algebra,
 )
-from .linalg import Matrix, _cleared, _echelon, _int_rows
+from .linalg import Matrix, _back_substituted, _cleared, _echelon, _int_rows
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -185,7 +185,8 @@ def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fract
     by the Pi-image of the second component.  That part must be spanned by
     the area form [xi^1 xi^2]."""
     n = obj.space.dim
-    q = _quotient(n, _echelon(_int_rows(pi_image(obj.space, v) for v in obj.components[1])))
+    rows = _int_rows(pi_image(obj.space, v) for v in obj.components[1])
+    q = _quotient(n, _back_substituted(_echelon(rows)))
     if q.dim != 1 or not q.coords.get((0, 1)):
         raise WrongShape("area form is degenerate for this object")
     (word,) = q.basis

@@ -13,9 +13,10 @@ For two-parameter objects the closed single-relation formula (one relation
 per index quadruple, with ratio coefficients) is implemented separately and
 must produce the same span, which tests enforce.
 
-A relation span is stored once, as polynomials, and eliminated once: every
-reader takes its ``RelationSet.echelon`` and its degree-2 ``quotient``
-(one back-substitution of that echelon) and none of them mutates either.
+A relation span is stored once, as polynomials, eliminated once and
+back-substituted once: every reader takes its ``RelationSet.echelon``, its
+``back_substituted`` rows or its degree-2 ``quotient`` (those rows scaled)
+and none of them mutates any of the three.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from functools import cached_property
 from itertools import product
 
 from .graded import koszul_sign
-from .linalg import InvariantViolation, Matrix, _cleared, _echelon, _reduce, _same_span
+from .linalg import (
+    InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _reduce, _same_span,
+)
 from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -56,9 +59,15 @@ class RelationSet:
         )
 
     @cached_property
+    def back_substituted(self) -> dict[int, dict[int, int]]:
+        """The echelon's one integer back-substitution: the degree-2
+        quotient scales it and the dimension oracle starts from it."""
+        return _back_substituted(self.echelon)
+
+    @cached_property
     def quotient(self) -> QuotientMap:
         """The degree-2 part of the quotient algebra by this span."""
-        return _quotient(self.alphabet.size, self.echelon)
+        return _quotient(self.alphabet.size, self.back_substituted)
 
     @property
     def span_dim(self) -> int:
@@ -213,12 +222,12 @@ class QuotientMap:
         return len(self.basis)
 
 
-def _quotient(n: int, echelon: dict[int, dict[int, int]]) -> QuotientMap:
+def _quotient(n: int, back: dict[int, dict[int, int]]) -> QuotientMap:
     """The degree-2 quotient of the free algebra on n letters by the span of
-    an ``_echelon`` result whose column g * n + h is the word (g, h): each
-    leading word of the reduced echelon form equals the smaller words left
-    in its row, both in descending word order."""
-    reduced = _reduce(echelon)
+    ``_back_substituted`` rows whose column g * n + h is the word (g, h):
+    each leading word of the reduced echelon form equals the smaller words
+    left in its row, both in descending word order."""
+    reduced = _reduce(back)
     leads = {
         divmod(lead, n): {
             divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)

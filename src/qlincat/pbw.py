@@ -66,8 +66,8 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     ``relation(k, w)`` is None when w is normal at degree k, else the row of
     I_k with pivot w whose other words are normal at degree k.  It is
     memoised: the relation of w's prefix shifted by y, cancelled once per
-    pivot column of the back-substituted M_k.  M_2 is the back-substituted
-    ``RelationSet.echelon``; the top degree's M_d is only counted.
+    pivot column of the back-substituted M_k.  M_2 is the span's cached
+    ``RelationSet.back_substituted``; the top degree's M_d is only counted.
     """
     if top < 2:
         raise ValueError("oracle needs degree >= 2")
@@ -76,7 +76,7 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     if top >= ORACLE_WORD_LIMIT.bit_length() or n**top > ORACLE_WORD_LIMIT:
         what = f"{n}**{top} words exceed" if n > 1 else f"degree {top} exceeds"
         raise TooLarge(f"{what} the oracle guard")
-    new = {2: _back_substituted(hom.relations.echelon)}
+    new = {2: hom.relations.back_substituted}
     known: dict[int, dict[int, dict[int, int] | None]] = {k: {} for k in range(2, top)}
 
     def relation(k: int, w: int) -> dict[int, int] | None:

@@ -7,18 +7,22 @@ on ids is exactly the row-major generator order.  Words of equal degree are
 compared lexicographically; shorter words come first.  Rewrite rules are
 read from a relation set's degree-2 quotient: nothing here eliminates.
 
-``normal_form`` rewrites ``Fraction`` polynomials and is the public
-reference.  ``confluence_check`` decides each cubic overlap on integers
-instead: its rules are cleared once, and each overlap's difference is
-reduced as one integer row over words encoded as integers, largest word
-first, with the same verdict as the normal form of that difference.
+``normal_form`` and ``confluence_check`` share one integer reducer,
+``_reduced``.  Each system clears its rules to integers once
+(``RewriteSystem.int_rules``).  A degree-d word is encoded in base n, the
+alphabet size, so integer order is word order at fixed degree.  The reducer
+always cancels the largest word of a homogeneous row at that word's
+leftmost reducible pair.  ``normal_form`` reduces each homogeneous
+component fully and divides by the accumulated scale; ``confluence_check``
+stops at the first largest word that no rule reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from string import ascii_letters
 
 from .graded import GradedSpace
@@ -185,6 +189,18 @@ class RewriteSystem:
     def complete(self) -> bool:
         return not self.missing_leaders and not self.unexpected_leaders
 
+    @cached_property
+    def int_rules(self) -> dict[int, IntRule]:
+        """Each rule cleared once to P lead = sum r_u u with P > 0, keyed by
+        its leading word; degree-2 words are encoded as g * n + h."""
+        n = self.alphabet.size
+        out = {}
+        for (g, h), rule in self.rules.items():
+            lead = g * n + h
+            row = _cleared({lead: 1, **{u * n + v: c for (u, v), c in rule.terms.items()}})
+            out[lead] = (row.pop(lead), row)
+        return out
+
 
 def build_rewrite_system(relations) -> RewriteSystem:
     """Each leading word rewrites to its coordinates in the degree-2
@@ -200,33 +216,92 @@ def build_rewrite_system(relations) -> RewriteSystem:
     return RewriteSystem(alphabet, rules, missing, unexpected)
 
 
-def reduce_once(word: Word, system: RewriteSystem) -> tuple[int, NCPoly] | None:
-    """Leftmost reducible adjacent pair, or None if the word is normal."""
-    for i in range(len(word) - 1):
-        rule = system.rules.get((word[i], word[i + 1]))
-        if rule is not None:
-            return i, rule
-    return None
-
-
 def normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
-    """Rewrite every term until no rule left side occurs as a subword.
+    """Rewrite p until no rule left side occurs as a subword.
 
-    Strategy: always the leftmost reducible adjacent pair.  Terminates
-    because each step strictly decreases the word in the degree-lex order.
+    Each homogeneous component is cleared to integers and reduced by
+    ``_reduced``: the largest word first, at its leftmost reducible pair.
+    Terminates because each step replaces a word by smaller ones.  Raises
+    ValueError when p is over another alphabet or holds a letter outside it.
     """
+    if p.alphabet != system.alphabet:
+        raise ValueError("polynomial and rewrite system have different alphabets")
+    n = system.alphabet.size
+    components: dict[int, dict[int, Fraction]] = {}
+    for word, c in p.terms.items():
+        code = 0
+        for g in word:
+            if not 0 <= g < n:
+                raise ValueError(f"letter {g} of word {word} is not in the alphabet")
+            code = code * n + g
+        components.setdefault(len(word), {})[code] = c
     out: dict[Word, Fraction] = {}
-    stack: list[tuple[Word, Fraction]] = list(p.terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        hit = reduce_once(word, system)
-        if hit is None:
-            out[word] = out.get(word, Fraction(0)) + coeff
-            continue
-        i, rule = hit
-        for w2, c2 in rule.terms.items():
-            stack.append((word[:i] + w2 + word[i + 2:], coeff * c2))
+    for degree, terms in components.items():
+        den = lcm(*(c.denominator for c in terms.values()))
+        row = {code: int(c * den) for code, c in terms.items()}
+        normal, scale = _reduced(row, system.int_rules, n, degree)
+        for code, v in normal.items():
+            word = []
+            for _ in range(degree):
+                code, g = divmod(code, n)
+                word.append(g)
+            out[tuple(reversed(word))] = Fraction(v, scale * den)
     return NCPoly(p.alphabet, out)
+
+
+def _pair_shifts(n: int, degree: int) -> list[int]:
+    """The place value n^k of each adjacent pair of a degree-d word
+    encoded in base n, leftmost pair first."""
+    return [n**k for k in range(degree - 2, -1, -1)]
+
+
+def _reduced(
+    row: dict[int, int], rules: dict[int, IntRule], n: int, degree: int, stop: bool = False
+) -> tuple[dict[int, int], int]:
+    """Reduce an integer row of degree-d words encoded in base n; the row
+    is consumed.  Returns (normal, scale) with normal equal to scale times
+    the normal form of the row.
+
+    The largest word is cancelled at its leftmost reducible pair, the pair
+    with place value ``shift``: P times the word is replaced by the sum of
+    r_u (base + u shift) with the pair's rule P lead = sum r_u u.  The row
+    is scaled by P over gcd(P, coefficient), and so is the scale.  A
+    rewrite adds only smaller words, so a largest word that no rule reduces
+    is normal.  With ``stop`` the reduction ends at the first such word.
+    """
+    n2 = n * n
+    shifts = _pair_shifts(n, degree)
+    normal: dict[int, int] = {}
+    scale = 1
+    while row:
+        w = max(row)
+        for shift in shifts:
+            pair = w // shift % n2
+            rule = rules.get(pair)
+            if rule is not None:
+                break
+        else:
+            normal[w] = row.pop(w)
+            if stop:
+                break
+            continue
+        p, rest = rule
+        a = row.pop(w)
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            row = {k: p * v for k, v in row.items()}
+            normal = {k: p * v for k, v in normal.items()}
+            scale *= p
+        base = w - pair * shift
+        for u, r in rest.items():
+            k = base + u * shift
+            v = row.get(k, 0) + a * r
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+    return normal, scale
 
 
 @dataclass(frozen=True)
@@ -241,25 +316,19 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
     rule[xy] z - x rule[yz] has normal form zero.  Normal forms are linear,
     so this is the comparison of the two normal forms, made with one.
 
-    The difference is reduced on integers.  Each rule is cleared once to
-    P lead = sum r_u u with P > 0, and a degree-3 word (x, y, z) is the integer
-    x n^2 + y n + z, so integer order is the monomial order.  The overlap
-    row, scaled by P_xy P_yz, repeatedly cancels its largest word by the
-    rule at that word's leftmost reducible pair, the strategy of
-    ``normal_form``.  A rewrite adds only smaller words, so a largest word
-    that no rule reduces keeps its coefficient in the normal form, and the
-    overlap is unresolved; an emptied row is resolved.
+    The difference, scaled by P_xy P_yz, is one integer row over degree-3
+    words encoded in base n, built from ``RewriteSystem.int_rules``.
+    ``_reduced`` cancels its largest words as ``normal_form`` does and
+    stops at the first one that no rule reduces: that word keeps its
+    coefficient in the normal form, so the overlap is unresolved; an
+    emptied row is resolved.
 
     An empty failure list means the normal form is path-independent in
     degree 3, which for quadratic systems settles linear independence of the
     ordered monomials in every degree.
     """
     n = system.alphabet.size
-    rules: dict[int, IntRule] = {}
-    for (g, h), rule in system.rules.items():
-        lead = g * n + h
-        row = _cleared({lead: 1, **{u * n + v: c for (u, v), c in rule.terms.items()}})
-        rules[lead] = (row.pop(lead), row)
+    rules = system.int_rules
     lefts = sorted(system.rules, key=word_key)
     by_first: dict[int, list[Word]] = {}
     for w in lefts:
@@ -278,40 +347,9 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
                     row[k] = v
                 else:
                     del row[k]
-            reports.append(Overlap((x, xy[1], z), _resolves(row, rules, n)))
+            normal, _ = _reduced(row, rules, n, 3, stop=True)
+            reports.append(Overlap((x, xy[1], z), not normal))
     return reports
-
-
-def _resolves(row: dict[int, int], rules: dict[int, IntRule], n: int) -> bool:
-    """Cancel the largest word of an integer degree-3 row until the row is
-    empty (True) or its largest word has no reducible pair (False)."""
-    n2 = n * n
-    while row:
-        w = max(row)
-        head, z = divmod(w, n)
-        rule = rules.get(head)
-        if rule is not None:
-            p, rest = rule
-            shifted = [(u * n + z, r) for u, r in rest.items()]
-        else:
-            x, tail = divmod(w, n2)
-            rule = rules.get(tail)
-            if rule is None:
-                return False
-            p, rest = rule
-            shifted = [(x * n2 + u, r) for u, r in rest.items()]
-        a = row.pop(w)
-        g = gcd(a, p)
-        a, p = a // g, p // g
-        if p != 1:
-            row = {k: p * v for k, v in row.items()}
-        for k, r in shifted:
-            v = row.get(k, 0) + a * r
-            if v:
-                row[k] = v
-            else:
-                del row[k]
-    return True
 
 
 def failed_overlaps(reports: list[Overlap]) -> list[Overlap]:

@@ -223,6 +223,37 @@ def relation_int_rows(rels) -> list[dict[int, int]]:
     return rows
 
 
+def reduce_once(word, system):
+    """Leftmost reducible adjacent pair of a word and its rule, or None if
+    the word is normal."""
+    for i in range(len(word) - 1):
+        rule = system.rules.get((word[i], word[i + 1]))
+        if rule is not None:
+            return i, rule
+    return None
+
+
+def normal_form_reference(p: NCPoly, system) -> NCPoly:
+    """Reference for ``normal_form``: every term is rewritten on its own, on
+    a stack of ``Fraction`` terms, always at its leftmost reducible pair,
+    and equal words are combined only once they are normal.  It shares no
+    code with the package's integer reducer, so tests compare the two; its
+    work grows with the number of rewrite paths, so keep it to small
+    systems."""
+    out: dict = {}
+    stack = list(p.terms.items())
+    while stack:
+        word, coeff = stack.pop()
+        hit = reduce_once(word, system)
+        if hit is None:
+            out[word] = out.get(word, Fraction(0)) + coeff
+            continue
+        i, rule = hit
+        for w2, c2 in rule.terms.items():
+            stack.append((word[:i] + w2 + word[i + 2:], coeff * c2))
+    return NCPoly(p.alphabet, out)
+
+
 def placement_oracle(hom, degree: int) -> int:
     """Reference for ``dimension_oracle``: the word count minus the rank of
     every placement u r v of a relation r between words u and v whose

@@ -395,6 +395,24 @@ def test_each_relation_span_is_eliminated_once_per_call(monkeypatch, capsys, arg
     assert {key: passes[key] for key in spans} == dict(spans)
 
 
+def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
+    # each object's two components (kernel and row basis), then the
+    # relation span once, shared by the rewrite rules and the oracle
+    sizes = []
+    real = linalg._back_substituted
+
+    def recording(echelon):
+        sizes.append(len(echelon))
+        return real(echelon)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qlincat") and hasattr(module, "_back_substituted"):
+            monkeypatch.setattr(module, "_back_substituted", recording)
+    assert main(["pbw", *CHAIN[:2], "--oracle", "--degree", "3"]) == 0
+    capsys.readouterr()
+    assert sizes == [1, 3, 1, 3, 6]
+
+
 @pytest.mark.parametrize(
     "argv, reductions",
     [

@@ -135,9 +135,10 @@ def test_oracle_guards_raise_before_elimination(monkeypatch):
         (_unreduced(hom_algebra(one, one)), 10**12),
         (_unreduced(hom_algebra(cl, cl)), 10**12),
     ]
-    # the oracle's elimination: the relation span's echelon, its
-    # back-substitution and pbw's inserts
+    # the oracle's elimination: the relation span's echelon and its cached
+    # back-substitution, pbw's back-substitutions and pbw's inserts
     monkeypatch.setattr(homs, "_echelon", no_elimination)
+    monkeypatch.setattr(homs, "_back_substituted", no_elimination)
     monkeypatch.setattr(pbw, "_back_substituted", no_elimination)
     monkeypatch.setattr(pbw, "_insert", no_elimination)
     for hom, degree in cases:
@@ -146,6 +147,7 @@ def test_oracle_guards_raise_before_elimination(monkeypatch):
                 oracle(hom, degree)
             with pytest.raises(ValueError, match="degree >= 2"):
                 oracle(hom, 1)
+        assert not {"echelon", "back_substituted"} & set(vars(hom.relations))
 
 
 def test_one_letter_oracle_below_the_degree_bound():

@@ -21,7 +21,6 @@ from qlincat.rewrite import (
     monomial_compare,
     nonordered_degree2_words,
     normal_form,
-    reduce_once,
     word_key,
 )
 from qlincat.homs import hom_algebra
@@ -31,9 +30,11 @@ from support import (
     MIXED_SHAPES,
     criterion_pair,
     even2_sudbery,
+    normal_form_reference,
     rand_general,
     rand_nonzero,
     rand_sudbery,
+    reduce_once,
     relation_int_rows,
     sudbery_with_constant,
 )
@@ -308,9 +309,11 @@ def test_failed_overlaps_on_mismatched_constants():
     assert failed_overlaps(confluence_check(system))
 
 
-def two_normal_form_verdicts(system):
+def two_normal_form_verdicts(system, nf=normal_form_reference):
     """The definition the check stands for: overlap x y z is resolved when
-    rule[xy] z and x rule[yz] have the same normal form."""
+    rule[xy] z and x rule[yz] have the same normal form.  By default the
+    normal forms come from the reference, which shares no code with the
+    reducer that ``confluence_check`` uses."""
     al = system.alphabet
     lefts = sorted(system.rules, key=word_key)
     verdicts = []
@@ -320,7 +323,7 @@ def two_normal_form_verdicts(system):
             via_left = NCPoly(al, {w + (z,): c for w, c in system.rules[xy].terms.items()})
             via_right = NCPoly(al, {(x,) + w: c for w, c in system.rules[yz].terms.items()})
             verdicts.append(
-                ((x, xy[1], z), normal_form(via_left, system) == normal_form(via_right, system))
+                ((x, xy[1], z), nf(via_left, system) == nf(via_right, system))
             )
     return verdicts
 
@@ -402,3 +405,105 @@ def test_confluence_makes_no_normal_form(monkeypatch):
     reports = [r for system in systems for r in confluence_check(system)]
     monkeypatch.undo()
     assert {r.resolved for r in reports} == {True, False}
+
+
+def test_rules_are_cleared_once(monkeypatch):
+    calls = []
+    real = rewrite._cleared
+    monkeypatch.setattr(rewrite, "_cleared", lambda terms: calls.append(terms) or real(terms))
+    src, tgt = criterion_pair(random.Random(0), "yes", (0, 1), (0, 0))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    assert not failed_overlaps(confluence_check(system))
+    assert len(calls) == len(system.rules)
+    normal_form(NCPoly.monomial(system.alphabet, (3, 2, 1, 0)), system)
+    confluence_check(system)
+    assert len(calls) == len(system.rules)
+    # a replaced system clears its own rules, not the cached ones
+    lead = max((w for w, r in system.rules.items() if r.terms), key=word_key)
+    terms = {w: 3 * c for w, c in system.rules[lead].terms.items()}
+    broken = replace(system, rules={**system.rules, lead: NCPoly(system.alphabet, terms)})
+    assert failed_overlaps(confluence_check(broken))
+    assert len(calls) == 2 * len(system.rules)
+
+
+def test_normal_form_refuses_foreign_letters():
+    src = even2_sudbery(2, 3)
+    system = build_rewrite_system(derive_relations_general(src, src))
+    al = system.alphabet
+    renamed = Alphabet(al.parities, tuple("wxyz"))
+    with pytest.raises(ValueError, match="different alphabets"):
+        normal_form(NCPoly.monomial(renamed, (1, 0)), system)
+    # in base 4, (0, 4) would be the word (1, 0) and (-1, 2) the word (0, 2)
+    for word in [(4,), (0, 4), (-1, 2)]:
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            normal_form(NCPoly.monomial(al, word) + NCPoly.monomial(al, (1, 0)), system)
+
+
+def _assert_normal_form_matches_reference(system, p):
+    assert normal_form(p, system) == normal_form_reference(p, system)
+
+
+def _random_poly(rng, al):
+    """Random terms of degrees 0 to 4, several at degrees 2 to 4."""
+    return NCPoly(
+        al,
+        {
+            tuple(rng.randrange(al.size) for _ in range(degree)): rand_nonzero(rng)
+            for degree in (0, 1, 2, 2, 3, 3, 3, 4, 4, 4)
+        },
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["yes", "no", "general"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_normal_form_matches_reference(kind, src_shape, tgt_shape, seed):
+    rng = random.Random(seed)
+    src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    _assert_normal_form_matches_reference(system, _random_poly(rng, system.alphabet))
+    incomplete = _drop_rule(system, rng.choice(sorted(system.rules)))
+    _assert_normal_form_matches_reference(incomplete, _random_poly(rng, system.alphabet))
+
+
+def test_reference_property_fails_when_rewriting_the_rightmost_pair(monkeypatch):
+    # on a NO pair the normal form depends on the strategy: the failed
+    # overlap words reduce differently from the right
+    real = rewrite._pair_shifts
+    monkeypatch.setattr(rewrite, "_pair_shifts", lambda n, degree: real(n, degree)[::-1])
+    rng = random.Random(7)
+    src, tgt = criterion_pair(rng, "no", (0, 1), (0, 0))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    failed = failed_overlaps(confluence_check(system))
+    assert failed
+    p = NCPoly(system.alphabet, {r.word: rand_nonzero(rng) for r in failed})
+    with pytest.raises(AssertionError):
+        _assert_normal_form_matches_reference(system, p)
+
+
+def test_reference_property_fails_without_the_final_division(monkeypatch):
+    real = rewrite._reduced
+    monkeypatch.setattr(rewrite, "_reduced", lambda *args, **kw: (real(*args, **kw)[0], 1))
+    rng = random.Random(7)
+    src, tgt = criterion_pair(rng, "general", (0, 1), (0, 0))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    assert any(p > 1 for p, _ in system.int_rules.values())
+    with pytest.raises(AssertionError):
+        _assert_normal_form_matches_reference(system, _random_poly(rng, system.alphabet))
+
+
+def test_normal_forms_agree_with_confluence_on_nine_letter_general_rules():
+    # dense rules on 9 letters, an incomplete system: a stack of Fraction
+    # terms that never combines equal words takes tens of seconds here
+    rng = random.Random(0)
+    src = rand_general(rng, space_of((0, 0, 0)))
+    tgt = rand_general(rng, space_of((0, 0, 1)))
+    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    assert not system.complete
+    verdicts = _verdicts(system)
+    assert len(verdicts) == 187
+    assert verdicts == two_normal_form_verdicts(system, normal_form)
