@@ -34,7 +34,6 @@ from .homs import (
     HomAlgebra,
     RelationSet,
     bilinear_form_relations,
-    degree2_quotient,
     derive_relations_general,
     derive_relations_sudbery,
     hom_algebra,
@@ -98,7 +97,7 @@ __all__ = [
     "DegreeMismatch", "GradedSpace", "even_space", "koszul_pairing", "koszul_signs",
     "pi_image", "space_of", "tensor_power_basis",
     "AlphabetMismatch", "ComponentCountMismatch", "HomAlgebra", "RelationSet",
-    "bilinear_form_relations", "degree2_quotient", "derive_relations_general",
+    "bilinear_form_relations", "derive_relations_general",
     "derive_relations_sudbery", "hom_algebra", "relation_set", "spans_equal",
     "InvariantViolation", "Matrix", "NotComplementary", "annihilator",
     "kernel_basis", "projectors", "rank",

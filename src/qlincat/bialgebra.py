@@ -5,11 +5,12 @@ the 2x2 determinant with its multiplicativity.
 Every reduction happens in degree-2 quotient coordinates (these are always
 of classical dimension), so none of the checks here assume the PBW property
 of the algebras involved.  The reductions run on integers: each factor's
-coordinates are scaled by one common denominator and each expansion is
-cleared of its denominators, which changes no answer to "is it zero?".
-The determinant's area form comes from the same degree-2 quotient routine
-as the hom algebras (``homs._quotient``), applied to the parity-reversed
-coordinate algebra: T(V) modulo the Pi-image of the second component.
+coordinates are read from its ``RelationSet.rules`` and scaled by the lcm
+of their P values, and each expansion is cleared of its denominators,
+which changes no answer to "is it zero?".  The determinant's area form
+comes from the same degree-2 quotient routine as the hom algebras
+(``homs._rules``), applied to the parity-reversed coordinate algebra: T(V)
+modulo the Pi-image of the second component.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .graded import koszul_sign, pi_image
-from .homs import (
-    HomAlgebra,
-    QuotientMap,
-    _quotient,
-    degree2_quotient,
-    hom_algebra,
-)
+from .homs import HomAlgebra, RelationSet, _rules, hom_algebra
 from .linalg import Matrix, _back_substituted, _cleared, _echelon, _int_rows
 from .rewrite import NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
@@ -97,13 +93,15 @@ def _delta_bidegree(
     return {k: v for k, v in out.items() if v}
 
 
-def _integer_coords(q: QuotientMap) -> dict[Word, dict[Word, int]]:
-    """The quotient coordinates of every degree-2 word, all scaled by one
-    common denominator to integers."""
-    out: dict[Word, dict[Word, int]] = {w: {} for w in q.coords}
-    flat = {(w, bw): c for w, vec in q.coords.items() for bw, c in vec.items()}
-    for (w, bw), x in _cleared(flat).items():
-        out[w][bw] = x
+def _integer_coords(rels: RelationSet) -> dict[Word, dict[Word, int]]:
+    """The quotient coordinates of every degree-2 word over the normal
+    words, all scaled by L, the least common multiple of the rules' P: a
+    leading word w maps to {u: r_u L / P_w}, a normal word w to {w: L}."""
+    n = rels.alphabet.size
+    scale = lcm(*(p for p, _ in rels.rules.values()))
+    out = {divmod(w, n): {divmod(w, n): scale} for w in range(n * n)}
+    for w, (p, rest) in rels.rules.items():
+        out[divmod(w, n)] = {divmod(u, n): r * (scale // p) for u, r in rest.items()}
     return out
 
 
@@ -126,8 +124,8 @@ def _reduces_to_zero(
 def comultiplication_check(triple: ComposableTriple) -> bool:
     """Delta maps every defining relation of the composite algebra into the
     two-sided relation space of the factor algebras."""
-    c1 = _integer_coords(degree2_quotient(triple.hom_ab.relations))
-    c2 = _integer_coords(degree2_quotient(triple.hom_bc.relations))
+    c1 = _integer_coords(triple.hom_ab.relations)
+    c2 = _integer_coords(triple.hom_bc.relations)
     for rel in triple.hom_ac.relations.polys:
         expansion = _delta_bidegree(_cleared(rel.terms), triple.a, triple.b, triple.c)
         if not _reduces_to_zero(expansion, c1, c2):
@@ -139,7 +137,12 @@ def coassociativity_check(
     a: QuantumObject, b: QuantumObject, c: QuantumObject, d: QuantumObject
 ) -> bool:
     """Both iterated comultiplications expand every generator u_A^S into the
-    same sum over middle indices; compared coefficient-wise."""
+    same sum over middle indices; compared coefficient-wise.
+
+    It reads no relation of any of the algebras and the two expansions
+    agree by construction, so it cannot fail yet: a check in the quotient
+    coordinates of the three factors is still to be written.
+    """
     n, m, l, e = a.space.dim, b.space.dim, c.space.dim, d.space.dim
     for aa in range(n):
         for s in range(e):
@@ -186,15 +189,18 @@ def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fract
     the area form [xi^1 xi^2]."""
     n = obj.space.dim
     rows = _int_rows(pi_image(obj.space, v) for v in obj.components[1])
-    q = _quotient(n, _back_substituted(_echelon(rows)))
-    if q.dim != 1 or not q.coords.get((0, 1)):
+    rules = _rules(_back_substituted(_echelon(rows)))
+    normal = [w for w in range(n * n) if w not in rules]
+    if len(normal) != 1:
         raise WrongShape("area form is degenerate for this object")
-    (word,) = q.basis
-    area = q.coords[(0, 1)][word]
-    return {
-        (a, b): q.coords[(a, b)].get(word, 0) / area
-        for a, b in product(range(n), repeat=2)
-    }
+    # the coordinate of each word on the one normal word
+    (word,) = normal
+    coord = {w: Fraction(rest.get(word, 0), p) for w, (p, rest) in rules.items()}
+    coord[word] = Fraction(1)
+    area = coord[0 * n + 1]
+    if not area:
+        raise WrongShape("area form is degenerate for this object")
+    return {(a, b): coord[a * n + b] / area for a, b in product(range(n), repeat=2)}
 
 
 def _check_det_shape(obj: QuantumObject) -> None:
@@ -243,8 +249,8 @@ def determinant_multiplicativity(
         det_ac = determinant_2x2(triple.a, triple.c)
     else:
         det_ab, det_bc, det_ac = dets
-    c1 = _integer_coords(degree2_quotient(triple.hom_ab.relations))
-    c2 = _integer_coords(degree2_quotient(triple.hom_bc.relations))
+    c1 = _integer_coords(triple.hom_ab.relations)
+    c2 = _integer_coords(triple.hom_bc.relations)
     # Delta(det_ac) - det_ab (x) det_bc reduces to zero iff both sides agree
     diff = _delta_bidegree(det_ac.terms, triple.a, triple.b, triple.c)
     for w1, x1 in det_ab.terms.items():

@@ -47,6 +47,10 @@ FORMAT = "quantum-object/1"
 # `qlincat object` on a dense random general file of this dim takes about
 # 0.4 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
 MAX_DIM = 8
+# `qlincat yb` on a dim-8 two-parameter object with 56 candidate coefficients
+# takes 1.4 s with 100-digit integer entries, 2.7 s with 100-digit numerators
+# and denominators, and 390 s with 4000-digit integers (2-vCPU Xeon)
+MAX_DIGITS = 100
 
 
 class ObjectSpecError(Exception):
@@ -59,16 +63,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _LongInteger:
+    """A JSON integer literal of more than MAX_DIGITS digits, left
+    unconverted so that ``_rat`` refuses it with its field path."""
+
+
+def _json_int(text: str):
+    return _LongInteger() if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
 def _rat(value, path: str) -> Fraction:
+    too_long = f"{path}: numerator and denominator may have at most {MAX_DIGITS} digits each"
+    if isinstance(value, _LongInteger):
+        raise ObjectSpecError(too_long)
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ObjectSpecError(f"{path}: expected a rational string, got {value!r}")
     # Fraction expands "1e1000000" to a million digits; refuse exponents
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ObjectSpecError(f"{path}: exponent notation is not accepted: {value!r}")
+    text = str(value)
+    # no rational within the limit is written longer: refuse before parsing
+    if len(text.strip()) > 2 * MAX_DIGITS + 3:
+        raise ObjectSpecError(too_long)
     try:
-        return Fraction(str(value))
+        r = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ObjectSpecError(f"{path}: not a rational: {value!r} ({exc})") from exc
+    if len(str(abs(r.numerator))) > MAX_DIGITS or len(str(r.denominator)) > MAX_DIGITS:
+        raise ObjectSpecError(too_long)
+    return r
 
 
 def _rat_matrix(value, path: str, n: int):
@@ -85,7 +108,7 @@ def _rat_matrix(value, path: str, n: int):
 def load_object(path: str) -> QuantumObject:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ObjectSpecError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -275,7 +298,7 @@ def cmd_pbw(args) -> int:
     tgt = load_object(args.target)
     verdict = pbw_criterion(src, tgt, oracle_degree=None)
     hom = hom_algebra(src, tgt)
-    dims = oracle_dims(hom, args.degree) if args.oracle else ()
+    dims = oracle_dims(hom, 3 if args.degree is None else args.degree) if args.oracle else ()
     system = build_rewrite_system(hom.relations)
     overlaps = confluence_check(system)
     failed = failed_overlaps(overlaps)
@@ -430,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pbw", help="classical-dimension criterion and confluence")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=int, help="top oracle degree (default 3)")
     p.add_argument("--oracle", action="store_true",
                    help="also compute exact dimensions up to --degree")
     p.add_argument("--json", action="store_true")
@@ -463,6 +486,9 @@ def main(argv=None) -> int:
         return 2
     if args.command == "det" and len(args.files) < 2:
         print("det needs at least two object files", file=sys.stderr)
+        return 2
+    if args.command == "pbw" and args.degree is not None and not args.oracle:
+        print("--degree needs --oracle", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -15,8 +15,11 @@ must produce the same span, which tests enforce.
 
 A relation span is stored once, as polynomials, eliminated once and
 back-substituted once: every reader takes its ``RelationSet.echelon``, its
-``back_substituted`` rows or its degree-2 ``quotient`` (those rows scaled)
-and none of them mutates any of the three.
+``back_substituted`` rows or its ``rules``, the degree-2 quotient read off
+those rows as integer rewrite rules, and none of them mutates any of the
+three.  ``_rules`` is the one degree-2 quotient routine: the rewrite
+system, the coalgebra coordinates and the determinant's area form all read
+its output.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from functools import cached_property
 from itertools import product
 
 from .graded import koszul_sign
-from .linalg import (
-    InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _reduce, _same_span,
-)
-from .rewrite import Alphabet, NCPoly, Word, matrix_alphabet
+from .linalg import InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _same_span
+from .rewrite import Alphabet, IntRule, NCPoly, Word, matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -61,13 +62,15 @@ class RelationSet:
     @cached_property
     def back_substituted(self) -> dict[int, dict[int, int]]:
         """The echelon's one integer back-substitution: the degree-2
-        quotient scales it and the dimension oracle starts from it."""
+        rules read it and the dimension oracle starts from it."""
         return _back_substituted(self.echelon)
 
     @cached_property
-    def quotient(self) -> QuotientMap:
-        """The degree-2 part of the quotient algebra by this span."""
-        return _quotient(self.alphabet.size, self.back_substituted)
+    def rules(self) -> dict[int, IntRule]:
+        """The degree-2 part of the quotient algebra by this span, as one
+        integer rule per leading word (``_rules``); the words that are not
+        keys are the normal words, a basis of that part."""
+        return _rules(self.back_substituted)
 
     @property
     def span_dim(self) -> int:
@@ -206,40 +209,15 @@ def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:
     return HomAlgebra(src, tgt, rels.alphabet, rels)
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """Coordinates on the degree-2 part of the quotient by a relation span.
-
-    basis is the tuple of irreducible words; coords maps every degree-2 word
-    to its (sparse) coordinate vector over that basis.
-    """
-
-    basis: tuple[Word, ...]
-    coords: dict[Word, dict[Word, Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _quotient(n: int, back: dict[int, dict[int, int]]) -> QuotientMap:
-    """The degree-2 quotient of the free algebra on n letters by the span of
-    ``_back_substituted`` rows whose column g * n + h is the word (g, h):
-    each leading word of the reduced echelon form equals the smaller words
-    left in its row, both in descending word order."""
-    reduced = _reduce(back)
-    leads = {
-        divmod(lead, n): {
-            divmod(c, n): -v for c, v in sorted(reduced[lead].items(), reverse=True)
-            if c != lead
-        }
-        for lead in sorted(reduced, reverse=True)
-    }
-    basis = tuple(w for w in product(range(n), repeat=2) if w not in leads)
-    coords: dict[Word, dict[Word, Fraction]] = {w: {w: Fraction(1)} for w in basis}
-    coords.update(leads)
-    return QuotientMap(basis, coords)
-
-
-def degree2_quotient(rels: RelationSet) -> QuotientMap:
-    return rels.quotient
+def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:
+    """The degree-2 quotient by the span of ``_back_substituted`` rows whose
+    column g * n + h is the word (g, h): each row's leading word rewrites
+    to the smaller words left in it, P lead = sum r_u u with P > 0, and is
+    keyed by its column.  The rows hold no other leading word, so each rule
+    is already in normal words."""
+    out = {}
+    for lead, row in back.items():
+        pivot = row[lead]
+        sign = -1 if pivot > 0 else 1
+        out[lead] = (abs(pivot), {u: sign * v for u, v in row.items() if u != lead})
+    return out

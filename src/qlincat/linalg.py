@@ -4,13 +4,13 @@ Every scalar is a ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Every elimination runs through ``_insert``: rows
 are ``{column: int}`` dicts with denominators cleared per row, the pivot of
 a row is its largest column, and rows are kept gcd-normalised.  The forward
-pass alone gives the rank.  ``_back_substituted`` reduces it on integers and
-``_reduce`` scales that to the reduced echelon form (pivot entries 1) for
-the callers that need it.  ``_back_substituted`` is read by ``_rref_rows``
-(kernels, row bases, spectral sums), by the determinant's area form, by
+pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
+``_rref_rows`` scales that to the reduced echelon form (pivot entries 1)
+for kernels, row bases and spectral sums.  ``_back_substituted`` is also
+read by the determinant's area form, by
 ``homs.RelationSet.back_substituted``, which back-substitutes each relation
-span once for its degree-2 quotient and for the dimension oracle, and by
-the oracle for each degree's new rows.  The largest-column pivot is the
+span once for its degree-2 rules and for the dimension oracle, and by the
+oracle for each degree's new rows.  The largest-column pivot is the
 leading word of the monomial order; callers that work in natural column
 order (kernels, row bases and spectral sums) reflect column c to ncols-1-c
 so that the leftmost column is pivoted first.  The yes/no checks form no
@@ -18,7 +18,7 @@ dense product: ``kernel_basis`` verifies its basis with integer dot
 products against the cleared rows, and ``check_complementary`` decides a
 direct sum from ranks alone; ``_same_span`` inserts one span's echelon rows
 into a copy of the other's.  There is no linear solver: quotient coordinates
-are read from the reduced echelon form (``homs._quotient``).  ``Matrix`` is
+are read from the integer back-substitution (``homs._rules``).  ``Matrix`` is
 an immutable dense value type with no arithmetic.  It is the type of the
 projectors and of the braid matrix B, both read by ``spectral_sum`` from
 one elimination over component bases, of the counit substitution, and of
@@ -167,15 +167,6 @@ def _back_substituted(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int,
     return done
 
 
-def _reduce(back: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
-    """The reduced echelon form: ``_back_substituted`` rows scaled so that
-    each pivot entry is 1."""
-    return {
-        lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
-        for lead, row in back.items()
-    }
-
-
 def _rank(vectors: Iterable[Sequence]) -> int:
     return len(_echelon(_int_rows(vectors)))
 
@@ -185,12 +176,14 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
     row) pairs with ascending pivots.  The columns are reflected for the
     engine, so its largest-column pivot is the leftmost natural column."""
     last = ncols - 1
-    reduced = _reduce(_back_substituted(_echelon(_int_rows(vectors, reflect=True))))
+    back = _back_substituted(_echelon(_int_rows(vectors, reflect=True)))
     out = []
-    for lead in sorted(reduced, reverse=True):
+    for lead in sorted(back, reverse=True):
+        row = back[lead]
+        pivot = row[lead]
         v = [ZERO] * ncols
-        for c, x in reduced[lead].items():
-            v[last - c] = x
+        for c, x in row.items():
+            v[last - c] = Fraction(x, pivot)
         out.append((last - lead, tuple(v)))
     return out
 

@@ -4,33 +4,32 @@ monomial order, normal forms, and the cubic-overlap confluence check.
 Letters are the generators t_A^K of a matrix of noncommuting entries,
 numbered row-major (letter id = A * cols + K), so the natural integer order
 on ids is exactly the row-major generator order.  Words of equal degree are
-compared lexicographically; shorter words come first.  Rewrite rules are
-read from a relation set's degree-2 quotient: nothing here eliminates.
+compared lexicographically; shorter words come first.  A degree-d word is
+encoded in base n, the alphabet size, so integer order is word order at
+fixed degree.  Rewrite rules are a relation set's ``rules``, the integer
+degree-2 quotient ``homs`` reads off the span's back-substituted rows:
+nothing here eliminates or clears a rule.
 
 ``normal_form`` and ``confluence_check`` share one integer reducer,
-``_reduced``.  Each system clears its rules to integers once
-(``RewriteSystem.int_rules``).  A degree-d word is encoded in base n, the
-alphabet size, so integer order is word order at fixed degree.  The reducer
-always cancels the largest word of a homogeneous row at that word's
-leftmost reducible pair.  ``normal_form`` reduces each homogeneous
-component fully and divides by the accumulated scale; ``confluence_check``
-stops at the first largest word that no rule reduces.
+``_reduced``.  It always cancels the largest word of a homogeneous row at
+that word's leftmost reducible pair.  ``normal_form`` reduces each
+homogeneous component fully and divides by the accumulated scale;
+``confluence_check`` stops at the first largest word that no rule reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from string import ascii_letters
 
 from .graded import GradedSpace
-from .linalg import _cleared, frac
+from .linalg import frac
 
 Word = tuple[int, ...]
-# A rule cleared to integers, P * lead = sum r_u * u: (P, {u: r_u}), words
-# of degree 2 encoded as g * n + h.
+# An integer rewrite rule, P * lead = sum r_u * u with P > 0: (P, {u: r_u}),
+# words of degree 2 encoded as g * n + h.
 IntRule = tuple[int, dict[int, int]]
 
 
@@ -173,7 +172,10 @@ def nonordered_degree2_words(alphabet: Alphabet) -> set[Word]:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """Quadratic rules: leading degree-2 word -> strictly smaller remainder.
+    """Quadratic rules: each leading degree-2 word (g, h), keyed by its code
+    g * n + h, rewrites to strictly smaller words, P lead = sum r_u u with
+    P > 0.  The rules are the relation set's own ``rules``: shared, never
+    copied, and read only.
 
     When the leading words are not exactly the non-ordered degree-2 words the
     defect is recorded (missing / unexpected leaders) rather than raised; the
@@ -181,7 +183,7 @@ class RewriteSystem:
     """
 
     alphabet: Alphabet
-    rules: dict[Word, NCPoly]
+    rules: dict[int, IntRule]
     missing_leaders: tuple[Word, ...]
     unexpected_leaders: tuple[Word, ...]
 
@@ -189,28 +191,15 @@ class RewriteSystem:
     def complete(self) -> bool:
         return not self.missing_leaders and not self.unexpected_leaders
 
-    @cached_property
-    def int_rules(self) -> dict[int, IntRule]:
-        """Each rule cleared once to P lead = sum r_u u with P > 0, keyed by
-        its leading word; degree-2 words are encoded as g * n + h."""
-        n = self.alphabet.size
-        out = {}
-        for (g, h), rule in self.rules.items():
-            lead = g * n + h
-            row = _cleared({lead: 1, **{u * n + v: c for (u, v), c in rule.terms.items()}})
-            out[lead] = (row.pop(lead), row)
-        return out
-
 
 def build_rewrite_system(relations) -> RewriteSystem:
-    """Each leading word rewrites to its coordinates in the degree-2
-    quotient (``relations.quotient``), the smaller words it equals."""
+    """Each leading word rewrites to the smaller words it equals in the
+    degree-2 quotient (``relations.rules``)."""
     alphabet = relations.alphabet
-    q = relations.quotient
-    basis = set(q.basis)
-    rules = {w: NCPoly(alphabet, rest) for w, rest in q.coords.items() if w not in basis}
+    rules = relations.rules
+    n = alphabet.size
     expected = nonordered_degree2_words(alphabet)
-    leaders = set(rules)
+    leaders = {divmod(lead, n) for lead in rules}
     missing = tuple(sorted(expected - leaders))
     unexpected = tuple(sorted(leaders - expected))
     return RewriteSystem(alphabet, rules, missing, unexpected)
@@ -239,7 +228,7 @@ def normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
     for degree, terms in components.items():
         den = lcm(*(c.denominator for c in terms.values()))
         row = {code: int(c * den) for code, c in terms.items()}
-        normal, scale = _reduced(row, system.int_rules, n, degree)
+        normal, scale = _reduced(row, system.rules, n, degree)
         for code, v in normal.items():
             word = []
             for _ in range(degree):
@@ -317,28 +306,28 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
     so this is the comparison of the two normal forms, made with one.
 
     The difference, scaled by P_xy P_yz, is one integer row over degree-3
-    words encoded in base n, built from ``RewriteSystem.int_rules``.
-    ``_reduced`` cancels its largest words as ``normal_form`` does and
-    stops at the first one that no rule reduces: that word keeps its
-    coefficient in the normal form, so the overlap is unresolved; an
-    emptied row is resolved.
+    words encoded in base n, built from the integer rules.  ``_reduced``
+    cancels its largest words as ``normal_form`` does and stops at the
+    first one that no rule reduces: that word keeps its coefficient in the
+    normal form, so the overlap is unresolved; an emptied row is resolved.
 
     An empty failure list means the normal form is path-independent in
     degree 3, which for quadratic systems settles linear independence of the
     ordered monomials in every degree.
     """
     n = system.alphabet.size
-    rules = system.int_rules
-    lefts = sorted(system.rules, key=word_key)
-    by_first: dict[int, list[Word]] = {}
-    for w in lefts:
-        by_first.setdefault(w[0], []).append(w)
+    rules = system.rules
+    lefts = sorted(rules)
+    by_first: dict[int, list[int]] = {}
+    for lead in lefts:
+        by_first.setdefault(lead // n, []).append(lead)
     reports = []
     for xy in lefts:
-        p_xy, rest_xy = rules[xy[0] * n + xy[1]]
-        for yz in by_first.get(xy[1], ()):
-            x, z = xy[0], yz[1]
-            p_yz, rest_yz = rules[yz[0] * n + yz[1]]
+        x, y = divmod(xy, n)
+        p_xy, rest_xy = rules[xy]
+        for yz in by_first.get(y, ()):
+            z = yz % n
+            p_yz, rest_yz = rules[yz]
             row = {u * n + z: p_yz * r for u, r in rest_xy.items()}
             for u, r in rest_yz.items():
                 k = x * n * n + u
@@ -348,7 +337,7 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
                 else:
                     del row[k]
             normal, _ = _reduced(row, rules, n, 3, stop=True)
-            reports.append(Overlap((x, xy[1], z), not normal))
+            reports.append(Overlap((x, y, z), not normal))
     return reports
 
 

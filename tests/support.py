@@ -11,7 +11,6 @@ from qlincat import (
     Extraction,
     GradedSpace,
     NotComplementary,
-    degree2_quotient,
     make_general,
     make_sudbery,
     space_of,
@@ -223,11 +222,23 @@ def relation_int_rows(rels) -> list[dict[int, int]]:
     return rows
 
 
-def reduce_once(word, system):
+def fraction_rules(system) -> dict:
+    """The system's integer rules P lead = sum r_u u as ``Fraction``
+    polynomials, keyed by the leading word: lead -> sum (r_u / P) u."""
+    al = system.alphabet
+    n = al.size
+    return {
+        divmod(lead, n): NCPoly(al, {divmod(u, n): Fraction(r, p) for u, r in rest.items()})
+        for lead, (p, rest) in system.rules.items()
+    }
+
+
+def reduce_once(word, rules):
     """Leftmost reducible adjacent pair of a word and its rule, or None if
-    the word is normal."""
+    the word is normal; rules are keyed by leading word, as from
+    ``fraction_rules``."""
     for i in range(len(word) - 1):
-        rule = system.rules.get((word[i], word[i + 1]))
+        rule = rules.get((word[i], word[i + 1]))
         if rule is not None:
             return i, rule
     return None
@@ -240,11 +251,12 @@ def normal_form_reference(p: NCPoly, system) -> NCPoly:
     code with the package's integer reducer, so tests compare the two; its
     work grows with the number of rewrite paths, so keep it to small
     systems."""
+    rules = fraction_rules(system)
     out: dict = {}
     stack = list(p.terms.items())
     while stack:
         word, coeff = stack.pop()
-        hit = reduce_once(word, system)
+        hit = reduce_once(word, rules)
         if hit is None:
             out[word] = out.get(word, Fraction(0)) + coeff
             continue
@@ -391,13 +403,32 @@ def dense_yang_baxter(b) -> bool:
     return matmul(matmul(b12, b23), b12) == matmul(matmul(b23, b12), b23)
 
 
+def quotient_coords(rels) -> dict:
+    """Fraction coordinates of every degree-2 word in the quotient by a
+    relation span, read from its ``back_substituted`` rows rather than its
+    ``rules``: a row c * lead + sum v_u u = 0 sends lead to
+    {u: -v_u / c}, and a word that leads no row is its own coordinate."""
+    n = rels.alphabet.size
+    back = rels.back_substituted
+    coords = {}
+    for w in range(n * n):
+        row = back.get(w)
+        if row is None:
+            coords[divmod(w, n)] = {divmod(w, n): Fraction(1)}
+        else:
+            coords[divmod(w, n)] = {
+                divmod(u, n): Fraction(-v, row[w]) for u, v in row.items() if u != w
+            }
+    return coords
+
+
 def _reduce_bidegree(expansion, q1, q2):
     """An expansion over pairs of degree-2 words reduced in the quotient
     coordinates of both factors, in Fractions; zero entries dropped."""
     out = {}
     for (w1, w2), c in expansion.items():
-        for bw1, c1 in q1.coords[w1].items():
-            for bw2, c2 in q2.coords[w2].items():
+        for bw1, c1 in q1[w1].items():
+            for bw2, c2 in q2[w2].items():
                 key = (bw1, bw2)
                 out[key] = out.get(key, Fraction(0)) + c * c1 * c2
     return {k: v for k, v in out.items() if v}
@@ -405,8 +436,8 @@ def _reduce_bidegree(expansion, q1, q2):
 
 def comultiplication_reference(triple) -> bool:
     """Reference for ``comultiplication_check`` on Fraction coordinates."""
-    q1 = degree2_quotient(triple.hom_ab.relations)
-    q2 = degree2_quotient(triple.hom_bc.relations)
+    q1 = quotient_coords(triple.hom_ab.relations)
+    q2 = quotient_coords(triple.hom_bc.relations)
     return not any(
         _reduce_bidegree(_delta_bidegree(rel.terms, triple.a, triple.b, triple.c), q1, q2)
         for rel in triple.hom_ac.relations.polys
@@ -417,8 +448,8 @@ def determinant_reference(triple, dets) -> bool:
     """Reference for ``determinant_multiplicativity``: both sides reduced
     separately in Fraction coordinates and compared."""
     det_ab, det_bc, det_ac = dets
-    q1 = degree2_quotient(triple.hom_ab.relations)
-    q2 = degree2_quotient(triple.hom_bc.relations)
+    q1 = quotient_coords(triple.hom_ab.relations)
+    q2 = quotient_coords(triple.hom_bc.relations)
     lhs = _reduce_bidegree(_delta_bidegree(det_ac.terms, triple.a, triple.b, triple.c), q1, q2)
     rhs_raw = {}
     for w1, c1 in det_ab.terms.items():

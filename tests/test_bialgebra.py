@@ -20,7 +20,7 @@ from qlincat.bialgebra import (
 )
 from qlincat.cli import main
 from qlincat.graded import even_space, space_of
-from qlincat.homs import HomAlgebra, QuotientMap, hom_algebra, relation_set
+from qlincat.homs import HomAlgebra, hom_algebra, relation_set
 from qlincat.linalg import Matrix
 from qlincat.rewrite import NCPoly, build_rewrite_system, normal_form
 from qlincat.spaces import make_classical, make_general, make_normalized, make_sudbery
@@ -295,15 +295,15 @@ def test_determinant_matches_dense_solve_reference(seed):
 
 
 def test_determinant_property_fails_on_negated_area_coordinate(monkeypatch):
-    real = bialgebra._quotient
+    real = bialgebra._rules
 
-    def negate_one(n, rows):
-        q = real(n, rows)
-        coords = dict(q.coords)
-        coords[(1, 0)] = {w: -x for w, x in coords[(1, 0)].items()}
-        return QuotientMap(q.basis, coords)
+    def negate_one(back):
+        # the rule of the word (1, 0), code 1 * 2 + 0, in new dicts
+        rules = real(back)
+        p, rest = rules[2]
+        return {**rules, 2: (p, {u: -r for u, r in rest.items()})}
 
-    monkeypatch.setattr(bialgebra, "_quotient", negate_one)
+    monkeypatch.setattr(bialgebra, "_rules", negate_one)
     with pytest.raises(AssertionError):
         _assert_determinant_matches_reference(5)
 

@@ -179,6 +179,68 @@ def test_bad_input_exits_two(tmp_path, capsys, command, doc, extra, field):
     assert field in captured.err
 
 
+def _digits(k: int) -> tuple[str, str]:
+    """Two coprime integers of k digits each: k nines and 10**(k - 1)."""
+    return str(10**k - 1), str(10 ** (k - 1))
+
+
+def _sudbery_with_upper_q(value: str, reciprocal: str) -> dict:
+    doc = sudbery_doc(2, 3)
+    doc["params"]["q"] = [["1", value], [reciprocal, "1"]]
+    return doc
+
+
+def test_rational_at_the_digit_limit_is_accepted(tmp_path, capsys):
+    big, power = _digits(cli.MAX_DIGITS)
+    doc = _sudbery_with_upper_q(f"{big}/{power}", f"{power}/{big}")
+    assert main(["object", write(tmp_path, "limit.json", doc), "--json"]) == 0
+    assert main(["yb", PAIR[0], "--lam", f"{big}/{power}", "--json"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+
+_OVER = _digits(cli.MAX_DIGITS + 1)[0]
+_GENERAL_OVER = _with(
+    GENERAL_2,
+    params={"components": [[["0", "1", "-1", _OVER]], [["1", "0", "0", "0"]]]},
+)
+
+
+@pytest.mark.parametrize(
+    "doc, extra, field",
+    [
+        (_sudbery_with_upper_q(_OVER, f"1/{_OVER}"), [], "params.q[0][1]"),
+        (_sudbery_with_upper_q(f"1/{_OVER}", _OVER), [], "params.q[0][1]"),
+        (_sudbery_with_upper_q(int(_OVER), f"1/{_OVER}"), [], "params.q[0][1]"),
+        (_GENERAL_OVER, [], "params.components[0][0][3]"),
+        (normalized_doc(2, lam="0." + "0" * (cli.MAX_DIGITS - 1) + "1"), [], "params.lam"),
+        (normalized_doc(2, lam="7" * 10**5), [], "params.lam"),
+        (None, ["--lam", _OVER], "--lam"),
+    ],
+    ids=[
+        "param", "param-denominator", "json-integer", "component", "decimal-denominator",
+        "huge", "lam",
+    ],
+)
+def test_rational_over_the_digit_limit_exits_two(tmp_path, capsys, doc, extra, field):
+    if doc is None:
+        argv = ["yb", PAIR[0], *extra]
+    else:
+        argv = ["object", write(tmp_path, "over.json", doc)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {field}: ")
+    assert f"at most {cli.MAX_DIGITS} digits" in captured.err
+
+
+def test_pbw_degree_needs_oracle(capsys):
+    assert main(["pbw", *CHAIN[:2], "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--degree needs --oracle\n"
+
+
 def test_hom_fixed_pair_relations(tmp_path, capsys):
     src = write(tmp_path, "a.json", sudbery_doc(2, 3))
     tgt = write(tmp_path, "b.json", sudbery_doc(4, 5))

@@ -4,14 +4,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qlincat import homs, spaces
+from qlincat import homs, rewrite, spaces
+from qlincat.bialgebra import (
+    ComposableTriple,
+    comultiplication_check,
+    determinant_multiplicativity,
+)
 from qlincat.graded import even_space, space_of
 from qlincat.homs import (
     AlphabetMismatch,
     ComponentCountMismatch,
     bilinear_form_relations,
-    degree2_quotient,
     derive_relations_general,
     derive_relations_sudbery,
     hom_algebra,
@@ -20,10 +25,16 @@ from qlincat.homs import (
 )
 from qlincat.linalg import InvariantViolation, Matrix, rank
 from qlincat.pbw import oracle_dims
-from qlincat.rewrite import NCPoly, build_rewrite_system, matrix_alphabet
+from qlincat.rewrite import (
+    NCPoly,
+    build_rewrite_system,
+    confluence_check,
+    matrix_alphabet,
+    normal_form,
+)
 from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery
 
-from support import even2_sudbery, rand_nonzero, rand_sudbery
+from support import MIXED_SHAPES, criterion_pair, even2_sudbery, rand_nonzero, rand_sudbery
 
 
 def supercommutator_relations(src_space, tgt_space):
@@ -63,21 +74,57 @@ def test_general_derivation_fails_without_its_koszul_sign(monkeypatch):
     assert not spans_equal(rels, supercommutator_relations(sup.space, sup.space))
 
 
-def test_readers_leave_the_span_echelon_and_quotient_unchanged():
-    rng = random.Random(17)
-    for shape in [(0, 0), (0, 1), (0, 0, 1)]:
-        src, tgt = rand_sudbery(rng, space_of(shape)), rand_sudbery(rng, space_of(shape))
-        hom = hom_algebra(src, tgt)
-        rels, closed = hom.relations, derive_relations_sudbery(src, tgt)
-        echelon, quotient = deepcopy(rels.echelon), deepcopy(rels.quotient)
-        oracle_dims(hom, 4)
-        assert spans_equal(rels, closed) and spans_equal(closed, rels)
-        spans_equal(rels, hom_algebra(tgt, src).relations)
-        build_rewrite_system(rels)
-        degree2_quotient(rels)
-        assert rels.echelon == echelon
-        assert rels.quotient == quotient
-        assert degree2_quotient(rels) is rels.quotient
+def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
+    """Every reader of a span's echelon, back-substituted rows and rules
+    shares them and changes none of them."""
+    rng = random.Random(seed)
+    src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
+    hom = hom_algebra(src, tgt)
+    rels = hom.relations
+    before = deepcopy((rels.echelon, rels.back_substituted, rels.rules))
+    system = build_rewrite_system(rels)
+    assert system.rules is rels.rules
+    confluence_check(system)
+    al = system.alphabet
+    words = {tuple(rng.randrange(al.size) for _ in range(4)) for _ in range(3)}
+    normal_form(NCPoly(al, {w: rand_nonzero(rng) for w in words}), system)
+    oracle_dims(hom, 4)
+    spans_equal(rels, relation_set(rels.alphabet, rels.polys))
+    # hom is the first factor and the composite of the chain src, tgt, tgt
+    triple = ComposableTriple(src, tgt, tgt, hom, hom_algebra(tgt, tgt), hom)
+    comultiplication_check(triple)
+    if kind != "general" and src.space.parities == tgt.space.parities == (0, 0):
+        determinant_multiplicativity(triple)
+    assert (rels.echelon, rels.back_substituted, rels.rules) == before
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["yes", "no", "general"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+@example("yes", (0, 0), (0, 0), 1)
+@example("no", (0, 0), (0, 0), 2)
+def test_readers_leave_the_span_echelon_back_substitution_and_rules_unchanged(
+    kind, src_shape, tgt_shape, seed
+):
+    _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed)
+
+
+def test_read_only_property_fails_when_a_reader_mutates_a_rule(monkeypatch):
+    real = rewrite._reduced
+
+    def mutating(row, rules, *args, **kw):
+        rest = next(rest for _, rest in rules.values() if rest)
+        word = next(iter(rest))
+        rest[word] *= 2
+        return real(row, rules, *args, **kw)
+
+    monkeypatch.setattr(rewrite, "_reduced", mutating)
+    with pytest.raises(AssertionError):
+        _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 
 
 def test_fixed_two_parameter_pair_matches_closed_coefficients():
@@ -115,7 +162,7 @@ def test_generic_dim2_relation_count_and_quotient():
     src = even2_sudbery(Fraction(3, 2), Fraction(7, 5))
     rels = derive_relations_general(src, src)
     assert rels.span_dim == 6
-    assert degree2_quotient(rels).dim == 10
+    assert sum(w not in rels.rules for w in range(16)) == 10
 
 
 def test_relation_count_matches_component_dims():
@@ -130,7 +177,7 @@ def test_relation_count_matches_component_dims():
         expected = (n * n - di_v) * di_w + (n * n - dj_v) * dj_w
         assert len(rels.polys) == rels.span_dim == expected
         words = (n * n) ** 2
-        assert degree2_quotient(rels).dim == words - expected
+        assert sum(w not in rels.rules for w in range(words)) == words - expected
 
 
 def test_sudbery_equals_general_randomized():

@@ -282,28 +282,27 @@ def test_engine_properties_against_bareiss(m):
         assert row[pc] == 1
 
 
-def _corrupt_reduce(monkeypatch, corrupt):
-    real = linalg._reduce
-    monkeypatch.setattr(linalg, "_reduce", lambda echelon: corrupt(real(echelon)))
+def _corrupt_rref_rows(monkeypatch, corrupt):
+    real = linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows", lambda vectors, ncols: corrupt(real(vectors, ncols)))
 
 
 def test_kernel_rank_nullity_violation_raises(monkeypatch):
-    def drop_a_pivot_row(reduced):
-        reduced.pop(max(reduced))
-        return reduced
+    def drop_a_pivot_row(pairs):
+        return pairs[1:]
 
-    _corrupt_reduce(monkeypatch, drop_a_pivot_row)
+    _corrupt_rref_rows(monkeypatch, drop_a_pivot_row)
     with pytest.raises(InvariantViolation, match="rank-nullity"):
         kernel_basis(Matrix([[1, 1, 0], [0, 1, 1]]))
 
 
 def test_kernel_vector_not_annihilated_raises(monkeypatch):
-    def perturb_free_entries(reduced):
-        return {
-            lead: {c: v + (c != lead) for c, v in row.items()}
-            for lead, row in reduced.items()
-        }
+    def perturb_free_entries(pairs):
+        return [
+            (pc, tuple(x + 1 if x and c != pc else x for c, x in enumerate(row)))
+            for pc, row in pairs
+        ]
 
-    _corrupt_reduce(monkeypatch, perturb_free_entries)
+    _corrupt_rref_rows(monkeypatch, perturb_free_entries)
     with pytest.raises(InvariantViolation, match="annihilated"):
         kernel_basis(Matrix([[1, 1]]))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import rewrite
+from qlincat import homs, rewrite
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, relation_set
 from qlincat.linalg import _cleared, _echelon, _insert
@@ -30,6 +30,7 @@ from support import (
     MIXED_SHAPES,
     criterion_pair,
     even2_sudbery,
+    fraction_rules,
     normal_form_reference,
     rand_general,
     rand_nonzero,
@@ -55,7 +56,7 @@ def test_classical_rules_are_signed_swaps():
     system = build_rewrite_system(rels)
     assert system.complete
     al = system.alphabet
-    for (g, h), rhs in system.rules.items():
+    for (g, h), rhs in fraction_rules(system).items():
         if g == h:
             assert al.parities[g] == 1 and rhs.is_zero
         else:
@@ -75,7 +76,7 @@ def test_fixed_pair_rule_for_leading_word():
     inverted = NCPoly(
         system.alphabet, {(a, d): Fraction(9, 5), (c, b): Fraction(7, 5)}
     )
-    assert system.rules[(d, a)] == normal_form(inverted, system)
+    assert fraction_rules(system)[(d, a)] == normal_form(inverted, system)
     assert normal_form(NCPoly.monomial(system.alphabet, (d, a)), system) == normal_form(
         inverted, system
     )
@@ -115,19 +116,19 @@ def test_rule_right_sides_strictly_smaller():
         src = rand_sudbery(rng, space_of((0, 1)))
         tgt = rand_sudbery(rng, space_of((0, 1)))
         system = build_rewrite_system(derive_relations_general(src, tgt))
-        for lhs, rhs in system.rules.items():
+        for lhs, rhs in fraction_rules(system).items():
             for w in rhs.terms:
                 assert word_key(w) < word_key(lhs)
 
 
 def test_single_step_strictly_decreases():
     src = even2_sudbery(2, 3)
-    system = build_rewrite_system(derive_relations_general(src, src))
+    rules = fraction_rules(build_rewrite_system(derive_relations_general(src, src)))
     rng = random.Random(4)
     for _ in range(30):
         word = tuple(rng.randrange(4) for _ in range(4))
         for i in range(3):
-            rule = system.rules.get((word[i], word[i + 1]))
+            rule = rules.get((word[i], word[i + 1]))
             if rule is None:
                 continue
             for w2 in rule.terms:
@@ -207,10 +208,11 @@ def test_normal_form_is_sound(kind, src_shape, tgt_shape, seed):
     if kind == "yes":
         # control: on a PBW pair the ordered words are independent modulo
         # the ideal, so one of them added to the difference leaves it
+        rules = fraction_rules(system)
         ordered = [
             w
             for w in product(range(al.size), repeat=3)
-            if reduce_once(w, system) is None
+            if reduce_once(w, rules) is None
         ]
         word = rng.choice(ordered)
         assert not _in_ideal(ideal, diff + NCPoly.monomial(al, word))
@@ -265,13 +267,14 @@ def test_branching_word_three_rows():
     c = 2 * 3 + 2
     word = (c, b, a)
     al = system.alphabet
+    rules = fraction_rules(system)
     # branch 1: rewrite the left pair (c, b) first
     left_first = NCPoly.zero(al)
-    for w2, c2 in system.rules[(c, b)].terms.items():
+    for w2, c2 in rules[(c, b)].terms.items():
         left_first = left_first + NCPoly(al, {w2 + (a,): c2})
     # branch 2: rewrite the right pair (b, a) first
     right_first = NCPoly.zero(al)
-    for w2, c2 in system.rules[(b, a)].terms.items():
+    for w2, c2 in rules[(b, a)].terms.items():
         right_first = right_first + NCPoly(al, {(c,) + w2: c2})
     nf_left = normal_form(left_first, system)
     nf_right = normal_form(right_first, system)
@@ -292,7 +295,7 @@ def test_normal_form_terminates_higher_degrees():
     tgt = sudbery_with_constant(rng, space_of((0, 1)), Fraction(1, 3))
     system = build_rewrite_system(derive_relations_general(src, tgt))
     assert not failed_overlaps(confluence_check(system))
-    reducible = set(system.rules)
+    reducible = set(fraction_rules(system))
     for _ in range(10):
         word = tuple(rng.randrange(4) for _ in range(5))
         nf = normal_form(NCPoly.monomial(system.alphabet, word), system)
@@ -315,13 +318,14 @@ def two_normal_form_verdicts(system, nf=normal_form_reference):
     normal forms come from the reference, which shares no code with the
     reducer that ``confluence_check`` uses."""
     al = system.alphabet
-    lefts = sorted(system.rules, key=word_key)
+    rules = fraction_rules(system)
+    lefts = sorted(rules, key=word_key)
     verdicts = []
     for xy in lefts:
         for yz in (w for w in lefts if w[0] == xy[1]):
             x, z = xy[0], yz[1]
-            via_left = NCPoly(al, {w + (z,): c for w, c in system.rules[xy].terms.items()})
-            via_right = NCPoly(al, {(x,) + w: c for w, c in system.rules[yz].terms.items()})
+            via_left = NCPoly(al, {w + (z,): c for w, c in rules[xy].terms.items()})
+            via_right = NCPoly(al, {(x,) + w: c for w, c in rules[yz].terms.items()})
             verdicts.append(
                 ((x, xy[1], z), nf(via_left, system) == nf(via_right, system))
             )
@@ -333,9 +337,11 @@ def _verdicts(system):
 
 
 def _drop_rule(system, lead):
-    """The system without one rule: its leading word goes missing."""
+    """The system without the rule of one leading word code, in a new
+    dict: that word goes missing."""
     rules = {w: r for w, r in system.rules.items() if w != lead}
-    return replace(system, rules=rules, missing_leaders=system.missing_leaders + (lead,))
+    word = divmod(lead, system.alphabet.size)
+    return replace(system, rules=rules, missing_leaders=system.missing_leaders + (word,))
 
 
 @settings(max_examples=20, deadline=None)
@@ -366,7 +372,7 @@ def test_confluence_general_rules_clear_to_non_unit_denominators():
     src = rand_general(rng, space_of((0, 1)))
     tgt = rand_general(rng, space_of((0, 0)))
     system = build_rewrite_system(hom_algebra(src, tgt).relations)
-    assert any(c.denominator > 1 for r in system.rules.values() for c in r.terms.values())
+    assert any(p > 1 for p, _ in system.rules.values())
     assert _verdicts(system) == two_normal_form_verdicts(system)
 
 
@@ -376,11 +382,10 @@ def test_confluence_fails_on_one_scaled_rule_coefficient(seed):
     src, tgt = criterion_pair(rng, "yes", rng.choice(MIXED_SHAPES), rng.choice(MIXED_SHAPES))
     system = build_rewrite_system(hom_algebra(src, tgt).relations)
     assert system.complete and not failed_overlaps(confluence_check(system))
-    lead = max((w for w, r in system.rules.items() if r.terms), key=word_key)
-    terms = dict(system.rules[lead].terms)
-    word = max(terms, key=word_key)
-    terms[word] *= 3
-    broken = replace(system, rules={**system.rules, lead: NCPoly(system.alphabet, terms)})
+    lead = max(w for w, (_, rest) in system.rules.items() if rest)
+    p, rest = system.rules[lead]
+    word = max(rest)
+    broken = replace(system, rules={**system.rules, lead: (p, {**rest, word: 3 * rest[word]})})
     verdicts = _verdicts(broken)
     assert not all(resolved for _, resolved in verdicts)
     assert verdicts == two_normal_form_verdicts(broken)
@@ -408,22 +413,27 @@ def test_confluence_makes_no_normal_form(monkeypatch):
 
 
 def test_rules_are_cleared_once(monkeypatch):
+    # the span's rules are read off its back-substituted rows once and
+    # shared by every reader: no reader clears or copies them again
     calls = []
-    real = rewrite._cleared
-    monkeypatch.setattr(rewrite, "_cleared", lambda terms: calls.append(terms) or real(terms))
+    real = homs._rules
+    monkeypatch.setattr(homs, "_rules", lambda back: calls.append(back) or real(back))
     src, tgt = criterion_pair(random.Random(0), "yes", (0, 1), (0, 0))
-    system = build_rewrite_system(hom_algebra(src, tgt).relations)
+    rels = hom_algebra(src, tgt).relations
+    system = build_rewrite_system(rels)
+    assert system.rules is rels.rules
     assert not failed_overlaps(confluence_check(system))
-    assert len(calls) == len(system.rules)
     normal_form(NCPoly.monomial(system.alphabet, (3, 2, 1, 0)), system)
-    confluence_check(system)
-    assert len(calls) == len(system.rules)
-    # a replaced system clears its own rules, not the cached ones
-    lead = max((w for w, r in system.rules.items() if r.terms), key=word_key)
-    terms = {w: 3 * c for w, c in system.rules[lead].terms.items()}
-    broken = replace(system, rules={**system.rules, lead: NCPoly(system.alphabet, terms)})
+    confluence_check(build_rewrite_system(rels))
+    assert len(calls) == 1
+    # a replaced system reads its own rules, not the shared ones
+    lead = max(w for w, (_, rest) in system.rules.items() if rest)
+    p, rest = system.rules[lead]
+    scaled = {u: 3 * r for u, r in rest.items()}
+    broken = replace(system, rules={**system.rules, lead: (p, scaled)})
     assert failed_overlaps(confluence_check(broken))
-    assert len(calls) == 2 * len(system.rules)
+    assert not failed_overlaps(confluence_check(system))
+    assert len(calls) == 1
 
 
 def test_normal_form_refuses_foreign_letters():
@@ -491,7 +501,7 @@ def test_reference_property_fails_without_the_final_division(monkeypatch):
     rng = random.Random(7)
     src, tgt = criterion_pair(rng, "general", (0, 1), (0, 0))
     system = build_rewrite_system(hom_algebra(src, tgt).relations)
-    assert any(p > 1 for p, _ in system.int_rules.values())
+    assert any(p > 1 for p, _ in system.rules.values())
     with pytest.raises(AssertionError):
         _assert_normal_form_matches_reference(system, _random_poly(rng, system.alphabet))
 
