@@ -56,12 +56,7 @@ class ComposableTriple:
 
 
 def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> ComposableTriple:
-    return ComposableTriple(
-        a, b, c,
-        hom_algebra(a, b),
-        hom_algebra(b, c),
-        hom_algebra(a, c),
-    )
+    return ComposableTriple(a, b, c, hom_algebra(a, b), hom_algebra(b, c), hom_algebra(a, c))
 
 
 def _delta_bidegree(
@@ -126,8 +121,10 @@ def comultiplication_check(triple: ComposableTriple) -> bool:
     two-sided relation space of the factor algebras."""
     c1 = _integer_coords(triple.hom_ab.relations)
     c2 = _integer_coords(triple.hom_bc.relations)
-    for rel in triple.hom_ac.relations.polys:
-        expansion = _delta_bidegree(_cleared(rel.terms), triple.a, triple.b, triple.c)
+    n = triple.hom_ac.alphabet.size
+    for row in triple.hom_ac.relations.rows:
+        terms = {divmod(w, n): c for w, c in row.items()}
+        expansion = _delta_bidegree(terms, triple.a, triple.b, triple.c)
         if not _reduces_to_zero(expansion, c1, c2):
             return False
     return True
@@ -163,12 +160,11 @@ def coassociativity_check(
 
 def counit_substitution_ok(hom: HomAlgebra, values: Matrix) -> bool:
     """Do all defining relations vanish under t_A^K -> values[A][K]?"""
-    m = hom.target.space.dim
-    for rel in hom.relations.polys:
+    m, n = hom.target.space.dim, hom.alphabet.size
+    for row in hom.relations.rows:
         total = Fraction(0)
-        for (g1, g2), c in rel.terms.items():
-            a, k = divmod(g1, m)
-            b, l = divmod(g2, m)
+        for w, c in row.items():
+            (a, k), (b, l) = (divmod(g, m) for g in divmod(w, n))
             total += c * values.data[a][k] * values.data[b][l]
         if total != 0:
             return False

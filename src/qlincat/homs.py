@@ -13,11 +13,13 @@ For two-parameter objects the closed single-relation formula (one relation
 per index quadruple, with ratio coefficients) is implemented separately and
 must produce the same span, which tests enforce.
 
-A relation span is stored once, as polynomials, eliminated once and
+A relation span is stored once, as integer rows, eliminated once and
 back-substituted once: every reader takes its ``RelationSet.echelon``, its
 ``back_substituted`` rows or its ``rules``, the degree-2 quotient read off
 those rows as integer rewrite rules, and none of them mutates any of the
-three.  ``_rules`` is the one degree-2 quotient routine: the rewrite
+three.  Both derivations build the rows on integers, clearing each input
+vector or parameter matrix once; ``RelationSet.polys`` is a view for
+printing.  ``_rules`` is the one degree-2 quotient routine: the rewrite
 system, the coalgebra coordinates and the determinant's area form all read
 its output.
 """
@@ -28,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 
 from .graded import koszul_sign
 from .linalg import InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _same_span
-from .rewrite import Alphabet, IntRule, NCPoly, Word, matrix_alphabet
-from .spaces import QuantumObject
+from .rewrite import Alphabet, IntRule, NCPoly, matrix_alphabet
+from .spaces import BadParameters, QuantumObject, dual_object
 
 
 class ComponentCountMismatch(Exception):
@@ -45,19 +48,29 @@ class AlphabetMismatch(Exception):
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A span of quadratic relations, stored as nonzero polynomials."""
+    """A span of quadratic relations, stored as integer rows: word (g, h)
+    is column g * n + h, and each row is positive at its largest column,
+    the leading word of its relation."""
 
     alphabet: Alphabet
-    polys: tuple[NCPoly, ...]
+    rows: tuple[dict[int, int], ...]
+
+    @cached_property
+    def polys(self) -> tuple[NCPoly, ...]:
+        """Each row as a monic polynomial: a view for printing and tests;
+        nothing in the package computes with it."""
+        n = self.alphabet.size
+        return tuple(
+            NCPoly(self.alphabet, {divmod(c, n): Fraction(v, lead) for c, v in row.items()})
+            for row in self.rows
+            for lead in (row[max(row)],)
+        )
 
     @cached_property
     def echelon(self) -> dict[int, dict[int, int]]:
-        """The engine's echelon of the span: word (g, h) is column g * n + h,
-        so the pivot of a row is the leading word of its relation."""
-        n = self.alphabet.size
-        return _echelon(
-            _cleared({g * n + h: c for (g, h), c in p.terms.items()}) for p in self.polys
-        )
+        """The engine's echelon of the rows, so the pivot of an echelon row
+        is the leading word of its relation."""
+        return _echelon(self.rows)
 
     @cached_property
     def back_substituted(self) -> dict[int, dict[int, int]]:
@@ -78,17 +91,29 @@ class RelationSet:
 
     @property
     def matrix(self) -> Matrix:
-        """Read-only dense coefficient matrix over the lexicographic degree-2
-        word basis, built on each access.  Nothing in the package reads it."""
-        words = list(product(range(self.alphabet.size), repeat=2))
-        if not self.polys:
-            return Matrix.zeros(0, len(words))
-        zero = Fraction(0)
+        """Read-only dense matrix of ``polys`` over the degree-2 words in
+        code order, built on each access.  Nothing in the package reads it."""
+        n = self.alphabet.size
+        if not self.rows:
+            return Matrix.zeros(0, n * n)
+        zero, words = Fraction(0), [divmod(c, n) for c in range(n * n)]
         return Matrix([[p.terms.get(w, zero) for w in words] for p in self.polys])
 
 
+def _positive(row: dict[int, int]) -> dict[int, int] | None:
+    """The row without its zero entries, negated if negative at its largest
+    column; None if nothing is left."""
+    row = {c: v for c, v in row.items() if v}
+    if not row:
+        return None
+    return {c: -v for c, v in row.items()} if row[max(row)] < 0 else row
+
+
 def relation_set(alphabet: Alphabet, polys) -> RelationSet:
-    return RelationSet(alphabet, tuple(p for p in polys if not p.is_zero))
+    """The span of rational polynomials, each nonzero one cleared once."""
+    n = alphabet.size
+    rows = (_positive(_cleared({g * n + h: c for (g, h), c in p.terms.items()})) for p in polys)
+    return RelationSet(alphabet, tuple(row for row in rows if row is not None))
 
 
 @dataclass(frozen=True)
@@ -101,6 +126,11 @@ class HomAlgebra:
     relations: RelationSet
 
 
+def _terms(v, d: int) -> list[tuple[int, int, int]]:
+    """(i, j, x) for the entries x of v at index i * d + j, cleared once."""
+    return [(*divmod(c, d), x) for c, x in _cleared(dict(enumerate(v))).items()]
+
+
 def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> RelationSet:
     """Relation span from annihilator bases, component by component.
 
@@ -111,41 +141,35 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
     if src.s != tgt.s:
         raise ComponentCountMismatch(f"source has {src.s} components, target {tgt.s}")
     n, m = src.space.dim, tgt.space.dim
-    alphabet = matrix_alphabet(src.space, tgt.space)
-    polys: list[NCPoly] = []
-    expected = 0
+    nm, pv = n * m, src.space.parities
+    # signs[p][k]: the Koszul sign for par(B) = p and target index K
+    signs = [[koszul_sign(p, pk) for pk in tgt.space.parities] for p in (0, 1)]
+    rows, expected = [], 0
     for ann, fbasis in zip(src.annihilators, tgt.bases):
         expected += len(ann) * len(fbasis)
+        # word (A*m+K, B*m+L) is column (A*m*nm + B*m) + (K*nm + L): each f
+        # as its signed (K*nm + L, sign * f_KL) terms for either par(B)
+        fs = [[[(k * nm + l, s[k] * x) for k, l, x in _terms(f, m)] for s in signs]
+              for f in fbasis]
         for g in ann:
-            for f in fbasis:
-                terms: dict[Word, Fraction] = {}
-                for a, b in product(range(n), repeat=2):
-                    gc = g[a * n + b]
-                    if not gc:
-                        continue
-                    for k, l in product(range(m), repeat=2):
-                        fc = f[k * m + l]
-                        if not fc:
-                            continue
-                        sign = koszul_sign(src.space.parities[b], tgt.space.parities[k])
-                        w = (a * m + k, b * m + l)
-                        terms[w] = terms.get(w, Fraction(0)) + sign * gc * fc
-                poly = NCPoly(alphabet, terms)
-                if poly.is_zero:
+            gs = [(a * m * nm + b * m, pv[b], x) for a, b, x in _terms(g, n)]
+            for f in fs:
+                row = _positive({base + c: x * y for base, par, x in gs for c, y in f[par]})
+                if row is None:
                     raise InvariantViolation("degenerate relation from independent pair")
-                polys.append(poly.monic())
-    rs = relation_set(alphabet, polys)
+                rows.append(row)
+    rs = RelationSet(matrix_alphabet(src.space, tgt.space), tuple(rows))
     if rs.span_dim != expected:
         raise InvariantViolation("relation span smaller than the component count")
     return rs
 
 
-def _require_qp(obj: QuantumObject) -> tuple:
+def _integer_qp(obj: QuantumObject) -> tuple:
+    """(L, L q, L p): the parameter matrices over one common denominator L."""
     if obj.qp is None:
-        from .spaces import BadParameters
-
         raise BadParameters("object does not carry two-parameter matrices")
-    return obj.qp
+    den = lcm(*(x.denominator for mat in obj.qp for row in mat for x in row))
+    return den, *([[x.numerator * den // x.denominator for x in r] for r in mat] for mat in obj.qp)
 
 
 def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> RelationSet:
@@ -160,31 +184,30 @@ def derive_relations_sudbery(src: QuantumObject, tgt: QuantumObject) -> Relation
 
     lower-index parameters being the same numbers as upper-index ones.
     Coincident indices degenerate to the one-row and one-column relations.
+    Each relation is stored times L_src L_tgt (p^LK + q^LK), with L the
+    common denominator of an object's parameters, so it is an integer row.
     """
-    qv, pv = _require_qp(src)
-    qw, pw = _require_qp(tgt)
+    lv, qv, pv = _integer_qp(src)
+    lw, qw, pw = _integer_qp(tgt)
     n, m = src.space.dim, tgt.space.dim
-    pav, paw = src.space.parities, tgt.space.parities
-    alphabet = matrix_alphabet(src.space, tgt.space)
-    polys = []
+    nm, pav, paw = n * m, src.space.parities, tgt.space.parities
+    rows = []
     for a, b in product(range(n), repeat=2):
         for k, l in product(range(m), repeat=2):
-            denom = pw[l][k] + qw[l][k]
-            c1 = (pv[b][a] + qv[b][a]) / denom
+            c1 = lw * (pv[b][a] + qv[b][a])
             c1 *= koszul_sign(pav[a], paw[l]) * koszul_sign(pav[b], paw[k])
-            c2 = (pv[b][a] * pw[l][k] - qv[b][a] * qw[l][k]) / denom
+            c2 = pv[b][a] * pw[l][k] - qv[b][a] * qw[l][k]
             c2 *= koszul_sign(pav[a] + pav[b], paw[k])
-            terms: dict[Word, Fraction] = {}
-            for w, c in (
-                ((a * m + k, b * m + l), Fraction(1)),
-                ((b * m + l, a * m + k), -c1),
-                ((b * m + k, a * m + l), -c2),
+            row: dict[int, int] = {}
+            for code, c in (
+                ((a * m + k) * nm + b * m + l, lv * (pw[l][k] + qw[l][k])),
+                ((b * m + l) * nm + a * m + k, -c1),
+                ((b * m + k) * nm + a * m + l, -c2),
             ):
-                terms[w] = terms.get(w, Fraction(0)) + c
-            poly = NCPoly(alphabet, terms)
-            if not poly.is_zero:
-                polys.append(poly.monic())
-    return relation_set(alphabet, polys)
+                row[code] = row.get(code, 0) + c
+            if (row := _positive(row)) is not None:
+                rows.append(row)
+    return RelationSet(matrix_alphabet(src.space, tgt.space), tuple(rows))
 
 
 def spans_equal(r1: RelationSet, r2: RelationSet) -> bool:
@@ -199,8 +222,6 @@ def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
     basis)."""
     if obj.s != 2:
         raise ValueError("bilinear forms need a two-component object")
-    from .spaces import dual_object
-
     return derive_relations_general(obj, dual_object(obj))
 
 

@@ -12,11 +12,12 @@ from qlincat import (
     GradedSpace,
     NotComplementary,
     make_general,
+    make_normalized,
     make_sudbery,
     space_of,
 )
 from qlincat.bialgebra import WrongShape, _delta_bidegree
-from qlincat.graded import pi_image
+from qlincat.graded import koszul_sign, pi_image
 from qlincat.homs import HomAlgebra, relation_set
 from qlincat.linalg import Matrix, _echelon, _rref_rows, frac, row_basis
 from qlincat.rewrite import NCPoly, matrix_alphabet
@@ -68,6 +69,16 @@ def rand_general(rng: random.Random, space: GradedSpace, name: str = ""):
         k = rng.randint(1, n2 - 1)
         try:
             return make_general(space, [vecs[:k], vecs[k:]], name)
+        except NotComplementary:
+            continue
+
+
+def rand_normalized(rng: random.Random, space: GradedSpace, name: str = ""):
+    """Admissible one-parameter normalized object with random q, eps and lam."""
+    while True:
+        q = rand_reciprocal(rng, space)
+        try:
+            return make_normalized(space, q, rng.choice([1, -1]), rand_nonzero(rng), name)
         except NotComplementary:
             continue
 
@@ -533,3 +544,56 @@ def rmatrix_relation_span_reference(b_src, b_tgt):
             if not acc.is_zero:
                 polys.append(acc.monic())
     return relation_set(alphabet, polys)
+
+
+def derive_relations_general_reference(src, tgt) -> tuple[NCPoly, ...]:
+    """Reference for ``derive_relations_general``: each relation summed over
+    Fractions from the uncleared annihilator and basis vectors, made monic."""
+    n, m = src.space.dim, tgt.space.dim
+    alphabet = matrix_alphabet(src.space, tgt.space)
+    polys = []
+    for ann, fbasis in zip(src.annihilators, tgt.bases):
+        for g in ann:
+            for f in fbasis:
+                terms: dict = {}
+                for a, b in product(range(n), repeat=2):
+                    gc = g[a * n + b]
+                    if not gc:
+                        continue
+                    for k, l in product(range(m), repeat=2):
+                        fc = f[k * m + l]
+                        if not fc:
+                            continue
+                        sign = koszul_sign(src.space.parities[b], tgt.space.parities[k])
+                        w = (a * m + k, b * m + l)
+                        terms[w] = terms.get(w, Fraction(0)) + sign * gc * fc
+                polys.append(NCPoly(alphabet, terms).monic())
+    return tuple(polys)
+
+
+def derive_relations_sudbery_reference(src, tgt) -> tuple[NCPoly, ...]:
+    """Reference for ``derive_relations_sudbery``: the closed form with
+    Fraction coefficients, each nonzero relation made monic."""
+    (qv, pv), (qw, pw) = src.qp, tgt.qp
+    n, m = src.space.dim, tgt.space.dim
+    pav, paw = src.space.parities, tgt.space.parities
+    alphabet = matrix_alphabet(src.space, tgt.space)
+    polys = []
+    for a, b in product(range(n), repeat=2):
+        for k, l in product(range(m), repeat=2):
+            denom = pw[l][k] + qw[l][k]
+            c1 = (pv[b][a] + qv[b][a]) / denom
+            c1 *= koszul_sign(pav[a], paw[l]) * koszul_sign(pav[b], paw[k])
+            c2 = (pv[b][a] * pw[l][k] - qv[b][a] * qw[l][k]) / denom
+            c2 *= koszul_sign(pav[a] + pav[b], paw[k])
+            terms: dict = {}
+            for w, c in (
+                ((a * m + k, b * m + l), Fraction(1)),
+                ((b * m + l, a * m + k), -c1),
+                ((b * m + k, a * m + l), -c2),
+            ):
+                terms[w] = terms.get(w, Fraction(0)) + c
+            poly = NCPoly(alphabet, terms)
+            if not poly.is_zero:
+                polys.append(poly.monic())
+    return tuple(polys)

@@ -9,7 +9,6 @@ import pytest
 from qlincat import bialgebra, cli, homs, linalg
 from qlincat.cli import main
 
-from support import relation_int_rows
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_objects"
 
@@ -432,24 +431,22 @@ def test_each_relation_span_is_eliminated_once_per_call(monkeypatch, capsys, arg
     spans: Counter = Counter()
     passes: Counter = Counter()
 
-    def tracking(alphabet, polys):
-        rels = real_relation_set(alphabet, polys)
-        spans[_rows_key(relation_int_rows(rels))] += 1
-        return rels
+    def tracking(self, alphabet, rows):
+        real_init(self, alphabet, rows)
+        spans[_rows_key(self.rows)] += 1
 
     def counting(rows):
         rows = list(rows)
         passes[_rows_key(rows)] += 1
         return real_echelon(rows)
 
-    real_relation_set, real_echelon = homs.relation_set, linalg._echelon
-    # every module binding of relation_set and of the engine's _echelon
+    real_init, real_echelon = homs.RelationSet.__init__, linalg._echelon
+    # every span is built by RelationSet's own constructor, whichever
+    # derivation or relation_set builds it; every module binding of the
+    # engine's _echelon is counted
+    monkeypatch.setattr(homs.RelationSet, "__init__", tracking)
     for name, module in list(sys.modules.items()):
-        if not name.startswith("qlincat"):
-            continue
-        if hasattr(module, "relation_set"):
-            monkeypatch.setattr(module, "relation_set", tracking)
-        if hasattr(module, "_echelon"):
+        if name.startswith("qlincat") and hasattr(module, "_echelon"):
             monkeypatch.setattr(module, "_echelon", counting)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()

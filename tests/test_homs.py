@@ -1,10 +1,11 @@
 import random
 from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qlincat import homs, rewrite, spaces
 from qlincat.bialgebra import (
@@ -23,7 +24,7 @@ from qlincat.homs import (
     relation_set,
     spans_equal,
 )
-from qlincat.linalg import InvariantViolation, Matrix, rank
+from qlincat.linalg import InvariantViolation, Matrix, _cleared, _echelon, rank
 from qlincat.pbw import oracle_dims
 from qlincat.rewrite import (
     NCPoly,
@@ -34,7 +35,16 @@ from qlincat.rewrite import (
 )
 from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery
 
-from support import MIXED_SHAPES, criterion_pair, even2_sudbery, rand_nonzero, rand_sudbery
+from support import (
+    MIXED_SHAPES,
+    criterion_pair,
+    derive_relations_general_reference,
+    derive_relations_sudbery_reference,
+    even2_sudbery,
+    rand_nonzero,
+    rand_normalized,
+    rand_sudbery,
+)
 
 
 def supercommutator_relations(src_space, tgt_space):
@@ -180,15 +190,89 @@ def test_relation_count_matches_component_dims():
         assert sum(w not in rels.rules for w in range(words)) == words - expected
 
 
-def test_sudbery_equals_general_randomized():
-    rng = random.Random(14)
-    for _ in range(12):
-        parities = rng.choice([(0, 0), (0, 1), (1, 1), (0, 0, 1)])
-        src = rand_sudbery(rng, space_of(parities))
-        tgt = rand_sudbery(rng, space_of(parities))
-        assert spans_equal(
-            derive_relations_general(src, tgt), derive_relations_sudbery(src, tgt)
-        )
+@st.composite
+def two_parameter_pairs(draw):
+    """YES, NO, independent two-parameter and normalized pairs over
+    ``MIXED_SHAPES``, source and target shapes drawn apart."""
+    kind = draw(st.sampled_from(["yes", "no", "sudbery", "normalized"]))
+    shapes = [space_of(draw(st.sampled_from(MIXED_SHAPES))) for _ in range(2)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sudbery":
+        return tuple(rand_sudbery(rng, sp) for sp in shapes)
+    if kind == "normalized":
+        return tuple(rand_normalized(rng, sp) for sp in shapes)
+    return criterion_pair(rng, kind, *(sp.parities for sp in shapes))
+
+
+@st.composite
+def derivation_pairs(draw):
+    """Two-parameter pairs, and non-homogeneous general sources with a
+    two-parameter target (only the general derivation applies to those)."""
+    if draw(st.booleans()):
+        return draw(two_parameter_pairs())
+    shapes = [draw(st.sampled_from(MIXED_SHAPES)) for _ in range(2)]
+    return criterion_pair(random.Random(draw(st.integers(0, 2**32 - 1))), "general", *shapes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_parameter_pairs())
+def test_sudbery_equals_general_randomized(pair):
+    assert spans_equal(derive_relations_general(*pair), derive_relations_sudbery(*pair))
+
+
+def _swapped_ratio(obj, a, b):
+    """The object with q^{BA} and p^{BA} exchanged in its parameters only."""
+    q, p = ([list(row) for row in mat] for mat in obj.qp)
+    q[b][a], p[b][a] = p[b][a], q[b][a]
+    return replace(obj, qp=(tuple(map(tuple, q)), tuple(map(tuple, p))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(two_parameter_pairs(), st.integers(0, 2**32 - 1))
+def test_closed_form_with_one_swapped_ratio_differs_from_general(pair, seed):
+    src, tgt = pair
+    a, b = random.Random(seed).sample(range(src.space.dim), 2)
+    q, p = src.qp
+    assume(q[b][a] != p[b][a])
+    general = derive_relations_general(src, tgt)
+    assert not spans_equal(general, derive_relations_sudbery(_swapped_ratio(src, a, b), tgt))
+
+
+def _derivations_and_references(src, tgt):
+    out = [(derive_relations_general(src, tgt), derive_relations_general_reference(src, tgt))]
+    if src.qp is not None:
+        closed = derive_relations_sudbery(src, tgt)
+        out.append((closed, derive_relations_sudbery_reference(src, tgt)))
+    return out
+
+
+def _matches_reference(rels, ref_polys) -> bool:
+    """The same monic polynomials in the same order, term for term, and the
+    same echelon as the reference polynomials cleared one by one."""
+    n = rels.alphabet.size
+    cleared = (_cleared({g * n + h: c for (g, h), c in p.terms.items()}) for p in ref_polys)
+    terms = [list(p.terms.items()) for p in rels.polys]
+    same_polys = terms == [list(p.terms.items()) for p in ref_polys]
+    return same_polys and rels.echelon == _echelon(cleared)
+
+
+@settings(max_examples=30, deadline=None)
+@given(derivation_pairs())
+def test_integer_derivations_match_fraction_references(pair):
+    for rels, ref in _derivations_and_references(*pair):
+        assert _matches_reference(rels, ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(derivation_pairs(), st.integers(0, 2**32 - 1))
+def test_reference_match_fails_on_one_scaled_coefficient(pair, seed):
+    rng = random.Random(seed)
+    for rels, ref in _derivations_and_references(*pair):
+        rows = [dict(row) for row in rels.rows]
+        # a one-term row stays the same monic relation however it is scaled
+        row = rng.choice([row for row in rows if len(row) > 1])
+        row[rng.choice(list(row))] *= 2
+        assert not _matches_reference(homs.RelationSet(rels.alphabet, tuple(rows)), ref)
 
 
 def test_component_count_mismatch():
