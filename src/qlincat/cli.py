@@ -46,7 +46,7 @@ from .spaces import (
 
 FORMAT = "quantum-object/1"
 # `qlincat object` on a dense random general file of this dim takes about
-# 0.4 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
+# 0.3 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
 MAX_DIM = 8
 # `qlincat yb` on a dim-8 two-parameter object with 56 candidate coefficients
 # takes 1.4 s with 100-digit integer entries, 2.7 s with 100-digit numerators

@@ -5,24 +5,25 @@ anywhere in this package.  Every elimination runs through ``_insert``: rows
 are ``{column: int}`` dicts with denominators cleared per row, the pivot of
 a row is its largest column, and rows are kept gcd-normalised.  The forward
 pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
-``_rref_rows`` scales that to the reduced echelon form (pivot entries 1)
-for kernels, row bases and spectral sums.  ``_back_substituted`` is also
-read by the determinant's area form, by
+``_rref`` scales that to the reduced echelon form (pivot entries 1) for
+kernels, spectral sums and the component bases of
+``spaces.QuantumObject``, which keeps each component's forward pass.
+``_back_substituted`` is also read by the determinant's area form, by
 ``homs.RelationSet.back_substituted``, which back-substitutes each relation
 span once for its degree-2 rules and for the dimension oracle, and by the
 oracle for each degree's new rows.  The largest-column pivot is the
 leading word of the monomial order; callers that work in natural column
-order (kernels, row bases and spectral sums) reflect column c to ncols-1-c
-so that the leftmost column is pivoted first.  The yes/no checks form no
-dense product: ``kernel_basis`` verifies its basis with integer dot
-products against the cleared rows, and ``check_complementary`` decides a
-direct sum from ranks alone; ``_same_span`` inserts one span's echelon rows
-into a copy of the other's.  There is no linear solver: quotient coordinates
-are read from the integer back-substitution (``homs._rules``).  ``Matrix`` is
-an immutable dense value type with no arithmetic.  It is the type of the
-projectors and of the braid matrix B, both read by ``spectral_sum`` from
-one elimination over component bases, of the counit substitution, and of
-the read-only dense view of a relation span.
+order (kernels, component bases and spectral sums) reflect column c to
+ncols-1-c so that the leftmost column is pivoted first.  The yes/no checks
+form no dense product: ``kernel_basis`` verifies its basis with integer dot
+products against the cleared rows, and ``_same_span`` inserts one span's
+echelon rows into a copy of the other's.  There is no linear solver:
+quotient coordinates are read from the integer back-substitution
+(``homs._rules``).  ``Matrix`` is an immutable dense value type with no
+arithmetic.  It is the type of the projectors and of the braid matrix B,
+both read by ``spectral_sum`` from one elimination over component bases,
+of the counit substitution, and of the read-only dense view of a relation
+span.
 """
 
 from __future__ import annotations
@@ -171,12 +172,12 @@ def _rank(vectors: Iterable[Sequence]) -> int:
     return len(_echelon(_int_rows(vectors)))
 
 
-def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
-    """Reduced echelon rows in natural column order: (pivot column, dense
-    row) pairs with ascending pivots.  The columns are reflected for the
-    engine, so its largest-column pivot is the leftmost natural column."""
+def _rref(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[int, Vector]]:
+    """Reduced echelon rows in natural column order of an ``_echelon``
+    result over reflected columns: (pivot column, dense row) pairs with
+    ascending pivots, each pivot entry 1."""
     last = ncols - 1
-    back = _back_substituted(_echelon(_int_rows(vectors, reflect=True)))
+    back = _back_substituted(echelon)
     out = []
     for lead in sorted(back, reverse=True):
         row = back[lead]
@@ -186,6 +187,12 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
             v[last - c] = Fraction(x, pivot)
         out.append((last - lead, tuple(v)))
     return out
+
+
+def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
+    """``_rref`` of the vectors.  The columns are reflected for the engine,
+    so its largest-column pivot is the leftmost natural column."""
+    return _rref(_echelon(_int_rows(vectors, reflect=True)), ncols)
 
 
 def rank(m: Matrix) -> int:
@@ -215,13 +222,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         if any(sum(x * w.get(c, 0) for c, x in row.items()) for row in rows):
             raise InvariantViolation("kernel vector not annihilated")
     return basis
-
-
-def row_basis(vectors: Sequence[Sequence]) -> list[Vector]:
-    """Deterministic basis of the row span: the nonzero rows of its rref."""
-    if not vectors:
-        return []
-    return [row for _, row in _rref_rows(vectors, len(vectors[0]))]
 
 
 def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> bool:
@@ -258,20 +258,6 @@ def annihilator(
     return kernel_basis(Matrix._wrap(tuple(vecs)))
 
 
-def check_complementary(components: Sequence[Sequence[Sequence]], dim: int) -> None:
-    """Raise NotComplementary unless the component spans form a direct-sum
-    decomposition of the dim-dimensional ambient space; ranks only."""
-    total = sum(_rank(comp) for comp in components)
-    if total != dim:
-        raise NotComplementary(
-            f"component dimensions sum to {total}, ambient dimension is {dim}"
-        )
-    if _rank([v for comp in components for v in comp]) != dim:
-        raise NotComplementary("joint spanning matrix is rank-deficient")
-    if any(len(v) != dim for comp in components for v in comp):
-        raise ValueError(f"component vectors must have {dim} coordinates")
-
-
 def spectral_sum(bases: Sequence[Sequence[Sequence]], values: Sequence, dim: int) -> Matrix:
     """The matrix M with M v = values[k] * v for every v in bases[k].
 
@@ -284,18 +270,3 @@ def spectral_sum(bases: Sequence[Sequence[Sequence]], values: Sequence, dim: int
     if len(rows) != dim or [pc for pc, _ in pairs] != list(range(dim)):
         raise InvariantViolation(f"the bases do not form a basis of a {dim}-dimensional space")
     return Matrix._wrap(tuple(tuple(row[dim + r] for _, row in pairs) for r in range(dim)))
-
-
-def projectors(components: Sequence[Sequence[Sequence]], dim: int) -> list[Matrix]:
-    """Projectors P_k onto each component along the others.
-
-    Raises NotComplementary unless the component spans form a direct-sum
-    decomposition of the dim-dimensional ambient space.  P_k is the
-    ``spectral_sum`` that is 1 on component k and 0 on the others.
-    """
-    check_complementary(components, dim)
-    bases = [row_basis(comp) for comp in components]
-    return [
-        spectral_sum(bases, [int(k == j) for j in range(len(bases))], dim)
-        for k in range(len(bases))
-    ]

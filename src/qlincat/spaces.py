@@ -8,8 +8,12 @@ family, its classical point (both matrices the Koszul signs) and its
 one-parameter normalized form.  Parameter matrices are exact rationals,
 never indeterminates.
 
-Each object reduces its components once, in ``QuantumObject.bases`` and
-``QuantumObject.annihilators``; the hom relations and the dual object read
+A ``QuantumObject`` cannot exist without a complementary decomposition:
+its constructor eliminates each component once, forward only, and reads
+the component dimensions and the direct-sum condition from those echelons.
+``QuantumObject.bases`` back-substitutes the same echelons, the projectors
+are spectral sums over the bases, and ``QuantumObject.annihilators`` are
+each component's one kernel; the hom relations and the dual object read
 them and never change them.
 """
 
@@ -24,13 +28,14 @@ from .linalg import (
     Matrix,
     NotComplementary,
     Vector,
-    _rank,
+    _echelon,
+    _insert,
+    _int_rows,
+    _rref,
+    _same_span,
     annihilator,
-    check_complementary,
     frac,
-    projectors,
-    row_basis,
-    row_spans_equal,
+    spectral_sum,
 )
 
 
@@ -59,6 +64,9 @@ class QuantumObject:
     components[k] is a tuple of spanning vectors (coordinates over the
     lexicographic degree-2 word basis, index (A, B) -> A*dim + B).
     For two-parameter kinds, qp = (Q, P) holds the defining matrices.
+    Construction raises ValueError unless every vector has dim**2
+    coordinates, and NotComplementary unless the component spans form a
+    direct-sum decomposition of V' (x) V'.
     """
 
     space: GradedSpace
@@ -68,14 +76,34 @@ class QuantumObject:
     normalized: tuple[ParamMatrix, int, Fraction] | None = None
     name: str = ""
 
+    def __post_init__(self):
+        dim = self.space.dim**2
+        if any(len(v) != dim for comp in self.components for v in comp):
+            raise ValueError(f"component vectors must have {dim} coordinates")
+        total = sum(self.component_dims())
+        if total != dim:
+            raise NotComplementary(
+                f"component dimensions sum to {total}, ambient dimension is {dim}"
+            )
+        joint: dict[int, dict[int, int]] = {}
+        if any(_insert(joint, row) is None for e in self._echelons for row in e.values()):
+            raise NotComplementary("joint spanning matrix is rank-deficient")
+
     @property
     def s(self) -> int:
         return len(self.components)
 
     @cached_property
+    def _echelons(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """Each component's forward elimination, columns reflected as
+        ``linalg._rref`` reads them."""
+        return tuple(_echelon(_int_rows(comp, reflect=True)) for comp in self.components)
+
+    @cached_property
     def bases(self) -> tuple[tuple[Vector, ...], ...]:
         """A row basis of each component (the nonzero rows of its rref)."""
-        return tuple(tuple(row_basis(comp)) for comp in self.components)
+        dim = self.space.dim**2
+        return tuple(tuple(row for _, row in _rref(e, dim)) for e in self._echelons)
 
     @cached_property
     def annihilators(self) -> tuple[tuple[Vector, ...], ...]:
@@ -84,12 +112,15 @@ class QuantumObject:
         return tuple(tuple(annihilator(comp, dim, signs)) for comp in self.components)
 
     def component_dims(self) -> tuple[int, ...]:
-        # forward ranks, not len(self.bases): `qlincat object` needs no basis,
-        # and back-substitution cost it 0.2 s on a dense random dim-8 file
-        return tuple(_rank(comp) for comp in self.components)
+        return tuple(len(e) for e in self._echelons)
 
     def projectors(self) -> list[Matrix]:
-        return projectors(self.components, self.space.dim**2)
+        """P_k onto component k along the others: the spectral sum that is
+        1 on component k and 0 on the others."""
+        return [
+            spectral_sum(self.bases, [int(k == j) for j in range(self.s)], self.space.dim**2)
+            for k in range(self.s)
+        ]
 
 
 def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) -> None:
@@ -118,12 +149,14 @@ def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) 
 
 
 def _pair_spans(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
-    """Spanning vectors for the two components from parameter matrices."""
+    """Spanning vectors for the two components from parameter matrices, one
+    per unordered pair a <= b: by reciprocity the (b, a) vector is a
+    multiple of the (a, b) vector."""
     n = space.dim
     minus: list[Vector] = []
     plus: list[Vector] = []
     for a in range(n):
-        for b in range(n):
+        for b in range(a, n):
             vec = [Fraction(0)] * (n * n)
             vec[a * n + b] += Fraction(1)
             vec[b * n + a] -= q[a][b]
@@ -156,10 +189,8 @@ def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
     qm = _as_param_matrix(q, n, "q")
     pm = _as_param_matrix(p, n, "p")
     validate_sudbery_params(space, qm, pm)
-    i_span, j_span = _pair_spans(space, qm, pm)
-    check_complementary((i_span, j_span), space.dim**2)
     kind = "classical" if qm == pm == classical_params(space) else "sudbery"
-    return QuantumObject(space, (i_span, j_span), kind, (qm, pm), None, name)
+    return QuantumObject(space, _pair_spans(space, qm, pm), kind, (qm, pm), None, name)
 
 
 def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> QuantumObject:
@@ -195,10 +226,9 @@ def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> Qua
             prow.append(qm[a][b] * lam**-s)
         qhat.append(tuple(qrow))
         phat.append(tuple(prow))
-    obj = make_sudbery(space, tuple(qhat), tuple(phat), name)
-    return QuantumObject(
-        obj.space, obj.components, "normalized", obj.qp, (qm, eps, lam), name
-    )
+    qp = (tuple(qhat), tuple(phat))
+    validate_sudbery_params(space, *qp)
+    return QuantumObject(space, _pair_spans(space, *qp), "normalized", qp, (qm, eps, lam), name)
 
 
 def make_general(space: GradedSpace, components, name: str = "") -> QuantumObject:
@@ -208,7 +238,6 @@ def make_general(space: GradedSpace, components, name: str = "") -> QuantumObjec
     )
     if len(comps) < 2:
         raise ValueError("need at least two components")
-    check_complementary(comps, space.dim**2)
     return QuantumObject(space, comps, "general", None, None, name)
 
 
@@ -222,7 +251,6 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
         raise ValueError("dual_object requires a two-component object")
     n = obj.space.dim
     ann_i, ann_j = obj.annihilators
-    check_complementary((ann_j, ann_i), n * n)
     qp = None
     kind = "general"
     if obj.qp is not None:
@@ -241,7 +269,4 @@ def objects_equal(a: QuantumObject, b: QuantumObject) -> bool:
     """Same space and the same component subspaces (as spans)."""
     if a.space != b.space or a.s != b.s:
         return False
-    return all(
-        row_spans_equal(list(ca), list(cb))
-        for ca, cb in zip(a.components, b.components)
-    )
+    return all(_same_span(ea, eb) for ea, eb in zip(a._echelons, b._echelons))

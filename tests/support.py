@@ -19,7 +19,7 @@ from qlincat import (
 from qlincat.bialgebra import WrongShape, _delta_bidegree
 from qlincat.graded import koszul_sign, pi_image
 from qlincat.homs import HomAlgebra, relation_set
-from qlincat.linalg import Matrix, _echelon, _rref_rows, frac, row_basis
+from qlincat.linalg import Matrix, _echelon, _rref_rows, frac
 from qlincat.rewrite import NCPoly, matrix_alphabet
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -71,6 +71,23 @@ def rand_general(rng: random.Random, space: GradedSpace, name: str = ""):
             return make_general(space, [vecs[:k], vecs[k:]], name)
         except NotComplementary:
             continue
+
+
+def pair_spans_reference(space: GradedSpace, q, p):
+    """Reference for ``spaces._pair_spans``: one vector e_ab - q^{ab} e_ba
+    and one vector e_ab + p^{ab} e_ba for every ordered pair (a, b), zero
+    vectors dropped, so n**2 vectors in all, about half of them multiples
+    of the others by reciprocity."""
+    n = space.dim
+    minus, plus = [], []
+    for a, b in product(range(n), repeat=2):
+        for out, sign, m in ((minus, -1, q), (plus, 1, p)):
+            vec = [Fraction(0)] * (n * n)
+            vec[a * n + b] += 1
+            vec[b * n + a] += sign * m[a][b]
+            if any(vec):
+                out.append(tuple(vec))
+    return tuple(minus), tuple(plus)
 
 
 def rand_normalized(rng: random.Random, space: GradedSpace, name: str = ""):
@@ -375,10 +392,15 @@ def inverse(m):
     return Matrix([row[n:] for _, row in pairs])
 
 
+def row_basis(vectors) -> list:
+    """The nonzero rows of the reduced echelon form of the vectors."""
+    return [row for _, row in _rref_rows(vectors, len(vectors[0]))] if vectors else []
+
+
 def projectors_reference(components, dim):
-    """Reference for ``linalg.projectors``: C has the component bases as
-    columns, and P_k is the k-th column block of C times the k-th row block
-    of C^{-1}, by a dense inverse and dense products."""
+    """Reference for ``QuantumObject.projectors``: C has the component
+    bases as columns, and P_k is the k-th column block of C times the k-th
+    row block of C^{-1}, by a dense inverse and dense products."""
     bases = [row_basis(comp) for comp in components]
     c = transpose(Matrix([v for b in bases for v in b]))
     ci = inverse(c)

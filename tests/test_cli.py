@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qlincat import bialgebra, cli, homs, linalg
+from qlincat import bialgebra, cli, homs, linalg, spaces
 from qlincat.cli import main
 
 
@@ -472,18 +472,9 @@ def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
     assert sizes == [1, 3, 1, 3, 6]
 
 
-@pytest.mark.parametrize(
-    "argv, reductions",
-    [
-        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, id="pbw"),
-        pytest.param(["hom", *PAIR, "--form", "both"], 2, id="hom"),
-        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 8, id="bialgebra"),
-        pytest.param(["det", *CHAIN, CHAIN[0]], 6, id="det"),
-    ],
-)
-def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, reductions):
-    # two components per object: each source's annihilators and each
-    # target's bases, once per object however many homs it takes part in
+def _count_object_reductions(monkeypatch) -> Counter:
+    """Count each component's forward elimination and back-substitution,
+    both made in spaces, and each annihilator, wherever it is taken."""
     calls: Counter = Counter()
 
     def counting(name, real):
@@ -493,35 +484,43 @@ def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, reducti
 
         return wrapper
 
-    for name in ("annihilator", "row_basis"):
-        wrapped = counting(name, getattr(linalg, name))
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("qlincat") and hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    for name in ("_echelon", "_rref"):
+        monkeypatch.setattr(spaces, name, counting(name, getattr(spaces, name)))
+    wrapped = counting("annihilator", linalg.annihilator)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("qlincat") and hasattr(module, "annihilator"):
+            monkeypatch.setattr(module, "annihilator", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, objects, reductions",
+    [
+        pytest.param(["object", PAIR[0]], 1, 0, id="object"),
+        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, 2, id="pbw"),
+        pytest.param(["hom", *PAIR, "--form", "both"], 2, 2, id="hom"),
+        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 8, id="bialgebra"),
+        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 6, id="det"),
+    ],
+)
+def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects, reductions):
+    # two components per object, each forward-eliminated once when its
+    # object is built; each source's annihilators and each target's bases
+    # once per object however many homs it takes part in
+    calls = _count_object_reductions(monkeypatch)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
-    assert calls == {"annihilator": reductions, "row_basis": reductions}
+    expected = {"_echelon": 2 * objects, "_rref": reductions, "annihilator": reductions}
+    assert calls == Counter(expected)
 
 
 def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
-    # both braid matrices read the cached component bases (one row_basis per
-    # component), complementarity is checked once on load, and nothing inverts
-    calls: Counter = Counter()
-    for name in ("row_basis", "check_complementary", "inverse"):
-        real = getattr(linalg, name, None)
-        if real is None:
-            continue
-
-        def wrapper(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("qlincat") and hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+    # both braid matrices read the cached component bases: one forward
+    # elimination and one back-substitution per component, and no kernel
+    calls = _count_object_reductions(monkeypatch)
     assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
-    assert (calls["row_basis"], calls["check_complementary"], calls["inverse"]) == (2, 1, 0)
+    assert calls == Counter({"_echelon": 2, "_rref": 2})
 
 
 def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):

@@ -98,7 +98,7 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     al = system.alphabet
     words = {tuple(rng.randrange(al.size) for _ in range(4)) for _ in range(3)}
     normal_form(NCPoly(al, {w: rand_nonzero(rng) for w in words}), system)
-    oracle_dims(hom, 4)
+    oracle_dims(hom, 3)
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))
     # hom is the first factor and the composite of the chain src, tgt, tgt
     triple = ComposableTriple(src, tgt, tgt, hom, hom_algebra(tgt, tgt), hom)

@@ -9,16 +9,15 @@ from qlincat.linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
+    _rref_rows,
     annihilator,
     kernel_basis,
-    projectors,
     rank,
-    row_basis,
     row_spans_equal,
     spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
-from qlincat.spaces import make_classical, make_sudbery
+from qlincat.spaces import make_classical, make_general, make_sudbery
 
 from support import (
     inverse,
@@ -147,7 +146,7 @@ def test_annihilator_involution():
 
 def test_projectors_classical_split():
     obj = make_classical(space_of((0, 0)))
-    p_i, p_j = projectors(obj.components, 4)
+    p_i, p_j = obj.projectors()
     swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     eye = Matrix.identity(4)
     assert p_j == mat_scale(mat_add(eye, swap), Fraction(1, 2))
@@ -160,7 +159,7 @@ def test_projectors_sudbery_identities():
         [[1, Fraction(1, 2)], [2, 1]],
         [[1, Fraction(1, 3)], [3, 1]],
     )
-    ps = projectors(obj.components, 4)
+    ps = obj.projectors()
     eye = Matrix.identity(4)
     total = Matrix.zeros(4, 4)
     for a, p in enumerate(ps):
@@ -179,7 +178,7 @@ def test_projectors_sudbery_identities():
 def test_projectors_trivial_parameters_match_classical():
     cl = make_classical(space_of((0, 0)))
     sud = make_sudbery(space_of((0, 0)), [[1, 1], [1, 1]], [[1, 1], [1, 1]])
-    assert projectors(cl.components, 4) == projectors(sud.components, 4)
+    assert cl.projectors() == sud.projectors()
 
 
 def test_projectors_not_complementary():
@@ -187,9 +186,9 @@ def test_projectors_not_complementary():
     e00 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     e11 = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     with pytest.raises(NotComplementary):
-        projectors([[e00], [e00, e11]], 4)
+        make_general(space_of((0, 0)), [[e00], [e00, e11]])
     with pytest.raises(NotComplementary):
-        projectors([[e00], [e11]], 4)
+        make_general(space_of((0, 0)), [[e00], [e11]])
 
 
 def test_kron_shapes():
@@ -209,7 +208,7 @@ def test_rref_pivots_monotone():
     rng = random.Random(31)
     for _ in range(20):
         m = rand_matrix(rng, 4, 6)
-        red = row_basis(m.data)
+        red = [row for _, row in _rref_rows(m.data, m.cols)]
         pivots = pivot_columns(red)
         assert pivots == sorted(pivots)
         for row, pc in zip(red, pivots):
@@ -274,7 +273,7 @@ def test_engine_properties_against_bareiss(m):
     r = rank(m)
     assert r == rank_bareiss(m)
     assert r + len(kernel_basis(m)) == m.cols
-    red = row_basis(m.data)
+    red = [row for _, row in _rref_rows(m.data, m.cols)]
     pivots = pivot_columns(red)
     assert len(pivots) == r
     assert pivots == sorted(set(pivots))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlincat
-from qlincat import linalg, rmatrix
+from qlincat import linalg, rmatrix, spaces
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
-from qlincat.linalg import InvariantViolation, Matrix, projectors, rank, row_spans_equal
+from qlincat.linalg import InvariantViolation, Matrix, rank, row_spans_equal
 from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
     BMatrix,
@@ -346,7 +346,7 @@ def spectral_objects(draw):
 def _assert_spectral_sums_match_reference(obj, coeffs):
     dim = obj.space.dim**2
     assert build_B(obj, coeffs).matrix == b_matrix_reference(obj, coeffs)
-    assert projectors(obj.components, dim) == projectors_reference(obj.components, dim)
+    assert obj.projectors() == projectors_reference(obj.components, dim)
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,18 +357,18 @@ def test_spectral_sums_match_inverse_reference(case):
 
 def test_spectral_sum_property_fails_on_swapped_values(monkeypatch):
     # each value assigned to the next component instead of its own
-    real = linalg.spectral_sum
+    real = spaces.spectral_sum
 
     def rotated(bases, values, dim):
         return real(bases, list(values[1:]) + list(values[:1]), dim)
 
     monkeypatch.setattr(rmatrix, "spectral_sum", rotated)
-    monkeypatch.setattr(linalg, "spectral_sum", rotated)
+    monkeypatch.setattr(spaces, "spectral_sum", rotated)
     obj = even2_sudbery(2, 3)
     with pytest.raises(AssertionError):
         assert build_B(obj, [1, -5]).matrix == b_matrix_reference(obj, [1, -5])
     with pytest.raises(AssertionError):
-        assert projectors(obj.components, 4) == projectors_reference(obj.components, 4)
+        assert obj.projectors() == projectors_reference(obj.components, 4)
 
 
 def test_build_B_rejects_dependent_bases():

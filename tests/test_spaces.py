@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
 from qlincat.linalg import Matrix, NotComplementary, annihilator, rank, row_spans_equal
 from qlincat.spaces import (
     BadParameters,
+    QuantumObject,
     dual_object,
     make_classical,
     make_general,
@@ -19,7 +21,13 @@ from qlincat.spaces import (
 )
 from qlincat.pbw import pbw_extract_constant
 
-from support import MIXED_SHAPES, rand_general, rand_sudbery
+from support import (
+    MIXED_SHAPES,
+    pair_spans_reference,
+    rand_general,
+    rand_normalized,
+    rand_sudbery,
+)
 
 
 def test_classical_dims_even2():
@@ -159,21 +167,36 @@ def test_general_constructor_messages():
         make_general(even_space(2), [[e[0]], e])
     with pytest.raises(NotComplementary, match="joint spanning matrix is rank-deficient"):
         make_general(even_space(2), [[e[0]], [e[0], e[1], e[2]]])
-    # full rank, but in a 5-dimensional space instead of V' (x) V'
-    e5 = [tuple(f(int(i == j)) for j in range(5)) for i in range(4)]
-    with pytest.raises(ValueError):
-        make_general(even_space(2), [e5[:2], e5[2:]])
+    # full rank, but in a 5-dimensional space instead of V' (x) V'; the
+    # coordinate count is checked before any rank is taken
+    e5 = [tuple(f(int(i == j)) for j in range(5)) for i in range(5)]
+    for comps in ([e5[:2], e5[2:4]], [e5[:2], e5[2:]]):
+        with pytest.raises(ValueError, match="component vectors must have 4 coordinates"):
+            make_general(even_space(2), comps)
+
+
+def test_quantum_object_holds_complementarity():
+    # a QuantumObject built directly raises exactly as make_general does
+    f = Fraction
+    e = [tuple(f(int(i == j)) for j in range(4)) for i in range(4)]
+    e5 = [tuple(f(int(i == j)) for j in range(5)) for i in range(5)]
+    for comps in ([e[:1], e], [e[:1], e[:3]], [e[:1], e[2:]], [e5[:2], e5[2:]]):
+        with pytest.raises((NotComplementary, ValueError)) as by_constructor:
+            make_general(even_space(2), comps)
+        message = f"^{re.escape(str(by_constructor.value))}$"
+        with pytest.raises(by_constructor.type, match=message):
+            QuantumObject(even_space(2), tuple(tuple(c) for c in comps))
 
 
 def test_constructors_build_no_projectors(monkeypatch):
     calls = []
-    real = spaces.projectors
+    real = spaces.spectral_sum
 
-    def counting(components, dim):
+    def counting(bases, values, dim):
         calls.append(dim)
-        return real(components, dim)
+        return real(bases, values, dim)
 
-    monkeypatch.setattr(spaces, "projectors", counting)
+    monkeypatch.setattr(spaces, "spectral_sum", counting)
     sp = space_of((0, 1))
     cl = make_classical(sp)
     sud = make_sudbery(sp, [[1, 2], [Fraction(1, 2), -1]], [[1, 3], [Fraction(1, 3), -1]])
@@ -182,7 +205,44 @@ def test_constructors_build_no_projectors(monkeypatch):
     dual_object(sud)
     assert calls == []
     cl.projectors()  # the counter does see the lookup
-    assert calls == [4]
+    assert calls == [4, 4]
+
+
+@st.composite
+def two_parameter_objects(draw):
+    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sudbery", "normalized", "classical"]))
+    if kind == "classical":
+        return make_classical(space)
+    return rand_sudbery(rng, space) if kind == "sudbery" else rand_normalized(rng, space)
+
+
+def _assert_pair_spans_match_reference(obj, pair_spans=spaces._pair_spans):
+    spans = pair_spans(obj.space, *obj.qp)
+    for comp, ref in zip(spans, pair_spans_reference(obj.space, *obj.qp), strict=True):
+        assert rank(Matrix(comp)) == len(comp)
+        assert row_spans_equal(comp, ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_parameter_objects())
+def test_pair_spans_are_independent_and_span_the_components(obj):
+    _assert_pair_spans_match_reference(obj)
+
+
+def test_pair_spans_property_fails_without_diagonal_vectors():
+    def off_diagonal(space, q, p):
+        n = space.dim
+        return tuple(
+            tuple(v for v in comp if not any(v[a * n + a] for a in range(n)))
+            for comp in spaces._pair_spans(space, q, p)
+        )
+
+    obj = make_classical(space_of((0, 1)))
+    _assert_pair_spans_match_reference(obj)
+    with pytest.raises(AssertionError):
+        _assert_pair_spans_match_reference(obj, off_diagonal)
 
 
 def test_dual_of_classical_is_classical():
