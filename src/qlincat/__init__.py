@@ -46,7 +46,6 @@ from .linalg import (
     NotComplementary,
     annihilator,
     kernel_basis,
-    rank,
 )
 from .pbw import (
     Extraction,
@@ -98,8 +97,7 @@ __all__ = [
     "AlphabetMismatch", "ComponentCountMismatch", "HomAlgebra", "RelationSet",
     "bilinear_form_relations", "derive_relations_general",
     "derive_relations_sudbery", "hom_algebra", "relation_set", "spans_equal",
-    "InvariantViolation", "Matrix", "NotComplementary", "annihilator",
-    "kernel_basis", "rank",
+    "InvariantViolation", "Matrix", "NotComplementary", "annihilator", "kernel_basis",
     "Extraction", "PBWVerdict", "TooLarge", "classical_dimension",
     "dimension_oracle", "oracle_dims", "pbw_criterion", "pbw_extract_constant",
     "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",

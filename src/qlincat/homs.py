@@ -21,7 +21,8 @@ three.  Both derivations build the rows on integers, clearing each input
 vector or parameter matrix once; ``RelationSet.polys`` is a view for
 printing.  ``_rules`` is the one degree-2 quotient routine: the rewrite
 system, the coalgebra coordinates and the determinant's area form all read
-its output.
+its output.  ``RelationSet.tower`` is the graded quotient by the span, kept
+and extended one degree at a time; the dimension oracle reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from itertools import product
 from math import lcm
 
 from .graded import koszul_sign
-from .linalg import InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _same_span
+from .linalg import (
+    InvariantViolation, Matrix, _back_substituted, _cancel, _cleared, _echelon, _insert, _same_span,
+)
 from .rewrite import Alphabet, IntRule, NCPoly, matrix_alphabet
 from .spaces import BadParameters, QuantumObject, dual_object
 
@@ -84,6 +87,11 @@ class RelationSet:
         integer rule per leading word (``_rules``); the words that are not
         keys are the normal words, a basis of that part."""
         return _rules(self.back_substituted)
+
+    @cached_property
+    def tower(self) -> _Tower:
+        """The graded quotient by this span (``_Tower``), kept once built."""
+        return _Tower(self.alphabet.size, self.back_substituted)
 
     @property
     def span_dim(self) -> int:
@@ -242,3 +250,77 @@ def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:
         sign = -1 if pivot > 0 else 1
         out[lead] = (abs(pivot), {u: sign * v for u, v in row.items() if u != lead})
     return out
+
+
+class _Tower:
+    """The graded quotient by a relation span, built degree by degree from
+    I_d = I_{d-1} V + V I_{d-1} in quotient coordinates and kept, so that
+    a later request computes only the degrees not yet built.
+
+    A degree-d word is the integer w = p * n + y of its degree-(d-1)
+    prefix p and last letter y, and word order is integer order.  So
+    I_{d-1} V splits by last letter into n copies of I_{d-1}: w is
+    reducible modulo I_{d-1} V iff p is reducible modulo I_{d-1}, and then
+    w equals p's normal form followed by y.  Modulo I_{d-1} V the normal
+    words are the n * dim_{d-1} words with a normal prefix.
+
+    M_k holds the rows that are new at degree k, so I_k = I_{k-1} V +
+    span M_k (M_2 is the span's ``back_substituted``).  Then V I_{d-1} =
+    V I_{d-2} V + V M_{d-1}, and V I_{d-2} lies in I_{d-1}, so V I_{d-1}
+    lies in I_{d-1} V + V M_{d-1}.  Each row x r, r in M_{d-1}, is
+    therefore reduced modulo I_{d-1} V, one substitution per word with a
+    reducible prefix, and inserted into a fresh echelon M_d:
+    dim_d = n * dim_{d-1} - |M_d|.
+
+    ``new[k]`` is the back-substituted M_k of each finished degree k and
+    ``known[k]`` its memoised relations; the top degree keeps its forward
+    echelon ``top`` until a request extends past it.  A degree is committed
+    only once complete."""
+
+    def __init__(self, n: int, back: dict[int, dict[int, int]]):
+        self.n = n
+        self.new = {2: back}
+        self.known: dict[int, dict[int, dict[int, int] | None]] = {2: {}}
+        self.top: dict[int, dict[int, int]] = {}
+        self._dims = [n * n - len(back)]
+
+    def dims(self, top: int) -> list[int]:
+        """The quotient dimensions at degrees 2 to top, extending the tower
+        by each degree it does not hold yet."""
+        n, new, known = self.n, self.new, self.known
+
+        def relation(k: int, w: int) -> dict[int, int] | None:
+            # None if w is normal at degree k, else the row of I_k with pivot
+            # w and normal other words: its prefix's, shifted, reduced by M_k
+            memo = known[k]
+            if w in memo:
+                return memo[w]
+            row = new[k].get(w)
+            if row is None and k > 2:
+                p, y = divmod(w, n)
+                prefix = relation(k - 1, p)
+                if prefix is not None:
+                    row = {c * n + y: v for c, v in prefix.items()}
+                    for c in [c for c in row if c in new[k]]:
+                        row = _cancel(row, new[k][c], c)
+            memo[w] = row
+            return row
+
+        while len(self._dims) < top - 1:
+            d = len(self._dims) + 2
+            if d - 1 not in new:
+                new[d - 1], known[d - 1] = _back_substituted(self.top), {}
+            shift = n ** (d - 1)
+            pivots: dict[int, dict[int, int]] = {}
+            for x in range(n):
+                for r in new[d - 1].values():
+                    row = {x * shift + c: v for c, v in r.items()}
+                    for c in list(row):
+                        p, y = divmod(c, n)
+                        prefix = relation(d - 1, p)
+                        if prefix is not None:
+                            row = _cancel(row, {b * n + y: v for b, v in prefix.items()}, c)
+                    _insert(pivots, row)
+            self.top = pivots
+            self._dims.append(n * self._dims[-1] - len(pivots))
+        return self._dims[: top - 1]

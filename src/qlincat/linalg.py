@@ -10,8 +10,8 @@ kernels, spectral sums and the component bases of
 ``spaces.QuantumObject``, which keeps each component's forward pass.
 ``_back_substituted`` is also read by the determinant's area form, by
 ``homs.RelationSet.back_substituted``, which back-substitutes each relation
-span once for its degree-2 rules and for the dimension oracle, and by the
-oracle for each degree's new rows.  The largest-column pivot is the
+span once for its degree-2 rules and its quotient tower, and by that tower
+for each degree's new rows.  The largest-column pivot is the
 leading word of the monomial order; callers that work in natural column
 order (kernels, component bases and spectral sums) reflect column c to
 ncols-1-c so that the leftmost column is pivoted first.  The yes/no checks
@@ -168,10 +168,6 @@ def _back_substituted(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int,
     return done
 
 
-def _rank(vectors: Iterable[Sequence]) -> int:
-    return len(_echelon(_int_rows(vectors)))
-
-
 def _rref(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[int, Vector]]:
     """Reduced echelon rows in natural column order of an ``_echelon``
     result over reflected columns: (pivot column, dense row) pairs with
@@ -193,10 +189,6 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
     """``_rref`` of the vectors.  The columns are reflected for the engine,
     so its largest-column pivot is the leftmost natural column."""
     return _rref(_echelon(_int_rows(vectors, reflect=True)), ncols)
-
-
-def rank(m: Matrix) -> int:
-    return _rank(m.data)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -231,10 +223,6 @@ def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> 
         return False
     pivots = dict(ea)
     return all(_insert(pivots, row) is None for row in eb.values())
-
-
-def row_spans_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    return _same_span(_echelon(_int_rows(a)), _echelon(_int_rows(b)))
 
 
 def annihilator(

@@ -1,11 +1,12 @@
 """The graded-dimension oracle and the quantum-constant criterion.
 
-The oracle is ground truth: the exact degree-d quotient dimension, built
-degree by degree from I_d = I_{d-1} V + V I_{d-1} (Polishchuk and
-Positselski, 2005) in quotient coordinates, where each word reduces by its
-prefix's normal form (Bergman, 1978; Ufnarovski, 1995).  The criterion side never looks at the ideal: it extracts one
-constant c from the ratios p^{AB}/q^{AB} of each object (values {c, 1/c}
-in a transitive comparison pattern) and asks whether the two constants
+The oracle is ground truth: the exact degree-d quotient dimension, read from
+the span's quotient tower (``homs.RelationSet.tower``), which builds I_d =
+I_{d-1} V + V I_{d-1} (Polishchuk and Positselski, 2005) once per span in
+quotient coordinates, each word reduced by its prefix's normal form (Bergman,
+1978; Ufnarovski, 1995).  The criterion side never looks at the ideal: it
+extracts one constant c from the ratios p^{AB}/q^{AB} of each object (values
+{c, 1/c} in a transitive comparison pattern) and asks whether the two constants
 agree up to inverse.  Tests confirm the two sides always agree at degree 3.
 """
 
@@ -16,7 +17,6 @@ from fractions import Fraction
 from math import comb
 
 from .homs import HomAlgebra, hom_algebra
-from .linalg import _back_substituted, _cancel, _insert
 from .spaces import QuantumObject
 
 ORACLE_WORD_LIMIT = 10**6
@@ -46,28 +46,9 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     """(degree, exact dimension, classical dimension) for every degree from
     2 to top; raises ValueError for top < 2, which asks for no degree.
 
-    One pass over the degrees in quotient coordinates, never building the
-    echelon of the ideal's degree-d part I_d.  A degree-d word is the
-    integer w = p * n + y of its degree-(d-1) prefix p and last letter y,
-    and word order is integer order.  So I_{d-1} V splits by last letter
-    into n copies of I_{d-1}: w is reducible modulo I_{d-1} V iff p is
-    reducible modulo I_{d-1}, and then w equals p's normal form followed
-    by y.  Modulo I_{d-1} V the normal words are the n * dim_{d-1} words
-    with a normal prefix.
-
-    M_k holds the rows that are new at degree k, so I_k = I_{k-1} V +
-    span M_k (M_2 is the relation span).  Then V I_{d-1} = V I_{d-2} V +
-    V M_{d-1}, and V I_{d-2} lies in I_{d-1}, so V I_{d-1} lies in
-    I_{d-1} V + V M_{d-1}.  Each row x r, r in M_{d-1}, is therefore
-    reduced modulo I_{d-1} V, one substitution per word with a reducible
-    prefix, and inserted into a fresh echelon M_d:
-    dim_d = n * dim_{d-1} - |M_d|.
-
-    ``relation(k, w)`` is None when w is normal at degree k, else the row of
-    I_k with pivot w whose other words are normal at degree k.  It is
-    memoised: the relation of w's prefix shifted by y, cancelled once per
-    pivot column of the back-substituted M_k.  M_2 is the span's cached
-    ``RelationSet.back_substituted``; the top degree's M_d is only counted.
+    The word guard runs first; then the dimensions are read from the
+    relation span's quotient tower (``RelationSet.tower``), which is built
+    once per span and extended only by the degrees it does not hold yet.
     """
     if top < 2:
         raise ValueError("oracle needs degree >= 2")
@@ -76,43 +57,9 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     if top >= ORACLE_WORD_LIMIT.bit_length() or n**top > ORACLE_WORD_LIMIT:
         what = f"{n}**{top} words exceed" if n > 1 else f"degree {top} exceeds"
         raise TooLarge(f"{what} the oracle guard")
-    new = {2: hom.relations.back_substituted}
-    known: dict[int, dict[int, dict[int, int] | None]] = {k: {} for k in range(2, top)}
-
-    def relation(k: int, w: int) -> dict[int, int] | None:
-        memo = known[k]
-        if w in memo:
-            return memo[w]
-        row = new[k].get(w)
-        if row is None and k > 2:
-            p, y = divmod(w, n)
-            prefix = relation(k - 1, p)
-            if prefix is not None:
-                row = {c * n + y: v for c, v in prefix.items()}
-                for c in [c for c in row if c in new[k]]:
-                    row = _cancel(row, new[k][c], c)
-        memo[w] = row
-        return row
-
-    dims = [n * n - len(new[2])]
-    for d in range(3, top + 1):
-        shift = n ** (d - 1)
-        pivots: dict[int, dict[int, int]] = {}
-        for x in range(n):
-            for r in new[d - 1].values():
-                row = {x * shift + c: v for c, v in r.items()}
-                for c in list(row):
-                    p, y = divmod(c, n)
-                    prefix = relation(d - 1, p)
-                    if prefix is not None:
-                        row = _cancel(row, {b * n + y: v for b, v in prefix.items()}, c)
-                _insert(pivots, row)
-        dims.append(n * dims[-1] - len(pivots))
-        if d < top:
-            new[d] = _back_substituted(pivots)
     return tuple(
         (d, dim, classical_dimension(hom.alphabet.parities, d))
-        for d, dim in enumerate(dims, start=2)
+        for d, dim in enumerate(hom.relations.tower.dims(top), start=2)
     )
 
 

@@ -19,7 +19,7 @@ from qlincat import (
 from qlincat.bialgebra import WrongShape, _delta_bidegree
 from qlincat.graded import koszul_sign, pi_image
 from qlincat.homs import HomAlgebra, relation_set
-from qlincat.linalg import Matrix, _echelon, _rref_rows, frac
+from qlincat.linalg import Matrix, _echelon, _int_rows, _rref_rows, _same_span, frac
 from qlincat.rewrite import NCPoly, matrix_alphabet
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -204,6 +204,17 @@ def ordering_by_enumeration(obj) -> Extraction | None:
             if ok:
                 return Extraction(c, tuple(positions))
     return None
+
+
+def rank(m: Matrix) -> int:
+    """The package engine's rank: the number of forward echelon rows."""
+    return len(_echelon(_int_rows(m.data)))
+
+
+def row_spans_equal(a, b) -> bool:
+    """Do two lists of rational vectors span the same rows?  The package
+    engine's span comparison (``linalg._same_span``) on their echelons."""
+    return _same_span(_echelon(_int_rows(a)), _echelon(_int_rows(b)))
 
 
 def rank_bareiss(m) -> int:

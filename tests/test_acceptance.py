@@ -33,7 +33,7 @@ from qlincat.homs import (
     relation_set,
     spans_equal,
 )
-from qlincat.linalg import Matrix, row_spans_equal
+from qlincat.linalg import Matrix
 from qlincat.pbw import classical_dimension, dimension_oracle, pbw_criterion
 from qlincat.rewrite import (
     NCPoly,
@@ -55,6 +55,7 @@ from support import (
     even2_sudbery,
     rand_constant,
     rand_sudbery,
+    row_spans_equal,
     scale_diagonal_word,
     sudbery_with_constant,
 )

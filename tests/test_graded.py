@@ -15,10 +15,10 @@ from qlincat.graded import (
     space_of,
     tensor_power_basis,
 )
-from qlincat.linalg import Matrix, rank
+from qlincat.linalg import Matrix
 from qlincat.spaces import make_sudbery
 
-from support import rand_nonzero
+from support import rand_nonzero, rank
 
 
 def test_word_parity():

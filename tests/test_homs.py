@@ -24,7 +24,7 @@ from qlincat.homs import (
     relation_set,
     spans_equal,
 )
-from qlincat.linalg import InvariantViolation, Matrix, _cleared, _echelon, rank
+from qlincat.linalg import InvariantViolation, Matrix, _cleared, _echelon
 from qlincat.pbw import oracle_dims
 from qlincat.rewrite import (
     NCPoly,
@@ -44,6 +44,7 @@ from support import (
     rand_nonzero,
     rand_normalized,
     rand_sudbery,
+    rank,
 )
 
 

@@ -12,8 +12,6 @@ from qlincat.linalg import (
     _rref_rows,
     annihilator,
     kernel_basis,
-    rank,
-    row_spans_equal,
     spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
@@ -27,7 +25,9 @@ from support import (
     mat_scale,
     matmul,
     rand_nonzero,
+    rank,
     rank_bareiss,
+    row_spans_equal,
 )
 
 

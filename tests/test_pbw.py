@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -123,10 +124,11 @@ def _unreduced(hom):
                       relation_set(hom.alphabet, hom.relations.polys))
 
 
-def test_oracle_guards_raise_before_elimination(monkeypatch):
-    def no_elimination(*args):
-        raise AssertionError("eliminated before the guard")
+def _no_elimination(*args):
+    raise AssertionError("eliminated before the guard")
 
+
+def test_oracle_guards_raise_before_elimination(monkeypatch):
     cl = make_classical(even_space(3))
     one = make_classical(even_space(1))
     cases = [
@@ -135,19 +137,18 @@ def test_oracle_guards_raise_before_elimination(monkeypatch):
         (_unreduced(hom_algebra(one, one)), 10**12),
         (_unreduced(hom_algebra(cl, cl)), 10**12),
     ]
-    # the oracle's elimination: the relation span's echelon and its cached
-    # back-substitution, pbw's back-substitutions and pbw's inserts
-    monkeypatch.setattr(homs, "_echelon", no_elimination)
-    monkeypatch.setattr(homs, "_back_substituted", no_elimination)
-    monkeypatch.setattr(pbw, "_back_substituted", no_elimination)
-    monkeypatch.setattr(pbw, "_insert", no_elimination)
+    # the oracle's elimination: the relation span's echelon, its cached
+    # back-substitution and the quotient tower's back-substitutions and inserts
+    monkeypatch.setattr(homs, "_echelon", _no_elimination)
+    monkeypatch.setattr(homs, "_back_substituted", _no_elimination)
+    monkeypatch.setattr(homs, "_insert", _no_elimination)
     for hom, degree in cases:
         for oracle in (dimension_oracle, oracle_dims):
             with pytest.raises(TooLarge):
                 oracle(hom, degree)
             with pytest.raises(ValueError, match="degree >= 2"):
                 oracle(hom, 1)
-        assert not {"echelon", "back_substituted"} & set(vars(hom.relations))
+        assert not {"echelon", "back_substituted", "tower"} & set(vars(hom.relations))
 
 
 def test_one_letter_oracle_below_the_degree_bound():
@@ -201,7 +202,7 @@ def test_oracle_matches_placement_oracle(pair):
 @pytest.mark.parametrize("kind", ["yes", "general"])
 def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
     # the recursion then keeps only I_{d-1} V and drops the rows V M_{d-1}
-    monkeypatch.setattr(pbw, "_insert", lambda pivots, row: None)
+    monkeypatch.setattr(homs, "_insert", lambda pivots, row: None)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
@@ -211,25 +212,30 @@ def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
 def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
     # words with a reducible prefix then stay in the rows x M_{d-1} and in
     # the prefix relations, so those rows are not reduced modulo I_{d-1} V
-    monkeypatch.setattr(pbw, "_cancel", lambda row, piv, col: row)
+    monkeypatch.setattr(homs, "_cancel", lambda row, piv, col: row)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
 
 
-def _assert_degree_independent(hom):
-    # pbw.oracle_dims, not the imported name, so that a control can wrap it
+def _assert_order_independent(hom, rng):
+    # pbw.oracle_dims, not the imported name, so that a control can wrap it;
+    # the fresh spans stay alive, so no two of them share an id
     top = 5 if hom.alphabet.size <= 4 else 4
-    full = pbw.oracle_dims(hom, top)
-    for d in range(2, top + 1):
-        assert pbw.oracle_dims(hom, d) == full[: d - 1]
-        assert dimension_oracle(hom, d) == full[d - 2][1]
+    degrees = list(range(2, top + 1))
+    fresh = [_unreduced(hom) for _ in degrees]
+    want = {d: pbw.oracle_dims(span, d) for d, span in zip(degrees, fresh)}
+    for order in (degrees, degrees[::-1], rng.sample(degrees, len(degrees))):
+        for span in (hom, _unreduced(hom)):
+            for d in order:
+                assert pbw.oracle_dims(span, d) == want[d]
+                assert dimension_oracle(span, d) == want[d][-1][1]
 
 
 @settings(max_examples=15, deadline=None)
-@given(oracle_pairs())
-def test_oracle_dims_do_not_depend_on_the_requested_degree(pair):
-    _assert_degree_independent(hom_algebra(*pair))
+@given(oracle_pairs(), st.randoms(use_true_random=False))
+def test_oracle_dims_do_not_depend_on_the_requested_degree(pair, rng):
+    _assert_order_independent(hom_algebra(*pair), rng)
 
 
 def test_degree_property_fails_when_results_leak_across_degrees(monkeypatch):
@@ -239,7 +245,94 @@ def test_degree_property_fails_when_results_leak_across_degrees(monkeypatch):
     monkeypatch.setattr(pbw, "oracle_dims", lambda hom, top: seen.setdefault(id(hom), real(hom, top)))
     hom = hom_algebra(*criterion_pair(random.Random(7), "yes", (0, 1), (0, 0)))
     with pytest.raises(AssertionError):
-        _assert_degree_independent(hom)
+        _assert_order_independent(hom, random.Random(7))
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_order_property_fails_when_the_top_echelon_is_kept_unreduced(monkeypatch, kind):
+    # each finished degree then keeps its forward echelon, whose rows still
+    # hold other pivot columns: a prefix relation cancels one of them away
+    # and a later cancellation finds no entry at its column
+    monkeypatch.setattr(homs, "_back_substituted", lambda echelon: echelon)
+    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+    with pytest.raises(KeyError):
+        _assert_order_independent(hom, random.Random(7))
+
+
+def _counting_eliminations(monkeypatch) -> dict[str, int]:
+    calls = dict.fromkeys(["_insert", "_cancel", "_back_substituted"], 0)
+    for name in calls:
+        def counting(*args, real=getattr(homs, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(homs, name, counting)
+    return calls
+
+
+def _assert_tower_is_extended(hom, monkeypatch):
+    n = hom.alphabet.size
+    dims = [dim for _, dim, _ in oracle_dims(hom, 5)]
+    calls = _counting_eliminations(monkeypatch)
+    for d in range(2, 6):
+        dimension_oracle(hom, d)
+    assert calls == {"_insert": 0, "_cancel": 0, "_back_substituted": 0}
+    dimension_oracle(hom, 6)
+    # the rows x r for every letter x and every r in M_5, and one
+    # back-substitution: that of M_5
+    assert calls["_insert"] == n * (n * dims[-2] - dims[-1])
+    assert calls["_back_substituted"] == 1
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_a_warmed_tower_answers_every_degree_without_eliminating(monkeypatch, kind):
+    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+    _assert_tower_is_extended(hom, monkeypatch)
+
+
+def test_tower_property_fails_when_the_tower_restarts_at_degree_2(monkeypatch):
+    monkeypatch.setattr(homs.RelationSet, "tower", property(
+        lambda rels: homs._Tower(rels.alphabet.size, rels.back_substituted)))
+    hom = hom_algebra(*criterion_pair(random.Random(7), "yes", (0, 0), (0, 1)))
+    with pytest.raises(AssertionError):
+        _assert_tower_is_extended(hom, monkeypatch)
+
+
+def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
+    hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 0), (0, 0)))
+    n = hom.alphabet.size
+    dim2, dim3 = [dim for _, dim, _ in oracle_dims(_unreduced(hom), 3)]
+    # degree 3 inserts n |M_2| rows and degree 4 n |M_3|: stop halfway through degree 4
+    limit = n * (n * n - dim2) + n * (n * dim2 - dim3) // 2
+    real, calls = homs._insert, []
+
+    def interrupted(pivots, row):
+        calls.append(1)
+        if len(calls) > limit:
+            raise RuntimeError("interrupted halfway through degree 4")
+        return real(pivots, row)
+
+    monkeypatch.setattr(homs, "_insert", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        oracle_dims(hom, 5)
+    monkeypatch.undo()
+    for d in (5, 2, 4, 3, 6):
+        assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
+
+
+def test_guards_leave_a_warmed_tower_unchanged(monkeypatch):
+    cl = make_classical(even_space(3))
+    hom = hom_algebra(cl, cl)
+    oracle_dims(hom, 4)
+    before = deepcopy(vars(hom.relations.tower))
+    for name in ("_echelon", "_back_substituted", "_insert", "_cancel"):
+        monkeypatch.setattr(homs, name, _no_elimination)
+    for oracle in (dimension_oracle, oracle_dims):
+        with pytest.raises(TooLarge):
+            oracle(hom, 7)
+        with pytest.raises(ValueError, match="degree >= 2"):
+            oracle(hom, 1)
+    assert vars(hom.relations.tower) == before
 
 
 @pytest.mark.parametrize("shape, top", [((0, 0), 8), ((0, 0, 1), 5)])

@@ -10,7 +10,7 @@ import qlincat
 from qlincat import linalg, rmatrix, spaces
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
-from qlincat.linalg import InvariantViolation, Matrix, rank, row_spans_equal
+from qlincat.linalg import InvariantViolation, Matrix
 from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
     BMatrix,
@@ -38,7 +38,9 @@ from support import (
     rand_general,
     rand_nonzero,
     rand_sudbery,
+    rank,
     rmatrix_relation_span_reference,
+    row_spans_equal,
     sudbery_with_constant,
 )
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlincat import spaces
 from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
-from qlincat.linalg import Matrix, NotComplementary, annihilator, rank, row_spans_equal
+from qlincat.linalg import Matrix, NotComplementary, annihilator
 from qlincat.spaces import (
     BadParameters,
     QuantumObject,
@@ -27,6 +27,8 @@ from support import (
     rand_general,
     rand_normalized,
     rand_sudbery,
+    rank,
+    row_spans_equal,
 )
 
 
