@@ -26,7 +26,6 @@ from .graded import (
     koszul_signs,
     pi_image,
     space_of,
-    tensor_power_basis,
 )
 from .homs import (
     AlphabetMismatch,
@@ -44,8 +43,6 @@ from .linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
-    annihilator,
-    kernel_basis,
 )
 from .pbw import (
     Extraction,
@@ -66,7 +63,6 @@ from .rewrite import (
     failed_overlaps,
     format_poly,
     matrix_alphabet,
-    monomial_compare,
     normal_form,
 )
 from .rmatrix import (
@@ -93,16 +89,16 @@ __all__ = [
     "comultiplication_check", "counit_check", "determinant_2x2",
     "determinant_multiplicativity",
     "DegreeMismatch", "GradedSpace", "even_space", "koszul_pairing", "koszul_signs",
-    "pi_image", "space_of", "tensor_power_basis",
+    "pi_image", "space_of",
     "AlphabetMismatch", "ComponentCountMismatch", "HomAlgebra", "RelationSet",
     "bilinear_form_relations", "derive_relations_general",
     "derive_relations_sudbery", "hom_algebra", "relation_set", "spans_equal",
-    "InvariantViolation", "Matrix", "NotComplementary", "annihilator", "kernel_basis",
+    "InvariantViolation", "Matrix", "NotComplementary",
     "Extraction", "PBWVerdict", "TooLarge", "classical_dimension",
     "dimension_oracle", "oracle_dims", "pbw_criterion", "pbw_extract_constant",
     "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",
     "confluence_check", "failed_overlaps", "format_poly", "matrix_alphabet",
-    "monomial_compare", "normal_form",
+    "normal_form",
     "BMatrix", "RepeatedCoefficient", "build_B", "normalized_B",
     "rmatrix_relation_span", "yang_baxter_check",
     "BadParameters", "QuantumObject", "dual_object", "make_classical",

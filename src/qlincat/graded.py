@@ -1,4 +1,4 @@
-"""Z2-graded index bookkeeping: parities, Koszul signs, tensor word bases.
+"""Z2-graded index bookkeeping: parities, Koszul signs, the degree-2 pairing.
 
 All sign conventions used across the package are fixed here, once:
 
@@ -38,9 +38,6 @@ class GradedSpace:
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
-    def word_parity(self, word: tuple[int, ...]) -> int:
-        return sum(self.parities[i] for i in word) % 2
-
     @property
     def even_count(self) -> int:
         return self.parities.count(0)
@@ -59,20 +56,9 @@ def space_of(parities) -> GradedSpace:
     return GradedSpace(len(pair), pair)
 
 
-def reversed_parity_space(space: GradedSpace) -> GradedSpace:
-    return GradedSpace(space.dim, tuple(1 - p for p in space.parities))
-
-
 def koszul_sign(p1: int, p2: int) -> int:
     """Sign produced by transposing symbols of parities p1 and p2."""
     return -1 if (p1 * p2) % 2 else 1
-
-
-def tensor_power_basis(space: GradedSpace, degree: int) -> list[tuple[int, ...]]:
-    """All words of the given degree, in lexicographic order."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return list(product(range(space.dim), repeat=degree))
 
 
 def koszul_pairing(

@@ -6,24 +6,23 @@ are ``{column: int}`` dicts with denominators cleared per row, the pivot of
 a row is its largest column, and rows are kept gcd-normalised.  The forward
 pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
 ``_rref`` scales that to the reduced echelon form (pivot entries 1) for
-kernels, spectral sums and the component bases of
-``spaces.QuantumObject``, which keeps each component's forward pass.
-``_back_substituted`` is also read by the determinant's area form, by
-``homs.RelationSet.back_substituted``, which back-substitutes each relation
-span once for its degree-2 rules and its quotient tower, and by that tower
-for each degree's new rows.  The largest-column pivot is the
-leading word of the monomial order; callers that work in natural column
-order (kernels, component bases and spectral sums) reflect column c to
-ncols-1-c so that the leftmost column is pivoted first.  The yes/no checks
-form no dense product: ``kernel_basis`` verifies its basis with integer dot
-products against the cleared rows, and ``_same_span`` inserts one span's
-echelon rows into a copy of the other's.  There is no linear solver:
-quotient coordinates are read from the integer back-substitution
-(``homs._rules``).  ``Matrix`` is an immutable dense value type with no
-arithmetic.  It is the type of the projectors and of the braid matrix B,
-both read by ``spectral_sum`` from one elimination over component bases,
-of the counit substitution, and of the read-only dense view of a relation
-span.
+spectral sums and for ``spaces.QuantumObject``, which keeps each
+component's forward pass and reads its basis and its annihilator from one
+``_rref`` of it.  ``_back_substituted`` is also read by the determinant's
+area form, by ``homs.RelationSet.back_substituted``, which
+back-substitutes each relation span once for its degree-2 rules and its
+quotient tower, and by that tower for each degree's new rows.  The
+largest-column pivot is the leading word of the monomial order; callers
+that work in natural column order (component bases, annihilators and
+spectral sums) reflect column c to ncols-1-c so that the leftmost column
+is pivoted first.  The yes/no checks form no dense product: ``_same_span``
+inserts one span's echelon rows into a copy of the other's.  There is no
+linear solver and no kernel routine here: quotient coordinates are read
+from the integer back-substitution (``homs._rules``).  ``Matrix`` is an
+immutable dense value type with no arithmetic.  It is the type of the
+projectors and of the braid matrix B, both read by ``spectral_sum`` from
+one elimination over component bases, of the counit substitution, and of
+the read-only dense view of a relation span.
 """
 
 from __future__ import annotations
@@ -191,31 +190,6 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
     return _rref(_echelon(_int_rows(vectors, reflect=True)), ncols)
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : m v = 0}; checks rank-nullity
-    against an independent forward rank and that m annihilates the basis,
-    both on the cleared integer rows of m."""
-    pairs = _rref_rows(m.data, m.cols)
-    pivot_set = {pc for pc, _ in pairs}
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for pc, row in pairs:
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    rows = _int_rows(m.data)
-    if len(basis) != m.cols - len(_echelon(rows)):
-        raise InvariantViolation("rank-nullity violated")
-    for v in basis:
-        w = _cleared(dict(enumerate(v)))
-        if any(sum(x * w.get(c, 0) for c, x in row.items()) for row in rows):
-            raise InvariantViolation("kernel vector not annihilated")
-    return basis
-
-
 def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> bool:
     """Do two ``_echelon`` results span the same rows?  Equal ranks, and no
     row of eb is new to a copy of ea; neither argument is changed."""
@@ -223,27 +197,6 @@ def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> 
         return False
     pivots = dict(ea)
     return all(_insert(pivots, row) is None for row in eb.values())
-
-
-def annihilator(
-    spanning: Sequence[Sequence],
-    dim: int,
-    signs: Sequence[int] | None = None,
-) -> list[Vector]:
-    """Basis of {g : <g, f> = 0 for all f in the span}.
-
-    The pairing is <g, f> = sum_u g[u] * signs[u] * f[u]; by default every
-    sign is 1 (standard dual pairing).
-    """
-    vecs = [tuple(frac(x) for x in f) for f in spanning]
-    for f in vecs:
-        if len(f) != dim:
-            raise ValueError("vector length mismatch")
-    if not vecs:
-        return [tuple(ONE if i == j else ZERO for i in range(dim)) for j in range(dim)]
-    if signs is not None:
-        vecs = [tuple(s * x for s, x in zip(signs, f)) for f in vecs]
-    return kernel_basis(Matrix._wrap(tuple(vecs)))
 
 
 def spectral_sum(bases: Sequence[Sequence[Sequence]], values: Sequence, dim: int) -> Matrix:

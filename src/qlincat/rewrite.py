@@ -67,12 +67,6 @@ def word_key(word: Word):
     return (len(word), word)
 
 
-def monomial_compare(w1: Word, w2: Word) -> int:
-    """-1, 0, or +1: degree first, then lexicographic on letter ids."""
-    k1, k2 = word_key(w1), word_key(w2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class NCPoly:
     """A finite Fraction-linear combination of words in an alphabet."""
 
@@ -121,17 +115,6 @@ class NCPoly:
             and self.alphabet == other.alphabet
             and self.terms == other.terms
         )
-
-    def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=word_key)
-
-    def monic(self) -> "NCPoly":
-        if not self.terms:
-            return self
-        lead = self.terms[self.leading_word()]
-        return self.scale(Fraction(1) / lead)
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: word_key(t[0]), reverse=True)

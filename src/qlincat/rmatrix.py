@@ -13,9 +13,10 @@ column at a time.
 
 The relations in projector form are the entries of
 B_source . coaction - coaction . B_target.  Each entry is summed directly
-from the nonzero entries of the two B matrices, each coaction entry being
-one signed monomial; no table of coaction polynomials is built, and the
-Koszul sign of the coaction is the only sign involved.
+from the nonzero entries of the two B matrices, each cleared to integers
+once, each coaction entry being one signed monomial; no table of coaction
+polynomials is built, and the Koszul sign of the coaction is the only sign
+involved.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .graded import koszul_sign
-from .homs import RelationSet, relation_set
-from .linalg import Matrix, _cleared, frac, spectral_sum
-from .rewrite import NCPoly, Word, matrix_alphabet
+from .homs import RelationSet, _positive
+from .linalg import Matrix, _cleared, _normalised, frac, spectral_sum
+from .rewrite import matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -108,6 +110,14 @@ def yang_baxter_check(b: BMatrix) -> bool:
     return True
 
 
+def _cleared_lines(lines) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(L, the nonzero (index, L * x) of each line): the lines of a
+    rational matrix over one common denominator L."""
+    den = lcm(*(x.denominator for line in lines for x in line))
+    return den, [[(r, x.numerator * (den // x.denominator)) for r, x in enumerate(line) if x]
+                 for line in lines]
+
+
 def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
     """Span of the entries of B_source . coaction - coaction . B_target.
 
@@ -116,33 +126,35 @@ def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
     is summed directly from the nonzero entries of the two B matrices.
     With shared pairwise-distinct coefficients (matching component roles)
     this equals the defining relation span of the matrix-entry algebra; with
-    mismatched coefficients it generally differs.
+    mismatched coefficients it generally differs.  Each B is cleared once,
+    to L_s B_source and L_t B_target, so each entry is summed on integers
+    times L_s L_t and stored as a primitive row.
     """
     src, tgt = b_src.object, b_tgt.object
     n, m = src.space.dim, tgt.space.dim
     pv, pw = src.space.parities, tgt.space.parities
     alphabet = matrix_alphabet(src.space, tgt.space)
+    nm = alphabet.size
     # sign[i][k]: the coaction sign at row word i = (C, D) and target index k
     sign = [
         [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
         for c, d in product(range(n), repeat=2)
     ]
-    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in b_src.matrix.data]
-    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*b_tgt.matrix.data)]
-    polys = []
+    ls, a_rows = _cleared_lines(b_src.matrix.data)
+    lt, b_cols = _cleared_lines(tuple(zip(*b_tgt.matrix.data)))
+    rows = []
     for i in range(n * n):
         c, d = divmod(i, n)
         for j in range(m * m):
             k, l = divmod(j, m)
-            terms: dict[Word, Fraction] = {}
+            row: dict[int, int] = {}
             for r, x in a_rows[i]:
-                w = (r // n * m + k, r % n * m + l)
-                terms[w] = terms.get(w, 0) + sign[r][k] * x
+                w = (r // n * m + k) * nm + r % n * m + l
+                row[w] = row.get(w, 0) + lt * sign[r][k] * x
             for r, x in b_cols[j]:
                 kk, ll = divmod(r, m)
-                w = (c * m + kk, d * m + ll)
-                terms[w] = terms.get(w, 0) - sign[i][kk] * x
-            poly = NCPoly(alphabet, terms)
-            if not poly.is_zero:
-                polys.append(poly.monic())
-    return relation_set(alphabet, polys)
+                w = (c * m + kk) * nm + d * m + ll
+                row[w] = row.get(w, 0) - ls * sign[i][kk] * x
+            if (row := _positive(row)) is not None:
+                rows.append(_normalised(row))
+    return RelationSet(alphabet, tuple(rows))

@@ -11,10 +11,12 @@ never indeterminates.
 A ``QuantumObject`` cannot exist without a complementary decomposition:
 its constructor eliminates each component once, forward only, and reads
 the component dimensions and the direct-sum condition from those echelons.
-``QuantumObject.bases`` back-substitutes the same echelons, the projectors
-are spectral sums over the bases, and ``QuantumObject.annihilators`` are
-each component's one kernel; the hom relations and the dual object read
-them and never change them.
+Each echelon is back-substituted once, to the reduced echelon rows that
+both ``QuantumObject.bases`` and ``QuantumObject.annihilators`` read: a
+basis is their rows, and an annihilator their kernel, signed by the Koszul
+pairing (``_annihilator``).  The projectors are spectral sums over the
+bases; the hom relations and the dual object read bases and annihilators
+and never change them.
 """
 
 from __future__ import annotations
@@ -25,15 +27,18 @@ from functools import cached_property
 
 from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
+    ONE,
+    ZERO,
+    InvariantViolation,
     Matrix,
     NotComplementary,
     Vector,
+    _cleared,
     _echelon,
     _insert,
     _int_rows,
     _rref,
     _same_span,
-    annihilator,
     frac,
     spectral_sum,
 )
@@ -100,16 +105,25 @@ class QuantumObject:
         return tuple(_echelon(_int_rows(comp, reflect=True)) for comp in self.components)
 
     @cached_property
+    def _reduced(self) -> tuple[list[tuple[int, Vector]], ...]:
+        """Each component's reduced echelon rows, (pivot column, row)
+        pairs from one ``_rref`` of its echelon."""
+        dim = self.space.dim**2
+        return tuple(_rref(e, dim) for e in self._echelons)
+
+    @cached_property
     def bases(self) -> tuple[tuple[Vector, ...], ...]:
         """A row basis of each component (the nonzero rows of its rref)."""
-        dim = self.space.dim**2
-        return tuple(tuple(row for _, row in _rref(e, dim)) for e in self._echelons)
+        return tuple(tuple(row for _, row in pairs) for pairs in self._reduced)
 
     @cached_property
     def annihilators(self) -> tuple[tuple[Vector, ...], ...]:
         """A basis of each component's annihilator under the Koszul pairing."""
-        signs, dim = koszul_signs(self.space), self.space.dim**2
-        return tuple(tuple(annihilator(comp, dim, signs)) for comp in self.components)
+        signs = koszul_signs(self.space)
+        return tuple(
+            tuple(_annihilator(comp, pairs, signs))
+            for comp, pairs in zip(self.components, self._reduced)
+        )
 
     def component_dims(self) -> tuple[int, ...]:
         return tuple(len(e) for e in self._echelons)
@@ -121,6 +135,35 @@ class QuantumObject:
             spectral_sum(self.bases, [int(k == j) for j in range(self.s)], self.space.dim**2)
             for k in range(self.s)
         ]
+
+
+def _annihilator(spanning, pairs, signs) -> list[Vector]:
+    """A basis of {g : sum_u g[u] * signs[u] * f[u] = 0 for all spanning f},
+    read from the reduced echelon ``pairs`` of the span.
+
+    The kernel of F diag(signs) is diag(signs) times the kernel of F.  So
+    for each free column fc, with v the kernel vector of the rref that is 1
+    at fc and -row[fc] at each pivot column, the basis vector is
+    g[u] = signs[fc] * signs[u] * v[u], which is 1 at fc.  Raises
+    InvariantViolation unless every g pairs to zero with every spanning
+    vector, in integer dot products against the cleared spanning rows.
+    """
+    pivots = {pc for pc, _ in pairs}
+    basis = []
+    for fc in range(len(signs)):
+        if fc in pivots:
+            continue
+        g = [ZERO] * len(signs)
+        g[fc] = ONE
+        for pc, row in pairs:
+            g[pc] = -signs[fc] * signs[pc] * row[fc]
+        basis.append(tuple(g))
+    rows = _int_rows(spanning)
+    for g in basis:
+        w = _cleared(dict(enumerate(g)))
+        if any(sum(signs[c] * x * w.get(c, 0) for c, x in row.items()) for row in rows):
+            raise InvariantViolation("annihilator vector does not annihilate its component")
+    return basis
 
 
 def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) -> None:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
+from typing import Sequence
 
 from qlincat import (
     Extraction,
@@ -19,8 +20,20 @@ from qlincat import (
 from qlincat.bialgebra import WrongShape, _delta_bidegree
 from qlincat.graded import koszul_sign, pi_image
 from qlincat.homs import HomAlgebra, relation_set
-from qlincat.linalg import Matrix, _echelon, _int_rows, _rref_rows, _same_span, frac
-from qlincat.rewrite import NCPoly, matrix_alphabet
+from qlincat.linalg import (
+    ONE,
+    ZERO,
+    InvariantViolation,
+    Matrix,
+    Vector,
+    _cleared,
+    _echelon,
+    _int_rows,
+    _rref_rows,
+    _same_span,
+    frac,
+)
+from qlincat.rewrite import NCPoly, matrix_alphabet, word_key
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -215,6 +228,54 @@ def row_spans_equal(a, b) -> bool:
     """Do two lists of rational vectors span the same rows?  The package
     engine's span comparison (``linalg._same_span``) on their echelons."""
     return _same_span(_echelon(_int_rows(a)), _echelon(_int_rows(b)))
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Basis of the right null space {v : m v = 0}; checks rank-nullity
+    against an independent forward rank and that m annihilates the basis,
+    both on the cleared integer rows of m."""
+    pairs = _rref_rows(m.data, m.cols)
+    pivot_set = {pc for pc, _ in pairs}
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        v = [ZERO] * m.cols
+        v[fc] = ONE
+        for pc, row in pairs:
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    rows = _int_rows(m.data)
+    if len(basis) != m.cols - len(_echelon(rows)):
+        raise InvariantViolation("rank-nullity violated")
+    for v in basis:
+        w = _cleared(dict(enumerate(v)))
+        if any(sum(x * w.get(c, 0) for c, x in row.items()) for row in rows):
+            raise InvariantViolation("kernel vector not annihilated")
+    return basis
+
+
+def annihilator(
+    spanning: Sequence[Sequence],
+    dim: int,
+    signs: Sequence[int] | None = None,
+) -> list[Vector]:
+    """Basis of {g : <g, f> = 0 for all f in the span}.
+
+    The pairing is <g, f> = sum_u g[u] * signs[u] * f[u]; by default every
+    sign is 1 (standard dual pairing).  Reference for
+    ``QuantumObject.annihilators``, which reads the same basis from the
+    component's own reduced echelon rows.
+    """
+    vecs = [tuple(frac(x) for x in f) for f in spanning]
+    for f in vecs:
+        if len(f) != dim:
+            raise ValueError("vector length mismatch")
+    if not vecs:
+        return [tuple(ONE if i == j else ZERO for i in range(dim)) for j in range(dim)]
+    if signs is not None:
+        vecs = [tuple(s * x for s, x in zip(signs, f)) for f in vecs]
+    return kernel_basis(Matrix._wrap(tuple(vecs)))
 
 
 def rank_bareiss(m) -> int:
@@ -537,6 +598,13 @@ def xi_quotient_reference(obj):
     return gammas
 
 
+def monic(p: NCPoly) -> NCPoly:
+    """p divided by its coefficient at its largest word (zero stays zero)."""
+    if p.is_zero:
+        return p
+    return p.scale(1 / p.terms[max(p.terms, key=word_key)])
+
+
 def coaction_degree2(src, tgt):
     """Matrix of the degree-2 covering coaction over the word bases.
 
@@ -575,7 +643,40 @@ def rmatrix_relation_span_reference(b_src, b_tgt):
                 if bb.data[k][j]:
                     acc = acc - delta[i][k].scale(bb.data[k][j])
             if not acc.is_zero:
-                polys.append(acc.monic())
+                polys.append(monic(acc))
+    return relation_set(alphabet, polys)
+
+
+def rmatrix_relation_span_fractions(b_src, b_tgt):
+    """``rmatrix_relation_span`` summed over Fractions: each entry of
+    B_source . coaction - coaction . B_target from the uncleared entries of
+    the two B matrices, made monic and then cleared by ``relation_set``."""
+    src, tgt = b_src.object, b_tgt.object
+    n, m = src.space.dim, tgt.space.dim
+    pv, pw = src.space.parities, tgt.space.parities
+    alphabet = matrix_alphabet(src.space, tgt.space)
+    sign = [
+        [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
+        for c, d in product(range(n), repeat=2)
+    ]
+    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in b_src.matrix.data]
+    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*b_tgt.matrix.data)]
+    polys = []
+    for i in range(n * n):
+        c, d = divmod(i, n)
+        for j in range(m * m):
+            k, l = divmod(j, m)
+            terms: dict = {}
+            for r, x in a_rows[i]:
+                w = (r // n * m + k, r % n * m + l)
+                terms[w] = terms.get(w, 0) + sign[r][k] * x
+            for r, x in b_cols[j]:
+                kk, ll = divmod(r, m)
+                w = (c * m + kk, d * m + ll)
+                terms[w] = terms.get(w, 0) - sign[i][kk] * x
+            poly = NCPoly(alphabet, terms)
+            if not poly.is_zero:
+                polys.append(monic(poly))
     return relation_set(alphabet, polys)
 
 
@@ -600,7 +701,7 @@ def derive_relations_general_reference(src, tgt) -> tuple[NCPoly, ...]:
                         sign = koszul_sign(src.space.parities[b], tgt.space.parities[k])
                         w = (a * m + k, b * m + l)
                         terms[w] = terms.get(w, Fraction(0)) + sign * gc * fc
-                polys.append(NCPoly(alphabet, terms).monic())
+                polys.append(monic(NCPoly(alphabet, terms)))
     return tuple(polys)
 
 
@@ -628,5 +729,5 @@ def derive_relations_sudbery_reference(src, tgt) -> tuple[NCPoly, ...]:
                 terms[w] = terms.get(w, Fraction(0)) + c
             poly = NCPoly(alphabet, terms)
             if not poly.is_zero:
-                polys.append(poly.monic())
+                polys.append(monic(poly))
     return tuple(polys)

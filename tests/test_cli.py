@@ -472,55 +472,68 @@ def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
     assert sizes == [1, 3, 1, 3, 6]
 
 
-def _count_object_reductions(monkeypatch) -> Counter:
-    """Count each component's forward elimination and back-substitution,
-    both made in spaces, and each annihilator, wherever it is taken."""
+def _count_reductions(monkeypatch) -> Counter:
+    """Count every forward elimination and every reduced echelon form, keyed
+    by (module, name) of the binding called: each qlincat module that binds
+    ``_echelon`` or ``_rref``, ``linalg`` for its own calls among them."""
     calls: Counter = Counter()
 
-    def counting(name, real):
+    def counting(key, real):
         def wrapper(*args):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args)
 
         return wrapper
 
-    for name in ("_echelon", "_rref"):
-        monkeypatch.setattr(spaces, name, counting(name, getattr(spaces, name)))
-    wrapped = counting("annihilator", linalg.annihilator)
     for modname, module in list(sys.modules.items()):
-        if modname.startswith("qlincat") and hasattr(module, "annihilator"):
-            monkeypatch.setattr(module, "annihilator", wrapped)
+        for name in ("_echelon", "_rref"):
+            if modname.startswith("qlincat") and hasattr(module, name):
+                key = (modname.removeprefix("qlincat."), name)
+                monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     return calls
 
 
 @pytest.mark.parametrize(
-    "argv, objects, reductions",
+    "argv, objects, reduced, spans, areas",
     [
-        pytest.param(["object", PAIR[0]], 1, 0, id="object"),
-        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, 2, id="pbw"),
-        pytest.param(["hom", *PAIR, "--form", "both"], 2, 2, id="hom"),
-        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 8, id="bialgebra"),
-        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 6, id="det"),
+        pytest.param(["object", PAIR[0]], 1, 0, 0, 0, id="object"),
+        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, 2, 1, 0, id="pbw"),
+        pytest.param(["hom", *PAIR, "--form", "both"], 2, 2, 2, 0, id="hom"),
+        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 4, 9, 0, id="bialgebra"),
+        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 4, 5, 5, id="det"),
     ],
 )
-def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects, reductions):
+def test_each_object_is_reduced_once_per_call(
+    monkeypatch, capsys, argv, objects, reduced, spans, areas
+):
     # two components per object, each forward-eliminated once when its
-    # object is built; each source's annihilators and each target's bases
-    # once per object however many homs it takes part in
-    calls = _count_object_reductions(monkeypatch)
+    # object is built and reduced at most once however many homs it takes
+    # part in: its bases and its annihilators read the same reduced rows.
+    # Every other elimination is a relation span's or an area form's, and
+    # no kernel is computed anywhere else.
+    calls = _count_reductions(monkeypatch)
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
-    expected = {"_echelon": 2 * objects, "_rref": reductions, "annihilator": reductions}
-    assert calls == Counter(expected)
+    expected = {
+        ("spaces", "_echelon"): 2 * objects,
+        ("spaces", "_rref"): 2 * reduced,
+        ("homs", "_echelon"): spans,
+        ("bialgebra", "_echelon"): areas,
+    }
+    assert calls == Counter({key: count for key, count in expected.items() if count})
 
 
 def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
     # both braid matrices read the cached component bases: one forward
-    # elimination and one back-substitution per component, and no kernel
-    calls = _count_object_reductions(monkeypatch)
+    # elimination and one back-substitution per component, one elimination
+    # per braid matrix (``linalg.spectral_sum``), and no kernel
+    calls = _count_reductions(monkeypatch)
     assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
-    assert calls == Counter({"_echelon": 2, "_rref": 2})
+    assert calls == Counter({
+        ("spaces", "_echelon"): 2, ("spaces", "_rref"): 2,
+        ("linalg", "_echelon"): 2, ("linalg", "_rref"): 2,
+    })
 
 
 def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):

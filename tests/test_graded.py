@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,7 @@ from qlincat.graded import (
     koszul_sign,
     koszul_signs,
     pi_image,
-    reversed_parity_space,
     space_of,
-    tensor_power_basis,
 )
 from qlincat.linalg import Matrix
 from qlincat.spaces import make_sudbery
@@ -21,30 +20,11 @@ from qlincat.spaces import make_sudbery
 from support import rand_nonzero, rank
 
 
-def test_word_parity():
-    sp = space_of((0, 1, 1))
-    assert sp.word_parity((0, 0)) == 0
-    assert sp.word_parity((1, 2)) == 0
-    assert sp.word_parity((0, 1)) == 1
-
-
 def test_graded_space_validation():
     with pytest.raises(ValueError):
         GradedSpace(2, (0,))
     with pytest.raises(ValueError):
         GradedSpace(1, (2,))
-
-
-def test_tensor_power_basis_small():
-    sp = even_space(2)
-    assert tensor_power_basis(sp, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(tensor_power_basis(sp, 3)) == 8
-    assert tensor_power_basis(even_space(3), 0) == [()]
-
-
-def test_tensor_power_basis_stable():
-    sp = space_of((0, 1))
-    assert tensor_power_basis(sp, 2) == tensor_power_basis(sp, 2)
 
 
 def test_koszul_pairing_even():
@@ -73,7 +53,7 @@ def test_gram_is_signed_permutation():
     sp = space_of((0, 1, 1))
     signs = koszul_signs(sp)
     assert len(signs) == 9
-    for i, (a, b) in enumerate(tensor_power_basis(sp, 2)):
+    for i, (a, b) in enumerate(product(range(sp.dim), repeat=2)):
         assert signs[i] in (1, -1)
         assert signs[i] == koszul_pairing(sp, (a, b), (a, b))
 
@@ -108,11 +88,6 @@ def test_pi_preserves_decomposition_dims():
     for comp in obj.components:
         mapped = [pi_image(obj.space, v) for v in comp]
         assert rank(Matrix(mapped)) == rank(Matrix(comp))
-
-
-def test_reversed_parity_space():
-    sp = space_of((0, 1))
-    assert reversed_parity_space(sp).parities == (1, 0)
 
 
 def test_koszul_sign_table():

@@ -555,9 +555,9 @@ def test_hom_algebra_factory():
 
 
 def _corrupt_annihilator(monkeypatch, corrupt):
-    # objects built after the patch compute their annihilators through it
-    real = spaces.annihilator
-    monkeypatch.setattr(spaces, "annihilator", lambda *args: corrupt(real(*args)))
+    # objects built after the patch read their annihilators through it
+    real = spaces._annihilator
+    monkeypatch.setattr(spaces, "_annihilator", lambda *args: corrupt(real(*args)))
 
 
 def test_degenerate_relation_raises(monkeypatch):

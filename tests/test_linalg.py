@@ -4,21 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import linalg
 from qlincat.linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
     _rref_rows,
-    annihilator,
-    kernel_basis,
     spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
 from qlincat.spaces import make_classical, make_general, make_sudbery
 
+import support
 from support import (
+    annihilator,
     inverse,
+    kernel_basis,
     kron,
     mat_add,
     mat_apply,
@@ -282,8 +282,8 @@ def test_engine_properties_against_bareiss(m):
 
 
 def _corrupt_rref_rows(monkeypatch, corrupt):
-    real = linalg._rref_rows
-    monkeypatch.setattr(linalg, "_rref_rows", lambda vectors, ncols: corrupt(real(vectors, ncols)))
+    real = support._rref_rows
+    monkeypatch.setattr(support, "_rref_rows", lambda vectors, ncols: corrupt(real(vectors, ncols)))
 
 
 def test_kernel_rank_nullity_violation_raises(monkeypatch):

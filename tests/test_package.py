@@ -18,3 +18,68 @@ def test_no_assert_statements_in_package():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+# Public names that no other package module uses, each kept for one reason.
+LIBRARY_API = (
+    # read by perfbench
+    "classical_dimension", "dimension_oracle",
+    # used in the README
+    "even_space", "relation_set", "RewriteSystem",
+    # state a claim of the paper: the exact graded dimensions and the PBW
+    # verdict, normal words, the braid structure B and the relations in
+    # projector form, the pairing and the dual object, composable homs
+    "PBWVerdict", "Extraction", "normal_form", "build_B", "BMatrix",
+    "rmatrix_relation_span", "koszul_pairing", "bilinear_form_relations",
+    "objects_equal", "composable_triple",
+    # raised by the names above (koszul_pairing, spans_equal)
+    "DegreeMismatch", "AlphabetMismatch",
+)
+
+
+def _names_without_callers(src: Path) -> list[str]:
+    """The names in the package's ``__all__`` that no package module other
+    than the defining one (and ``__init__``) imports or references."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    public = next(
+        ast.literal_eval(node.value)
+        for node in trees.pop("__init__").body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+    )
+    defined, used = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = module
+        refs = used[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return [
+        name for name in public
+        if not any(name in refs for module, refs in used.items() if module != defined.get(name))
+    ]
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    unused = _names_without_callers(SRC)
+    assert sorted(set(unused) - set(LIBRARY_API)) == []
+    # the tuple holds no stale or redundant entry
+    assert sorted(set(LIBRARY_API) - set(unused)) == []
+
+
+def test_caller_check_fails_on_a_public_name_without_a_caller(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with (tmp_path / "graded.py").open("a", encoding="utf-8") as f:
+        f.write("\n\ndef orphan():\n    return None\n")
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        init.read_text(encoding="utf-8").replace('__all__ = [', '__all__ = [\n    "orphan",'),
+        encoding="utf-8",
+    )
+    assert set(_names_without_callers(tmp_path)) - set(LIBRARY_API) == {"orphan"}

@@ -18,7 +18,6 @@ from qlincat.rewrite import (
     confluence_check,
     failed_overlaps,
     matrix_alphabet,
-    monomial_compare,
     nonordered_degree2_words,
     normal_form,
     word_key,
@@ -41,13 +40,13 @@ from support import (
 )
 
 
-def test_monomial_compare_letters():
+def test_word_key_orders_by_degree_then_letters():
     # letter ids are row-major, so (row 0, col 0) < (row 0, col 1)
-    assert monomial_compare((0,), (1,)) == -1
-    assert monomial_compare((1, 0), (0, 1)) == 1
-    assert monomial_compare((0, 1), (0, 1)) == 0
+    assert word_key((0,)) < word_key((1,))
+    assert word_key((1, 0)) > word_key((0, 1))
+    assert word_key((0, 1)) == word_key((0, 1))
     # degree dominates
-    assert monomial_compare((3, 3), (0, 0, 0)) == -1
+    assert word_key((3, 3)) < word_key((0, 0, 0))
 
 
 def test_classical_rules_are_signed_swaps():

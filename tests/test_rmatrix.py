@@ -37,8 +37,10 @@ from support import (
     rand_constant,
     rand_general,
     rand_nonzero,
+    rand_normalized,
     rand_sudbery,
     rank,
+    rmatrix_relation_span_fractions,
     rmatrix_relation_span_reference,
     row_spans_equal,
     sudbery_with_constant,
@@ -81,7 +83,7 @@ def test_build_B_eigenstructure():
 
 
 def test_eigenspaces_recover_decomposition():
-    from qlincat.linalg import kernel_basis
+    from support import kernel_basis
 
     obj = even2_sudbery(2, 3)
     b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
@@ -411,3 +413,39 @@ def test_rmatrix_span_property_fails_without_coaction_sign(monkeypatch):
     _assert_span_matches_reference((0, 0), (0, 0), True, 3)
     with pytest.raises(AssertionError):
         _assert_span_matches_reference((0, 1), (0, 1), True, 3)
+
+
+def _lam(rng):
+    # normalized_B(obj, -1) would repeat the coefficient 1
+    lam = rand_nonzero(rng)
+    return lam if lam != -1 else Fraction(2)
+
+
+def _assert_span_matches_fraction_route(src_shape, tgt_shape, matching, seed):
+    rng = random.Random(seed)
+    src = rand_normalized(rng, space_of(src_shape))
+    tgt = rand_normalized(rng, space_of(tgt_shape))
+    lam = _lam(rng)
+    b_src, b_tgt = normalized_B(src, lam), normalized_B(tgt, lam if matching else _lam(rng))
+    # the same primitive integer rows in the same order
+    assert rmatrix_relation_span(b_src, b_tgt) == rmatrix_relation_span_fractions(b_src, b_tgt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_rmatrix_span_rows_match_the_fraction_route(src_shape, tgt_shape, matching, seed):
+    _assert_span_matches_fraction_route(src_shape, tgt_shape, matching, seed)
+
+
+def test_fraction_route_property_fails_without_primitive_rows(monkeypatch):
+    # the integer entries carry the factor L_s L_t of the two cleared B
+    # matrices until each row is divided by its gcd
+    monkeypatch.setattr(rmatrix, "_normalised", lambda row: row)
+    with pytest.raises(AssertionError):
+        _assert_span_matches_fraction_route((0, 0), (0, 1), False, 3)
+

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlincat import spaces
 from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
-from qlincat.linalg import Matrix, NotComplementary, annihilator
+from qlincat.linalg import InvariantViolation, Matrix, NotComplementary
 from qlincat.spaces import (
     BadParameters,
     QuantumObject,
@@ -23,6 +23,7 @@ from qlincat.pbw import pbw_extract_constant
 
 from support import (
     MIXED_SHAPES,
+    annihilator,
     pair_spans_reference,
     rand_general,
     rand_normalized,
@@ -339,3 +340,64 @@ def test_dual_components_are_annihilators():
     dual = dual_object(obj)
     assert row_spans_equal(dual.components[0], annihilator(obj.components[1], 4, signs))
     assert row_spans_equal(dual.components[1], annihilator(obj.components[0], 4, signs))
+
+
+@st.composite
+def annihilated_objects(draw):
+    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([rand_sudbery, rand_normalized, rand_general]))
+    return make(rng, space)
+
+
+def _assert_annihilators_match_reference(obj):
+    # the same vectors in the same order as the kernel of the signed
+    # components, not only the same spans
+    signs, dim = koszul_signs(obj.space), obj.space.dim**2
+    expected = tuple(tuple(annihilator(comp, dim, signs)) for comp in obj.components)
+    assert obj.annihilators == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(annihilated_objects())
+def test_annihilators_are_the_signed_kernels_of_the_components(obj):
+    _assert_annihilators_match_reference(obj)
+
+
+def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
+    # each vector comes out as signs[fc] * g: still an annihilator, but with
+    # entry -1 at its free column fc where that word has two odd letters
+    real = spaces._annihilator
+
+    def unsigned(spanning, pairs, signs):
+        pivots = {pc for pc, _ in pairs}
+        out = []
+        for g in real(spanning, pairs, signs):
+            fc = next(c for c, x in enumerate(g) if x and c not in pivots)
+            out.append(tuple(signs[fc] * x for x in g))
+        return out
+
+    monkeypatch.setattr(spaces, "_annihilator", unsigned)
+    _assert_annihilators_match_reference(rand_sudbery(random.Random(5), space_of((0, 0))))
+    with pytest.raises(AssertionError):
+        _assert_annihilators_match_reference(rand_sudbery(random.Random(5), space_of((0, 1))))
+
+
+def test_annihilators_raise_on_a_corrupted_reduced_echelon(monkeypatch):
+    # one entry of one reduced row changed at a free column: the kernel
+    # vector read there no longer pairs to zero with the component
+    real = spaces._rref
+
+    def corrupted(echelon, ncols):
+        pairs = real(echelon, ncols)
+        pivots = {pc for pc, _ in pairs}
+        pc, row = pairs[0]
+        fc = next(c for c in range(ncols) if c not in pivots)
+        return [(pc, row[:fc] + (row[fc] + 1,) + row[fc + 1:])] + pairs[1:]
+
+    obj = rand_sudbery(random.Random(5), space_of((0, 1)))
+    assert obj.annihilators
+    monkeypatch.setattr(spaces, "_rref", corrupted)
+    obj = rand_sudbery(random.Random(5), space_of((0, 1)))
+    with pytest.raises(InvariantViolation, match="does not annihilate"):
+        obj.annihilators
