@@ -159,16 +159,18 @@ def coassociativity_check(
 
 
 def counit_substitution_ok(hom: HomAlgebra, values: Matrix) -> bool:
-    """Do all defining relations vanish under t_A^K -> values[A][K]?"""
+    """Do all defining relations vanish under t_A^K -> values[A][K]?  The
+    values are scaled to integers by their common denominator L, which
+    scales each relation's value by L**2 and changes no answer."""
     m, n = hom.target.space.dim, hom.alphabet.size
-    for row in hom.relations.rows:
-        total = Fraction(0)
-        for w, c in row.items():
-            (a, k), (b, l) = (divmod(g, m) for g in divmod(w, n))
-            total += c * values.data[a][k] * values.data[b][l]
-        if total != 0:
-            return False
-    return True
+    den = lcm(*(x.denominator for row in values.data for x in row))
+    # value[g]: L times the value of generator g = A * m + K
+    value = [values.data[g // m][g % m] for g in range(n)]
+    value = [x.numerator * (den // x.denominator) for x in value]
+    return not any(
+        sum(c * value[w // n] * value[w % n] for w, c in row.items())
+        for row in hom.relations.rows
+    )
 
 
 def counit_check(obj: QuantumObject) -> bool:

@@ -156,6 +156,18 @@ def load_object(path: str) -> QuantumObject:
                 raise ObjectSpecError(
                     f"{path}: params.components: need at least two component spans"
                 )
+            # V' (x) V' has dimension dim**2: no component needs more spanning
+            # vectors, nor the decomposition more components (two at dim 1);
+            # longer lists are refused before any rational is parsed
+            if len(comps) > max(dim * dim, 2):
+                raise ObjectSpecError(
+                    f"{path}: params.components: at most {max(dim * dim, 2)} component spans"
+                )
+            for k, comp in enumerate(comps):
+                if isinstance(comp, list) and len(comp) > dim * dim:
+                    raise ObjectSpecError(
+                        f"{path}: params.components[{k}]: at most {dim * dim} vectors"
+                    )
             parsed = []
             for k, comp in enumerate(comps):
                 if not isinstance(comp, list):

@@ -4,8 +4,8 @@ quantum space objects.
 Two independent derivations are provided.  The general one runs over every
 component: each pair (g, f) with g in a basis of the annihilator of a
 source component (``QuantumObject.annihilators``) and f in a basis of the
-matching target component (``QuantumObject.bases``) contributes the
-relation
+matching target component (``QuantumObject.bases``), both integer rows
+read as they are, contributes the relation
 
     sum (-1)**(par(B)*par(K)) g^{AB} f_{KL} t_A^K t_B^L = 0.
 
@@ -17,11 +17,11 @@ A relation span is stored once, as integer rows, eliminated once and
 back-substituted once: every reader takes its ``RelationSet.echelon``, its
 ``back_substituted`` rows or its ``rules``, the degree-2 quotient read off
 those rows as integer rewrite rules, and none of them mutates any of the
-three.  Both derivations build the rows on integers, clearing each input
-vector or parameter matrix once; ``RelationSet.polys`` is a view for
-printing.  ``_rules`` is the one degree-2 quotient routine: the rewrite
-system, the coalgebra coordinates and the determinant's area form all read
-its output.  ``RelationSet.tower`` is the graded quotient by the span, kept
+three.  Both derivations build the rows on integers, from the objects'
+integer rows or clearing each parameter matrix once; ``RelationSet.polys``
+is a view for printing.  ``_rules`` is the one degree-2 quotient routine:
+the rewrite system, the coalgebra coordinates and the determinant's area
+form all read its output.  ``RelationSet.tower`` is the graded quotient by the span, kept
 and extended one degree at a time; the dimension oracle reads it.
 """
 
@@ -134,11 +134,6 @@ class HomAlgebra:
     relations: RelationSet
 
 
-def _terms(v, d: int) -> list[tuple[int, int, int]]:
-    """(i, j, x) for the entries x of v at index i * d + j, cleared once."""
-    return [(*divmod(c, d), x) for c, x in _cleared(dict(enumerate(v))).items()]
-
-
 def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> RelationSet:
     """Relation span from annihilator bases, component by component.
 
@@ -157,10 +152,10 @@ def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> Relation
         expected += len(ann) * len(fbasis)
         # word (A*m+K, B*m+L) is column (A*m*nm + B*m) + (K*nm + L): each f
         # as its signed (K*nm + L, sign * f_KL) terms for either par(B)
-        fs = [[[(k * nm + l, s[k] * x) for k, l, x in _terms(f, m)] for s in signs]
+        fs = [[[(c // m * nm + c % m, s[c // m] * x) for c, x in f.items()] for s in signs]
               for f in fbasis]
         for g in ann:
-            gs = [(a * m * nm + b * m, pv[b], x) for a, b, x in _terms(g, n)]
+            gs = [(c // n * m * nm + c % n * m, pv[c % n], x) for c, x in g.items()]
             for f in fs:
                 row = _positive({base + c: x * y for base, par, x in gs for c, y in f[par]})
                 if row is None:

@@ -5,24 +5,26 @@ anywhere in this package.  Every elimination runs through ``_insert``: rows
 are ``{column: int}`` dicts with denominators cleared per row, the pivot of
 a row is its largest column, and rows are kept gcd-normalised.  The forward
 pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
-``_rref`` scales that to the reduced echelon form (pivot entries 1) for
-spectral sums and for ``spaces.QuantumObject``, which keeps each
-component's forward pass and reads its basis and its annihilator from one
-``_rref`` of it.  ``_back_substituted`` is also read by the determinant's
-area form, by ``homs.RelationSet.back_substituted``, which
-back-substitutes each relation span once for its degree-2 rules and its
-quotient tower, and by that tower for each degree's new rows.  The
-largest-column pivot is the leading word of the monomial order; callers
-that work in natural column order (component bases, annihilators and
-spectral sums) reflect column c to ncols-1-c so that the leftmost column
-is pivoted first.  The yes/no checks form no dense product: ``_same_span``
+``_reduced_rows`` reads those rows in natural column order, primitive and
+positive at their pivots, for spectral sums and for
+``spaces.QuantumObject``, which reads each component's basis and
+annihilator from one ``_reduced_rows`` of its forward pass; no ``Fraction``
+is made from an echelon except the entries of ``spectral_sum``'s output.
+``_back_substituted`` is also read by the determinant's area form, by
+``homs.RelationSet.back_substituted``, which back-substitutes each
+relation span once for its degree-2 rules and its quotient tower, and by
+that tower for each degree's new rows.  The largest-column pivot is the
+leading word of the monomial order; callers that work in natural column
+order (component bases, annihilators and spectral sums) reflect column c
+to ncols-1-c so that the leftmost column is pivoted first.  The yes/no
+checks form no dense product: ``_same_span``
 inserts one span's echelon rows into a copy of the other's.  There is no
 linear solver and no kernel routine here: quotient coordinates are read
 from the integer back-substitution (``homs._rules``).  ``Matrix`` is an
 immutable dense value type with no arithmetic.  It is the type of the
 projectors and of the braid matrix B, both read by ``spectral_sum`` from
-one elimination over component bases, of the counit substitution, and of
-the read-only dense view of a relation span.
+one elimination over integer component bases, of the counit substitution,
+and of the read-only dense view of a relation span.
 """
 
 from __future__ import annotations
@@ -167,27 +169,17 @@ def _back_substituted(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int,
     return done
 
 
-def _rref(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[int, Vector]]:
-    """Reduced echelon rows in natural column order of an ``_echelon``
-    result over reflected columns: (pivot column, dense row) pairs with
-    ascending pivots, each pivot entry 1."""
+def _reduced_rows(echelon: dict[int, dict[int, int]], ncols: int) -> list[tuple[int, dict]]:
+    """The ``_back_substituted`` rows of an ``_echelon`` result over
+    reflected columns, in natural column order: (pivot column, row) pairs
+    with ascending pivots, each row primitive, positive at its pivot and
+    keyed in ascending column order."""
     last = ncols - 1
-    back = _back_substituted(echelon)
     out = []
-    for lead in sorted(back, reverse=True):
-        row = back[lead]
-        pivot = row[lead]
-        v = [ZERO] * ncols
-        for c, x in row.items():
-            v[last - c] = Fraction(x, pivot)
-        out.append((last - lead, tuple(v)))
+    for lead, row in sorted(_back_substituted(echelon).items(), reverse=True):
+        s = 1 if row[lead] > 0 else -1
+        out.append((last - lead, {last - c: s * row[c] for c in sorted(row, reverse=True)}))
     return out
-
-
-def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
-    """``_rref`` of the vectors.  The columns are reflected for the engine,
-    so its largest-column pivot is the leftmost natural column."""
-    return _rref(_echelon(_int_rows(vectors, reflect=True)), ncols)
 
 
 def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> bool:
@@ -199,15 +191,21 @@ def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> 
     return all(_insert(pivots, row) is None for row in eb.values())
 
 
-def spectral_sum(bases: Sequence[Sequence[Sequence]], values: Sequence, dim: int) -> Matrix:
-    """The matrix M with M v = values[k] * v for every v in bases[k].
+def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence, dim: int) -> Matrix:
+    """The matrix M with M v = values[k] * v for every integer row v in bases[k].
 
-    One elimination of the rows (v, values[k] * v): when the bases together
-    form a basis of the dim-dimensional space, they reduce to the rows
-    (e_i, column i of M).  Raises InvariantViolation otherwise.
+    One elimination of the rows (den v, num v), values[k] = num / den: when
+    the bases together form a basis of the dim-dimensional space, they
+    reduce to the rows (p e_i, p times column i of M).  Raises
+    InvariantViolation otherwise.
     """
-    rows = [tuple(v) + tuple(frac(lam) * x for x in v) for b, lam in zip(bases, values) for v in b]
-    pairs = _rref_rows(rows, 2 * dim)
+    last, rows = 2 * dim - 1, []
+    for b, lam in zip(bases, values):
+        num, den = frac(lam).as_integer_ratio()
+        rows += ({last - shift - c: k * x for shift, k in ((0, den), (dim, num))
+                  for c, x in v.items()} for v in b)
+    pairs = _reduced_rows(_echelon(rows), 2 * dim)
     if len(rows) != dim or [pc for pc, _ in pairs] != list(range(dim)):
         raise InvariantViolation(f"the bases do not form a basis of a {dim}-dimensional space")
-    return Matrix._wrap(tuple(tuple(row[dim + r] for _, row in pairs) for r in range(dim)))
+    return Matrix._wrap(tuple(tuple(Fraction(row.get(dim + r, 0), row[pc]) for pc, row in pairs)
+                              for r in range(dim)))

@@ -11,12 +11,12 @@ never indeterminates.
 A ``QuantumObject`` cannot exist without a complementary decomposition:
 its constructor eliminates each component once, forward only, and reads
 the component dimensions and the direct-sum condition from those echelons.
-Each echelon is back-substituted once, to the reduced echelon rows that
-both ``QuantumObject.bases`` and ``QuantumObject.annihilators`` read: a
-basis is their rows, and an annihilator their kernel, signed by the Koszul
-pairing (``_annihilator``).  The projectors are spectral sums over the
-bases; the hom relations and the dual object read bases and annihilators
-and never change them.
+Each echelon is back-substituted once, to the primitive integer rows
+(``linalg._reduced_rows``) that ``QuantumObject.bases`` and
+``QuantumObject.annihilators`` read: a basis is those rows, and an
+annihilator their kernel, signed by the Koszul pairing (``_annihilator``).
+The projectors are spectral sums over the bases; the hom relations and the
+dual object read bases and annihilators and never change them.
 """
 
 from __future__ import annotations
@@ -24,20 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
-    ONE,
-    ZERO,
     InvariantViolation,
     Matrix,
     NotComplementary,
     Vector,
-    _cleared,
     _echelon,
     _insert,
     _int_rows,
-    _rref,
+    _normalised,
+    _reduced_rows,
     _same_span,
     frac,
     spectral_sum,
@@ -101,24 +100,24 @@ class QuantumObject:
     @cached_property
     def _echelons(self) -> tuple[dict[int, dict[int, int]], ...]:
         """Each component's forward elimination, columns reflected as
-        ``linalg._rref`` reads them."""
+        ``linalg._reduced_rows`` reads them."""
         return tuple(_echelon(_int_rows(comp, reflect=True)) for comp in self.components)
 
     @cached_property
-    def _reduced(self) -> tuple[list[tuple[int, Vector]], ...]:
-        """Each component's reduced echelon rows, (pivot column, row)
-        pairs from one ``_rref`` of its echelon."""
+    def _reduced(self) -> tuple[list[tuple[int, dict[int, int]]], ...]:
+        """Each component's reduced rows, (pivot column, integer row) pairs
+        from one ``_reduced_rows`` of its echelon."""
         dim = self.space.dim**2
-        return tuple(_rref(e, dim) for e in self._echelons)
+        return tuple(_reduced_rows(e, dim) for e in self._echelons)
 
     @cached_property
-    def bases(self) -> tuple[tuple[Vector, ...], ...]:
-        """A row basis of each component (the nonzero rows of its rref)."""
+    def bases(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """A row basis of each component: its reduced integer rows."""
         return tuple(tuple(row for _, row in pairs) for pairs in self._reduced)
 
     @cached_property
-    def annihilators(self) -> tuple[tuple[Vector, ...], ...]:
-        """A basis of each component's annihilator under the Koszul pairing."""
+    def annihilators(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        """A basis of each component's Koszul annihilator, as integer rows."""
         signs = koszul_signs(self.space)
         return tuple(
             tuple(_annihilator(comp, pairs, signs))
@@ -137,31 +136,31 @@ class QuantumObject:
         ]
 
 
-def _annihilator(spanning, pairs, signs) -> list[Vector]:
+def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
     """A basis of {g : sum_u g[u] * signs[u] * f[u] = 0 for all spanning f},
-    read from the reduced echelon ``pairs`` of the span.
+    read from the reduced integer rows ``pairs`` of the span.
 
-    The kernel of F diag(signs) is diag(signs) times the kernel of F.  So
-    for each free column fc, with v the kernel vector of the rref that is 1
-    at fc and -row[fc] at each pivot column, the basis vector is
-    g[u] = signs[fc] * signs[u] * v[u], which is 1 at fc.  Raises
-    InvariantViolation unless every g pairs to zero with every spanning
-    vector, in integer dot products against the cleared spanning rows.
+    The kernel of F diag(signs) is diag(signs) times the kernel of F.  For
+    each free column fc, with L the lcm of the pivots of the rows with an
+    entry at fc, the kernel vector v is L at fc and -row[fc] * L / row[pc]
+    at each pivot column pc; the basis row is g[u] = signs[fc] * signs[u] *
+    v[u], gcd-normalised.  Raises InvariantViolation unless every g pairs
+    to zero with every spanning vector, in integer dot products against
+    the cleared spanning rows.
     """
     pivots = {pc for pc, _ in pairs}
     basis = []
     for fc in range(len(signs)):
         if fc in pivots:
             continue
-        g = [ZERO] * len(signs)
-        g[fc] = ONE
-        for pc, row in pairs:
-            g[pc] = -signs[fc] * signs[pc] * row[fc]
-        basis.append(tuple(g))
+        hits = [(pc, row) for pc, row in pairs if fc in row]
+        scale = lcm(*(row[pc] for pc, row in hits))
+        # each pivot with an entry at fc lies left of it: g is in column order
+        g = {pc: -signs[fc] * signs[pc] * row[fc] * (scale // row[pc]) for pc, row in hits}
+        basis.append(_normalised({**g, fc: scale}))
     rows = _int_rows(spanning)
     for g in basis:
-        w = _cleared(dict(enumerate(g)))
-        if any(sum(signs[c] * x * w.get(c, 0) for c, x in row.items()) for row in rows):
+        if any(sum(signs[c] * x * g.get(c, 0) for c, x in row.items()) for row in rows):
             raise InvariantViolation("annihilator vector does not annihilate its component")
     return basis
 
@@ -293,7 +292,8 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     if obj.s != 2:
         raise ValueError("dual_object requires a two-component object")
     n = obj.space.dim
-    ann_i, ann_j = obj.annihilators
+    ann_i, ann_j = (tuple(tuple(Fraction(g.get(u, 0)) for u in range(n * n)) for g in ann)
+                    for ann in obj.annihilators)
     qp = None
     kind = "general"
     if obj.qp is not None:

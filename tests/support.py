@@ -18,7 +18,7 @@ from qlincat import (
     space_of,
 )
 from qlincat.bialgebra import WrongShape, _delta_bidegree
-from qlincat.graded import koszul_sign, pi_image
+from qlincat.graded import koszul_sign, koszul_signs, pi_image
 from qlincat.homs import HomAlgebra, relation_set
 from qlincat.linalg import (
     ONE,
@@ -29,7 +29,7 @@ from qlincat.linalg import (
     _cleared,
     _echelon,
     _int_rows,
-    _rref_rows,
+    _reduced_rows,
     _same_span,
     frac,
 )
@@ -217,6 +217,19 @@ def ordering_by_enumeration(obj) -> Extraction | None:
             if ok:
                 return Extraction(c, tuple(positions))
     return None
+
+
+def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
+    """The reduced echelon form of the vectors: (pivot column, dense row)
+    pairs with ascending pivots, each pivot entry 1, read from the engine's
+    integer reduced rows (``linalg._reduced_rows``) over reflected columns."""
+    out = []
+    for pc, row in _reduced_rows(_echelon(_int_rows(vectors, reflect=True)), ncols):
+        v = [ZERO] * ncols
+        for c, x in row.items():
+            v[c] = Fraction(x, row[pc])
+        out.append((pc, tuple(v)))
+    return out
 
 
 def rank(m: Matrix) -> int:
@@ -682,11 +695,16 @@ def rmatrix_relation_span_fractions(b_src, b_tgt):
 
 def derive_relations_general_reference(src, tgt) -> tuple[NCPoly, ...]:
     """Reference for ``derive_relations_general``: each relation summed over
-    Fractions from the uncleared annihilator and basis vectors, made monic."""
+    Fractions from the reference annihilators (``annihilator``) of the
+    source components and the reduced echelon rows (``row_basis``) of the
+    target components, made monic."""
     n, m = src.space.dim, tgt.space.dim
     alphabet = matrix_alphabet(src.space, tgt.space)
+    signs = koszul_signs(src.space)
     polys = []
-    for ann, fbasis in zip(src.annihilators, tgt.bases):
+    for comp, tcomp in zip(src.components, tgt.components):
+        ann = annihilator(comp, n * n, signs)
+        fbasis = row_basis(tcomp)
         for g in ann:
             for f in fbasis:
                 terms: dict = {}

@@ -30,6 +30,8 @@ from support import (
     comultiplication_reference,
     determinant_reference,
     even2_sudbery,
+    kron,
+    mat_apply,
     rand_nonzero,
     rand_sudbery,
     scale_diagonal_word,
@@ -149,6 +151,43 @@ def test_counit_only_on_endomorphism_algebras():
     b = even2_sudbery(4, 5)
     assert counit_substitution_ok(hom_algebra(a, a), Matrix.identity(2))
     assert not counit_substitution_ok(hom_algebra(a, b), Matrix.identity(2))
+
+
+def _counit_substitution_reference(hom, values) -> bool:
+    """``counit_substitution_ok`` summed over Fractions, on the monic
+    relations."""
+    m, v = hom.target.space.dim, values.data
+    for p in hom.relations.polys:
+        total = Fraction(0)
+        for (g, h), c in p.terms.items():
+            (a, k), (b, l) = divmod(g, m), divmod(h, m)
+            total += c * v[a][k] * v[b][l]
+        if total:
+            return False
+    return True
+
+
+def test_counit_substitution_matches_fraction_sums():
+    # scaled identities kill every endomorphism relation, random rational
+    # values almost never do; both answers must agree with Fraction sums
+    rng = random.Random(57)
+    cases = []
+    for shape in MIXED_SHAPES:
+        obj = rand_sudbery(rng, space_of(shape))
+        hom, n = hom_algebra(obj, obj), obj.space.dim
+        c = rand_nonzero(rng)
+        cases.append((hom, Matrix([[c * (a == k) for k in range(n)] for a in range(n)])))
+        cases.append((hom, Matrix([[rand_nonzero(rng) for _ in range(n)] for _ in range(n)])))
+    # entries with different denominators that kill every relation only
+    # together: b is the image of a under p, and p kills hom(b, a)
+    a = even2_sudbery(2, 3)
+    p = Matrix([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
+    b = make_general(a.space, [[mat_apply(kron(p, p), v) for v in comp] for comp in a.components])
+    assert counit_substitution_ok(hom_algebra(b, a), p)
+    cases.append((hom_algebra(b, a), p))
+    answers = [counit_substitution_ok(hom, values) for hom, values in cases]
+    assert answers == [_counit_substitution_reference(hom, values) for hom, values in cases]
+    assert True in answers and False in answers
 
 
 def test_determinant_closed_form():

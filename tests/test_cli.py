@@ -124,6 +124,43 @@ def test_object_dim_above_limit_is_refused(tmp_path, capsys):
     assert main(["object", write(tmp_path, "limit.json", doc), "--json"]) == 0
 
 
+def _general_doc(components) -> dict:
+    return {**GENERAL_2, "params": {"components": components}}
+
+
+def _unit(i: int) -> list[str]:
+    return ["1" if j == i else "0" for j in range(4)]
+
+
+def test_general_object_at_the_vector_and_component_limits_is_accepted(tmp_path, capsys):
+    # dim 2: four redundant vectors in one component, and four components
+    redundant = [[str(c), "0", "0", "0"] for c in range(1, 5)]
+    docs = [_general_doc([redundant, [_unit(1), _unit(2), _unit(3)]]),
+            _general_doc([[_unit(i)] for i in range(4)])]
+    for k, doc in enumerate(docs):
+        assert main(["object", write(tmp_path, f"limit{k}.json", doc), "--json"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "components, field",
+    [
+        ([[_unit(0)] * 5, [_unit(1), _unit(2), _unit(3)]], "params.components[0]: at most 4 vectors"),
+        ([[_unit(0)], [_unit(1), _unit(2), _unit(3)] + [["nope"] * 4] * 2],
+         "params.components[1]: at most 4 vectors"),
+        ([[_unit(i)] for i in range(4)] + [[]], "params.components: at most 4 component spans"),
+    ],
+    ids=["vectors", "vectors-before-rationals", "components"],
+)
+def test_general_object_past_the_limits_is_refused(tmp_path, capsys, components, field):
+    # refused with its field path before any rational is parsed: the
+    # unparseable entries of the second case are never reached
+    assert main(["object", write(tmp_path, "over.json", _general_doc(components))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_object_rejects_wrong_format(tmp_path, capsys):
     doc = classical_doc()
     doc["format"] = "something-else"
@@ -475,7 +512,8 @@ def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
 def _count_reductions(monkeypatch) -> Counter:
     """Count every forward elimination and every reduced echelon form, keyed
     by (module, name) of the binding called: each qlincat module that binds
-    ``_echelon`` or ``_rref``, ``linalg`` for its own calls among them."""
+    ``_echelon`` or ``_reduced_rows``, ``linalg`` for its own calls among
+    them."""
     calls: Counter = Counter()
 
     def counting(key, real):
@@ -486,7 +524,7 @@ def _count_reductions(monkeypatch) -> Counter:
         return wrapper
 
     for modname, module in list(sys.modules.items()):
-        for name in ("_echelon", "_rref"):
+        for name in ("_echelon", "_reduced_rows"):
             if modname.startswith("qlincat") and hasattr(module, name):
                 key = (modname.removeprefix("qlincat."), name)
                 monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
@@ -516,7 +554,7 @@ def test_each_object_is_reduced_once_per_call(
     capsys.readouterr()
     expected = {
         ("spaces", "_echelon"): 2 * objects,
-        ("spaces", "_rref"): 2 * reduced,
+        ("spaces", "_reduced_rows"): 2 * reduced,
         ("homs", "_echelon"): spans,
         ("bialgebra", "_echelon"): areas,
     }
@@ -531,8 +569,8 @@ def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
     assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
     assert calls == Counter({
-        ("spaces", "_echelon"): 2, ("spaces", "_rref"): 2,
-        ("linalg", "_echelon"): 2, ("linalg", "_rref"): 2,
+        ("spaces", "_echelon"): 2, ("spaces", "_reduced_rows"): 2,
+        ("linalg", "_echelon"): 2, ("linalg", "_reduced_rows"): 2,
     })
 
 

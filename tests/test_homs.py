@@ -41,6 +41,7 @@ from support import (
     derive_relations_general_reference,
     derive_relations_sudbery_reference,
     even2_sudbery,
+    rand_general,
     rand_nonzero,
     rand_normalized,
     rand_sudbery,
@@ -274,6 +275,47 @@ def test_reference_match_fails_on_one_scaled_coefficient(pair, seed):
         row = rng.choice([row for row in rows if len(row) > 1])
         row[rng.choice(list(row))] *= 2
         assert not _matches_reference(homs.RelationSet(rels.alphabet, tuple(rows)), ref)
+
+
+class _FractionArithmetic(Exception):
+    pass
+
+
+def _forbid_fraction_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise _FractionArithmetic
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+
+
+def _built_pairs():
+    """Two-parameter, normalized and dense general sources over every mixed
+    shape, each with a two-parameter target, all built before any check."""
+    rng = random.Random(19)
+    return [
+        (make(rng, space_of(shape)), rand_sudbery(rng, space_of(rng.choice(MIXED_SHAPES))))
+        for shape in MIXED_SHAPES
+        for make in (rand_sudbery, rand_normalized, rand_general)
+    ]
+
+
+def test_built_objects_give_relations_without_fraction_arithmetic(monkeypatch):
+    # bases and annihilators are read from the cached integer echelons, and
+    # the relations from them, with no Fraction operation on the way
+    pairs = _built_pairs()
+    _forbid_fraction_arithmetic(monkeypatch)
+    for src, tgt in pairs:
+        assert src.annihilators and tgt.bases
+        derive_relations_general(src, tgt)
+
+
+def test_fraction_arithmetic_guard_fails_on_the_fraction_reference(monkeypatch):
+    (src, tgt), *_ = _built_pairs()
+    _forbid_fraction_arithmetic(monkeypatch)
+    with pytest.raises(_FractionArithmetic):
+        derive_relations_general_reference(src, tgt)
 
 
 def test_component_count_mismatch():
@@ -561,7 +603,7 @@ def _corrupt_annihilator(monkeypatch, corrupt):
 
 
 def test_degenerate_relation_raises(monkeypatch):
-    _corrupt_annihilator(monkeypatch, lambda ann: [tuple(0 * x for x in ann[0])] + ann[1:])
+    _corrupt_annihilator(monkeypatch, lambda ann: [dict.fromkeys(ann[0], 0)] + ann[1:])
     cl = make_classical(even_space(2))
     with pytest.raises(InvariantViolation, match="degenerate"):
         derive_relations_general(cl, cl)

@@ -8,7 +8,7 @@ from qlincat.linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
-    _rref_rows,
+    _int_rows,
     spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
@@ -16,6 +16,7 @@ from qlincat.spaces import make_classical, make_general, make_sudbery
 
 import support
 from support import (
+    _rref_rows,
     annihilator,
     inverse,
     kernel_basis,
@@ -228,18 +229,18 @@ def test_spectral_sum_eigenvectors():
         m = rand_matrix(rng, 4, 4)
         if rank(m) == 4:
             break
-    bases = [m.data[:1], m.data[1:3], (), m.data[3:]]
+    vectors = [m.data[:1], m.data[1:3], (), m.data[3:]]
+    bases = [_int_rows(b) for b in vectors]
     values = [Fraction(2), Fraction(-1, 3), Fraction(9), Fraction(0)]
     s = spectral_sum(bases, values, 4)
-    for b, lam in zip(bases, values):
+    for b, lam in zip(vectors, values):
         for v in b:
             assert mat_apply(s, v) == tuple(lam * x for x in v)
     assert spectral_sum(bases, [1, 1, 1, 1], 4) == Matrix.identity(4)
 
 
 def test_spectral_sum_rejects_dependent_bases():
-    f = Fraction
-    e0, e1, e01 = (f(1), f(0)), (f(0), f(1)), (f(1), f(1))
+    e0, e1, e01 = {0: 1}, {1: 1}, {0: 1, 1: 1}
     assert spectral_sum([[e0], [e01]], [1, 2], 2) == Matrix([[1, 1], [0, 2]])
     for bases in ([[e0], [e0]], [[e0, e01], [e1]], [[e0], []], [[e0, e0], [e1]]):
         with pytest.raises(InvariantViolation):

@@ -378,9 +378,9 @@ def test_spectral_sum_property_fails_on_swapped_values(monkeypatch):
 def test_build_B_rejects_dependent_bases():
     e = [tuple(Fraction(i == j) for j in range(4)) for i in range(4)]
     obj = make_general(even_space(2), [e[:2], e[2:]])
-    assert obj.bases == ((e[0], e[1]), (e[2], e[3]))
+    assert obj.bases == (({0: 1}, {1: 1}), ({2: 1}, {3: 1}))
     # the cached bases corrupted so that both components contain e_0
-    obj.__dict__["bases"] = ((e[0], e[1]), (e[0], e[3]))
+    obj.__dict__["bases"] = (({0: 1}, {1: 1}), ({0: 1}, {3: 1}))
     with pytest.raises(InvariantViolation):
         build_B(obj, [1, 2])
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlincat import spaces
 from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
-from qlincat.linalg import InvariantViolation, Matrix, NotComplementary
+from qlincat.linalg import InvariantViolation, Matrix, NotComplementary, _cleared
 from qlincat.spaces import (
     BadParameters,
     QuantumObject,
@@ -29,6 +29,7 @@ from support import (
     rand_normalized,
     rand_sudbery,
     rank,
+    row_basis,
     row_spans_equal,
 )
 
@@ -352,9 +353,12 @@ def annihilated_objects(draw):
 
 def _assert_annihilators_match_reference(obj):
     # the same vectors in the same order as the kernel of the signed
-    # components, not only the same spans
+    # components, each cleared to integers, not only the same spans
     signs, dim = koszul_signs(obj.space), obj.space.dim**2
-    expected = tuple(tuple(annihilator(comp, dim, signs)) for comp in obj.components)
+    expected = tuple(
+        tuple(_cleared(dict(enumerate(g))) for g in annihilator(comp, dim, signs))
+        for comp in obj.components
+    )
     assert obj.annihilators == expected
 
 
@@ -373,8 +377,8 @@ def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
         pivots = {pc for pc, _ in pairs}
         out = []
         for g in real(spanning, pairs, signs):
-            fc = next(c for c, x in enumerate(g) if x and c not in pivots)
-            out.append(tuple(signs[fc] * x for x in g))
+            fc = next(c for c in g if c not in pivots)
+            out.append({c: signs[fc] * x for c, x in g.items()})
         return out
 
     monkeypatch.setattr(spaces, "_annihilator", unsigned)
@@ -384,20 +388,48 @@ def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
 
 
 def test_annihilators_raise_on_a_corrupted_reduced_echelon(monkeypatch):
-    # one entry of one reduced row changed at a free column: the kernel
-    # vector read there no longer pairs to zero with the component
-    real = spaces._rref
+    # one entry of one reduced row changed at a free column, by its pivot:
+    # the kernel vector read there no longer pairs to zero with the component
+    real = spaces._reduced_rows
 
     def corrupted(echelon, ncols):
         pairs = real(echelon, ncols)
         pivots = {pc for pc, _ in pairs}
         pc, row = pairs[0]
         fc = next(c for c in range(ncols) if c not in pivots)
-        return [(pc, row[:fc] + (row[fc] + 1,) + row[fc + 1:])] + pairs[1:]
+        return [(pc, {**row, fc: row.get(fc, 0) + row[pc]})] + pairs[1:]
 
     obj = rand_sudbery(random.Random(5), space_of((0, 1)))
     assert obj.annihilators
-    monkeypatch.setattr(spaces, "_rref", corrupted)
+    monkeypatch.setattr(spaces, "_reduced_rows", corrupted)
     obj = rand_sudbery(random.Random(5), space_of((0, 1)))
     with pytest.raises(InvariantViolation, match="does not annihilate"):
         obj.annihilators
+
+
+def _assert_bases_match_reference(obj):
+    # each component's reduced echelon rows, in order, each cleared to
+    # integers: primitive and positive at its pivot
+    expected = tuple(
+        tuple(_cleared(dict(enumerate(v))) for v in row_basis(comp)) for comp in obj.components
+    )
+    assert obj.bases == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(annihilated_objects())
+def test_bases_are_the_cleared_reduced_echelon_rows(obj):
+    _assert_bases_match_reference(obj)
+
+
+def test_bases_property_fails_on_a_negated_row(monkeypatch):
+    # the same span and the same pivots, but one row negative at its pivot
+    real = spaces._reduced_rows
+
+    def negated(echelon, ncols):
+        (pc, row), *rest = real(echelon, ncols)
+        return [(pc, {c: -x for c, x in row.items()}), *rest]
+
+    monkeypatch.setattr(spaces, "_reduced_rows", negated)
+    with pytest.raises(AssertionError):
+        _assert_bases_match_reference(rand_sudbery(random.Random(5), space_of((0, 1))))
