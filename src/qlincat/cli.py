@@ -49,8 +49,9 @@ FORMAT = "quantum-object/1"
 # 0.3 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
 MAX_DIM = 8
 # `qlincat yb` on a dim-8 two-parameter object with 56 candidate coefficients
-# takes 1.4 s with 100-digit integer entries, 2.7 s with 100-digit numerators
-# and denominators, and 390 s with 4000-digit integers (2-vCPU Xeon)
+# takes 0.35-0.51 s with 100-digit integer entries and 1.2-1.6 s with 100-digit
+# numerators and denominators (in process, 2-vCPU Xeon); 4000-digit integers
+# took 390 s when B was still read through dense Fractions
 MAX_DIGITS = 100
 
 
@@ -114,6 +115,8 @@ def load_object(path: str) -> QuantumObject:
         raise ObjectSpecError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ObjectSpecError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ObjectSpecError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ObjectSpecError(f"{path}: document must be an object")
     if doc.get("format") != FORMAT:
@@ -140,15 +143,15 @@ def load_object(path: str) -> QuantumObject:
         if kind == "classical":
             return make_classical(space, name)
         if kind == "sudbery":
-            q = _rat_matrix(params.get("q"), "params.q", dim)
-            p = _rat_matrix(params.get("p"), "params.p", dim)
+            q = _rat_matrix(params.get("q"), f"{path}: params.q", dim)
+            p = _rat_matrix(params.get("p"), f"{path}: params.p", dim)
             return make_sudbery(space, q, p, name)
         if kind == "normalized":
-            q = _rat_matrix(params.get("q"), "params.q", dim)
+            q = _rat_matrix(params.get("q"), f"{path}: params.q", dim)
             eps = params.get("eps")
             if not _is_int(eps) or eps not in (1, -1):
                 raise ObjectSpecError(f"{path}: params.eps: must be 1 or -1")
-            lam = _rat(params.get("lam"), "params.lam")
+            lam = _rat(params.get("lam"), f"{path}: params.lam")
             return make_normalized(space, q, eps, lam, name)
         if kind == "general":
             comps = params.get("components")
@@ -182,7 +185,7 @@ def load_object(path: str) -> QuantumObject:
                         )
                     vecs.append(
                         tuple(
-                            _rat(x, f"params.components[{k}][{i}][{j}]")
+                            _rat(x, f"{path}: params.components[{k}][{i}][{j}]")
                             for j, x in enumerate(vec)
                         )
                     )

@@ -9,7 +9,8 @@ pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
 positive at their pivots, for spectral sums and for
 ``spaces.QuantumObject``, which reads each component's basis and
 annihilator from one ``_reduced_rows`` of its forward pass; no ``Fraction``
-is made from an echelon except the entries of ``spectral_sum``'s output.
+is made from an echelon.  ``spectral_sum`` returns the braid matrix B as
+one scale and sparse integer columns, which ``rmatrix`` reads as they are.
 ``_back_substituted`` is also read by the determinant's area form, by
 ``homs.RelationSet.back_substituted``, which back-substitutes each
 relation span once for its degree-2 rules and its quotient tower, and by
@@ -21,10 +22,8 @@ checks form no dense product: ``_same_span``
 inserts one span's echelon rows into a copy of the other's.  There is no
 linear solver and no kernel routine here: quotient coordinates are read
 from the integer back-substitution (``homs._rules``).  ``Matrix`` is an
-immutable dense value type with no arithmetic.  It is the type of the
-projectors and of the braid matrix B, both read by ``spectral_sum`` from
-one elimination over integer component bases, of the counit substitution,
-and of the read-only dense view of a relation span.
+immutable dense value type with no arithmetic, the type of the counit
+substitution and of the read-only dense view of a relation span.
 """
 
 from __future__ import annotations
@@ -64,21 +63,12 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def _wrap(cls, data: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        """Internal constructor for rows already made of Fractions."""
-        m = cls.__new__(cls)
-        m.data = data
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        m = cls._wrap(tuple((ZERO,) * cols for _ in range(rows)))
+        m = cls([(ZERO,) * cols] * rows)
         m.cols = cols
         return m
 
@@ -191,13 +181,17 @@ def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> 
     return all(_insert(pivots, row) is None for row in eb.values())
 
 
-def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence, dim: int) -> Matrix:
-    """The matrix M with M v = values[k] * v for every integer row v in bases[k].
+def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence,
+                 dim: int) -> tuple[int, tuple[dict[int, int], ...]]:
+    """The matrix M with M v = values[k] * v for every integer row v in bases[k],
+    as (L, columns): a positive integer L and the nonzero entries of each
+    column of L * M, keyed by row in ascending order.
 
     One elimination of the rows (den v, num v), values[k] = num / den: when
     the bases together form a basis of the dim-dimensional space, they
-    reduce to the rows (p e_i, p times column i of M).  Raises
-    InvariantViolation otherwise.
+    reduce to the primitive rows (p_i e_i, p_i M e_i), so L is the lcm of
+    the pivots p_i and column i is the second half of row i times L / p_i.
+    Raises InvariantViolation otherwise.
     """
     last, rows = 2 * dim - 1, []
     for b, lam in zip(bases, values):
@@ -207,5 +201,6 @@ def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence, di
     pairs = _reduced_rows(_echelon(rows), 2 * dim)
     if len(rows) != dim or [pc for pc, _ in pairs] != list(range(dim)):
         raise InvariantViolation(f"the bases do not form a basis of a {dim}-dimensional space")
-    return Matrix._wrap(tuple(tuple(Fraction(row.get(dim + r, 0), row[pc]) for pc, row in pairs)
-                              for r in range(dim)))
+    scale = lcm(*(row[pc] for pc, row in pairs))
+    return scale, tuple({c - dim: x * (scale // row[pc]) for c, x in row.items() if c >= dim}
+                        for pc, row in pairs)

@@ -3,20 +3,20 @@ and the relation span they induce on matrix entries.
 
 B = sum_k lambda_k P_k acts as lambda_k on the k-th component of
 V' (x) V'.  ``build_B`` reads it from the object's cached component bases
-in one elimination (``linalg.spectral_sum``); it forms no projector and no
-dense sum.
+in one elimination (``linalg.spectral_sum``), as a scale L and the sparse
+integer columns of L B; it forms no projector, no dense sum and no
+``Fraction`` entry.
 
-The braid check never forms a matrix on the tensor cube: it applies B to
-the first and to the last two factors of each cube basis word through the
-sparse integer columns of B, and compares the two triple products one
-column at a time.
+The braid check never forms a matrix on the tensor cube: it applies L B to
+the first and to the last two factors of each cube basis word through
+those columns, and compares the two triple products one column at a time.
 
 The relations in projector form are the entries of
-B_source . coaction - coaction . B_target.  Each entry is summed directly
-from the nonzero entries of the two B matrices, each cleared to integers
-once, each coaction entry being one signed monomial; no table of coaction
-polynomials is built, and the Koszul sign of the coaction is the only sign
-involved.
+B_source . coaction - coaction . B_target.  Each entry is summed on
+integers directly from the columns of B_target and the rows of B_source
+(one transpose of its columns), each coaction entry being one signed
+monomial; no table of coaction polynomials is built, and the Koszul sign
+of the coaction is the only sign involved.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .graded import koszul_sign
 from .homs import RelationSet, _positive
-from .linalg import Matrix, _cleared, _normalised, frac, spectral_sum
+from .linalg import _normalised, frac, spectral_sum
 from .rewrite import matrix_alphabet
 from .spaces import QuantumObject
 
@@ -40,11 +39,16 @@ class RepeatedCoefficient(Exception):
 @dataclass(frozen=True)
 class BMatrix:
     """sum_k lambda_k P_k for an object's decomposition; the lambda_k are
-    pairwise distinct, so the eigenspaces recover the components."""
+    pairwise distinct, so the eigenspaces recover the components.
+
+    The matrix is held as ``scale`` * B on integers: columns[c] maps each
+    row r to the nonzero entry scale * B[r][c], rows in ascending order.
+    """
 
     object: QuantumObject
     coefficients: tuple[Fraction, ...]
-    matrix: Matrix
+    scale: int
+    columns: tuple[dict[int, int], ...]
 
 
 def build_B(obj: QuantumObject, coefficients) -> BMatrix:
@@ -55,7 +59,7 @@ def build_B(obj: QuantumObject, coefficients) -> BMatrix:
         raise RepeatedCoefficient(
             f"coefficients {', '.join(map(str, coeffs))} are not pairwise distinct"
         )
-    return BMatrix(obj, coeffs, spectral_sum(obj.bases, coeffs, obj.space.dim**2))
+    return BMatrix(obj, coeffs, *spectral_sum(obj.bases, coeffs, obj.space.dim**2))
 
 
 def normalized_B(obj: QuantumObject, lam) -> BMatrix:
@@ -70,17 +74,12 @@ def yang_baxter_check(b: BMatrix) -> bool:
 
     B12 acts on the first two factors of V (x) V (x) V and B23 on the last
     two.  Both sides are compared column by column over the n**3 basis
-    words, using the nonzero columns of B scaled to integers by one common
-    denominator (both sides scale alike, so the verdict is unchanged).
+    words, on the integer columns of L B (each side is L**3 times its value
+    for B, so the verdict is unchanged).
     """
     n = b.object.space.dim
     nn = n * n
-    scaled = _cleared(
-        {(r, c): x for r, row in enumerate(b.matrix.data) for c, x in enumerate(row) if x}
-    )
-    cols: list[dict[int, int]] = [{} for _ in range(nn)]
-    for (r, c), x in scaled.items():
-        cols[c][r] = x
+    cols = b.columns
 
     def b12(v: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -110,14 +109,6 @@ def yang_baxter_check(b: BMatrix) -> bool:
     return True
 
 
-def _cleared_lines(lines) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(L, the nonzero (index, L * x) of each line): the lines of a
-    rational matrix over one common denominator L."""
-    den = lcm(*(x.denominator for line in lines for x in line))
-    return den, [[(r, x.numerator * (den // x.denominator)) for r, x in enumerate(line) if x]
-                 for line in lines]
-
-
 def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
     """Span of the entries of B_source . coaction - coaction . B_target.
 
@@ -126,8 +117,8 @@ def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
     is summed directly from the nonzero entries of the two B matrices.
     With shared pairwise-distinct coefficients (matching component roles)
     this equals the defining relation span of the matrix-entry algebra; with
-    mismatched coefficients it generally differs.  Each B is cleared once,
-    to L_s B_source and L_t B_target, so each entry is summed on integers
+    mismatched coefficients it generally differs.  Both B are read on
+    integers, as L_s B_source and L_t B_target, so each entry is summed
     times L_s L_t and stored as a primitive row.
     """
     src, tgt = b_src.object, b_tgt.object
@@ -140,8 +131,11 @@ def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
         [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
         for c, d in product(range(n), repeat=2)
     ]
-    ls, a_rows = _cleared_lines(b_src.matrix.data)
-    lt, b_cols = _cleared_lines(tuple(zip(*b_tgt.matrix.data)))
+    ls, lt, b_cols = b_src.scale, b_tgt.scale, b_tgt.columns
+    a_rows: list[list[tuple[int, int]]] = [[] for _ in range(n * n)]
+    for col, entries in enumerate(b_src.columns):
+        for r, x in entries.items():
+            a_rows[r].append((col, x))
     rows = []
     for i in range(n * n):
         c, d = divmod(i, n)
@@ -151,7 +145,7 @@ def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:
             for r, x in a_rows[i]:
                 w = (r // n * m + k) * nm + r % n * m + l
                 row[w] = row.get(w, 0) + lt * sign[r][k] * x
-            for r, x in b_cols[j]:
+            for r, x in b_cols[j].items():
                 kk, ll = divmod(r, m)
                 w = (c * m + kk) * nm + d * m + ll
                 row[w] = row.get(w, 0) - ls * sign[i][kk] * x

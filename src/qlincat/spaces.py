@@ -15,8 +15,8 @@ Each echelon is back-substituted once, to the primitive integer rows
 (``linalg._reduced_rows``) that ``QuantumObject.bases`` and
 ``QuantumObject.annihilators`` read: a basis is those rows, and an
 annihilator their kernel, signed by the Koszul pairing (``_annihilator``).
-The projectors are spectral sums over the bases; the hom relations and the
-dual object read bases and annihilators and never change them.
+The braid matrices (``rmatrix.build_B``), the hom relations and the dual
+object read bases and annihilators and never change them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from math import lcm
 from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
     InvariantViolation,
-    Matrix,
     NotComplementary,
     Vector,
     _echelon,
@@ -39,7 +38,6 @@ from .linalg import (
     _reduced_rows,
     _same_span,
     frac,
-    spectral_sum,
 )
 
 
@@ -126,14 +124,6 @@ class QuantumObject:
 
     def component_dims(self) -> tuple[int, ...]:
         return tuple(len(e) for e in self._echelons)
-
-    def projectors(self) -> list[Matrix]:
-        """P_k onto component k along the others: the spectral sum that is
-        1 on component k and 0 on the others."""
-        return [
-            spectral_sum(self.bases, [int(k == j) for j in range(self.s)], self.space.dim**2)
-            for k in range(self.s)
-        ]
 
 
 def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:

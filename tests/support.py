@@ -8,6 +8,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 from typing import Sequence
 
+from qlincat import linalg
 from qlincat import (
     Extraction,
     GradedSpace,
@@ -34,6 +35,7 @@ from qlincat.linalg import (
     frac,
 )
 from qlincat.rewrite import NCPoly, matrix_alphabet, word_key
+from qlincat.rmatrix import BMatrix
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 
@@ -219,6 +221,45 @@ def ordering_by_enumeration(obj) -> Extraction | None:
     return None
 
 
+class FractionArithmetic(Exception):
+    """A ``Fraction`` operation ran under ``forbid_fraction_arithmetic``."""
+
+
+class FractionMade(Exception):
+    """A module under ``forbid_new_fractions`` made a ``Fraction``."""
+
+
+def forbid_fraction_arithmetic(monkeypatch):
+    """Make every ``Fraction`` sum, difference, product, quotient and
+    negation raise ``FractionArithmetic``."""
+    def refuse(*args):
+        raise FractionArithmetic
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+
+
+class _SeesFractions(type):
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Fraction)
+
+
+class _Unbuildable(metaclass=_SeesFractions):
+    """A stand-in for ``Fraction``: isinstance still sees every Fraction,
+    but calling it raises ``FractionMade``."""
+
+    def __new__(cls, *args):
+        raise FractionMade
+
+
+def forbid_new_fractions(monkeypatch, *modules):
+    """Make every ``Fraction(...)`` call in the given modules raise
+    ``FractionMade``; isinstance checks against their ``Fraction`` still hold."""
+    for module in modules:
+        monkeypatch.setattr(module, "Fraction", _Unbuildable)
+
+
 def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vector]]:
     """The reduced echelon form of the vectors: (pivot column, dense row)
     pairs with ascending pivots, each pivot entry 1, read from the engine's
@@ -288,7 +329,7 @@ def annihilator(
         return [tuple(ONE if i == j else ZERO for i in range(dim)) for j in range(dim)]
     if signs is not None:
         vecs = [tuple(s * x for s, x in zip(signs, f)) for f in vecs]
-    return kernel_basis(Matrix._wrap(tuple(vecs)))
+    return kernel_basis(Matrix(vecs))
 
 
 def rank_bareiss(m) -> int:
@@ -482,8 +523,41 @@ def row_basis(vectors) -> list:
     return [row for _, row in _rref_rows(vectors, len(vectors[0]))] if vectors else []
 
 
+def dense_spectral_sum(scale: int, columns) -> Matrix:
+    """The dense ``Fraction`` matrix of a ``linalg.spectral_sum`` result:
+    entry (r, c) is columns[c][r] / scale."""
+    dim = len(columns)
+    return Matrix([[Fraction(col.get(r, 0), scale) for col in columns] for r in range(dim)])
+
+
+def dense_b(b) -> Matrix:
+    """The dense ``Fraction`` matrix of a ``BMatrix``."""
+    return dense_spectral_sum(b.scale, b.columns)
+
+
+def b_from_dense(obj, coefficients, m: Matrix) -> BMatrix:
+    """A ``BMatrix`` whose matrix is the dense ``Fraction`` matrix m: the
+    lcm of its denominators and the nonzero entries of each column times it."""
+    scale = lcm(*(x.denominator for row in m.data for x in row))
+    columns = tuple(
+        {r: x.numerator * (scale // x.denominator) for r, x in enumerate(col) if x}
+        for col in zip(*m.data)
+    )
+    return BMatrix(obj, tuple(frac(c) for c in coefficients), scale, columns)
+
+
+def projectors(obj) -> list[Matrix]:
+    """P_k onto component k along the others: the 0/1 ``spectral_sum``
+    over the object's bases, read densely."""
+    return [
+        dense_spectral_sum(*linalg.spectral_sum(
+            obj.bases, [int(k == j) for j in range(obj.s)], obj.space.dim**2))
+        for k in range(obj.s)
+    ]
+
+
 def projectors_reference(components, dim):
-    """Reference for ``QuantumObject.projectors``: C has the component
+    """Reference for ``projectors``: C has the component
     bases as columns, and P_k is the k-th column block of C times the k-th
     row block of C^{-1}, by a dense inverse and dense products."""
     bases = [row_basis(comp) for comp in components]
@@ -515,9 +589,9 @@ def b_matrix_reference(obj, coefficients):
 def dense_yang_baxter(b) -> bool:
     """Reference for ``yang_baxter_check``: B12 = B (x) 1 and B23 = 1 (x) B
     as dense n**3 x n**3 matrices, and the two triple products compared."""
-    eye = Matrix.identity(b.object.space.dim)
-    b12 = kron(b.matrix, eye)
-    b23 = kron(eye, b.matrix)
+    eye, m = Matrix.identity(b.object.space.dim), dense_b(b)
+    b12 = kron(m, eye)
+    b23 = kron(eye, m)
     return matmul(matmul(b12, b23), b12) == matmul(matmul(b23, b12), b23)
 
 
@@ -644,7 +718,7 @@ def rmatrix_relation_span_reference(b_src, b_tgt):
     src, tgt = b_src.object, b_tgt.object
     n, m = src.space.dim, tgt.space.dim
     alphabet, delta = coaction_degree2(src, tgt)
-    ba, bb = b_src.matrix, b_tgt.matrix
+    ba, bb = dense_b(b_src), dense_b(b_tgt)
     polys = []
     for i in range(n * n):
         for j in range(m * m):
@@ -672,8 +746,8 @@ def rmatrix_relation_span_fractions(b_src, b_tgt):
         [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
         for c, d in product(range(n), repeat=2)
     ]
-    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in b_src.matrix.data]
-    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*b_tgt.matrix.data)]
+    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in dense_b(b_src).data]
+    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*dense_b(b_tgt).data)]
     polys = []
     for i in range(n * n):
         c, d = divmod(i, n)

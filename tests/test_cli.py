@@ -263,11 +263,62 @@ def test_rational_over_the_digit_limit_exits_two(tmp_path, capsys, doc, extra, f
         argv = ["yb", PAIR[0], *extra]
     else:
         argv = ["object", write(tmp_path, "over.json", doc)]
+        field = f"{argv[1]}: {field}"
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {field}: ")
     assert f"at most {cli.MAX_DIGITS} digits" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_with(sudbery_doc(2, 3), params={"q": [["1", "abc"], ["3", "1"]],
+                                          "p": sudbery_doc(2, 3)["params"]["p"]}),
+         "params.q[0][1]: not a rational: 'abc'"),
+        (_with(sudbery_doc(2, 3), params={"q": sudbery_doc(2, 3)["params"]["q"],
+                                          "p": [["1", "1/2"], ["x", "1"]]}),
+         "params.p[1][0]: not a rational: 'x'"),
+        (normalized_doc(3, lam="two"), "params.lam: not a rational: 'two'"),
+        (_with(GENERAL_2, params={"components": [[["0", "1", "-1", "0"]],
+                                                 [["1", "0", "0", "1/0"]]]}),
+         "params.components[1][0][3]: not a rational: '1/0'"),
+    ],
+    ids=["q", "p", "lam", "component"],
+)
+def test_parameter_errors_name_the_file(tmp_path, capsys, doc, field):
+    # the middle of three files is bad, and only it is named
+    good = write(tmp_path, "a.json", normalized_doc(2, name="q2"))
+    bad = write(tmp_path, "bad.json", doc)
+    last = write(tmp_path, "c.json", normalized_doc(7, name="q7"))
+    assert main(["bialgebra", good, bad, last]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {bad}: {field}")
+    assert good not in captured.err and last not in captured.err
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _DEEP,
+        json.dumps(_with(GENERAL_2, params={"components": "DEEP"})).replace('"DEEP"', _DEEP),
+    ],
+    ids=["document", "components"],
+)
+def test_deeply_nested_input_exits_two(tmp_path, capsys, text):
+    # the JSON parser runs out of stack long before the document ends; that
+    # is an input error, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["object", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: invalid JSON: nested too deeply\n"
 
 
 def test_pbw_degree_needs_oracle(capsys):

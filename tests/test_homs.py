@@ -37,10 +37,12 @@ from qlincat.spaces import dual_object, make_classical, make_general, make_sudbe
 
 from support import (
     MIXED_SHAPES,
+    FractionArithmetic,
     criterion_pair,
     derive_relations_general_reference,
     derive_relations_sudbery_reference,
     even2_sudbery,
+    forbid_fraction_arithmetic,
     rand_general,
     rand_nonzero,
     rand_normalized,
@@ -277,19 +279,6 @@ def test_reference_match_fails_on_one_scaled_coefficient(pair, seed):
         assert not _matches_reference(homs.RelationSet(rels.alphabet, tuple(rows)), ref)
 
 
-class _FractionArithmetic(Exception):
-    pass
-
-
-def _forbid_fraction_arithmetic(monkeypatch):
-    def refuse(*args):
-        raise _FractionArithmetic
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__neg__"):
-        monkeypatch.setattr(Fraction, name, refuse)
-
-
 def _built_pairs():
     """Two-parameter, normalized and dense general sources over every mixed
     shape, each with a two-parameter target, all built before any check."""
@@ -305,7 +294,7 @@ def test_built_objects_give_relations_without_fraction_arithmetic(monkeypatch):
     # bases and annihilators are read from the cached integer echelons, and
     # the relations from them, with no Fraction operation on the way
     pairs = _built_pairs()
-    _forbid_fraction_arithmetic(monkeypatch)
+    forbid_fraction_arithmetic(monkeypatch)
     for src, tgt in pairs:
         assert src.annihilators and tgt.bases
         derive_relations_general(src, tgt)
@@ -313,8 +302,8 @@ def test_built_objects_give_relations_without_fraction_arithmetic(monkeypatch):
 
 def test_fraction_arithmetic_guard_fails_on_the_fraction_reference(monkeypatch):
     (src, tgt), *_ = _built_pairs()
-    _forbid_fraction_arithmetic(monkeypatch)
-    with pytest.raises(_FractionArithmetic):
+    forbid_fraction_arithmetic(monkeypatch)
+    with pytest.raises(FractionArithmetic):
         derive_relations_general_reference(src, tgt)
 
 

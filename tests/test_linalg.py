@@ -18,6 +18,7 @@ import support
 from support import (
     _rref_rows,
     annihilator,
+    dense_spectral_sum,
     inverse,
     kernel_basis,
     kron,
@@ -25,6 +26,7 @@ from support import (
     mat_apply,
     mat_scale,
     matmul,
+    projectors,
     rand_nonzero,
     rank,
     rank_bareiss,
@@ -147,7 +149,7 @@ def test_annihilator_involution():
 
 def test_projectors_classical_split():
     obj = make_classical(space_of((0, 0)))
-    p_i, p_j = obj.projectors()
+    p_i, p_j = projectors(obj)
     swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     eye = Matrix.identity(4)
     assert p_j == mat_scale(mat_add(eye, swap), Fraction(1, 2))
@@ -160,7 +162,7 @@ def test_projectors_sudbery_identities():
         [[1, Fraction(1, 2)], [2, 1]],
         [[1, Fraction(1, 3)], [3, 1]],
     )
-    ps = obj.projectors()
+    ps = projectors(obj)
     eye = Matrix.identity(4)
     total = Matrix.zeros(4, 4)
     for a, p in enumerate(ps):
@@ -179,7 +181,7 @@ def test_projectors_sudbery_identities():
 def test_projectors_trivial_parameters_match_classical():
     cl = make_classical(space_of((0, 0)))
     sud = make_sudbery(space_of((0, 0)), [[1, 1], [1, 1]], [[1, 1], [1, 1]])
-    assert cl.projectors() == sud.projectors()
+    assert projectors(cl) == projectors(sud)
 
 
 def test_projectors_not_complementary():
@@ -232,16 +234,19 @@ def test_spectral_sum_eigenvectors():
     vectors = [m.data[:1], m.data[1:3], (), m.data[3:]]
     bases = [_int_rows(b) for b in vectors]
     values = [Fraction(2), Fraction(-1, 3), Fraction(9), Fraction(0)]
-    s = spectral_sum(bases, values, 4)
+    s = dense_spectral_sum(*spectral_sum(bases, values, 4))
     for b, lam in zip(vectors, values):
         for v in b:
             assert mat_apply(s, v) == tuple(lam * x for x in v)
-    assert spectral_sum(bases, [1, 1, 1, 1], 4) == Matrix.identity(4)
+    assert spectral_sum(bases, [1, 1, 1, 1], 4) == (1, ({0: 1}, {1: 1}, {2: 1}, {3: 1}))
 
 
 def test_spectral_sum_rejects_dependent_bases():
     e0, e1, e01 = {0: 1}, {1: 1}, {0: 1, 1: 1}
-    assert spectral_sum([[e0], [e01]], [1, 2], 2) == Matrix([[1, 1], [0, 2]])
+    # the matrix [[1, 1], [0, 2]] as its scale and integer columns
+    assert spectral_sum([[e0], [e01]], [1, 2], 2) == (1, ({0: 1}, {0: 1, 1: 2}))
+    # [[1, 0], [0, 1/2]]: the scale clears the second column
+    assert spectral_sum([[e0], [e1]], [1, Fraction(1, 2)], 2) == (2, ({0: 2}, {1: 1}))
     for bases in ([[e0], [e0]], [[e0, e01], [e1]], [[e0], []], [[e0, e0], [e1]]):
         with pytest.raises(InvariantViolation):
             spectral_sum(bases, [1, 2], 2)

@@ -72,9 +72,13 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(set(LIBRARY_API) - set(unused)) == []
 
 
-def test_caller_check_fails_on_a_public_name_without_a_caller(tmp_path):
+def _copy_package(tmp_path: Path) -> None:
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
+def test_caller_check_fails_on_a_public_name_without_a_caller(tmp_path):
+    _copy_package(tmp_path)
     with (tmp_path / "graded.py").open("a", encoding="utf-8") as f:
         f.write("\n\ndef orphan():\n    return None\n")
     init = tmp_path / "__init__.py"
@@ -83,3 +87,66 @@ def test_caller_check_fails_on_a_public_name_without_a_caller(tmp_path):
         encoding="utf-8",
     )
     assert set(_names_without_callers(tmp_path)) - set(LIBRARY_API) == {"orphan"}
+
+
+# Public methods and properties of the package's classes that no package
+# code calls or reads, each kept for one reason.
+LIBRARY_METHODS = (
+    # read by perfbench
+    "RelationSet.matrix",
+    # value-type API for normal_form inputs and the determinant coboundary
+    "NCPoly.zero", "NCPoly.monomial", "NCPoly.scale",
+)
+
+_PROPERTIES = {"property", "cached_property"}
+
+
+def _methods_without_callers(src: Path) -> list[str]:
+    """Class.name for each public method that no package code calls, and
+    each public property that no package code reads, matched by name: a
+    method counts only as ``x.name(...)``, so a field or property of
+    another class with the same name is not its caller."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))]
+    members = {}
+    called, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        prop = any(getattr(d, "id", None) in _PROPERTIES
+                                   for d in item.decorator_list)
+                        members[f"{node.name}.{item.name}"] = (item.name, prop)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return [
+        qualified for qualified, (name, prop) in members.items()
+        if name not in (read if prop else called)
+    ]
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    unused = _methods_without_callers(SRC)
+    assert sorted(set(unused) - set(LIBRARY_METHODS)) == []
+    assert sorted(set(LIBRARY_METHODS) - set(unused)) == []
+
+
+def test_method_check_fails_on_an_orphan_method(tmp_path):
+    _copy_package(tmp_path)
+    # a method of a class whose name is read elsewhere, but never called,
+    # and a property of another class that nothing reads
+    graded = tmp_path / "graded.py"
+    graded.write_text(
+        graded.read_text(encoding="utf-8").replace(
+            "    @property\n    def even_count(self)",
+            "    def size(self) -> int:\n        return self.dim\n\n"
+            "    @property\n    def even_count(self)",
+        ) + "\n\nclass Orphan:\n    @property\n    def orphan(self):\n        return None\n",
+        encoding="utf-8",
+    )
+    assert set(_methods_without_callers(tmp_path)) - set(LIBRARY_METHODS) == {
+        "GradedSpace.size", "Orphan.orphan"
+    }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlincat
-from qlincat import linalg, rmatrix, spaces
+from qlincat import linalg, rmatrix
 from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
 from qlincat.linalg import InvariantViolation, Matrix
@@ -24,15 +24,22 @@ from qlincat.spaces import make_classical, make_general, make_normalized, make_s
 
 from support import (
     MIXED_SHAPES,
+    FractionArithmetic,
+    FractionMade,
+    b_from_dense,
     b_matrix_reference,
+    dense_b,
     dense_yang_baxter,
     even2_sudbery,
+    forbid_fraction_arithmetic,
+    forbid_new_fractions,
     inverse,
     kron,
     mat_add,
     mat_apply,
     mat_scale,
     matmul,
+    projectors,
     projectors_reference,
     rand_constant,
     rand_general,
@@ -63,13 +70,13 @@ def test_classical_B_is_signed_swap():
         sp = space_of(parities)
         cl = make_classical(sp)
         b = build_B(cl, [-1, 1])  # -1 on the skew part, +1 on the symmetric part
-        assert b.matrix == super_swap(sp)
-        assert matmul(b.matrix, b.matrix) == Matrix.identity(sp.dim**2)
+        assert dense_b(b) == super_swap(sp)
+        assert matmul(dense_b(b), dense_b(b)) == Matrix.identity(sp.dim**2)
         assert yang_baxter_check(b)
         # coefficients (1, -1) give the opposite signed permutation, also square one
         b_neg = build_B(cl, [1, -1])
-        assert b_neg.matrix == mat_scale(super_swap(sp), -1)
-        assert matmul(b_neg.matrix, b_neg.matrix) == Matrix.identity(sp.dim**2)
+        assert dense_b(b_neg) == mat_scale(super_swap(sp), -1)
+        assert matmul(dense_b(b_neg), dense_b(b_neg)) == Matrix.identity(sp.dim**2)
         assert yang_baxter_check(b_neg)
 
 
@@ -79,7 +86,7 @@ def test_build_B_eigenstructure():
     # components are eigenspaces: (B - lam) v = 0
     for lam, comp in zip((Fraction(1), Fraction(-5)), obj.components):
         for v in comp:
-            assert mat_apply(b.matrix, v) == tuple(lam * x for x in v)
+            assert mat_apply(dense_b(b), v) == tuple(lam * x for x in v)
 
 
 def test_eigenspaces_recover_decomposition():
@@ -88,7 +95,7 @@ def test_eigenspaces_recover_decomposition():
     obj = even2_sudbery(2, 3)
     b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
     for lam, comp in zip(b.coefficients, obj.components):
-        shifted = mat_add(b.matrix, mat_scale(Matrix.identity(4), -lam))
+        shifted = mat_add(dense_b(b), mat_scale(Matrix.identity(4), -lam))
         assert row_spans_equal(kernel_basis(shifted), list(comp))
 
 
@@ -101,15 +108,15 @@ def test_build_B_three_components():
     ]
     obj = make_general(even_space(2), comps)
     b = build_B(obj, [0, 1, 2])
-    projs = obj.projectors()
+    projs = projectors(obj)
     total = Matrix.zeros(4, 4)
     for lam, p in zip((0, 1, 2), projs):
         total = mat_add(total, mat_scale(p, lam))
-    assert b.matrix == total
+    assert dense_b(b) == total
     # eigenprojection recovers each component
     for lam, comp in zip((f(0), f(1), f(2)), comps):
         for v in comp:
-            assert mat_apply(b.matrix, v) == tuple(lam * x for x in v)
+            assert mat_apply(dense_b(b), v) == tuple(lam * x for x in v)
 
 
 def test_build_B_repeated_coefficient():
@@ -229,11 +236,32 @@ def test_pbw_extraction_failure_breaks_yb_coherence():
     )
 
 
-def _distinct_pair(rng):
-    coeffs = [rand_nonzero(rng) for _ in range(2)]
-    while coeffs[0] == coeffs[1]:
-        coeffs[1] = rand_nonzero(rng)
+def _distinct(rng, count):
+    coeffs = []
+    while len(coeffs) < count:
+        c = rand_nonzero(rng)
+        if c not in coeffs:
+            coeffs.append(c)
     return coeffs
+
+
+def _distinct_pair(rng):
+    return _distinct(rng, 2)
+
+
+def _full_rank_vectors(rng, space):
+    n2 = space.dim**2
+    while True:
+        vecs = [tuple(rand_nonzero(rng) for _ in range(n2)) for _ in range(n2)]
+        if rank(Matrix(vecs)) == n2:
+            return vecs
+
+
+def _three_components(rng, space):
+    """A dense general object with three nonempty components."""
+    vecs = _full_rank_vectors(rng, space)
+    i, j = sorted(rng.sample(range(1, space.dim**2), 2))
+    return make_general(space, [vecs[:i], vecs[i:j], vecs[j:]])
 
 
 @st.composite
@@ -264,7 +292,7 @@ def braid_matrices(draw):
     gg = kron(g, g)
     ggi = inverse(gg)
     return bs + [
-        BMatrix(b.object, b.coefficients, matmul(matmul(gg, b.matrix), ggi)) for b in bs
+        b_from_dense(b.object, b.coefficients, matmul(matmul(gg, dense_b(b)), ggi)) for b in bs
     ]
 
 
@@ -276,9 +304,9 @@ def test_braid_check_matches_dense_reference(bs):
 
 
 def _perturbed(b: BMatrix, row: int, col: int) -> BMatrix:
-    data = [list(r) for r in b.matrix.data]
+    data = [list(r) for r in dense_b(b).data]
     data[row][col] += 1
-    return BMatrix(b.object, b.coefficients, Matrix(data))
+    return b_from_dense(b.object, b.coefficients, Matrix(data))
 
 
 def test_braid_check_fails_on_perturbed_entry():
@@ -326,31 +354,24 @@ def spectral_objects(draw):
         obj = rand_sudbery(rng, space)
     elif kind == "general":
         obj = rand_general(rng, space)
+    elif kind == "three":
+        obj = _three_components(rng, space)
     else:
-        n2 = space.dim**2
-        while True:
-            vecs = [tuple(rand_nonzero(rng) for _ in range(n2)) for _ in range(n2)]
-            if rank(Matrix(vecs)) == n2:
-                break
-        if kind == "three":
-            i, j = sorted(rng.sample(range(1, n2), 2))
-            comps = [vecs[:i], vecs[i:j], vecs[j:]]
-        else:
-            comps = [vecs, []]
-            rng.shuffle(comps)
+        comps = [_full_rank_vectors(rng, space), []]
+        rng.shuffle(comps)
         obj = make_general(space, comps)
-    coeffs = []
-    while len(coeffs) < obj.s:
-        c = rand_nonzero(rng)
-        if c not in coeffs:
-            coeffs.append(c)
-    return obj, coeffs
+    return obj, _distinct(rng, obj.s)
 
 
 def _assert_spectral_sums_match_reference(obj, coeffs):
     dim = obj.space.dim**2
-    assert build_B(obj, coeffs).matrix == b_matrix_reference(obj, coeffs)
-    assert obj.projectors() == projectors_reference(obj.components, dim)
+    b = build_B(obj, coeffs)
+    assert dense_b(b) == b_matrix_reference(obj, coeffs)
+    assert projectors(obj) == projectors_reference(obj.components, dim)
+    # the scale is the lcm of the entries' denominators, and each column
+    # holds the nonzero entries in ascending row order
+    assert b_from_dense(obj, coeffs, dense_b(b)) == b
+    assert all(list(col) == sorted(col) for col in b.columns)
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,18 +382,18 @@ def test_spectral_sums_match_inverse_reference(case):
 
 def test_spectral_sum_property_fails_on_swapped_values(monkeypatch):
     # each value assigned to the next component instead of its own
-    real = spaces.spectral_sum
+    real = linalg.spectral_sum
 
     def rotated(bases, values, dim):
         return real(bases, list(values[1:]) + list(values[:1]), dim)
 
     monkeypatch.setattr(rmatrix, "spectral_sum", rotated)
-    monkeypatch.setattr(spaces, "spectral_sum", rotated)
+    monkeypatch.setattr(linalg, "spectral_sum", rotated)
     obj = even2_sudbery(2, 3)
     with pytest.raises(AssertionError):
-        assert build_B(obj, [1, -5]).matrix == b_matrix_reference(obj, [1, -5])
+        assert dense_b(build_B(obj, [1, -5])) == b_matrix_reference(obj, [1, -5])
     with pytest.raises(AssertionError):
-        assert obj.projectors() == projectors_reference(obj.components, 4)
+        assert projectors(obj) == projectors_reference(obj.components, 4)
 
 
 def test_build_B_rejects_dependent_bases():
@@ -449,3 +470,62 @@ def test_fraction_route_property_fails_without_primitive_rows(monkeypatch):
     with pytest.raises(AssertionError):
         _assert_span_matches_fraction_route((0, 0), (0, 1), False, 3)
 
+
+
+def _built_braid_cases():
+    """Two-parameter, normalized, dense general and three-component objects
+    over every mixed shape, each with a target of as many components and
+    pairwise distinct Fraction coefficients, all built before any check:
+    the normalized form (1, -c) when the object has a constant c != -1,
+    so that some braid checks pass, else random coefficients."""
+    rng = random.Random(43)
+    cases = []
+    for shape in MIXED_SHAPES:
+        space = space_of(shape)
+        for make in (rand_sudbery, rand_normalized, rand_general, _three_components):
+            obj = make(rng, space)
+            other = space_of(rng.choice(MIXED_SHAPES))
+            tgt = rand_sudbery(rng, other) if obj.s == 2 else _three_components(rng, other)
+            ext = pbw_extract_constant(obj) if obj.s == 2 else None
+            if ext is not None and ext.constant != -1:
+                coeffs = (Fraction(1), -ext.constant)
+            else:
+                coeffs = tuple(_distinct(rng, obj.s))
+            cases.append((obj, tgt, coeffs))
+    return cases
+
+
+def _forbid_fractions(monkeypatch):
+    forbid_new_fractions(monkeypatch, linalg, rmatrix)
+    forbid_fraction_arithmetic(monkeypatch)
+
+
+def test_B_path_makes_no_fraction(monkeypatch):
+    # B is read from one integer echelon as a scale and integer columns, and
+    # the braid check and the projector-form relations read those as they
+    # are; the guarded results are then checked against the dense references
+    cases = _built_braid_cases()
+    _forbid_fractions(monkeypatch)
+    results = []
+    for src, tgt, coeffs in cases:
+        b_src, b_tgt = build_B(src, coeffs), build_B(tgt, coeffs)
+        results.append((yang_baxter_check(b_src), rmatrix_relation_span(b_src, b_tgt)))
+    monkeypatch.undo()
+    for (src, tgt, coeffs), (verdict, span) in zip(cases, results):
+        b_src, b_tgt = build_B(src, coeffs), build_B(tgt, coeffs)
+        assert verdict == dense_yang_baxter(b_src)
+        assert span == rmatrix_relation_span_fractions(b_src, b_tgt)
+    assert {verdict for verdict, _ in results} == {True, False}
+
+
+def test_fraction_guard_fails_on_the_dense_B_path(monkeypatch):
+    (obj, _, coeffs), *_ = _built_braid_cases()
+    _forbid_fractions(monkeypatch)
+    with pytest.raises(FractionArithmetic):
+        b_matrix_reference(obj, coeffs)
+    # a dense Matrix of integers is made of Fractions built in linalg, and
+    # normalized_B builds its coefficient 1 in rmatrix
+    with pytest.raises(FractionMade):
+        Matrix([[1]])
+    with pytest.raises(FractionMade):
+        normalized_B(obj, coeffs[1])

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import spaces
+from qlincat import linalg, spaces
 from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
 from qlincat.linalg import InvariantViolation, Matrix, NotComplementary, _cleared
 from qlincat.spaces import (
@@ -25,6 +25,7 @@ from support import (
     MIXED_SHAPES,
     annihilator,
     pair_spans_reference,
+    projectors,
     rand_general,
     rand_normalized,
     rand_sudbery,
@@ -139,9 +140,9 @@ def test_every_constructor_passes_projectors():
     rng = random.Random(8)
     for parities in [(0, 0), (0, 1), (0, 0, 1)]:
         sp = space_of(parities)
-        make_classical(sp).projectors()
-        rand_sudbery(rng, sp).projectors()
-    make_normalized(even_space(2), [[1, 2], [Fraction(1, 2), 1]], -1, 7).projectors()
+        projectors(make_classical(sp))
+        projectors(rand_sudbery(rng, sp))
+    projectors(make_normalized(even_space(2), [[1, 2], [Fraction(1, 2), 1]], -1, 7))
 
 
 def test_general_constructor_three_components():
@@ -194,13 +195,13 @@ def test_quantum_object_holds_complementarity():
 
 def test_constructors_build_no_projectors(monkeypatch):
     calls = []
-    real = spaces.spectral_sum
+    real = linalg.spectral_sum
 
     def counting(bases, values, dim):
         calls.append(dim)
         return real(bases, values, dim)
 
-    monkeypatch.setattr(spaces, "spectral_sum", counting)
+    monkeypatch.setattr(linalg, "spectral_sum", counting)
     sp = space_of((0, 1))
     cl = make_classical(sp)
     sud = make_sudbery(sp, [[1, 2], [Fraction(1, 2), -1]], [[1, 3], [Fraction(1, 3), -1]])
@@ -208,7 +209,7 @@ def test_constructors_build_no_projectors(monkeypatch):
     make_general(sp, cl.components)
     dual_object(sud)
     assert calls == []
-    cl.projectors()  # the counter does see the lookup
+    projectors(cl)  # the counter does see the lookup
     assert calls == [4, 4]
 
 
