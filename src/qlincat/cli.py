@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -53,6 +54,8 @@ MAX_DIM = 8
 # numerators and denominators (in process, 2-vCPU Xeon); 4000-digit integers
 # took 390 s when B was still read through dense Fractions
 MAX_DIGITS = 100
+# a decimal with an exponent, in every form ``Fraction`` accepts
+_EXPONENT = re.compile(r"\s*[-+]?(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
 
 
 class ObjectSpecError(Exception):
@@ -81,7 +84,7 @@ def _rat(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ObjectSpecError(f"{path}: expected a rational string, got {value!r}")
     # Fraction expands "1e1000000" to a million digits; refuse exponents
-    if isinstance(value, str) and ("e" in value or "E" in value):
+    if isinstance(value, str) and _EXPONENT.fullmatch(value):
         raise ObjectSpecError(f"{path}: exponent notation is not accepted: {value!r}")
     text = str(value)
     # no rational within the limit is written longer: refuse before parsing

@@ -248,73 +248,68 @@ def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:
 
 
 class _Tower:
-    """The graded quotient by a relation span, built degree by degree from
-    I_d = I_{d-1} V + V I_{d-1} in quotient coordinates and kept, so that
-    a later request computes only the degrees not yet built.
+    """The graded quotient by a relation span R, built degree by degree in
+    quotient coordinates and kept, so that a later request computes only
+    the degrees not yet built.
 
     A degree-d word is the integer w = p * n + y of its degree-(d-1)
     prefix p and last letter y, and word order is integer order.  So
     I_{d-1} V splits by last letter into n copies of I_{d-1}: w is
-    reducible modulo I_{d-1} V iff p is reducible modulo I_{d-1}, and then
-    w equals p's normal form followed by y.  Modulo I_{d-1} V the normal
-    words are the n * dim_{d-1} words with a normal prefix.
+    reducible modulo I_{d-1} V iff p is reducible modulo I_{d-1}.
 
-    M_k holds the rows that are new at degree k, so I_k = I_{k-1} V +
-    span M_k (M_2 is the span's ``back_substituted``).  Then V I_{d-1} =
-    V I_{d-2} V + V M_{d-1}, and V I_{d-2} lies in I_{d-1}, so V I_{d-1}
-    lies in I_{d-1} V + V M_{d-1}.  Each row x r, r in M_{d-1}, is
-    therefore reduced modulo I_{d-1} V, one substitution per word with a
-    reducible prefix, and inserted into a fresh echelon M_d:
-    dim_d = n * dim_{d-1} - |M_d|.
+    M_k holds the rows that are new at degree k, reduced modulo I_{k-1} V,
+    so I_k = I_{k-1} V + span M_k (M_2 is the span's ``back_substituted``)
+    and the words of M_k have normal prefixes.  The normal words N_k, those
+    that lead no element of I_k, are then the words p y with p in N_{k-1}
+    that are not pivots of M_k, and span a complement of I_k (N_1 = V).
+
+    The ideal in degree d is the sum of the placements u r v (Bergman,
+    1978), so I_d = I_{d-1} V + V^{d-2} R.  Every degree-(d-2) word is a
+    normal word plus an element of I_{d-2}, and I_{d-2} R lies in
+    I_{d-2} V V, inside I_{d-1} V.  Hence I_d = I_{d-1} V + N_{d-2} R:
+    degree d inserts one row u r for each u in N_{d-2} and each row r of
+    M_2 into a fresh echelon M_d, and dim_d = n * dim_{d-1} - |M_d|.
+    Because u is normal, a word u c0 c1 of u r is reducible modulo
+    I_{d-1} V iff u c0 is a pivot of M_{d-1}, and one substitution by that
+    back-substituted row, followed by c1, leaves only normal prefixes.
 
     ``new[k]`` is the back-substituted M_k of each finished degree k and
-    ``known[k]`` its memoised relations; the top degree keeps its forward
-    echelon ``top`` until a request extends past it.  A degree is committed
-    only once complete."""
+    ``normal[k]`` the list N_k, built when a degree first needs it and
+    checked to hold dim_k words (``InvariantViolation`` otherwise); the top
+    degree keeps its forward echelon ``top`` until a request extends past
+    it.  A degree is committed only once complete."""
 
     def __init__(self, n: int, back: dict[int, dict[int, int]]):
         self.n = n
         self.new = {2: back}
-        self.known: dict[int, dict[int, dict[int, int] | None]] = {2: {}}
+        self.normal = {1: list(range(n))}
         self.top: dict[int, dict[int, int]] = {}
         self._dims = [n * n - len(back)]
 
     def dims(self, top: int) -> list[int]:
         """The quotient dimensions at degrees 2 to top, extending the tower
         by each degree it does not hold yet."""
-        n, new, known = self.n, self.new, self.known
-
-        def relation(k: int, w: int) -> dict[int, int] | None:
-            # None if w is normal at degree k, else the row of I_k with pivot
-            # w and normal other words: its prefix's, shifted, reduced by M_k
-            memo = known[k]
-            if w in memo:
-                return memo[w]
-            row = new[k].get(w)
-            if row is None and k > 2:
-                p, y = divmod(w, n)
-                prefix = relation(k - 1, p)
-                if prefix is not None:
-                    row = {c * n + y: v for c, v in prefix.items()}
-                    for c in [c for c in row if c in new[k]]:
-                        row = _cancel(row, new[k][c], c)
-            memo[w] = row
-            return row
-
+        n, new, normal = self.n, self.new, self.normal
         while len(self._dims) < top - 1:
             d = len(self._dims) + 2
             if d - 1 not in new:
-                new[d - 1], known[d - 1] = _back_substituted(self.top), {}
-            shift = n ** (d - 1)
+                new[d - 1] = _back_substituted(self.top)
+            if d - 2 not in normal:
+                lead = new[d - 2]
+                words = [w for p in normal[d - 3] for w in range(p * n, p * n + n) if w not in lead]
+                if len(words) != self._dims[d - 4]:
+                    raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
+                                             f"not its dimension {self._dims[d - 4]}")
+                normal[d - 2] = words
+            prev, shift = new[d - 1], n * n
             pivots: dict[int, dict[int, int]] = {}
-            for x in range(n):
-                for r in new[d - 1].values():
-                    row = {x * shift + c: v for c, v in r.items()}
+            for u in normal[d - 2]:
+                for r in new[2].values():
+                    row = {u * shift + c: v for c, v in r.items()}
                     for c in list(row):
                         p, y = divmod(c, n)
-                        prefix = relation(d - 1, p)
-                        if prefix is not None:
-                            row = _cancel(row, {b * n + y: v for b, v in prefix.items()}, c)
+                        if p in prev:
+                            row = _cancel(row, {b * n + y: v for b, v in prev[p].items()}, c)
                     _insert(pivots, row)
             self.top = pivots
             self._dims.append(n * self._dims[-1] - len(pivots))

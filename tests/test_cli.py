@@ -2,9 +2,11 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlincat import bialgebra, cli, homs, linalg, spaces
 from qlincat.cli import main
@@ -297,6 +299,49 @@ def test_parameter_errors_name_the_file(tmp_path, capsys, doc, field):
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {bad}: {field}")
     assert good not in captured.err and last not in captured.err
+
+
+@pytest.mark.parametrize(
+    "lam, reason",
+    [
+        ("1e5", "exponent notation is not accepted"),
+        (" 2.5E-3 ", "exponent notation is not accepted"),
+        ("-1e1000000", "exponent notation is not accepted"),
+        ("five", "not a rational"),
+        ("one", "not a rational"),
+    ],
+)
+def test_only_a_decimal_with_an_exponent_is_called_exponent_notation(
+        tmp_path, capsys, monkeypatch, lam, reason):
+    path = write(tmp_path, "bad.json", normalized_doc(2, lam=lam))
+    assert main(["object", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: params.lam: {reason}: {lam!r}")
+    if "exponent" in reason:
+        # refused before Fraction could expand the exponent
+        monkeypatch.setattr(cli, "Fraction", _no_fraction)
+        with pytest.raises(cli.ObjectSpecError, match="exponent notation"):
+            cli._rat(lam, "params.lam")
+
+
+def _no_fraction(text):
+    raise AssertionError(f"Fraction parsed {text!r}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.from_regex(r"\s?[-+]?[\d_.]{0,4}[eE]?[-+]?[\d_/]{0,4}\s?", fullmatch=True)
+       | st.text(alphabet="0123456789_.eE+- /x", max_size=10))
+def test_every_exponent_fraction_accepts_is_refused(text):
+    # every string Fraction parses with an exponent, and no other it parses
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    if "e" in text or "E" in text:
+        assert cli._EXPONENT.fullmatch(text)
+    else:
+        assert not cli._EXPONENT.fullmatch(text)
 
 
 _DEEP = "[" * 100000 + "]" * 100000

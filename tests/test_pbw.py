@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qlincat import homs, linalg, pbw
 from qlincat.graded import even_space, space_of
 from qlincat.homs import HomAlgebra, hom_algebra, relation_set
-from qlincat.linalg import Matrix, _echelon
+from qlincat.linalg import InvariantViolation, Matrix, _echelon
 from qlincat.pbw import (
     TooLarge,
     classical_dimension,
@@ -175,12 +175,12 @@ def test_oracle_dims_is_one_pass(monkeypatch):
     assert not calls
 
 
-def _assert_oracle_matches_placements(src, tgt):
+def _assert_oracle_matches_placements(src, tgt, top=4):
     # every alphabet from MIXED_SHAPES has at most 9 letters: 9**4 < 10**4
     hom = hom_algebra(src, tgt)
-    reference = [placement_oracle(hom, d) for d in range(2, 5)]
-    assert [dim for _, dim, _ in oracle_dims(hom, 4)] == reference
-    assert [dimension_oracle(hom, d) for d in range(2, 5)] == reference
+    reference = [placement_oracle(hom, d) for d in range(2, top + 1)]
+    assert [dim for _, dim, _ in oracle_dims(hom, top)] == reference
+    assert [dimension_oracle(hom, d) for d in range(2, top + 1)] == reference
 
 
 @st.composite
@@ -199,23 +199,50 @@ def test_oracle_matches_placement_oracle(pair):
     _assert_oracle_matches_placements(*pair)
 
 
-@pytest.mark.parametrize("kind", ["yes", "general"])
+# the degree each kind of four-letter pair is checked to: dense general
+# relations grow long coefficients, and their degree 6 takes seconds
+DEEP = {"yes": 6, "no": 6, "general": 5}
+
+
+@st.composite
+def deep_oracle_pairs(draw):
+    kind = draw(st.sampled_from(sorted(DEEP)))
+    shapes = [s for s in MIXED_SHAPES if len(s) == 2]
+    src_shape, tgt_shape = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return criterion_pair(rng, kind, src_shape, tgt_shape), DEEP[kind]
+
+
+@settings(max_examples=10, deadline=None)
+@given(deep_oracle_pairs())
+def test_oracle_matches_placement_oracle_past_degree_4(case):
+    # degree 5 is the first to insert rows u r for u a normal word built
+    # from the tower's own new rows M_3
+    pair, top = case
+    _assert_oracle_matches_placements(*pair, top=top)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
-    # the recursion then keeps only I_{d-1} V and drops the rows V M_{d-1}
+    # the tower then keeps only I_{d-1} V and drops the rows N_{d-2} R
     monkeypatch.setattr(homs, "_insert", lambda pivots, row: None)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
-    with pytest.raises(AssertionError):
-        _assert_oracle_matches_placements(src, tgt)
+    for top in (4, DEEP[kind]):
+        with pytest.raises(AssertionError):
+            _assert_oracle_matches_placements(src, tgt, top)
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
-    # words with a reducible prefix then stay in the rows x M_{d-1} and in
-    # the prefix relations, so those rows are not reduced modulo I_{d-1} V
+    # words u c0 c1 whose prefix u c0 leads a row of M_{d-1} then stay in
+    # the rows u r, so those rows are not reduced modulo I_{d-1} V; past
+    # degree 4 the tower's invariant may catch them first
     monkeypatch.setattr(homs, "_cancel", lambda row, piv, col: row)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
+    with pytest.raises((AssertionError, InvariantViolation)):
+        _assert_oracle_matches_placements(src, tgt, DEEP[kind])
 
 
 def _assert_order_independent(hom, rng):
@@ -251,12 +278,24 @@ def test_degree_property_fails_when_results_leak_across_degrees(monkeypatch):
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_order_property_fails_when_the_top_echelon_is_kept_unreduced(monkeypatch, kind):
     # each finished degree then keeps its forward echelon, whose rows still
-    # hold other pivot columns: a prefix relation cancels one of them away
-    # and a later cancellation finds no entry at its column
+    # hold other pivot columns: a substitution leaves words with a reducible
+    # prefix, some become pivots of the next degree, and its normal words
+    # no longer number its dimension
     monkeypatch.setattr(homs, "_back_substituted", lambda echelon: echelon)
     hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
-    with pytest.raises(KeyError):
+    with pytest.raises(InvariantViolation, match="normal words"):
         _assert_order_independent(hom, random.Random(7))
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_tower_invariant_raises_when_substitution_is_skipped(monkeypatch, kind):
+    # words u c0 c1 with u c0 a pivot of M_{d-1} then stay in the rows u r:
+    # pivots of M_3 with a reducible prefix leave N_3 longer than dim_3
+    monkeypatch.setattr(homs, "_cancel", lambda row, piv, col: row)
+    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+    oracle_dims(hom, 4)
+    with pytest.raises(InvariantViolation, match="degree 3 has .* normal words"):
+        oracle_dims(hom, 5)
 
 
 def _counting_eliminations(monkeypatch) -> dict[str, int]:
@@ -278,9 +317,9 @@ def _assert_tower_is_extended(hom, monkeypatch):
         dimension_oracle(hom, d)
     assert calls == {"_insert": 0, "_cancel": 0, "_back_substituted": 0}
     dimension_oracle(hom, 6)
-    # the rows x r for every letter x and every r in M_5, and one
-    # back-substitution: that of M_5
-    assert calls["_insert"] == n * (n * dims[-2] - dims[-1])
+    # the rows u r for every normal word u of degree 4 and every r in M_2,
+    # and one back-substitution: that of M_5
+    assert calls["_insert"] == dims[-2] * (n * n - dims[0])
     assert calls["_back_substituted"] == 1
 
 
@@ -301,9 +340,9 @@ def test_tower_property_fails_when_the_tower_restarts_at_degree_2(monkeypatch):
 def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
     hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 0), (0, 0)))
     n = hom.alphabet.size
-    dim2, dim3 = [dim for _, dim, _ in oracle_dims(_unreduced(hom), 3)]
-    # degree 3 inserts n |M_2| rows and degree 4 n |M_3|: stop halfway through degree 4
-    limit = n * (n * n - dim2) + n * (n * dim2 - dim3) // 2
+    [(_, dim2, _)] = oracle_dims(_unreduced(hom), 2)
+    # degree 3 inserts n |M_2| rows and degree 4 dim_2 |M_2|: stop halfway through degree 4
+    limit = n * (n * n - dim2) + dim2 * (n * n - dim2) // 2
     real, calls = homs._insert, []
 
     def interrupted(pivots, row):
