@@ -4,12 +4,12 @@ the 2x2 determinant with its multiplicativity.
 
 Every reduction happens in degree-2 quotient coordinates (these are always
 of classical dimension), so none of the checks here assume the PBW property
-of the algebras involved.  The reductions run on integers: each factor's
-coordinates are read from its ``RelationSet.rules`` and scaled by the lcm
-of their P values, and each expansion is cleared of its denominators,
-which changes no answer to "is it zero?".  The determinant's area form
-comes from the same degree-2 quotient routine as the hom algebras
-(``homs._rules``), applied to the parity-reversed coordinate algebra: T(V)
+of the algebras involved.  They read the integer forms as they are: a word
+(g, h) over n letters is its code g * n + h, Delta expands each
+``RelationSet.rows`` row into pairs of factor codes, and one integer
+coordinate table per span (``_integer_coords``, from its ``rules``) reduces
+it.  The same table gives the determinant's area form, from the degree-2
+quotient (``homs._rules``) of the parity-reversed coordinate algebra: T(V)
 modulo the Pi-image of the second component.
 """
 
@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import Sequence
 
 from .graded import koszul_sign, pi_image
-from .homs import HomAlgebra, RelationSet, _rules, hom_algebra
-from .linalg import Matrix, _back_substituted, _cleared, _echelon, _int_rows
-from .rewrite import NCPoly, Word, matrix_alphabet
+from .homs import HomAlgebra, _rules, hom_algebra
+from .linalg import _back_substituted, _cleared, _echelon, _int_rows
+from .rewrite import IntRule, NCPoly, matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -60,54 +61,51 @@ def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> C
 
 
 def _delta_bidegree(
-    terms: dict[Word, Fraction | int],
-    a: QuantumObject,
-    b: QuantumObject,
-    c: QuantumObject,
-) -> dict[tuple[Word, Word], Fraction | int]:
-    """Coefficients of Delta(poly) over pairs of degree-2 words, given the
-    terms of poly (integer terms give integer coefficients).
+    row: dict[int, int], a: QuantumObject, b: QuantumObject, c: QuantumObject
+) -> dict[tuple[int, int], int]:
+    """Coefficients of Delta(r) for a row r over the degree-2 word codes of
+    hom(a, c), keyed by pairs of hom(a, b) and hom(b, c) word codes.
 
-    poly is quadratic in the entries u_A^S of the composite algebra; the
+    r is quadratic in the entries u_A^S of the composite algebra; the
     comultiplication is u_A^S -> sum_K t_A^K (x) s_K^S and products in the
     tensor square pick up the transposition sign
     (-1)**((par K + par S) * (par B + par L)).
     """
-    m, l = b.space.dim, c.space.dim
+    n, m, l = a.space.dim, b.space.dim, c.space.dim
     pa, pb, pc = a.space.parities, b.space.parities, c.space.parities
-    out: dict[tuple[Word, Word], Fraction | int] = {}
-    for (g1, g2), coeff in terms.items():
-        aa, s = divmod(g1, l)
-        bb, t = divmod(g2, l)
-        for k, ll in product(range(m), repeat=2):
-            sign = koszul_sign(pb[k] + pc[s], pa[bb] + pb[ll])
-            w1 = (aa * m + k, bb * m + ll)
-            w2 = (k * l + s, ll * l + t)
-            key = (w1, w2)
-            out[key] = out.get(key, 0) + coeff * sign
+    out: dict[tuple[int, int], int] = {}
+    for w, coeff in row.items():
+        (aa, s), (bb, t) = (divmod(g, l) for g in divmod(w, n * l))
+        for k in range(m):
+            # t_A^K t_B^L and s_K^S s_L^T as codes, L still to be added
+            left = (aa * m + k) * n * m + bb * m
+            right = (k * l + s) * m * l + t
+            for ll in range(m):
+                sign = koszul_sign(pb[k] + pc[s], pa[bb] + pb[ll])
+                key = (left + ll, right + ll * l)
+                out[key] = out.get(key, 0) + coeff * sign
     return {k: v for k, v in out.items() if v}
 
 
-def _integer_coords(rels: RelationSet) -> dict[Word, dict[Word, int]]:
-    """The quotient coordinates of every degree-2 word over the normal
-    words, all scaled by L, the least common multiple of the rules' P: a
-    leading word w maps to {u: r_u L / P_w}, a normal word w to {w: L}."""
-    n = rels.alphabet.size
-    scale = lcm(*(p for p, _ in rels.rules.values()))
-    out = {divmod(w, n): {divmod(w, n): scale} for w in range(n * n)}
-    for w, (p, rest) in rels.rules.items():
-        out[divmod(w, n)] = {divmod(u, n): r * (scale // p) for u, r in rest.items()}
+def _integer_coords(rules: dict[int, IntRule], n: int) -> list[dict[int, int]]:
+    """The quotient coordinates of the degree-2 word codes over n letters,
+    on the normal words, all scaled by L, the least common multiple of the
+    rules' P: a leading word w maps to {u: r_u L / P_w}, a normal word w to
+    {w: L}."""
+    scale = lcm(*(p for p, _ in rules.values()))
+    out = [{w: scale} for w in range(n * n)]
+    for w, (p, rest) in rules.items():
+        out[w] = {u: r * (scale // p) for u, r in rest.items()}
     return out
 
 
 def _reduces_to_zero(
-    expansion: dict[tuple[Word, Word], Fraction | int],
-    c1: dict[Word, dict[Word, int]],
-    c2: dict[Word, dict[Word, int]],
+    expansion: dict[tuple[int, int], int], c1: list[dict[int, int]], c2: list[dict[int, int]]
 ) -> bool:
-    """Is the expansion zero in the tensor product of the two quotients?"""
-    out: dict[tuple[Word, Word], int] = {}
-    for (w1, w2), c in _cleared(expansion).items():
+    """Is the integer expansion zero in the tensor product of the two
+    quotients?"""
+    out: dict[tuple[int, int], int] = {}
+    for (w1, w2), c in expansion.items():
         for bw1, x1 in c1[w1].items():
             cx = c * x1
             for bw2, x2 in c2[w2].items():
@@ -116,18 +114,20 @@ def _reduces_to_zero(
     return not any(out.values())
 
 
+def _factor_coords(triple: ComposableTriple) -> tuple[list, ...]:
+    """The coordinate tables of hom(a, b) and hom(b, c)."""
+    return tuple(_integer_coords(h.relations.rules, h.alphabet.size)
+                 for h in (triple.hom_ab, triple.hom_bc))
+
+
 def comultiplication_check(triple: ComposableTriple) -> bool:
     """Delta maps every defining relation of the composite algebra into the
     two-sided relation space of the factor algebras."""
-    c1 = _integer_coords(triple.hom_ab.relations)
-    c2 = _integer_coords(triple.hom_bc.relations)
-    n = triple.hom_ac.alphabet.size
-    for row in triple.hom_ac.relations.rows:
-        terms = {divmod(w, n): c for w, c in row.items()}
-        expansion = _delta_bidegree(terms, triple.a, triple.b, triple.c)
-        if not _reduces_to_zero(expansion, c1, c2):
-            return False
-    return True
+    c1, c2 = _factor_coords(triple)
+    return all(
+        _reduces_to_zero(_delta_bidegree(row, triple.a, triple.b, triple.c), c1, c2)
+        for row in triple.hom_ac.relations.rows
+    )
 
 
 def coassociativity_check(
@@ -158,14 +158,15 @@ def coassociativity_check(
     return True
 
 
-def counit_substitution_ok(hom: HomAlgebra, values: Matrix) -> bool:
+def counit_substitution_ok(hom: HomAlgebra, values: Sequence[Sequence]) -> bool:
     """Do all defining relations vanish under t_A^K -> values[A][K]?  The
-    values are scaled to integers by their common denominator L, which
-    scales each relation's value by L**2 and changes no answer."""
+    values are rows of rationals (``int`` or ``Fraction``), scaled to
+    integers by their common denominator L, which scales each relation's
+    value by L**2 and changes no answer."""
     m, n = hom.target.space.dim, hom.alphabet.size
-    den = lcm(*(x.denominator for row in values.data for x in row))
+    den = lcm(*(x.denominator for row in values for x in row))
     # value[g]: L times the value of generator g = A * m + K
-    value = [values.data[g // m][g % m] for g in range(n)]
+    value = [values[g // m][g % m] for g in range(n)]
     value = [x.numerator * (den // x.denominator) for x in value]
     return not any(
         sum(c * value[w // n] * value[w % n] for w, c in row.items())
@@ -177,28 +178,29 @@ def counit_check(obj: QuantumObject) -> bool:
     """Counit on the endomorphism algebra of one object: t_A^B -> delta_A^B
     must kill every defining relation.  Composed with the comultiplication on
     either side it returns each generator t_A^S by construction."""
-    return counit_substitution_ok(hom_algebra(obj, obj), Matrix.identity(obj.space.dim))
+    n = obj.space.dim
+    identity = [[int(a == b) for b in range(n)] for a in range(n)]
+    return counit_substitution_ok(hom_algebra(obj, obj), identity)
 
 
 def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fraction]:
     """Coefficients gamma with [xi^a xi^b] = gamma_{ab} [xi^1 xi^2] in the
     degree-2 part of the parity-reversed coordinate algebra, the quotient
     by the Pi-image of the second component.  That part must be spanned by
-    the area form [xi^1 xi^2]."""
+    the area form [xi^1 xi^2]: gamma_{ab} is the ratio of the coordinates
+    of ab and 01 on the one normal word."""
     n = obj.space.dim
     rows = _int_rows(pi_image(obj.space, v) for v in obj.components[1])
     rules = _rules(_back_substituted(_echelon(rows)))
     normal = [w for w in range(n * n) if w not in rules]
     if len(normal) != 1:
         raise WrongShape("area form is degenerate for this object")
-    # the coordinate of each word on the one normal word
     (word,) = normal
-    coord = {w: Fraction(rest.get(word, 0), p) for w, (p, rest) in rules.items()}
-    coord[word] = Fraction(1)
+    coord = [x.get(word, 0) for x in _integer_coords(rules, n)]
     area = coord[0 * n + 1]
     if not area:
         raise WrongShape("area form is degenerate for this object")
-    return {(a, b): coord[a * n + b] / area for a, b in product(range(n), repeat=2)}
+    return {(a, b): Fraction(coord[a * n + b], area) for a, b in product(range(n), repeat=2)}
 
 
 def _check_det_shape(obj: QuantumObject) -> None:
@@ -217,17 +219,14 @@ def determinant_2x2(src: QuantumObject, tgt: QuantumObject) -> NCPoly:
     _check_det_shape(src)
     _check_det_shape(tgt)
     alphabet = matrix_alphabet(src.space, tgt.space)
-    # purely even entries: the coaction product picks up no transposition signs
+    # purely even entries: the coaction product picks up no transposition
+    # signs, and each (a, b) gives its own word t_a^1 t_b^2
     gammas = _xi_quotient_coefficients(src)
     m = tgt.space.dim
-    terms: dict[Word, Fraction] = {}
-    for a, b in product(range(2), repeat=2):
-        coeff = gammas[(a, b)]
-        if not coeff:
-            continue
-        w = (a * m + 0, b * m + 1)
-        terms[w] = terms.get(w, Fraction(0)) + coeff
-    return NCPoly(alphabet, terms)
+    return NCPoly(alphabet, {
+        (a * m + 0, b * m + 1): gammas[(a, b)]
+        for a, b in product(range(2), repeat=2) if gammas[(a, b)]
+    })
 
 
 def determinant_multiplicativity(
@@ -242,17 +241,17 @@ def determinant_multiplicativity(
     consistent coboundary, or corrupted for negative controls.
     """
     if dets is None:
-        det_ab = determinant_2x2(triple.a, triple.b)
-        det_bc = determinant_2x2(triple.b, triple.c)
-        det_ac = determinant_2x2(triple.a, triple.c)
-    else:
-        det_ab, det_bc, det_ac = dets
-    c1 = _integer_coords(triple.hom_ab.relations)
-    c2 = _integer_coords(triple.hom_bc.relations)
-    # Delta(det_ac) - det_ab (x) det_bc reduces to zero iff both sides agree
-    diff = _delta_bidegree(det_ac.terms, triple.a, triple.b, triple.c)
-    for w1, x1 in det_ab.terms.items():
-        for w2, x2 in det_bc.terms.items():
-            key = (w1, w2)
-            diff[key] = diff.get(key, 0) - x1 * x2
-    return _reduces_to_zero(diff, c1, c2)
+        dets = (
+            determinant_2x2(triple.a, triple.b),
+            determinant_2x2(triple.b, triple.c),
+            determinant_2x2(triple.a, triple.c),
+        )
+    # each determinant's terms keyed by word codes
+    det_ab, det_bc, det_ac = ({g * d.alphabet.size + h: x for (g, h), x in d.terms.items()}
+                              for d in dets)
+    # Delta(det_ac) - det_ab (x) det_bc, cleared to integers, reduces to
+    # zero iff both sides agree
+    diff = _delta_bidegree(det_ac, triple.a, triple.b, triple.c)
+    for (w1, x1), (w2, x2) in product(det_ab.items(), det_bc.items()):
+        diff[w1, w2] = diff.get((w1, w2), 0) - x1 * x2
+    return _reduces_to_zero(_cleared(diff), *_factor_coords(triple))

@@ -22,8 +22,8 @@ checks form no dense product: ``_same_span``
 inserts one span's echelon rows into a copy of the other's.  There is no
 linear solver and no kernel routine here: quotient coordinates are read
 from the integer back-substitution (``homs._rules``).  ``Matrix`` is an
-immutable dense value type with no arithmetic, the type of the counit
-substitution and of the read-only dense view of a relation span.
+immutable dense value type with no arithmetic, left only as the type of
+the read-only dense view of a relation span (``RelationSet.matrix``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-ZERO, ONE = Fraction(0), Fraction(1)
+ZERO = Fraction(0)
 
 
 class NotComplementary(Exception):
@@ -61,10 +61,6 @@ class Matrix:
         self.cols = len(self.data[0]) if self.rows else 0
         if any(len(row) != self.cols for row in self.data):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":

@@ -131,7 +131,8 @@ def format_poly(p: NCPoly) -> str:
         mono = p.alphabet.format_word(word)
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
-        body = mono if mag == 1 else f"{mag} {mono}"
+        # the empty word is the constant term, printed as its coefficient
+        body = str(mag) if not word else mono if mag == 1 else f"{mag} {mono}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

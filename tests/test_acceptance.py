@@ -33,7 +33,6 @@ from qlincat.homs import (
     relation_set,
     spans_equal,
 )
-from qlincat.linalg import Matrix
 from qlincat.pbw import classical_dimension, dimension_oracle, pbw_criterion
 from qlincat.rewrite import (
     NCPoly,
@@ -331,7 +330,7 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
                    relation_set(triple.hom_ac.alphabet, polys)),
     )
     assert not comultiplication_check(corrupted)
-    assert not counit_substitution_ok(hom_algebra(a, a), Matrix([[0, 1], [1, 0]]))
+    assert not counit_substitution_ok(hom_algebra(a, a), [[0, 1], [1, 0]])
     real = bialgebra.hom_algebra
     monkeypatch.setattr(
         bialgebra, "hom_algebra", lambda x, y: scale_diagonal_word(real(x, y), 3)

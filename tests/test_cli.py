@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from qlincat import bialgebra, cli, homs, linalg, spaces
 from qlincat.cli import main
+from qlincat.graded import space_of
+
+from support import MIXED_SHAPES, rand_general, rand_normalized, rand_sudbery
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_objects"
@@ -685,34 +689,57 @@ def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):
     assert sorted(calls) == ["q2", "q2", "q3", "q3", "q7"]
 
 
-def test_serialization_roundtrip(tmp_path):
-    import qlincat as q
-    from qlincat.cli import load_object, object_to_json
+ROUNDTRIP_KINDS = {
+    "sudbery": rand_sudbery,
+    "normalized": rand_normalized,
+    "classical": lambda rng, space, name: spaces.make_classical(space, name),
+    "general": rand_general,
+}
 
-    objs = [
-        q.make_classical(q.space_of((0, 1)), "cl"),
-        q.make_sudbery(
-            q.even_space(2),
-            [["1", "1/3"], ["3", "1"]],
-            [["1", "1/2"], ["2", "1"]],
-            "sud",
-        ),
-        q.make_normalized(q.even_space(2), [["1", "1/2"], ["2", "1"]], -1, "5", "nrm"),
-        q.make_general(
-            q.even_space(2),
-            [
-                [("0", "1", "-1", "0")],
-                [("1", "0", "0", "0"), ("0", "0", "0", "1"), ("0", "1", "1", "0")],
-            ],
-            "gen",
-        ),
-    ]
-    for i, obj in enumerate(objs):
-        path = tmp_path / f"rt{i}.json"
-        path.write_text(json.dumps(object_to_json(obj)), encoding="utf-8")
-        loaded = load_object(str(path))
-        assert q.objects_equal(loaded, obj)
-        assert loaded.kind == obj.kind
+
+def _add_one_to_last_rational(node) -> bool:
+    """Add 1 to the last rational string in nested params, in place."""
+    items = list(node.items()) if isinstance(node, dict) else list(enumerate(node))
+    for key, value in reversed(items):
+        if isinstance(value, str):
+            node[key] = str(Fraction(value) + 1)
+            return True
+        if isinstance(value, (dict, list)) and _add_one_to_last_rational(value):
+            return True
+    return False
+
+
+def _assert_roundtrip(folder: Path, shape, kind: str, seed: int, perturb=False):
+    """``object_to_json`` -> file -> ``load_object`` gives back an equal
+    object of the same kind, name and parameters."""
+    obj = ROUNDTRIP_KINDS[kind](random.Random(seed), space_of(shape), "rt")
+    doc = cli.object_to_json(obj)
+    if perturb:
+        assert _add_one_to_last_rational(doc["params"])
+    loaded = cli.load_object(write(folder, "rt.json", doc))
+    assert spaces.objects_equal(loaded, obj)
+    assert (loaded.kind, loaded.name, loaded.qp, loaded.normalized) == (
+        obj.kind, obj.name, obj.qp, obj.normalized
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(sorted(ROUNDTRIP_KINDS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_serialization_roundtrip(tmp_path_factory, shape, kind, seed):
+    _assert_roundtrip(tmp_path_factory.mktemp("rt"), shape, kind, seed)
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 0, 1)])
+@pytest.mark.parametrize("kind", ["sudbery", "normalized", "general"])
+def test_roundtrip_property_fails_on_a_perturbed_rational(tmp_path, shape, kind):
+    # a sudbery file with a changed parameter is refused (reciprocity or the
+    # parity diagonal); the others load as a different object
+    with pytest.raises((AssertionError, cli.ObjectSpecError)):
+        _assert_roundtrip(tmp_path, shape, kind, 0, perturb=True)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from support import (
     _rref_rows,
     annihilator,
     dense_spectral_sum,
+    identity,
     inverse,
     kernel_basis,
     kron,
@@ -41,7 +42,7 @@ def rand_matrix(rng, rows, cols, lo=-4, hi=4):
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_zero():
@@ -60,7 +61,7 @@ def test_rank_strategies_agree():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(4)) == []
+    assert kernel_basis(identity(4)) == []
 
 
 def test_kernel_one_row():
@@ -106,8 +107,8 @@ def test_inverse_roundtrip():
         m = rand_matrix(rng, 4, 4)
         if rank(m) == 4:
             break
-    assert matmul(m, inverse(m)) == Matrix.identity(4)
-    assert matmul(inverse(m), m) == Matrix.identity(4)
+    assert matmul(m, inverse(m)) == identity(4)
+    assert matmul(inverse(m), m) == identity(4)
 
 
 def test_annihilator_whole_space():
@@ -151,7 +152,7 @@ def test_projectors_classical_split():
     obj = make_classical(space_of((0, 0)))
     p_i, p_j = projectors(obj)
     swap = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    eye = Matrix.identity(4)
+    eye = identity(4)
     assert p_j == mat_scale(mat_add(eye, swap), Fraction(1, 2))
     assert p_i == mat_scale(mat_add(eye, mat_scale(swap, -1)), Fraction(1, 2))
 
@@ -163,7 +164,7 @@ def test_projectors_sudbery_identities():
         [[1, Fraction(1, 3)], [3, 1]],
     )
     ps = projectors(obj)
-    eye = Matrix.identity(4)
+    eye = identity(4)
     total = Matrix.zeros(4, 4)
     for a, p in enumerate(ps):
         total = mat_add(total, p)
@@ -196,7 +197,7 @@ def test_projectors_not_complementary():
 
 def test_kron_shapes():
     a = Matrix([[1, 2], [3, 4]])
-    b = Matrix.identity(2)
+    b = identity(2)
     k = kron(a, b)
     assert k.rows == k.cols == 4
     assert k.data[0][0] == 1 and k.data[0][2] == 2 and k.data[1][3] == 2

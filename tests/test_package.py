@@ -1,4 +1,5 @@
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -20,16 +21,44 @@ def test_no_assert_statements_in_package():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
+def _non_stdlib_imports(src: Path) -> list[str]:
+    """module: name for each absolute import in the package whose top-level
+    module is not in the standard library."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            out += [f"{path.stem}: {name}" for name in names
+                    if name.partition(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+def test_package_imports_only_the_standard_library():
+    assert _non_stdlib_imports(SRC) == []
+
+
+def test_stdlib_check_fails_on_a_third_party_import(tmp_path):
+    _copy_package(tmp_path)
+    linalg = tmp_path / "linalg.py"
+    linalg.write_text("import numpy\n" + linalg.read_text(encoding="utf-8"), encoding="utf-8")
+    assert _non_stdlib_imports(tmp_path) == ["linalg: numpy"]
+
+
 # Public names that no other package module uses, each kept for one reason.
 LIBRARY_API = (
     # read by perfbench
-    "classical_dimension", "dimension_oracle",
+    "dimension_oracle",
     # used in the README
     "even_space", "relation_set", "RewriteSystem",
     # state a claim of the paper: the exact graded dimensions and the PBW
     # verdict, normal words, the braid structure B and the relations in
     # projector form, the pairing and the dual object, composable homs
-    "PBWVerdict", "Extraction", "normal_form", "build_B", "BMatrix",
+    "classical_dimension", "PBWVerdict", "Extraction", "normal_form", "build_B", "BMatrix",
     "rmatrix_relation_span", "koszul_pairing", "bilinear_form_relations",
     "objects_equal", "composable_triple",
     # raised by the names above (koszul_pairing, spans_equal)

@@ -17,6 +17,7 @@ from qlincat.rewrite import (
     build_rewrite_system,
     confluence_check,
     failed_overlaps,
+    format_poly,
     matrix_alphabet,
     nonordered_degree2_words,
     normal_form,
@@ -516,3 +517,14 @@ def test_normal_forms_agree_with_confluence_on_nine_letter_general_rules():
     verdicts = _verdicts(system)
     assert len(verdicts) == 187
     assert verdicts == two_normal_form_verdicts(system, normal_form)
+
+
+def test_a_constant_term_prints_as_its_coefficient():
+    hom = hom_algebra(make_classical(even_space(2)), make_classical(even_space(2)))
+    system = build_rewrite_system(hom.relations)
+    al = hom.alphabet
+    # ba rewrites to ab in the classical algebra; the constant stays as it is
+    assert format_poly(normal_form(NCPoly(al, {(1, 0): 1, (): 3}), system)) == "ab + 3"
+    for c, text in [(3, "3"), (Fraction(-1, 2), "-1/2"), (1, "1"), (-1, "-1")]:
+        assert format_poly(normal_form(NCPoly(al, {(): c}), system)) == text
+    assert str(NCPoly(al, {(0, 1): -1, (): Fraction(-1, 2)})) == "-ab - 1/2"

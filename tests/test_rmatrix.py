@@ -33,6 +33,7 @@ from support import (
     even2_sudbery,
     forbid_fraction_arithmetic,
     forbid_new_fractions,
+    identity,
     inverse,
     kron,
     mat_add,
@@ -71,12 +72,12 @@ def test_classical_B_is_signed_swap():
         cl = make_classical(sp)
         b = build_B(cl, [-1, 1])  # -1 on the skew part, +1 on the symmetric part
         assert dense_b(b) == super_swap(sp)
-        assert matmul(dense_b(b), dense_b(b)) == Matrix.identity(sp.dim**2)
+        assert matmul(dense_b(b), dense_b(b)) == identity(sp.dim**2)
         assert yang_baxter_check(b)
         # coefficients (1, -1) give the opposite signed permutation, also square one
         b_neg = build_B(cl, [1, -1])
         assert dense_b(b_neg) == mat_scale(super_swap(sp), -1)
-        assert matmul(dense_b(b_neg), dense_b(b_neg)) == Matrix.identity(sp.dim**2)
+        assert matmul(dense_b(b_neg), dense_b(b_neg)) == identity(sp.dim**2)
         assert yang_baxter_check(b_neg)
 
 
@@ -95,7 +96,7 @@ def test_eigenspaces_recover_decomposition():
     obj = even2_sudbery(2, 3)
     b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
     for lam, comp in zip(b.coefficients, obj.components):
-        shifted = mat_add(dense_b(b), mat_scale(Matrix.identity(4), -lam))
+        shifted = mat_add(dense_b(b), mat_scale(identity(4), -lam))
         assert row_spans_equal(kernel_basis(shifted), list(comp))
 
 
