@@ -10,7 +10,8 @@ of the algebras involved.  They read the integer forms as they are: a word
 coordinate table per span (``_integer_coords``, from its ``rules``) reduces
 it.  The same table gives the determinant's area form, from the degree-2
 quotient (``homs._rules``) of the parity-reversed coordinate algebra: T(V)
-modulo the Pi-image of the second component.
+modulo the Pi-image of the second component, whose integer rows
+``graded.pi_image`` maps as they are.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .graded import koszul_sign, pi_image
 from .homs import HomAlgebra, _rules, hom_algebra
-from .linalg import _back_substituted, _cleared, _echelon, _int_rows
+from .linalg import _back_substituted, _cleared, _echelon
 from .rewrite import IntRule, NCPoly, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -190,7 +191,7 @@ def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fract
     the area form [xi^1 xi^2]: gamma_{ab} is the ratio of the coordinates
     of ab and 01 on the one normal word."""
     n = obj.space.dim
-    rows = _int_rows(pi_image(obj.space, v) for v in obj.components[1])
+    rows = (pi_image(obj.space, row) for row in obj.components[1])
     rules = _rules(_back_substituted(_echelon(rows)))
     normal = [w for w in range(n * n) if w not in rules]
     if len(normal) != 1:

@@ -47,7 +47,7 @@ from .spaces import (
 
 FORMAT = "quantum-object/1"
 # `qlincat object` on a dense random general file of this dim takes about
-# 0.3 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
+# 0.2 s, interpreter start included (2-vCPU Xeon, CPython 3.11)
 MAX_DIM = 8
 # `qlincat yb` on a dim-8 two-parameter object with 56 candidate coefficients
 # takes 0.35-0.51 s with 100-digit integer entries and 1.2-1.6 s with 100-digit
@@ -227,9 +227,10 @@ def object_to_json(obj: QuantumObject) -> dict:
             "lam": str(lam),
         }
     else:
+        words = range(obj.space.dim**2)
         doc["params"] = {
             "components": [
-                [[str(x) for x in vec] for vec in comp] for comp in obj.components
+                [[str(row.get(c, 0)) for c in words] for row in comp] for comp in obj.components
             ]
         }
     return doc

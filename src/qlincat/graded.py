@@ -8,7 +8,8 @@ All sign conventions used across the package are fixed here, once:
 * the pairing of degree-2 words of the dual bases is
   <e_A e_B, e^C e^D> = (-1)**(par(B)*par(C)) delta_A^C delta_B^D;
 * the parity-reversing isomorphism on the tensor square sends
-  e^A (x) e^B to (-1)**par(A) (Pi e^A) (x) (Pi e^B).
+  e^A (x) e^B to (-1)**par(A) (Pi e^A) (x) (Pi e^B); ``pi_image`` applies
+  it to an integer row {column: coefficient} over the degree-2 words.
 
 Basis enumeration is lexicographic in index tuples so matrix layouts are
 reproducible.
@@ -81,15 +82,12 @@ def koszul_signs(space: GradedSpace) -> tuple[int, ...]:
     return tuple(koszul_sign(par[a], par[b]) for a, b in product(range(space.dim), repeat=2))
 
 
-def pi_image(space: GradedSpace, vec) -> tuple[Fraction, ...]:
-    """Apply the parity-reversion isomorphism to a tensor-square vector.
+def pi_image(space: GradedSpace, row: dict[int, int]) -> dict[int, int]:
+    """Apply the parity-reversion isomorphism to a tensor-square row
+    {column: coefficient}, word (A, B) at column A*dim + B.
 
-    The coordinate at word (A, B) is multiplied by (-1)**par(A); the map is
-    its own inverse.
+    The coefficient at word (A, B) is multiplied by (-1)**par(A); the map
+    is its own inverse.
     """
-    n = space.dim
-    if len(vec) != n * n:
-        raise ValueError("vector length must be dim**2")
-    return tuple(
-        -Fraction(x) if space.parities[i // n] else Fraction(x) for i, x in enumerate(vec)
-    )
+    n, par = space.dim, space.parities
+    return {c: -x if par[c // n] else x for c, x in row.items()}

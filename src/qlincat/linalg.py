@@ -3,7 +3,10 @@
 Every scalar is a ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Every elimination runs through ``_insert``: rows
 are ``{column: int}`` dicts with denominators cleared per row, the pivot of
-a row is its largest column, and rows are kept gcd-normalised.  The forward
+a row is its largest column, and rows are kept gcd-normalised.  Object
+components, bases, annihilators and relation spans are all stored as such
+rows; ``_int_rows`` clears dense rational input to them once, where
+``spaces.make_general`` reads it.  The forward
 pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
 ``_reduced_rows`` reads those rows in natural column order, primitive and
 positive at their pivots, for spectral sums and for
@@ -32,7 +35,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 
 
@@ -88,13 +90,9 @@ def _cleared(terms: dict) -> dict:
     return {k: c.numerator * factor[c.denominator] for k, c in terms.items() if c}
 
 
-def _int_rows(vectors: Iterable[Sequence], reflect: bool = False) -> list[dict[int, int]]:
-    """Dense rational rows as sparse integer rows, columns optionally reflected."""
-    out = []
-    for v in vectors:
-        last = len(v) - 1
-        out.append(_cleared({last - c if reflect else c: x for c, x in enumerate(v) if x}))
-    return out
+def _int_rows(vectors: Iterable[Sequence]) -> list[dict[int, int]]:
+    """Dense rational rows as sparse integer rows."""
+    return [_cleared({c: x for c, x in enumerate(v) if x}) for v in vectors]
 
 
 def _normalised(row: dict[int, int]) -> dict[int, int]:

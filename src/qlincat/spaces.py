@@ -2,11 +2,13 @@
 decomposition of the tensor square of its dual.
 
 An object carries s complementary subspaces of V' (x) V' (s = 2 being the
-I (+) J case), each stored as a list of spanning vectors over the degree-2
-word basis.  Named constructors cover the two-parameter (Sudbery-type)
-family, its classical point (both matrices the Koszul signs) and its
-one-parameter normalized form.  Parameter matrices are exact rationals,
-never indeterminates.
+I (+) J case), each stored as spanning integer rows {column: int} over the
+degree-2 word basis.  Named constructors cover the two-parameter
+(Sudbery-type) family, its classical point (both matrices the Koszul
+signs) and its one-parameter normalized form, built from the parameters'
+numerators and denominators, and ``make_general``, which clears dense
+rational vectors.  Parameter matrices are exact rationals, never
+indeterminates.
 
 A ``QuantumObject`` cannot exist without a complementary decomposition:
 its constructor eliminates each component once, forward only, and reads
@@ -30,7 +32,6 @@ from .graded import GradedSpace, koszul_sign, koszul_signs
 from .linalg import (
     InvariantViolation,
     NotComplementary,
-    Vector,
     _echelon,
     _insert,
     _int_rows,
@@ -63,16 +64,16 @@ def _sign(x: int) -> int:
 class QuantumObject:
     """A graded space plus a complementary decomposition of V' (x) V'.
 
-    components[k] is a tuple of spanning vectors (coordinates over the
-    lexicographic degree-2 word basis, index (A, B) -> A*dim + B).
+    components[k] is a tuple of spanning integer rows {column: int} over
+    the lexicographic degree-2 word basis, word (A, B) at column A*dim + B.
     For two-parameter kinds, qp = (Q, P) holds the defining matrices.
-    Construction raises ValueError unless every vector has dim**2
-    coordinates, and NotComplementary unless the component spans form a
-    direct-sum decomposition of V' (x) V'.
+    Construction raises ValueError unless every column lies below dim**2,
+    and NotComplementary unless the component spans form a direct-sum
+    decomposition of V' (x) V'.  Rows are dicts, so an object is unhashable.
     """
 
     space: GradedSpace
-    components: tuple[tuple[Vector, ...], ...]
+    components: tuple[tuple[dict[int, int], ...], ...]
     kind: str = "general"
     qp: tuple[ParamMatrix, ParamMatrix] | None = None
     normalized: tuple[ParamMatrix, int, Fraction] | None = None
@@ -80,7 +81,7 @@ class QuantumObject:
 
     def __post_init__(self):
         dim = self.space.dim**2
-        if any(len(v) != dim for comp in self.components for v in comp):
+        if any(not 0 <= c < dim for comp in self.components for row in comp for c in row):
             raise ValueError(f"component vectors must have {dim} coordinates")
         total = sum(self.component_dims())
         if total != dim:
@@ -99,7 +100,9 @@ class QuantumObject:
     def _echelons(self) -> tuple[dict[int, dict[int, int]], ...]:
         """Each component's forward elimination, columns reflected as
         ``linalg._reduced_rows`` reads them."""
-        return tuple(_echelon(_int_rows(comp, reflect=True)) for comp in self.components)
+        last = self.space.dim**2 - 1
+        return tuple(_echelon({last - c: x for c, x in row.items()} for row in comp)
+                     for comp in self.components)
 
     @cached_property
     def _reduced(self) -> tuple[list[tuple[int, dict[int, int]]], ...]:
@@ -135,8 +138,7 @@ def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
     entry at fc, the kernel vector v is L at fc and -row[fc] * L / row[pc]
     at each pivot column pc; the basis row is g[u] = signs[fc] * signs[u] *
     v[u], gcd-normalised.  Raises InvariantViolation unless every g pairs
-    to zero with every spanning vector, in integer dot products against
-    the cleared spanning rows.
+    to zero with every spanning row, in integer dot products.
     """
     pivots = {pc for pc, _ in pairs}
     basis = []
@@ -148,9 +150,8 @@ def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
         # each pivot with an entry at fc lies left of it: g is in column order
         g = {pc: -signs[fc] * signs[pc] * row[fc] * (scale // row[pc]) for pc, row in hits}
         basis.append(_normalised({**g, fc: scale}))
-    rows = _int_rows(spanning)
     for g in basis:
-        if any(sum(signs[c] * x * g.get(c, 0) for c, x in row.items()) for row in rows):
+        if any(sum(signs[c] * x * g.get(c, 0) for c, x in row.items()) for row in spanning):
             raise InvariantViolation("annihilator vector does not annihilate its component")
     return basis
 
@@ -181,24 +182,21 @@ def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) 
 
 
 def _pair_spans(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
-    """Spanning vectors for the two components from parameter matrices, one
-    per unordered pair a <= b: by reciprocity the (b, a) vector is a
-    multiple of the (a, b) vector."""
+    """Spanning rows for the two components from parameter matrices, one
+    per unordered pair a <= b: by reciprocity the (b, a) row is a multiple
+    of the (a, b) row.  With q[a][b] = num/den the first row is
+    den e_ab - num e_ba (+ for p); on the diagonal, where den = 1, the two
+    words are one."""
     n = space.dim
-    minus: list[Vector] = []
-    plus: list[Vector] = []
+    minus, plus = [], []
     for a in range(n):
         for b in range(a, n):
-            vec = [Fraction(0)] * (n * n)
-            vec[a * n + b] += Fraction(1)
-            vec[b * n + a] -= q[a][b]
-            if any(vec):
-                minus.append(tuple(vec))
-            vec = [Fraction(0)] * (n * n)
-            vec[a * n + b] += Fraction(1)
-            vec[b * n + a] += p[a][b]
-            if any(vec):
-                plus.append(tuple(vec))
+            for out, sign, m in ((minus, -1, q), (plus, 1, p)):
+                num, den = m[a][b].as_integer_ratio()
+                if a != b:
+                    out.append({a * n + b: den, b * n + a: sign * num})
+                elif den + sign * num:
+                    out.append({a * n + a: den + sign * num})
     return tuple(minus), tuple(plus)
 
 
@@ -264,13 +262,16 @@ def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> Qua
 
 
 def make_general(space: GradedSpace, components, name: str = "") -> QuantumObject:
-    """Object with user-supplied component spanning vectors (any s >= 2)."""
-    comps = tuple(
-        tuple(tuple(frac(x) for x in v) for v in comp) for comp in components
-    )
+    """Object with user-supplied component spanning vectors (any s >= 2),
+    each dense over the degree-2 words and cleared to an integer row."""
+    comps = [[tuple(map(frac, v)) for v in comp] for comp in components]
     if len(comps) < 2:
         raise ValueError("need at least two components")
-    return QuantumObject(space, comps, "general", None, None, name)
+    dim = space.dim**2
+    if any(len(v) != dim for comp in comps for v in comp):
+        raise ValueError(f"component vectors must have {dim} coordinates")
+    rows = tuple(tuple(_int_rows(comp)) for comp in comps)
+    return QuantumObject(space, rows, "general", None, None, name)
 
 
 def dual_object(obj: QuantumObject) -> QuantumObject:
@@ -282,8 +283,7 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     if obj.s != 2:
         raise ValueError("dual_object requires a two-component object")
     n = obj.space.dim
-    ann_i, ann_j = (tuple(tuple(Fraction(g.get(u, 0)) for u in range(n * n)) for g in ann)
-                    for ann in obj.annihilators)
+    ann_i, ann_j = obj.annihilators
     qp = None
     kind = "general"
     if obj.qp is not None:

@@ -25,7 +25,6 @@ from qlincat.linalg import (
     ZERO,
     InvariantViolation,
     Matrix,
-    Vector,
     _cleared,
     _echelon,
     _int_rows,
@@ -38,6 +37,7 @@ from qlincat.rmatrix import BMatrix
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 ONE = Fraction(1)
+Vector = tuple[Fraction, ...]
 
 
 def identity(n: int) -> Matrix:
@@ -93,8 +93,30 @@ def rand_general(rng: random.Random, space: GradedSpace, name: str = ""):
             continue
 
 
+def dense(row: dict[int, int], ncols: int) -> Vector:
+    """A sparse integer row {column: int} as a dense ``Fraction`` vector."""
+    return tuple(Fraction(row.get(c, 0)) for c in range(ncols))
+
+
+def dense_pair_spans(space: GradedSpace, q, p):
+    """Dense ``Fraction`` reference for ``spaces._pair_spans``: one vector
+    e_ab - q^{ab} e_ba and one vector e_ab + p^{ab} e_ba per unordered pair
+    a <= b, zero vectors dropped."""
+    n = space.dim
+    minus, plus = [], []
+    for a in range(n):
+        for b in range(a, n):
+            for out, sign, m in ((minus, -1, q), (plus, 1, p)):
+                vec = [Fraction(0)] * (n * n)
+                vec[a * n + b] += 1
+                vec[b * n + a] += sign * m[a][b]
+                if any(vec):
+                    out.append(tuple(vec))
+    return tuple(minus), tuple(plus)
+
+
 def pair_spans_reference(space: GradedSpace, q, p):
-    """Reference for ``spaces._pair_spans``: one vector e_ab - q^{ab} e_ba
+    """Span reference for ``dense_pair_spans``: one vector e_ab - q^{ab} e_ba
     and one vector e_ab + p^{ab} e_ba for every ordered pair (a, b), zero
     vectors dropped, so n**2 vectors in all, about half of them multiples
     of the others by reciprocity."""
@@ -269,8 +291,9 @@ def _rref_rows(vectors: Sequence[Sequence], ncols: int) -> list[tuple[int, Vecto
     """The reduced echelon form of the vectors: (pivot column, dense row)
     pairs with ascending pivots, each pivot entry 1, read from the engine's
     integer reduced rows (``linalg._reduced_rows``) over reflected columns."""
-    out = []
-    for pc, row in _reduced_rows(_echelon(_int_rows(vectors, reflect=True)), ncols):
+    out, last = [], ncols - 1
+    reflected = ({last - c: x for c, x in row.items()} for row in _int_rows(vectors))
+    for pc, row in _reduced_rows(_echelon(reflected), ncols):
         v = [ZERO] * ncols
         for c, x in row.items():
             v[c] = Fraction(x, row[pc])
@@ -562,10 +585,11 @@ def projectors(obj) -> list[Matrix]:
 
 
 def projectors_reference(components, dim):
-    """Reference for ``projectors``: C has the component
-    bases as columns, and P_k is the k-th column block of C times the k-th
-    row block of C^{-1}, by a dense inverse and dense products."""
-    bases = [row_basis(comp) for comp in components]
+    """Reference for ``projectors`` on an object's component rows: C has
+    the component bases as columns, and P_k is the k-th column block of C
+    times the k-th row block of C^{-1}, by a dense inverse and dense
+    products."""
+    bases = [row_basis([dense(v, dim) for v in comp]) for comp in components]
     c = transpose(Matrix([v for b in bases for v in b]))
     ci = inverse(c)
     out = []
@@ -694,7 +718,7 @@ def xi_quotient_reference(obj):
     (a, b), solve e_ab = gamma_ab e_01 + (relation span) with a dense
     transpose and one ``solve`` per word."""
     n = obj.space.dim
-    rel_vectors = [pi_image(obj.space, v) for v in obj.components[1]]
+    rel_vectors = [dense(pi_image(obj.space, v), n * n) for v in obj.components[1]]
     base = row_basis(rel_vectors)
     area = [Fraction(0)] * (n * n)
     area[0 * n + 1] = Fraction(1)
@@ -803,8 +827,8 @@ def derive_relations_general_reference(src, tgt) -> tuple[NCPoly, ...]:
     signs = koszul_signs(src.space)
     polys = []
     for comp, tcomp in zip(src.components, tgt.components):
-        ann = annihilator(comp, n * n, signs)
-        fbasis = row_basis(tcomp)
+        ann = annihilator([dense(v, n * n) for v in comp], n * n, signs)
+        fbasis = row_basis([dense(v, m * m) for v in tcomp])
         for g in ann:
             for f in fbasis:
                 terms: dict = {}

@@ -51,6 +51,7 @@ from qlincat.spaces import (
 )
 
 from support import (
+    dense,
     even2_sudbery,
     rand_constant,
     rand_sudbery,
@@ -408,8 +409,8 @@ def test_criterion_11_duals_and_bilinear_forms():
                 vec[b * n + a] += q[b][a]
                 if any(vec):
                     plus.append(tuple(vec))
-        assert row_spans_equal(dual.components[0], minus)
-        assert row_spans_equal(dual.components[1], plus)
+        assert row_spans_equal([dense(v, n * n) for v in dual.components[0]], minus)
+        assert row_spans_equal([dense(v, n * n) for v in dual.components[1]], plus)
     # bilinear-form relations against the closed coefficient formula
     src = even2_sudbery(2, 3)
     q, p = src.qp

@@ -23,6 +23,9 @@ def samples(*names: str) -> list[str]:
     return [str(SAMPLES / f"{name}.json") for name in names]
 
 
+# a general file outside sample_objects/, which tests/cli_digest.py globs:
+# the three-component dim-2 object of test_object_describe_three_components
+GENERAL_THREE = str(Path(__file__).resolve().parent / "general_three.json")
 PAIR = samples("sudbery_alpha", "sudbery_beta")
 CHAIN = samples("normalized_q2", "normalized_q3", "normalized_q7")
 
@@ -761,6 +764,8 @@ def test_roundtrip_property_fails_on_a_perturbed_rational(tmp_path, shape, kind)
          "985f433f1b9dfdf0d5166a15bd0716cd031ae76772e8e2233ca993a14737ac64"),
         (["yb", *samples("sudbery_alpha")], 0,
          "dd80ba79ae91b375861a442bc3d874270fea697f76f768dd44c29345d2a7a91a"),
+        (["object", GENERAL_THREE], 0,
+         "ce306a4c20432feccaa2569a1c6c5737401869d882896bc7c4f2fe75d574dd4a"),
     ],
 )
 def test_json_output_is_byte_identical_to_golden(capsys, argv, code, digest):

@@ -17,7 +17,7 @@ from qlincat.graded import (
 from qlincat.linalg import Matrix
 from qlincat.spaces import make_sudbery
 
-from support import rand_nonzero, rank
+from support import dense, rank
 
 
 def test_graded_space_validation():
@@ -60,23 +60,26 @@ def test_gram_is_signed_permutation():
 
 def test_pi_even_is_identity():
     sp = even_space(2)
-    vec = tuple(Fraction(i + 1, 3) for i in range(4))
-    assert pi_image(sp, vec) == vec
+    row = {i: i + 1 for i in range(4)}
+    assert pi_image(sp, row) == row
 
 
 def test_pi_sign_on_odd_first_factor():
     sp = space_of((1, 0))
-    vec = [Fraction(0)] * 4
-    vec[0 * 2 + 1] = Fraction(1)  # e^1 (x) e^2, first factor odd
-    image = pi_image(sp, vec)
-    assert image[1] == -1 and sum(1 for x in image if x) == 1
+    row = {0 * 2 + 1: 1}  # e^1 (x) e^2, first factor odd
+    assert pi_image(sp, row) == {1: -1}
+    # the sign is read from the first factor only: (0|1) leaves (0, 1) alone
+    assert pi_image(space_of((0, 1)), row) == row
 
 
 def test_pi_roundtrip():
     rng = random.Random(2)
     sp = space_of((1, 0, 1))
-    vec = tuple(rand_nonzero(rng) for _ in range(9))
-    assert pi_image(sp, pi_image(sp, vec)) == vec
+    row = {c: rng.choice([-3, -1, 2, 5]) for c in range(9)}
+    image = pi_image(sp, row)
+    assert pi_image(sp, image) == row
+    # words (A, B) with A odd change sign: A = 0 and A = 2 here
+    assert [c for c in range(9) if image[c] != row[c]] == [0, 1, 2, 6, 7, 8]
 
 
 def test_pi_preserves_decomposition_dims():
@@ -86,8 +89,8 @@ def test_pi_preserves_decomposition_dims():
         [[1, 3], [Fraction(1, 3), -1]],
     )
     for comp in obj.components:
-        mapped = [pi_image(obj.space, v) for v in comp]
-        assert rank(Matrix(mapped)) == rank(Matrix(comp))
+        mapped = [dense(pi_image(obj.space, v), 4) for v in comp]
+        assert rank(Matrix(mapped)) == rank(Matrix([dense(v, 4) for v in comp]))
 
 
 def test_koszul_sign_table():

@@ -39,6 +39,7 @@ from support import (
     MIXED_SHAPES,
     FractionArithmetic,
     criterion_pair,
+    dense,
     derive_relations_general_reference,
     derive_relations_sudbery_reference,
     even2_sudbery,
@@ -349,7 +350,7 @@ def test_basis_independence_of_relation_span():
     def mixed(obj):
         comps = []
         for comp in obj.components:
-            vecs = [list(v) for v in comp]
+            vecs = [dense(v, obj.space.dim**2) for v in comp]
             k = len(vecs)
             # random invertible recombination of the spanning vectors
             while True:

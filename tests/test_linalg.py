@@ -18,6 +18,7 @@ import support
 from support import (
     _rref_rows,
     annihilator,
+    dense,
     dense_spectral_sum,
     identity,
     inverse,
@@ -176,7 +177,7 @@ def test_projectors_sudbery_identities():
     # images are the components
     for p, comp in zip(ps, obj.components):
         for v in comp:
-            assert mat_apply(p, v) == tuple(v)
+            assert mat_apply(p, dense(v, 4)) == dense(v, 4)
 
 
 def test_projectors_trivial_parameters_match_classical():

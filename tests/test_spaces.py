@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import linalg, spaces
-from qlincat.graded import even_space, koszul_pairing, koszul_signs, space_of
-from qlincat.linalg import InvariantViolation, Matrix, NotComplementary, _cleared
+from qlincat import bialgebra, graded, linalg, spaces
+from qlincat.graded import even_space, koszul_pairing, koszul_signs, pi_image, space_of
+from qlincat.linalg import InvariantViolation, Matrix, NotComplementary, _cleared, _int_rows
 from qlincat.spaces import (
     BadParameters,
     QuantumObject,
@@ -23,7 +23,12 @@ from qlincat.pbw import pbw_extract_constant
 
 from support import (
     MIXED_SHAPES,
+    FractionMade,
     annihilator,
+    dense,
+    dense_pair_spans,
+    forbid_fraction_arithmetic,
+    forbid_new_fractions,
     pair_spans_reference,
     projectors,
     rand_general,
@@ -190,7 +195,7 @@ def test_quantum_object_holds_complementarity():
             make_general(even_space(2), comps)
         message = f"^{re.escape(str(by_constructor.value))}$"
         with pytest.raises(by_constructor.type, match=message):
-            QuantumObject(even_space(2), tuple(tuple(c) for c in comps))
+            QuantumObject(even_space(2), tuple(tuple(_int_rows(c)) for c in comps))
 
 
 def test_constructors_build_no_projectors(monkeypatch):
@@ -206,7 +211,7 @@ def test_constructors_build_no_projectors(monkeypatch):
     cl = make_classical(sp)
     sud = make_sudbery(sp, [[1, 2], [Fraction(1, 2), -1]], [[1, 3], [Fraction(1, 3), -1]])
     make_normalized(even_space(2), [[1, 2], [Fraction(1, 2), 1]], -1, 7)
-    make_general(sp, cl.components)
+    make_general(sp, [[dense(v, 4) for v in comp] for comp in cl.components])
     dual_object(sud)
     assert calls == []
     projectors(cl)  # the counter does see the lookup
@@ -223,7 +228,7 @@ def two_parameter_objects(draw):
     return rand_sudbery(rng, space) if kind == "sudbery" else rand_normalized(rng, space)
 
 
-def _assert_pair_spans_match_reference(obj, pair_spans=spaces._pair_spans):
+def _assert_pair_spans_match_reference(obj, pair_spans=dense_pair_spans):
     spans = pair_spans(obj.space, *obj.qp)
     for comp, ref in zip(spans, pair_spans_reference(obj.space, *obj.qp), strict=True):
         assert rank(Matrix(comp)) == len(comp)
@@ -234,6 +239,9 @@ def _assert_pair_spans_match_reference(obj, pair_spans=spaces._pair_spans):
 @given(two_parameter_objects())
 def test_pair_spans_are_independent_and_span_the_components(obj):
     _assert_pair_spans_match_reference(obj)
+    # the package builds the dense reference's rows, cleared, on integers
+    dense_rows = tuple(tuple(_int_rows(comp)) for comp in dense_pair_spans(obj.space, *obj.qp))
+    assert spaces._pair_spans(obj.space, *obj.qp) == dense_rows == obj.components
 
 
 def test_pair_spans_property_fails_without_diagonal_vectors():
@@ -241,7 +249,7 @@ def test_pair_spans_property_fails_without_diagonal_vectors():
         n = space.dim
         return tuple(
             tuple(v for v in comp if not any(v[a * n + a] for a in range(n)))
-            for comp in spaces._pair_spans(space, q, p)
+            for comp in dense_pair_spans(space, q, p)
         )
 
     obj = make_classical(space_of((0, 1)))
@@ -279,8 +287,8 @@ def test_dual_sudbery_closed_form():
                 vec[b * n + a] += q[b][a]
                 if any(vec):
                     plus.append(tuple(vec))
-        assert row_spans_equal(dual.components[0], minus)
-        assert row_spans_equal(dual.components[1], plus)
+        assert row_spans_equal([dense(v, n * n) for v in dual.components[0]], minus)
+        assert row_spans_equal([dense(v, n * n) for v in dual.components[1]], plus)
         # derived parameters are the inverses, swapped
         qd, pd = dual.qp
         assert all(qd[a][b] == 1 / p[a][b] for a in range(n) for b in range(n))
@@ -289,6 +297,7 @@ def test_dual_sudbery_closed_form():
 
 def _koszul_orthogonal(space, gs, fs) -> bool:
     words = list(product(range(space.dim), repeat=2))
+    gs, fs = ([dense(v, len(words)) for v in rows] for rows in (gs, fs))
     return all(
         sum(g[i] * f[i] * koszul_pairing(space, w, w) for i, w in enumerate(words)) == 0
         for g in gs
@@ -340,8 +349,9 @@ def test_dual_components_are_annihilators():
     obj = rand_sudbery(rng, even_space(2))
     signs = koszul_signs(obj.space)
     dual = dual_object(obj)
-    assert row_spans_equal(dual.components[0], annihilator(obj.components[1], 4, signs))
-    assert row_spans_equal(dual.components[1], annihilator(obj.components[0], 4, signs))
+    dual_comps, comps = ([[dense(v, 4) for v in comp] for comp in o.components] for o in (dual, obj))
+    assert row_spans_equal(dual_comps[0], annihilator(comps[1], 4, signs))
+    assert row_spans_equal(dual_comps[1], annihilator(comps[0], 4, signs))
 
 
 @st.composite
@@ -357,7 +367,8 @@ def _assert_annihilators_match_reference(obj):
     # components, each cleared to integers, not only the same spans
     signs, dim = koszul_signs(obj.space), obj.space.dim**2
     expected = tuple(
-        tuple(_cleared(dict(enumerate(g))) for g in annihilator(comp, dim, signs))
+        tuple(_cleared(dict(enumerate(g)))
+              for g in annihilator([dense(v, dim) for v in comp], dim, signs))
         for comp in obj.components
     )
     assert obj.annihilators == expected
@@ -411,8 +422,10 @@ def test_annihilators_raise_on_a_corrupted_reduced_echelon(monkeypatch):
 def _assert_bases_match_reference(obj):
     # each component's reduced echelon rows, in order, each cleared to
     # integers: primitive and positive at its pivot
+    dim = obj.space.dim**2
     expected = tuple(
-        tuple(_cleared(dict(enumerate(v))) for v in row_basis(comp)) for comp in obj.components
+        tuple(_cleared(dict(enumerate(v))) for v in row_basis([dense(r, dim) for r in comp]))
+        for comp in obj.components
     )
     assert obj.bases == expected
 
@@ -434,3 +447,45 @@ def test_bases_property_fails_on_a_negated_row(monkeypatch):
     monkeypatch.setattr(spaces, "_reduced_rows", negated)
     with pytest.raises(AssertionError):
         _assert_bases_match_reference(rand_sudbery(random.Random(5), space_of((0, 1))))
+
+
+def _integer_object_paths(objs):
+    """Each object rebuilt from its components, with its bases and
+    annihilators read; the dual of each general object; and the Pi-image of
+    each second component."""
+    rebuilt = [QuantumObject(obj.space, obj.components) for obj in objs]
+    forms = [(new.bases, new.annihilators) for new in rebuilt]
+    duals = [dual_object(obj) for obj in objs if obj.kind == "general"]
+    images = [[pi_image(obj.space, row) for row in obj.components[1]] for obj in objs]
+    return rebuilt, forms, duals, images
+
+
+def test_object_paths_make_no_fraction(monkeypatch):
+    # components are integer rows, so no Fraction is made or used from a
+    # stored object on; the guarded results are then checked against the
+    # unguarded package and the dense references
+    rng = random.Random(47)
+    objs = [make(rng, space_of(shape)) for shape in MIXED_SHAPES
+            for make in (rand_sudbery, rand_normalized, rand_general)]
+    forbid_new_fractions(monkeypatch, linalg, spaces, graded, bialgebra)
+    forbid_fraction_arithmetic(monkeypatch)
+    rebuilt, forms, duals, images = _integer_object_paths(objs)
+    # control: the dense round trip the dual used to take, its annihilator
+    # rows written out densely and read back by make_general, trips the guard
+    obj = objs[-1]
+    n2 = obj.space.dim**2
+    with pytest.raises(FractionMade):
+        make_general(obj.space, [[[g.get(c, 0) for c in range(n2)] for g in ann]
+                                 for ann in obj.annihilators[::-1]])
+    monkeypatch.undo()
+    for obj, new, form in zip(objs, rebuilt, forms):
+        assert form == (obj.bases, obj.annihilators)
+        _assert_bases_match_reference(new)
+        _assert_annihilators_match_reference(new)
+    assert duals == [dual_object(obj) for obj in objs if obj.kind == "general"]
+    for obj, image in zip(objs, images):
+        n, par = obj.space.dim, obj.space.parities
+        assert [dense(row, n * n) for row in image] == [
+            tuple(-x if par[c // n] else x for c, x in enumerate(dense(row, n * n)))
+            for row in obj.components[1]
+        ]
