@@ -19,10 +19,12 @@ back-substituted once: every reader takes its ``RelationSet.echelon``, its
 those rows as integer rewrite rules, and none of them mutates any of the
 three.  Both derivations build the rows on integers, from the objects'
 integer rows or clearing each parameter matrix once; ``RelationSet.polys``
-is a view for printing.  ``_rules`` is the one degree-2 quotient routine:
-the rewrite system, the coalgebra coordinates and the determinant's area
-form all read its output.  ``RelationSet.tower`` is the graded quotient by the span, kept
-and extended one degree at a time; the dimension oracle reads it.
+is a view for printing.  ``_rules`` is the one routine that reads rewrite
+rules off back-substituted rows: the rewrite system, the coalgebra
+coordinates and the determinant's area form read its degree-2 output, and
+the quotient tower each degree's.  ``RelationSet.tower`` is the graded
+quotient by the span, kept and extended one degree at a time; the
+dimension oracle reads it.
 """
 
 from __future__ import annotations
@@ -234,11 +236,12 @@ def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:
 
 
 def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:
-    """The degree-2 quotient by the span of ``_back_substituted`` rows whose
-    column g * n + h is the word (g, h): each row's leading word rewrites
-    to the smaller words left in it, P lead = sum r_u u with P > 0, and is
-    keyed by its column.  The rows hold no other leading word, so each rule
-    is already in normal words."""
+    """The quotient by the span of ``_back_substituted`` rows over the words
+    of one degree, each word its code in base n (at degree 2, column
+    g * n + h is the word (g, h)): each row's leading word rewrites to the
+    smaller words left in it, P lead = sum r_u u with P > 0, and is keyed
+    by its column.  The rows hold no other leading word, so each rule is
+    already in normal words."""
     out = {}
     for lead, row in back.items():
         pivot = row[lead]
@@ -270,8 +273,12 @@ class _Tower:
     degree d inserts one row u r for each u in N_{d-2} and each row r of
     M_2 into a fresh echelon M_d, and dim_d = n * dim_{d-1} - |M_d|.
     Because u is normal, a word u c0 c1 of u r is reducible modulo
-    I_{d-1} V iff u c0 is a pivot of M_{d-1}, and one substitution by that
-    back-substituted row, followed by c1, leaves only normal prefixes.
+    I_{d-1} V iff u c0 is a pivot of M_{d-1}.  Each degree reads the
+    back-substituted M_{d-1} once, as rules P p = sum r_b b over normal
+    words b (``_rules``), and builds each row u r in one pass over r: with
+    L the lcm of the pivots P that its reducible prefixes hit, a word with
+    a normal prefix gets L v, and a word p y with p a pivot adds
+    (L/P) v r_b at each b y.  So every word of the row has a normal prefix.
 
     ``new[k]`` is the back-substituted M_k of each finished degree k and
     ``normal[k]`` the list N_k, built when a degree first needs it and
@@ -301,15 +308,23 @@ class _Tower:
                     raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
-            prev, shift = new[d - 1], n * n
-            pivots: dict[int, dict[int, int]] = {}
+            rules, pivots = _rules(new[d - 1]), {}
             for u in normal[d - 2]:
+                base = u * n
+                hit = {x: rules[base + x] for x in range(n) if base + x in rules}
+                base *= n
                 for r in new[2].values():
-                    row = {u * shift + c: v for c, v in r.items()}
-                    for c in list(row):
-                        p, y = divmod(c, n)
-                        if p in prev:
-                            row = _cancel(row, {b * n + y: v for b, v in prev[p].items()}, c)
+                    scale, row = lcm(*(hit[c // n][0] for c in r if c // n in hit)), {}
+                    for c, v in r.items():
+                        x, y = divmod(c, n)
+                        if x not in hit:
+                            row[base + c] = row.get(base + c, 0) + scale * v
+                            continue
+                        pivot, rhs = hit[x]
+                        k = scale // pivot * v
+                        for b, rb in rhs.items():
+                            w = b * n + y
+                            row[w] = row.get(w, 0) + k * rb
                     _insert(pivots, row)
             self.top = pivots
             self._dims.append(n * self._dims[-1] - len(pivots))

@@ -2,8 +2,10 @@
 
 Every scalar is a ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Every elimination runs through ``_insert``: rows
-are ``{column: int}`` dicts with denominators cleared per row, the pivot of
-a row is its largest column, and rows are kept gcd-normalised.  Object
+are ``{column: int}`` dicts with denominators cleared per row, and the pivot
+of a row is its largest column.  A row is cancelled in place, by the
+multipliers b/g and a/g of the two entries a and b at a pivot and their
+gcd g, and only the rows that are stored are gcd-normalised.  Object
 components, bases, annihilators and relation spans are all stored as such
 rows; ``_int_rows`` clears dense rational input to them once, where
 ``spaces.make_general`` reads it.  The forward
@@ -100,25 +102,31 @@ def _normalised(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
-    """piv[col] * row - row[col] * piv, which is zero at col, gcd-normalised."""
-    a, b = row[col], piv[col]
-    new = {c: b * v for c, v in row.items() if c != col}
+def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> None:
+    """Make row zero at col in place: with a = row[col], b = piv[col] and
+    g = gcd(a, b), row becomes (b/g) row - (a/g) piv, a positive multiple
+    of b row - a piv.  The result is not normalised."""
+    a, b = row.pop(col), piv[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for c in row:
+            row[c] *= b
     for c, v in piv.items():
         if c == col:
             continue
-        nv = new.get(c, 0) - a * v
+        nv = row.get(c, 0) - a * v
         if nv:
-            new[c] = nv
-        elif c in new:
-            del new[c]
-    return _normalised(new)
+            row[c] = nv
+        elif c in row:
+            del row[c]
 
 
 def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int] | None:
     """Reduce a sparse integer row against echelon rows keyed by their pivot,
     the largest column; cancelling a pivot adds only smaller columns.  Store
-    and return the row if it is new to their span, else return None."""
+    and return the row, gcd-normalised, if it is new to their span, else
+    return None."""
     work = {c: v for c, v in row.items() if v}
     while work:
         lead = max(work)
@@ -126,7 +134,7 @@ def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int,
         if piv is None:
             pivots[lead] = work = _normalised(work)
             return work
-        work = _cancel(work, piv, lead)
+        _cancel(work, piv, lead)
     return None
 
 
@@ -147,8 +155,12 @@ def _back_substituted(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int,
     done: dict[int, dict[int, int]] = {}
     for lead in sorted(echelon):
         row = echelon[lead]
-        for c in [c for c in row if c != lead and c in done]:
-            row = _cancel(row, done[c], c)
+        hits = [c for c in row if c != lead and c in done]
+        if hits:
+            row = dict(row)
+            for c in hits:
+                _cancel(row, done[c], c)
+            row = _normalised(row)
         done[lead] = row
     return done
 

@@ -476,6 +476,88 @@ def placement_oracle(hom, degree: int) -> int:
     return n**degree - len(_echelon(rows))
 
 
+def _normalised_reference(row: dict[int, int]) -> dict[int, int]:
+    # a copy of ``linalg._normalised``, so that a change to it shows
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def cancel_reference(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """The elimination step that normalises every intermediate row: a new
+    row piv[col] * row - row[col] * piv, which is zero at col,
+    gcd-normalised."""
+    a, b = row[col], piv[col]
+    new = {c: b * v for c, v in row.items() if c != col}
+    for c, v in piv.items():
+        if c == col:
+            continue
+        nv = new.get(c, 0) - a * v
+        if nv:
+            new[c] = nv
+        elif c in new:
+            del new[c]
+    return _normalised_reference(new)
+
+
+def insert_reference(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """``linalg._insert`` on ``cancel_reference`` steps."""
+    work = {c: v for c, v in row.items() if v}
+    while work:
+        lead = max(work)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = _normalised_reference(work)
+            return
+        work = cancel_reference(work, piv, lead)
+
+
+def echelon_reference(rows) -> dict[int, dict[int, int]]:
+    """Reference for ``linalg._echelon``: the same rows, values and key
+    order, from ``cancel_reference`` steps."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        insert_reference(pivots, row)
+    return pivots
+
+
+def back_substituted_reference(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reference for ``linalg._back_substituted`` from ``cancel_reference``
+    steps."""
+    done: dict[int, dict[int, int]] = {}
+    for lead in sorted(echelon):
+        row = echelon[lead]
+        for c in [c for c in row if c != lead and c in done]:
+            row = cancel_reference(row, done[c], c)
+        done[lead] = row
+    return done
+
+
+def tower_reference(n: int, back: dict[int, dict[int, int]], top: int):
+    """Reference for ``homs._Tower`` up to degree top, with one
+    ``cancel_reference`` per word u c0 c1 of a row u r whose prefix u c0
+    leads a row of M_{d-1}, by that row followed by c1: the dimensions from
+    degree 2, the back-substituted M_k of each degree below top, and the
+    forward echelon of M_top."""
+    new, normal, dims, pivots = {2: back}, {1: list(range(n))}, [n * n - len(back)], {}
+    for d in range(3, top + 1):
+        if d - 1 not in new:
+            new[d - 1] = back_substituted_reference(pivots)
+        if d - 2 not in normal:
+            normal[d - 2] = [w for p in normal[d - 3] for w in range(p * n, p * n + n)
+                             if w not in new[d - 2]]
+        prev, shift, pivots = new[d - 1], n * n, {}
+        for u in normal[d - 2]:
+            for r in back.values():
+                row = {u * shift + c: v for c, v in r.items()}
+                for c in list(row):
+                    p, y = divmod(c, n)
+                    if p in prev:
+                        row = cancel_reference(row, {b * n + y: v for b, v in prev[p].items()}, c)
+                insert_reference(pivots, row)
+        dims.append(n * dims[-1] - len(pivots))
+    return dims, new, pivots
+
+
 def kron(a, b):
     """Dense Kronecker product of two ``Matrix`` values."""
     out = []

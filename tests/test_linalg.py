@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlincat import linalg
+from qlincat.homs import hom_algebra
 from qlincat.linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
+    _back_substituted,
+    _echelon,
     _int_rows,
     spectral_sum,
 )
@@ -16,10 +20,14 @@ from qlincat.spaces import make_classical, make_general, make_sudbery
 
 import support
 from support import (
+    MIXED_SHAPES,
     _rref_rows,
     annihilator,
+    back_substituted_reference,
+    criterion_pair,
     dense,
     dense_spectral_sum,
+    echelon_reference,
     identity,
     inverse,
     kernel_basis,
@@ -313,3 +321,44 @@ def test_kernel_vector_not_annihilated_raises(monkeypatch):
     _corrupt_rref_rows(monkeypatch, perturb_free_entries)
     with pytest.raises(InvariantViolation, match="annihilated"):
         kernel_basis(Matrix([[1, 1]]))
+
+
+def _ordered(echelon):
+    return [(lead, list(row.items())) for lead, row in echelon.items()]
+
+
+def _assert_engine_matches_reference(rows):
+    # values and key order of every stored row, and the order of the pivots
+    echelon, want = _echelon(rows), echelon_reference(rows)
+    assert _ordered(echelon) == _ordered(want)
+    assert _ordered(_back_substituted(echelon)) == _ordered(back_substituted_reference(want))
+
+
+@st.composite
+def signed_rows(draw):
+    """Sparse integer rows with signed entries up to 10**6, zeros included."""
+    ncols = draw(st.integers(1, 12))
+    entries = st.dictionaries(st.integers(0, ncols - 1), st.integers(-10**6, 10**6), max_size=ncols)
+    return draw(st.lists(entries, max_size=10))
+
+
+@st.composite
+def derived_spans(draw):
+    kind = draw(st.sampled_from(["yes", "no", "general"]))
+    src_shape, tgt_shape = draw(st.sampled_from(MIXED_SHAPES)), draw(st.sampled_from(MIXED_SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return list(hom_algebra(*criterion_pair(rng, kind, src_shape, tgt_shape)).relations.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(signed_rows(), derived_spans()))
+def test_in_place_elimination_matches_the_normalising_reference(rows):
+    _assert_engine_matches_reference(rows)
+
+
+def test_elimination_property_fails_when_stored_rows_are_not_normalised(monkeypatch):
+    monkeypatch.setattr(linalg, "_normalised", lambda row: row)
+    rng = random.Random(5)
+    rows = [{c: rng.randint(-10**6, 10**6) for c in rng.sample(range(8), 4)} for _ in range(6)]
+    with pytest.raises(AssertionError):
+        _assert_engine_matches_reference(rows)

@@ -3,7 +3,7 @@ from copy import deepcopy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlincat import homs, linalg, pbw
 from qlincat.graded import even_space, space_of
@@ -30,6 +30,7 @@ from support import (
     rank_bareiss,
     rand_sudbery,
     sudbery_with_constant,
+    tower_reference,
 )
 
 
@@ -234,15 +235,51 @@ def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
-    # words u c0 c1 whose prefix u c0 leads a row of M_{d-1} then stay in
-    # the rows u r, so those rows are not reduced modulo I_{d-1} V; past
-    # degree 4 the tower's invariant may catch them first
-    monkeypatch.setattr(homs, "_cancel", lambda row, piv, col: row)
+    # the tower then reads no substitution rule, so words u c0 c1 whose
+    # prefix u c0 leads a row of M_{d-1} stay in the rows u r, which are not
+    # reduced modulo I_{d-1} V; past degree 4 the tower's invariant may
+    # catch them first
+    monkeypatch.setattr(homs, "_rules", lambda back: {})
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
     with pytest.raises((AssertionError, InvariantViolation)):
         _assert_oracle_matches_placements(src, tgt, DEEP[kind])
+
+
+# the degree the tower is compared with its reference to, by alphabet size
+REFERENCE_TOP = {4: 6, 6: 5, 9: 4}
+
+
+def _assert_tower_matches_reference(src, tgt):
+    hom = hom_algebra(src, tgt)
+    n, back = hom.alphabet.size, hom.relations.back_substituted
+    top = REFERENCE_TOP[n]
+    dims, new, echelon = tower_reference(n, back, top)
+    tower = homs._Tower(n, back)
+    assert tower.dims(top) == dims
+    # each M_k is the reference's up to the sign of each row
+    for k, rows in [*new.items(), (top, echelon)]:
+        got = tower.new[k] if k < top else tower.top
+        assert got.keys() == rows.keys()
+        for lead, row in rows.items():
+            assert got[lead] in (row, {c: -v for c, v in row.items()})
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+@example(criterion_pair(random.Random(2), "general", (0, 0, 1), (0, 0, 1)))
+def test_tower_matches_its_per_word_substitution_reference(pair):
+    _assert_tower_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_tower_reference_property_fails_without_the_lcm_scale(monkeypatch, kind):
+    # each row u r then keeps the words with a normal prefix unscaled, and a
+    # word p y whose pivot P exceeds 1 adds (1 // P) v r_b = 0 at each b y
+    monkeypatch.setattr(homs, "lcm", lambda *pivots: 1)
+    with pytest.raises((AssertionError, InvariantViolation)):
+        _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
 
 
 def _assert_order_independent(hom, rng):
@@ -289,9 +326,10 @@ def test_order_property_fails_when_the_top_echelon_is_kept_unreduced(monkeypatch
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_tower_invariant_raises_when_substitution_is_skipped(monkeypatch, kind):
-    # words u c0 c1 with u c0 a pivot of M_{d-1} then stay in the rows u r:
-    # pivots of M_3 with a reducible prefix leave N_3 longer than dim_3
-    monkeypatch.setattr(homs, "_cancel", lambda row, piv, col: row)
+    # with no substitution rule read, words u c0 c1 with u c0 a pivot of
+    # M_{d-1} stay in the rows u r: pivots of M_3 with a reducible prefix
+    # leave N_3 longer than dim_3
+    monkeypatch.setattr(homs, "_rules", lambda back: {})
     hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
     oracle_dims(hom, 4)
     with pytest.raises(InvariantViolation, match="degree 3 has .* normal words"):
@@ -299,7 +337,7 @@ def test_tower_invariant_raises_when_substitution_is_skipped(monkeypatch, kind):
 
 
 def _counting_eliminations(monkeypatch) -> dict[str, int]:
-    calls = dict.fromkeys(["_insert", "_cancel", "_back_substituted"], 0)
+    calls = dict.fromkeys(["_insert", "_rules", "_back_substituted"], 0)
     for name in calls:
         def counting(*args, real=getattr(homs, name), name=name):
             calls[name] += 1
@@ -315,12 +353,13 @@ def _assert_tower_is_extended(hom, monkeypatch):
     calls = _counting_eliminations(monkeypatch)
     for d in range(2, 6):
         dimension_oracle(hom, d)
-    assert calls == {"_insert": 0, "_cancel": 0, "_back_substituted": 0}
+    assert calls == {"_insert": 0, "_rules": 0, "_back_substituted": 0}
     dimension_oracle(hom, 6)
     # the rows u r for every normal word u of degree 4 and every r in M_2,
-    # and one back-substitution: that of M_5
+    # one back-substitution, that of M_5, and one read of its rules
     assert calls["_insert"] == dims[-2] * (n * n - dims[0])
     assert calls["_back_substituted"] == 1
+    assert calls["_rules"] == 1
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
@@ -364,7 +403,7 @@ def test_guards_leave_a_warmed_tower_unchanged(monkeypatch):
     hom = hom_algebra(cl, cl)
     oracle_dims(hom, 4)
     before = deepcopy(vars(hom.relations.tower))
-    for name in ("_echelon", "_back_substituted", "_insert", "_cancel"):
+    for name in ("_echelon", "_back_substituted", "_insert", "_rules"):
         monkeypatch.setattr(homs, name, _no_elimination)
     for oracle in (dimension_oracle, oracle_dims):
         with pytest.raises(TooLarge):
