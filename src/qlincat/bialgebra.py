@@ -8,7 +8,8 @@ of the algebras involved.  They read the integer forms as they are: a word
 (g, h) over n letters is its code g * n + h, Delta expands each
 ``RelationSet.rows`` row into pairs of factor codes, and one integer
 coordinate table per span (``_integer_coords``, from its ``rules``) reduces
-it.  The same table gives the determinant's area form, from the degree-2
+it, once per triple; coassociativity reads the verdicts of two triples.
+The same table gives the determinant's area form, from the degree-2
 quotient (``homs._rules``) of the parity-reversed coordinate algebra: T(V)
 modulo the Pi-image of the second component, whose integer rows
 ``graded.pi_image`` maps as they are.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from typing import Sequence
@@ -55,6 +57,13 @@ class ComposableTriple:
             or self.hom_ac.target != self.c
         ):
             raise ValueError("hom algebras do not match the stated objects")
+
+    @cached_property
+    def _delta_ok(self) -> bool:
+        """The comultiplication verdict, computed once."""
+        c1, c2 = _coords(self.hom_ab), _coords(self.hom_bc)
+        return all(_reduces_to_zero(_delta_bidegree(row, self.a, self.b, self.c), c1, c2)
+                   for row in self.hom_ac.relations.rows)
 
 
 def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> ComposableTriple:
@@ -115,48 +124,35 @@ def _reduces_to_zero(
     return not any(out.values())
 
 
-def _factor_coords(triple: ComposableTriple) -> tuple[list, ...]:
-    """The coordinate tables of hom(a, b) and hom(b, c)."""
-    return tuple(_integer_coords(h.relations.rules, h.alphabet.size)
-                 for h in (triple.hom_ab, triple.hom_bc))
+def _coords(hom: HomAlgebra) -> list[dict[int, int]]:
+    return _integer_coords(hom.relations.rules, hom.alphabet.size)
 
 
 def comultiplication_check(triple: ComposableTriple) -> bool:
     """Delta maps every defining relation of the composite algebra into the
     two-sided relation space of the factor algebras."""
-    c1, c2 = _factor_coords(triple)
-    return all(
-        _reduces_to_zero(_delta_bidegree(row, triple.a, triple.b, triple.c), c1, c2)
-        for row in triple.hom_ac.relations.rows
-    )
+    return triple._delta_ok
 
 
-def coassociativity_check(
-    a: QuantumObject, b: QuantumObject, c: QuantumObject, d: QuantumObject
-) -> bool:
-    """Both iterated comultiplications expand every generator u_A^S into the
-    same sum over middle indices; compared coefficient-wise.
+def coassociativity_check(abc: ComposableTriple, acd: ComposableTriple) -> bool:
+    """Both iterated comultiplications A_ad -> A_ab (x) A_bc (x) A_cd are
+    one well-defined map: True iff Delta_abc and Delta_acd are well defined.
 
-    It reads no relation of any of the algebras and the two expansions
-    agree by construction, so it cannot fail yet: a check in the quotient
-    coordinates of the three factors is still to be written.
+    Proof that this suffices.  (Delta_abc (x) 1) Delta_acd and
+    (1 (x) Delta_bcd) Delta_abd are algebra maps out of T(V_ad) that agree
+    on generators (u_A^S -> sum t_A^K (x) s_K^L (x) r_L^S), so they agree on
+    T(V_ad); comparing them there reads no relation.  If Delta_acd maps R_ad
+    into the relation ideal of A_ac (x) A_cd and Delta_abc does so for R_ac,
+    the first route maps R_ad into the ideal of the threefold product, so
+    the second, equal to it on T(V_ad), kills R_ad too, and both give the
+    same map on A_ad.
+
+    ValueError unless acd's first factor is abc's composite (three objects
+    a -> b -> c give acd = (a, c, c) from hom(a, c) and hom(c, c)).
     """
-    n, m, l, e = a.space.dim, b.space.dim, c.space.dim, d.space.dim
-    for aa in range(n):
-        for s in range(e):
-            via_right: dict[tuple, Fraction] = {}
-            for k in range(m):
-                for ll in range(l):
-                    key = (aa * m + k, k * l + ll, ll * e + s)
-                    via_right[key] = via_right.get(key, Fraction(0)) + 1
-            via_left: dict[tuple, Fraction] = {}
-            for ll in range(l):
-                for k in range(m):
-                    key = (aa * m + k, k * l + ll, ll * e + s)
-                    via_left[key] = via_left.get(key, Fraction(0)) + 1
-            if via_left != via_right:
-                return False
-    return True
+    if acd.a != abc.a or acd.b != abc.c or acd.hom_ab != abc.hom_ac:
+        raise ValueError("acd's first factor is not the composite of abc")
+    return abc._delta_ok and acd._delta_ok
 
 
 def counit_substitution_ok(hom: HomAlgebra, values: Sequence[Sequence]) -> bool:
@@ -231,28 +227,29 @@ def determinant_2x2(src: QuantumObject, tgt: QuantumObject) -> NCPoly:
 
 
 def determinant_multiplicativity(
-    triple: ComposableTriple,
+    hom_ab: HomAlgebra,
+    hom_bc: HomAlgebra,
     dets: tuple[NCPoly, NCPoly, NCPoly] | None = None,
 ) -> bool:
     """Delta(det over the composite) equals det (x) det in the degree-2
-    quotient coordinates of the factor algebras.
+    quotient coordinates of hom(a, b) and hom(b, c), which must be
+    composable (ValueError if not); hom(a, c) is never read.
 
     dets = (det_ab, det_bc, det_ac) passes the three determinants instead
     of computing them: already computed by the caller, rescaled by a
     consistent coboundary, or corrupted for negative controls.
     """
+    a, b, c = hom_ab.source, hom_ab.target, hom_bc.target
+    if hom_bc.source != b:
+        raise ValueError("hom algebras are not composable")
     if dets is None:
-        dets = (
-            determinant_2x2(triple.a, triple.b),
-            determinant_2x2(triple.b, triple.c),
-            determinant_2x2(triple.a, triple.c),
-        )
+        dets = (determinant_2x2(a, b), determinant_2x2(b, c), determinant_2x2(a, c))
     # each determinant's terms keyed by word codes
     det_ab, det_bc, det_ac = ({g * d.alphabet.size + h: x for (g, h), x in d.terms.items()}
                               for d in dets)
     # Delta(det_ac) - det_ab (x) det_bc, cleared to integers, reduces to
     # zero iff both sides agree
-    diff = _delta_bidegree(det_ac, triple.a, triple.b, triple.c)
+    diff = _delta_bidegree(det_ac, a, b, c)
     for (w1, x1), (w2, x2) in product(det_ab.items(), det_bc.items()):
         diff[w1, w2] = diff.get((w1, w2), 0) - x1 * x2
-    return _reduces_to_zero(_cleared(diff), *_factor_coords(triple))
+    return _reduces_to_zero(_cleared(diff), _coords(hom_ab), _coords(hom_bc))

@@ -391,17 +391,19 @@ def _chain_triples(objs) -> list[ComposableTriple]:
 
 def cmd_bialgebra(args) -> int:
     objs = [load_object(f) for f in args.files]
+    triples = _chain_triples(objs)
     checks = [
         (f"comultiplication({i},{i+1},{i+2})", comultiplication_check(triple))
-        for i, triple in enumerate(_chain_triples(objs))
+        for i, triple in enumerate(triples)
     ]
-    if len(objs) >= 4:
-        for i in range(len(objs) - 3):
-            ok = coassociativity_check(objs[i], objs[i + 1], objs[i + 2], objs[i + 3])
-            checks.append((f"coassociativity({i},{i+1},{i+2},{i+3})", ok))
-    else:
-        ok = coassociativity_check(objs[0], objs[1], objs[2], objs[2])
-        checks.append(("coassociativity(0,1,2,2)", ok))
+    # ends[i] = (d, hom(i+2, d)) for the window (i, i+1, i+2, d): d = i+3 from
+    # the next triple, or d = 2 for three objects (the one window a, b, c, c)
+    ends = [(i + 3, t.hom_bc) for i, t in enumerate(triples[1:])] or [
+        (2, hom_algebra(objs[2], objs[2]))]
+    for i, (abc, (d, cd)) in enumerate(zip(triples, ends)):
+        ad = abc.hom_ac if d == 2 else hom_algebra(abc.a, cd.target)
+        acd = ComposableTriple(abc.a, abc.c, cd.target, abc.hom_ac, cd, ad)
+        checks.append((f"coassociativity({i},{i+1},{i+2},{d})", coassociativity_check(abc, acd)))
     for i, obj in enumerate(objs):
         checks.append((f"counit({i})", counit_check(obj)))
     if args.json:
@@ -416,10 +418,11 @@ def cmd_det(args) -> int:
     objs = [load_object(f) for f in args.files]
     adjacent = [determinant_2x2(a, b) for a, b in zip(objs, objs[1:])]
     dets = [(f"det({i},{i+1})", det) for i, det in enumerate(adjacent)]
+    steps = [hom_algebra(a, b) for a, b in zip(objs, objs[1:])] if len(objs) >= 3 else []
     mults = []
-    for i, t in enumerate(_chain_triples(objs)):
-        three = (adjacent[i], adjacent[i + 1], determinant_2x2(t.a, t.c))
-        ok = determinant_multiplicativity(t, dets=three)
+    for i, (a, c) in enumerate(zip(objs, objs[2:])):
+        three = (adjacent[i], adjacent[i + 1], determinant_2x2(a, c))
+        ok = determinant_multiplicativity(steps[i], steps[i + 1], dets=three)
         mults.append((f"multiplicative({i},{i+1},{i+2})", ok))
     if args.json:
         _emit({

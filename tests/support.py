@@ -217,6 +217,19 @@ def scale_diagonal_word(hom: HomAlgebra, factor) -> HomAlgebra:
     raise ValueError("no relation has a word of two diagonal entries")
 
 
+def scale_relation_coefficient(hom: HomAlgebra, rng: random.Random, factor=7) -> HomAlgebra:
+    """hom with one coefficient scaled by factor: a random term of a random
+    relation that has at least two terms.  A one-term relation, such as an
+    odd letter's square, spans the same line when scaled."""
+    polys = list(hom.relations.polys)
+    i = rng.choice([i for i, poly in enumerate(polys) if len(poly.terms) >= 2])
+    terms = dict(polys[i].terms)
+    word = rng.choice(sorted(terms))
+    terms[word] *= factor
+    polys[i] = NCPoly(polys[i].alphabet, terms)
+    return HomAlgebra(hom.source, hom.target, hom.alphabet, relation_set(hom.alphabet, polys))
+
+
 def ordering_by_enumeration(obj) -> Extraction | None:
     """Brute-force reference for ``pbw_extract_constant`` (small dims only):
     try every candidate constant against every basis ordering."""
@@ -780,6 +793,41 @@ def determinant_reference(triple, dets) -> bool:
         for w2, c2 in det_bc.terms.items():
             rhs_raw[(w1, w2)] = rhs_raw.get((w1, w2), Fraction(0)) + c1 * c2
     return lhs == _reduce_bidegree(rhs_raw, q1, q2)
+
+
+def coassociativity_reference(abc, acd) -> bool:
+    """Reference for ``coassociativity_check`` that never reads hom(a, c):
+    (Delta (x) 1) Delta of each hom(a, d) relation, expanded over the words
+    of tridegree (2, 2, 2) in hom(a, b) (x) hom(b, c) (x) hom(c, d) and
+    reduced in the Fraction coordinates of the three factors, one factor at
+    a time.  A generator goes to u_A^S -> sum t_A^K (x) s_K^L (x) r_L^S,
+    and (x1 (x) y1 (x) z1)(x2 (x) y2 (x) z2) = (-1)**(|y1| |x2| + |z1| |x2|
+    + |z1| |y2|) x1 x2 (x) y1 y2 (x) z1 z2."""
+    a, b, c, d = abc.a, abc.b, abc.c, acd.c
+    m, l, e = b.space.dim, c.space.dim, d.space.dim
+    pa, pb, pc, pd = (o.space.parities for o in (a, b, c, d))
+    factors = [quotient_coords(h.relations) for h in (abc.hom_ab, abc.hom_bc, acd.hom_bc)]
+    for rel in acd.hom_ac.relations.polys:
+        expansion = {}
+        for (g1, g2), coeff in rel.terms.items():
+            (aa, s), (bb, t) = divmod(g1, e), divmod(g2, e)
+            for k1, k2, l1, l2 in product(range(m), range(m), range(l), range(l)):
+                x2, z1 = pa[bb] + pb[k2], pc[l1] + pd[s]
+                y1, y2 = pb[k1] + pc[l1], pb[k2] + pc[l2]
+                sign = -1 if (y1 * x2 + z1 * x2 + z1 * y2) % 2 else 1
+                key = ((aa * m + k1, bb * m + k2), (k1 * l + l1, k2 * l + l2),
+                       (l1 * e + s, l2 * e + t))
+                expansion[key] = expansion.get(key, Fraction(0)) + coeff * sign
+        for i, coords in enumerate(factors):
+            reduced = {}
+            for key, v in expansion.items():
+                for w, x in coords[key[i]].items():
+                    k = key[:i] + (w,) + key[i + 1:]
+                    reduced[k] = reduced.get(k, Fraction(0)) + v * x
+            expansion = {k: v for k, v in reduced.items() if v}
+        if expansion:
+            return False
+    return True
 
 
 def solve(m, b):

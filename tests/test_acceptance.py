@@ -313,8 +313,10 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
         triples.append(tuple(rand_sudbery(rng, space_of(s)) for s in shapes))
     for a, b, c in triples:
         triple = composable_triple(a, b, c)
+        # the window a -> b -> c -> c: acd = (a, c, c) from hom(a, c), hom(c, c)
+        acd = ComposableTriple(a, c, c, triple.hom_ac, hom_algebra(c, c), triple.hom_ac)
         assert comultiplication_check(triple)
-        assert coassociativity_check(a, b, c, c)
+        assert coassociativity_check(triple, acd)
         assert counit_check(a) and counit_check(b) and counit_check(c)
     # negative controls
     a, b, c = triples[0]
@@ -331,6 +333,8 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
                    relation_set(triple.hom_ac.alphabet, polys)),
     )
     assert not comultiplication_check(corrupted)
+    acd = ComposableTriple(a, c, c, corrupted.hom_ac, hom_algebra(c, c), corrupted.hom_ac)
+    assert not coassociativity_check(corrupted, acd)
     assert not counit_substitution_ok(hom_algebra(a, a), [[0, 1], [1, 0]])
     real = bialgebra.hom_algebra
     monkeypatch.setattr(
@@ -345,8 +349,9 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
     assert main(["bialgebra", *files]) == 1
     assert "counit(0): FAIL" in capsys.readouterr().out
     _passed(9, "comultiplication, coassociativity and counit pass on 21 triples "
-               "(chain u=2,3,7 lam=5 included); corrupted controls fail, and "
-               "qlincat bialgebra exits 1 on a corrupted endomorphism algebra")
+               "(chain u=2,3,7 lam=5 included); corrupted controls fail, "
+               "coassociativity among them, and qlincat bialgebra exits 1 on a "
+               "corrupted endomorphism algebra")
 
 
 def test_criterion_10_determinant():
@@ -370,19 +375,20 @@ def test_criterion_10_determinant():
     chain = [
         make_normalized(sp, [[1, Fraction(1, u)], [u, 1]], -1, 5) for u in (2, 3, 7)
     ]
-    assert determinant_multiplicativity(composable_triple(*chain))
+    a, b, c = chain
+    assert determinant_multiplicativity(hom_algebra(a, b), hom_algebra(b, c))
     rng = random.Random(1010)
     for _ in range(10):
         objs = [rand_sudbery(rng, sp) for _ in range(3)]
-        triple = composable_triple(*objs)
-        assert determinant_multiplicativity(triple)
+        steps = hom_algebra(objs[0], objs[1]), hom_algebra(objs[1], objs[2])
+        assert determinant_multiplicativity(*steps)
         fa, fb, fc = (rand_constant(rng) for _ in range(3))
         dets = (
             determinant_2x2(objs[0], objs[1]).scale(fa / fb),
             determinant_2x2(objs[1], objs[2]).scale(fb / fc),
             determinant_2x2(objs[0], objs[2]).scale(fa / fc),
         )
-        assert determinant_multiplicativity(triple, dets=dets)
+        assert determinant_multiplicativity(*steps, dets=dets)
     _passed(10, "determinant ad - p^{21} cb with all alternate closed forms; "
                 "multiplicativity on the fixed chain and 10 random chains, "
                 "with coboundary rescalings")

@@ -27,6 +27,7 @@ from qlincat.spaces import make_classical, make_general, make_normalized, make_s
 
 from support import (
     MIXED_SHAPES,
+    coassociativity_reference,
     comultiplication_reference,
     dense,
     determinant_reference,
@@ -37,6 +38,7 @@ from support import (
     rand_nonzero,
     rand_sudbery,
     scale_diagonal_word,
+    scale_relation_coefficient,
     xi_quotient_reference,
 )
 
@@ -109,19 +111,79 @@ def test_composable_triple_validation():
         )
 
 
+def window(a, b, c, d):
+    """The triples (a, b, c) and (a, c, d) of the window a -> b -> c -> d,
+    each hom algebra derived once."""
+    abc = composable_triple(a, b, c)
+    return abc, ComposableTriple(a, c, d, abc.hom_ac, hom_algebra(c, d), hom_algebra(a, d))
+
+
 def test_coassociativity_generic_dims():
     rng = random.Random(51)
     a = rand_sudbery(rng, even_space(2))
     b = rand_sudbery(rng, space_of((0, 0, 1)))
     c = rand_sudbery(rng, even_space(1))
     d = rand_sudbery(rng, space_of((0, 1)))
-    assert coassociativity_check(a, b, c, d)
+    assert coassociativity_check(*window(a, b, c, d))
 
 
 def test_coassociativity_super_chain():
     rng = random.Random(52)
     objs = [rand_sudbery(rng, space_of((0, 1))) for _ in range(4)]
-    assert coassociativity_check(*objs)
+    assert coassociativity_check(*window(*objs))
+
+
+def test_coassociativity_needs_the_composite_as_first_factor():
+    a, b, c = intro_chain()
+    abc, acd = window(a, b, c, a)
+    assert coassociativity_check(abc, acd)
+    bcd = ComposableTriple(b, c, a, abc.hom_bc, acd.hom_bc, hom_algebra(b, a))
+    with pytest.raises(ValueError):
+        coassociativity_check(abc, bcd)
+    # the right objects, but a first factor with other relations than abc's
+    # composite
+    other = ComposableTriple(a, c, a, corrupt_relations(abc.hom_ac), acd.hom_bc, acd.hom_ac)
+    with pytest.raises(ValueError):
+        coassociativity_check(abc, other)
+
+
+def test_comultiplication_verdict_is_computed_once_per_triple(monkeypatch):
+    calls = []
+    real = bialgebra._delta_bidegree
+
+    def counting(row, a, b, c):
+        calls.append((a, b, c))
+        return real(row, a, b, c)
+
+    monkeypatch.setattr(bialgebra, "_delta_bidegree", counting)
+    abc, acd = window(*intro_chain(), intro_chain(lam=3)[0])
+    for _ in range(2):
+        assert comultiplication_check(abc)
+        assert coassociativity_check(abc, acd)
+    rows = len(abc.hom_ac.relations.rows) + len(acd.hom_ac.relations.rows)
+    assert len(calls) == rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_SHAPES), min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+def test_coassociativity_matches_the_tridegree_reference(shapes, seed):
+    rng = random.Random(seed)
+    abc, acd = window(*(rand_sudbery(rng, space_of(s)) for s in shapes))
+    assert coassociativity_check(abc, acd)
+    assert coassociativity_reference(abc, acd)
+    # a scaled hom(a, d) relation breaks both
+    a, b, c, d = abc.a, abc.b, abc.c, acd.c
+    bad_ad = scale_relation_coefficient(acd.hom_ac, rng)
+    bad = ComposableTriple(a, c, d, abc.hom_ac, acd.hom_bc, bad_ad)
+    assert not coassociativity_check(abc, bad)
+    assert not coassociativity_reference(abc, bad)
+    # a scaled hom(a, c) relation breaks Delta_abc, which the reference never
+    # reads: the package check is the stronger one
+    bad_ac = scale_relation_coefficient(abc.hom_ac, rng)
+    bad_abc = ComposableTriple(a, b, c, abc.hom_ab, abc.hom_bc, bad_ac)
+    bad_acd = ComposableTriple(a, c, d, bad_ac, acd.hom_bc, acd.hom_ac)
+    assert not coassociativity_check(bad_abc, bad_acd)
+    assert coassociativity_reference(bad_abc, bad_acd)
 
 
 def test_counit_classical_and_deformed():
@@ -240,7 +302,13 @@ def test_determinant_shape_errors():
 
 def test_determinant_multiplicativity_intro_chain():
     a, b, c = intro_chain()
-    assert determinant_multiplicativity(composable_triple(a, b, c))
+    assert determinant_multiplicativity(hom_algebra(a, b), hom_algebra(b, c))
+
+
+def test_determinant_multiplicativity_needs_composable_homs():
+    a, b, c = intro_chain()
+    with pytest.raises(ValueError):
+        determinant_multiplicativity(hom_algebra(a, b), hom_algebra(c, a))
 
 
 def test_determinant_multiplicativity_random_chains():
@@ -248,7 +316,7 @@ def test_determinant_multiplicativity_random_chains():
     sp = even_space(2)
     for _ in range(5):
         a, b, c = (rand_sudbery(rng, sp) for _ in range(3))
-        assert determinant_multiplicativity(composable_triple(a, b, c))
+        assert determinant_multiplicativity(hom_algebra(a, b), hom_algebra(b, c))
 
 
 def rescaled_dets(triple, fa, fb, fc):
@@ -265,20 +333,21 @@ def test_determinant_multiplicativity_rescaled():
     a, b, c = intro_chain()
     triple = composable_triple(a, b, c)
     dets = rescaled_dets(triple, Fraction(2), Fraction(1, 3), Fraction(7, 5))
-    assert determinant_multiplicativity(triple, dets=dets)
+    assert determinant_multiplicativity(triple.hom_ab, triple.hom_bc, dets=dets)
     # an inconsistent rescaling (det_ac scaled alone) breaks it
     bad = dets[:2] + (dets[2].scale(3),)
-    assert not determinant_multiplicativity(triple, dets=bad)
+    assert not determinant_multiplicativity(triple.hom_ab, triple.hom_bc, dets=bad)
 
 
 def test_determinant_multiplicativity_corrupted_fails():
     a, b, c = intro_chain()
-    triple = composable_triple(a, b, c)
     det_ab = determinant_2x2(a, b)
     det_bc = determinant_2x2(b, c)
     det_ac = determinant_2x2(a, c)
     bad = det_ac + NCPoly(det_ac.alphabet, {(0, 3): Fraction(1, 2)})
-    assert not determinant_multiplicativity(triple, dets=(det_ab, det_bc, bad))
+    assert not determinant_multiplicativity(
+        hom_algebra(a, b), hom_algebra(b, c), dets=(det_ab, det_bc, bad)
+    )
 
 
 def _scale_one_coefficient(rng, poly: NCPoly) -> NCPoly:
@@ -332,7 +401,7 @@ def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed)
         dets[corrupt] = _scale_one_coefficient(rng, dets[corrupt])
     dets = tuple(dets)
     expected = determinant_reference(triple, dets)
-    assert determinant_multiplicativity(triple, dets=dets) == expected
+    assert determinant_multiplicativity(triple.hom_ab, triple.hom_bc, dets=dets) == expected
     if corrupt == 3:
         assert expected
 

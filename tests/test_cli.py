@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlincat import bialgebra, cli, homs, linalg, spaces
+from qlincat.homs import HomAlgebra
 from qlincat.cli import main
 from qlincat.graded import space_of
 
-from support import MIXED_SHAPES, rand_general, rand_normalized, rand_sudbery
+from support import (
+    MIXED_SHAPES,
+    rand_general,
+    rand_normalized,
+    rand_sudbery,
+    scale_relation_coefficient,
+)
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_objects"
@@ -467,6 +474,87 @@ def test_det_chain(tmp_path, capsys):
     assert "multiplicative(0,1,2): yes" in out
 
 
+def chain_files(tmp_path, *uppers) -> list[str]:
+    return [
+        write(tmp_path, f"{u}.json", normalized_doc(u, name=f"q{u}")) for u in uppers
+    ]
+
+
+def corrupt_cli_hom(monkeypatch, pair):
+    """The cli derives hom(src, tgt) with one relation coefficient scaled
+    for the pair of object names ``pair`` only; every other derivation, the
+    counit's own hom(i, i) included, is left as it is."""
+    real = cli.hom_algebra
+
+    def derive(src, tgt):
+        hom = real(src, tgt)
+        if (src.name, tgt.name) == pair:
+            return scale_relation_coefficient(hom, random.Random(0))
+        return hom
+
+    monkeypatch.setattr(cli, "hom_algebra", derive)
+
+
+def test_bialgebra_fails_coassociativity_on_a_corrupted_outer_hom(
+    monkeypatch, tmp_path, capsys
+):
+    # only hom(0, 3) is corrupted: both comultiplications still pass
+    files = chain_files(tmp_path, 2, 3, 7, 5)
+    corrupt_cli_hom(monkeypatch, ("q2", "q5"))
+    assert main(["bialgebra", *files]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == ["coassociativity(0,1,2,3): FAIL"]
+    assert "comultiplication(0,1,2): pass" in lines
+    assert "comultiplication(1,2,3): pass" in lines
+
+
+def test_bialgebra_fails_coassociativity_of_three_objects(monkeypatch, tmp_path, capsys):
+    # the cli's hom(c, c) is the second factor of the window a, b, c, c
+    files = chain_files(tmp_path, 2, 3, 7)
+    corrupt_cli_hom(monkeypatch, ("q7", "q7"))
+    assert main(["bialgebra", *files]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == ["coassociativity(0,1,2,2): FAIL"]
+    assert "comultiplication(0,1,2): pass" in lines
+    assert "counit(2): pass" in lines
+
+
+def test_bialgebra_fails_comultiplication(monkeypatch, tmp_path, capsys):
+    files = chain_files(tmp_path, 2, 3, 7)
+    corrupt_cli_hom(monkeypatch, ("q2", "q7"))
+    assert main(["bialgebra", *files]) == 1
+    assert "comultiplication(0,1,2): FAIL" in capsys.readouterr().out.splitlines()
+
+
+def test_det_fails_multiplicativity(monkeypatch, tmp_path, capsys):
+    # det(0, 2) scaled alone is an inconsistent coboundary rescaling
+    files = chain_files(tmp_path, 2, 3, 7)
+    real = cli.determinant_2x2
+
+    def determinant(src, tgt):
+        det = real(src, tgt)
+        return det.scale(3) if (src.name, tgt.name) == ("q2", "q7") else det
+
+    monkeypatch.setattr(cli, "determinant_2x2", determinant)
+    assert main(["det", *files]) == 1
+    out = capsys.readouterr().out
+    assert "det(0,1) = -10 cb + ad" in out
+    assert "multiplicative(0,1,2): NO" in out.splitlines()
+
+
+def test_hom_fails_span_equality(monkeypatch, capsys):
+    real = cli.derive_relations_sudbery
+
+    def derive(src, tgt):
+        rels = real(src, tgt)
+        hom = HomAlgebra(src, tgt, rels.alphabet, rels)
+        return scale_relation_coefficient(hom, random.Random(0)).relations
+
+    monkeypatch.setattr(cli, "derive_relations_sudbery", derive)
+    assert main(["hom", *PAIR, "--form", "both"]) == 1
+    assert "general and closed-form spans equal: NO" in capsys.readouterr().out.splitlines()
+
+
 def test_json_reports_deterministic(tmp_path, capsys):
     a = write(tmp_path, "a.json", sudbery_doc(2, 3))
     b = write(tmp_path, "b.json", sudbery_doc(4, 5))
@@ -534,8 +622,8 @@ def test_pbw_oracle_below_degree_two_is_refused(capsys):
     "argv, derives",
     [
         (["pbw", *CHAIN[:2], "--oracle"], 1),
-        (["bialgebra", *CHAIN, CHAIN[0]], 9),
-        (["det", *CHAIN, CHAIN[0]], 5),
+        (["bialgebra", *CHAIN, CHAIN[0]], 10),
+        (["det", *CHAIN, CHAIN[0]], 3),
     ],
 )
 def test_each_hom_algebra_is_derived_once_per_call(monkeypatch, capsys, argv, derives):
@@ -640,8 +728,8 @@ def _count_reductions(monkeypatch) -> Counter:
         pytest.param(["object", PAIR[0]], 1, 0, 0, 0, id="object"),
         pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, 2, 1, 0, id="pbw"),
         pytest.param(["hom", *PAIR, "--form", "both"], 2, 2, 2, 0, id="hom"),
-        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 4, 9, 0, id="bialgebra"),
-        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 4, 5, 5, id="det"),
+        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 4, 10, 0, id="bialgebra"),
+        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 4, 3, 5, id="det"),
     ],
 )
 def test_each_object_is_reduced_once_per_call(

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qlincat import homs, rewrite, spaces
 from qlincat.bialgebra import (
     ComposableTriple,
+    coassociativity_check,
     comultiplication_check,
     determinant_multiplicativity,
 )
@@ -105,11 +106,13 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     normal_form(NCPoly(al, {w: rand_nonzero(rng) for w in words}), system)
     oracle_dims(hom, 3)
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))
-    # hom is the first factor and the composite of the chain src, tgt, tgt
+    # hom is the first factor and the composite of the chain src, tgt, tgt,
+    # so the triple is also the second one of the window src, tgt, tgt, tgt
     triple = ComposableTriple(src, tgt, tgt, hom, hom_algebra(tgt, tgt), hom)
     comultiplication_check(triple)
+    coassociativity_check(triple, triple)
     if kind != "general" and src.space.parities == tgt.space.parities == (0, 0):
-        determinant_multiplicativity(triple)
+        determinant_multiplicativity(hom, triple.hom_bc)
     assert (rels.echelon, rels.back_substituted, rels.rules) == before
 
 
