@@ -171,13 +171,16 @@ def counit_substitution_ok(hom: HomAlgebra, values: Sequence[Sequence]) -> bool:
     )
 
 
-def counit_check(obj: QuantumObject) -> bool:
-    """Counit on the endomorphism algebra of one object: t_A^B -> delta_A^B
-    must kill every defining relation.  Composed with the comultiplication on
-    either side it returns each generator t_A^S by construction."""
-    n = obj.space.dim
+def counit_check(endo: HomAlgebra) -> bool:
+    """Counit on the endomorphism algebra hom(x, x) of one object:
+    t_A^B -> delta_A^B must kill every defining relation.  Composed with the
+    comultiplication on either side it returns each generator t_A^S by
+    construction.  ValueError unless source and target are one object."""
+    if endo.source != endo.target:
+        raise ValueError("the counit needs an endomorphism algebra")
+    n = endo.source.space.dim
     identity = [[int(a == b) for b in range(n)] for a in range(n)]
-    return counit_substitution_ok(hom_algebra(obj, obj), identity)
+    return counit_substitution_ok(endo, identity)
 
 
 def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fraction]:

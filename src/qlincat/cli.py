@@ -405,7 +405,9 @@ def cmd_bialgebra(args) -> int:
         acd = ComposableTriple(abc.a, abc.c, cd.target, abc.hom_ac, cd, ad)
         checks.append((f"coassociativity({i},{i+1},{i+2},{d})", coassociativity_check(abc, acd)))
     for i, obj in enumerate(objs):
-        checks.append((f"counit({i})", counit_check(obj)))
+        # three objects: the window's hom(c, c) is the last one's endomorphisms
+        endo = ends[0][1] if len(objs) == 3 and i == 2 else hom_algebra(obj, obj)
+        checks.append((f"counit({i})", counit_check(endo)))
     if args.json:
         _emit({"checks": [{"name": n, "passes": ok} for n, ok in checks]})
     else:

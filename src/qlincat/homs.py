@@ -280,17 +280,33 @@ class _Tower:
     a normal prefix gets L v, and a word p y with p a pivot adds
     (L/P) v r_b at each b y.  So every word of the row has a normal prefix.
 
+    Rows are inserted in ascending (u, lead of r) order, and a row vanishes
+    if ``_insert`` rejects it or it is skipped.  From degree 4 the row u r
+    is skipped if w r vanished at degree d-1, w being u without its first
+    letter b (F5's signature criterion, Faugere 2002): w is normal because
+    u is, and _insert would reject u r.  Proof: w r lies in I_{d-2} V plus
+    the span of the rows w' r' inserted before it at degree d-1 (for a
+    skipped row by induction), so b w r lies in I_{d-1} V plus the span of
+    the b w' r'.  Each b w' r' differs from NF(b w') r' by an element of
+    I_{d-2} V V, inside I_{d-1} V, and each word v of NF(b w') is normal
+    with v <= b w' <= u, so v r' is a row inserted before u r (if w' = w
+    then v = u and r' comes before r).  Skipped rows leave every M_k as it
+    is.  ``vanished`` maps each normal word of the top degree to the leading
+    words of the relations whose rows vanished (none kept for degree 2).
+
     ``new[k]`` is the back-substituted M_k of each finished degree k and
     ``normal[k]`` the list N_k, built when a degree first needs it and
     checked to hold dim_k words (``InvariantViolation`` otherwise); the top
-    degree keeps its forward echelon ``top`` until a request extends past
-    it.  A degree is committed only once complete."""
+    degree keeps its forward echelon ``top`` and its record ``vanished``
+    until a request extends past it.  A degree is committed only once
+    complete."""
 
     def __init__(self, n: int, back: dict[int, dict[int, int]]):
         self.n = n
         self.new = {2: back}
         self.normal = {1: list(range(n))}
         self.top: dict[int, dict[int, int]] = {}
+        self.vanished: dict[int, set[int]] = {}
         self._dims = [n * n - len(back)]
 
     def dims(self, top: int) -> list[int]:
@@ -308,12 +324,15 @@ class _Tower:
                     raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
-            rules, pivots = _rules(new[d - 1]), {}
+            rules, pivots, vanished, shift = _rules(new[d - 1]), {}, {}, n ** (d - 3)
             for u in normal[d - 2]:
+                gone = set(self.vanished.get(u % shift, ()))
                 base = u * n
                 hit = {x: rules[base + x] for x in range(n) if base + x in rules}
                 base *= n
-                for r in new[2].values():
+                for lead, r in new[2].items():
+                    if lead in gone:
+                        continue
                     scale, row = lcm(*(hit[c // n][0] for c in r if c // n in hit)), {}
                     for c, v in r.items():
                         x, y = divmod(c, n)
@@ -325,7 +344,10 @@ class _Tower:
                         for b, rb in rhs.items():
                             w = b * n + y
                             row[w] = row.get(w, 0) + k * rb
-                    _insert(pivots, row)
-            self.top = pivots
+                    if _insert(pivots, row) is None:
+                        gone.add(lead)
+                if gone:
+                    vanished[u] = gone
+            self.top, self.vanished = pivots, vanished
             self._dims.append(n * self._dims[-1] - len(pivots))
         return self._dims[: top - 1]

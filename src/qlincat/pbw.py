@@ -4,11 +4,12 @@ The oracle is ground truth: the exact degree-d quotient dimension, read from
 the span's quotient tower (``homs.RelationSet.tower``), which builds I_d =
 I_{d-1} V + N_{d-2} R once per span in quotient coordinates (Bergman, 1978;
 Polishchuk and Positselski, 2005; Ufnarovski, 1995), N_{d-2} being the
-normal words of degree d-2 and R the relation span.  The criterion side never
-looks at the ideal: it extracts one constant c from the ratios p^{AB}/q^{AB}
-of each object (values {c, 1/c} in a transitive comparison pattern) and asks
-whether the two constants agree up to inverse.  Tests confirm the two sides
-always agree at degree 3.
+normal words of degree d-2 and R the relation span; a row u r whose suffix
+row vanished a degree lower is skipped (Faugere, 2002).  The criterion side
+never looks at the ideal: it extracts one constant c from the ratios
+p^{AB}/q^{AB} of each object (values {c, 1/c} in a transitive comparison
+pattern) and asks whether the two constants agree up to inverse.  Tests
+confirm the two sides always agree at degree 3.
 """
 
 from __future__ import annotations

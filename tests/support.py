@@ -512,16 +512,18 @@ def cancel_reference(row: dict[int, int], piv: dict[int, int], col: int) -> dict
     return _normalised_reference(new)
 
 
-def insert_reference(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
-    """``linalg._insert`` on ``cancel_reference`` steps."""
+def insert_reference(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict | None:
+    """``linalg._insert`` on ``cancel_reference`` steps: the stored row, or
+    None if the row reduces to zero."""
     work = {c: v for c, v in row.items() if v}
     while work:
         lead = max(work)
         piv = pivots.get(lead)
         if piv is None:
-            pivots[lead] = _normalised_reference(work)
-            return
+            pivots[lead] = work = _normalised_reference(work)
+            return work
         work = cancel_reference(work, piv, lead)
+    return None
 
 
 def echelon_reference(rows) -> dict[int, dict[int, int]]:
@@ -548,27 +550,30 @@ def back_substituted_reference(echelon: dict[int, dict[int, int]]) -> dict[int, 
 def tower_reference(n: int, back: dict[int, dict[int, int]], top: int):
     """Reference for ``homs._Tower`` up to degree top, with one
     ``cancel_reference`` per word u c0 c1 of a row u r whose prefix u c0
-    leads a row of M_{d-1}, by that row followed by c1: the dimensions from
-    degree 2, the back-substituted M_k of each degree below top, and the
-    forward echelon of M_top."""
-    new, normal, dims, pivots = {2: back}, {1: list(range(n))}, [n * n - len(back)], {}
+    leads a row of M_{d-1}, by that row followed by c1, and no row skipped:
+    the dimensions from degree 2, the back-substituted M_k of each degree,
+    and for each degree d from 3 the forward echelon of M_d and the rows
+    (u, leading word of r) that reduce to zero."""
+    new, normal, dims = {2: back}, {1: list(range(n))}, [n * n - len(back)]
+    echelons, rejected = {}, {}
     for d in range(3, top + 1):
-        if d - 1 not in new:
-            new[d - 1] = back_substituted_reference(pivots)
         if d - 2 not in normal:
             normal[d - 2] = [w for p in normal[d - 3] for w in range(p * n, p * n + n)
                              if w not in new[d - 2]]
-        prev, shift, pivots = new[d - 1], n * n, {}
+        prev, shift, pivots, zero = new[d - 1], n * n, {}, set()
         for u in normal[d - 2]:
-            for r in back.values():
+            for lead, r in back.items():
                 row = {u * shift + c: v for c, v in r.items()}
                 for c in list(row):
                     p, y = divmod(c, n)
                     if p in prev:
                         row = cancel_reference(row, {b * n + y: v for b, v in prev[p].items()}, c)
-                insert_reference(pivots, row)
+                if insert_reference(pivots, row) is None:
+                    zero.add((u, lead))
         dims.append(n * dims[-1] - len(pivots))
-    return dims, new, pivots
+        echelons[d], rejected[d] = pivots, zero
+        new[d] = back_substituted_reference(pivots)
+    return dims, new, echelons, rejected
 
 
 def kron(a, b):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import bialgebra
+from qlincat import bialgebra, cli
 from qlincat.bialgebra import (
     ComposableTriple,
     WrongShape,
@@ -187,21 +187,21 @@ def test_coassociativity_matches_the_tridegree_reference(shapes, seed):
 
 
 def test_counit_classical_and_deformed():
-    assert counit_check(make_classical(space_of((0, 1))))
-    assert counit_check(even2_sudbery(2, 3))
     rng = random.Random(53)
-    assert counit_check(rand_sudbery(rng, space_of((0, 0, 1))))
+    for obj in (make_classical(space_of((0, 1))), even2_sudbery(2, 3),
+                rand_sudbery(rng, space_of((0, 0, 1)))):
+        assert counit_check(hom_algebra(obj, obj))
 
 
 def test_counit_nonidentity_substitution_fails(monkeypatch, capsys):
     obj = even2_sudbery(2, 3)
     assert not counit_substitution_ok(hom_algebra(obj, obj), [[0, 1], [1, 0]])
     # an endomorphism algebra with one relation that the identity does not kill
-    real = bialgebra.hom_algebra
+    assert not counit_check(scale_diagonal_word(hom_algebra(obj, obj), 3))
+    real = cli.hom_algebra
     monkeypatch.setattr(
-        bialgebra, "hom_algebra", lambda a, b: scale_diagonal_word(real(a, b), 3)
+        cli, "hom_algebra", lambda a, b: scale_diagonal_word(real(a, b), 3) if a == b else real(a, b)
     )
-    assert not counit_check(obj)
     assert main(["bialgebra", *CHAIN]) == 1
     out = capsys.readouterr().out
     assert "comultiplication(0,1,2): pass" in out
@@ -216,6 +216,8 @@ def test_counit_only_on_endomorphism_algebras():
     eye = identity(2).data
     assert counit_substitution_ok(hom_algebra(a, a), eye)
     assert not counit_substitution_ok(hom_algebra(a, b), eye)
+    with pytest.raises(ValueError, match="endomorphism"):
+        counit_check(hom_algebra(a, b))
 
 
 def _counit_substitution_reference(hom, values) -> bool:

@@ -482,8 +482,8 @@ def chain_files(tmp_path, *uppers) -> list[str]:
 
 def corrupt_cli_hom(monkeypatch, pair):
     """The cli derives hom(src, tgt) with one relation coefficient scaled
-    for the pair of object names ``pair`` only; every other derivation, the
-    counit's own hom(i, i) included, is left as it is."""
+    for the pair of object names ``pair`` only; every other derivation is
+    left as it is."""
     real = cli.hom_algebra
 
     def derive(src, tgt):
@@ -509,7 +509,8 @@ def test_bialgebra_fails_coassociativity_on_a_corrupted_outer_hom(
 
 
 def test_bialgebra_fails_coassociativity_of_three_objects(monkeypatch, tmp_path, capsys):
-    # the cli's hom(c, c) is the second factor of the window a, b, c, c
+    # the cli's hom(c, c) is the second factor of the window a, b, c, c; the
+    # counit of c reads it too, and the identity still kills its scaled relation
     files = chain_files(tmp_path, 2, 3, 7)
     corrupt_cli_hom(monkeypatch, ("q7", "q7"))
     assert main(["bialgebra", *files]) == 1
@@ -624,6 +625,8 @@ def test_pbw_oracle_below_degree_two_is_refused(capsys):
         (["pbw", *CHAIN[:2], "--oracle"], 1),
         (["bialgebra", *CHAIN, CHAIN[0]], 10),
         (["det", *CHAIN, CHAIN[0]], 3),
+        # three objects: the counit reads the window's hom(c, c)
+        (["bialgebra", *CHAIN], 6),
     ],
 )
 def test_each_hom_algebra_is_derived_once_per_call(monkeypatch, capsys, argv, derives):

@@ -185,8 +185,8 @@ def _assert_oracle_matches_placements(src, tgt, top=4):
 
 
 @st.composite
-def oracle_pairs(draw):
-    kind = draw(st.sampled_from(["yes", "no", "general"]))
+def oracle_pairs(draw, kinds=("yes", "no", "general")):
+    kind = draw(st.sampled_from(kinds))
     # dense general relations grow long coefficients: keep those at 4 letters
     shapes = [s for s in MIXED_SHAPES if len(s) == 2] if kind == "general" else MIXED_SHAPES
     src_shape, tgt_shape = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
@@ -251,19 +251,28 @@ def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
 REFERENCE_TOP = {4: 6, 6: 5, 9: 4}
 
 
+def _record(tower) -> set:
+    """The tower's record of its top degree as (u, leading word of r) rows."""
+    return {(u, lead) for u, leads in tower.vanished.items() for lead in leads}
+
+
 def _assert_tower_matches_reference(src, tgt):
     hom = hom_algebra(src, tgt)
     n, back = hom.alphabet.size, hom.relations.back_substituted
     top = REFERENCE_TOP[n]
-    dims, new, echelon = tower_reference(n, back, top)
+    dims, new, echelons, rejected = tower_reference(n, back, top)
     tower = homs._Tower(n, back)
-    assert tower.dims(top) == dims
-    # each M_k is the reference's up to the sign of each row
-    for k, rows in [*new.items(), (top, echelon)]:
-        got = tower.new[k] if k < top else tower.top
-        assert got.keys() == rows.keys()
-        for lead, row in rows.items():
-            assert got[lead] in (row, {c: -v for c, v in row.items()})
+    # one degree at a time, so that each degree reads the record of the last
+    for d in range(3, top + 1):
+        assert tower.dims(d) == dims[: d - 1], "dims"
+        # each M_k is the reference's in key order, up to the sign of each row
+        for k in range(2, d + 1):
+            got, rows = (tower.new[k], new[k]) if k < d else (tower.top, echelons[d])
+            assert list(got) == list(rows), "M_k"
+            for lead, row in rows.items():
+                assert got[lead] in (row, {c: -v for c, v in row.items()}), "M_k"
+        # the rows skipped or rejected are those the unskipped reference rejects
+        assert _record(tower) == rejected[d], "record"
 
 
 @settings(max_examples=15, deadline=None)
@@ -280,6 +289,85 @@ def test_tower_reference_property_fails_without_the_lcm_scale(monkeypatch, kind)
     monkeypatch.setattr(homs, "lcm", lambda *pivots: 1)
     with pytest.raises((AssertionError, InvariantViolation)):
         _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
+
+
+def _skipping(monkeypatch, rule):
+    """Each extension of a tower skips the rows that ``rule(tower)`` names,
+    a record in place of the one the tower committed."""
+    real = homs._Tower.dims
+
+    def dims(tower, top):
+        tower.vanished = rule(tower)
+        return real(tower, top)
+
+    monkeypatch.setattr(homs._Tower, "dims", dims)
+
+
+def _any_vanished_row(tower) -> dict:
+    # u r is skipped if any row of its suffix vanished, whatever its r
+    return {w: set(tower.new[2]) for w in tower.vanished}
+
+
+def _reducible_suffix(tower) -> dict:
+    # the refuted leading-word rule: u r is skipped if the last d-2 letters
+    # of u x are reducible, x the first letter of r's leading word; w x is
+    # reducible iff it is a pivot of M_{d-2}, as w is normal
+    n, d = tower.n, len(tower._dims) + 2
+    if d < 4:
+        return {}
+    pivots = tower.new[d - 2]
+    return {w: {lead for lead in tower.new[2] if w * n + lead // n in pivots}
+            for w in tower.normal[d - 3]}
+
+
+@pytest.mark.parametrize("rule, kind, tgt_shape", [
+    (_any_vanished_row, "yes", (0, 0)),
+    (_any_vanished_row, "no", (0, 0)),
+    (_any_vanished_row, "general", (0, 1)),
+    # on the seed-7 YES pairs the refuted rule changes nothing this property reads
+    (_reducible_suffix, "no", (0, 0)),
+    (_reducible_suffix, "general", (0, 1)),
+])
+def test_tower_reference_property_fails_on_a_wider_skip(monkeypatch, rule, kind, tgt_shape):
+    # both rules skip rows that do not vanish, which changes the dims
+    _skipping(monkeypatch, rule)
+    with pytest.raises(AssertionError, match="dims"):
+        _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), tgt_shape))
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_tower_reference_property_fails_when_rejected_rows_go_unrecorded(monkeypatch, kind):
+    # every insert then reads as new: the record holds only skipped rows,
+    # so nothing is ever skipped and only the record differs
+    real = homs._insert
+    monkeypatch.setattr(homs, "_insert", lambda pivots, row: real(pivots, row) or row)
+    with pytest.raises(AssertionError, match="record"):
+        _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
+
+
+def _assert_inserts_reduce_to_zero_only_at_degree_3(src, tgt):
+    # past degree 3 every row that vanishes is one the record skips
+    hom = hom_algebra(src, tgt)
+    n, tower = hom.alphabet.size, hom.relations.tower
+    oracle_dims(hom, 3)
+    for d in range(4, REFERENCE_TOP[n] + 1):
+        prev, shift = tower.vanished, n ** (d - 3)
+        oracle_dims(hom, d)
+        assert {u: prev[u % shift] for u in tower.normal[d - 2] if u % shift in prev} == tower.vanished
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs(kinds=["yes"]))
+def test_yes_pairs_reduce_no_inserted_row_to_zero_past_degree_3(pair):
+    _assert_inserts_reduce_to_zero_only_at_degree_3(*pair)
+
+
+@pytest.mark.parametrize("kind", ["no", "general"])
+def test_zero_row_known_answer_fails_off_yes_pairs(kind):
+    # the (R, G_3) obstructions: rows that no record names still vanish
+    with pytest.raises(AssertionError):
+        _assert_inserts_reduce_to_zero_only_at_degree_3(
+            *criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
 
 
 def _assert_order_independent(hom, rng):
@@ -350,14 +438,17 @@ def _counting_eliminations(monkeypatch) -> dict[str, int]:
 def _assert_tower_is_extended(hom, monkeypatch):
     n = hom.alphabet.size
     dims = [dim for _, dim, _ in oracle_dims(hom, 5)]
+    record = hom.relations.tower.vanished
     calls = _counting_eliminations(monkeypatch)
     for d in range(2, 6):
         dimension_oracle(hom, d)
     assert calls == {"_insert": 0, "_rules": 0, "_back_substituted": 0}
     dimension_oracle(hom, 6)
-    # the rows u r for every normal word u of degree 4 and every r in M_2,
-    # one back-substitution, that of M_5, and one read of its rules
-    assert calls["_insert"] == dims[-2] * (n * n - dims[0])
+    # the rows u r for every normal word u of degree 4 and every r in M_2
+    # but those the degree-5 record names for the suffix of u, one
+    # back-substitution, that of M_5, and one read of its rules
+    skipped = sum(len(record.get(u % n**3, ())) for u in hom.relations.tower.normal[4])
+    assert calls["_insert"] == dims[-2] * (n * n - dims[0]) - skipped
     assert calls["_back_substituted"] == 1
     assert calls["_rules"] == 1
 
@@ -377,11 +468,17 @@ def test_tower_property_fails_when_the_tower_restarts_at_degree_2(monkeypatch):
 
 
 def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
-    hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 0), (0, 0)))
-    n = hom.alphabet.size
-    [(_, dim2, _)] = oracle_dims(_unreduced(hom), 2)
-    # degree 3 inserts n |M_2| rows and degree 4 dim_2 |M_2|: stop halfway through degree 4
-    limit = n * (n * n - dim2) + dim2 * (n * n - dim2) // 2
+    # a pair whose degree-3 record is not empty, so that degree 4 skips rows
+    hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 0), (0, 1)))
+    n, fresh = hom.alphabet.size, _unreduced(hom)
+    [(_, dim2, _), _] = oracle_dims(fresh, 3)
+    record3, rows = fresh.relations.tower.vanished, n * n - dim2
+    oracle_dims(fresh, 4)
+    # degree 3 inserts n |M_2| rows and degree 4 dim_2 |M_2| but those the
+    # degree-3 record names: stop halfway through degree 4's inserts
+    inserts4 = sum(rows - len(record3.get(u % n, ())) for u in fresh.relations.tower.normal[2])
+    assert 0 < inserts4 < dim2 * rows
+    limit = n * rows + inserts4 // 2
     real, calls = homs._insert, []
 
     def interrupted(pivots, row):
@@ -393,6 +490,9 @@ def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
     monkeypatch.setattr(homs, "_insert", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         oracle_dims(hom, 5)
+    # degree 3 stays the top, with its own record
+    assert hom.relations.tower.top.keys() == fresh.relations.tower.new[3].keys()
+    assert hom.relations.tower.vanished == record3
     monkeypatch.undo()
     for d in (5, 2, 4, 3, 6):
         assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
