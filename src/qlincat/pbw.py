@@ -103,8 +103,6 @@ def pbw_extract_constant(obj: QuantumObject) -> Extraction | None:
                 ratios[(a, b)] = p[a][b] / q[a][b]
     c = next((r for r in ratios.values() if r != 1), Fraction(1))
     if c == 1:
-        if any(r != 1 for r in ratios.values()):
-            return None
         return Extraction(Fraction(1), tuple(range(n)))
     cinv = 1 / c
     # tournament: A points at B when the (A, B) ratio equals c

@@ -3,7 +3,8 @@
 Runs each subcommand in-process over ``sample_objects/``, in text and in
 ``--json`` form: ``object`` and ``yb`` on each file, ``hom --form both``
 and ``pbw --oracle`` on each ordered pair, ``bialgebra`` and ``det`` on
-each ordered triple (files may repeat).  Prints the number of calls and
+each ordered triple (files may repeat) and on each run of 4 and of 5
+consecutive files in sorted order.  Prints the number of calls and
 one digest over (argv, exit code, stdout, stderr) of every call, so two
 checkouts behave the same on these inputs iff they print the same line:
 
@@ -39,6 +40,10 @@ def calls() -> list[list[str]]:
         out += [["hom", *pair, "--form", "both"], ["pbw", *pair, "--oracle"]]
     for triple in product(files, repeat=3):
         out += [["bialgebra", *triple], ["det", *triple]]
+    for k in (4, 5):
+        for i in range(len(files) - k + 1):
+            window = files[i : i + k]
+            out += [["bialgebra", *window], ["det", *window]]
     return [argv + tail for argv in out for tail in ([], ["--json"])]
 
 

@@ -35,6 +35,8 @@ def samples(*names: str) -> list[str]:
 GENERAL_THREE = str(Path(__file__).resolve().parent / "general_three.json")
 PAIR = samples("sudbery_alpha", "sudbery_beta")
 CHAIN = samples("normalized_q2", "normalized_q3", "normalized_q7")
+# five files: two coassociativity windows and three composite triples
+FIVE = [*CHAIN, *CHAIN[:2]]
 
 
 def write(tmp_path: Path, name: str, doc: dict) -> str:
@@ -380,6 +382,30 @@ def test_deeply_nested_input_exits_two(tmp_path, capsys, text):
     assert captured.err == f"input error: {path}: invalid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize("pad", [0, 2**16], ids=["one-read", "two-reads"])
+def test_object_file_size_is_bounded_before_parsing(monkeypatch, tmp_path, capsys, pad):
+    # every rational of the largest general file the other bounds admit,
+    # quoted and comma-separated, fits in the limit
+    assert (cli.MAX_DIM**2) ** 3 * (2 * cli.MAX_DIGITS + 3 + 4) < cli.MAX_CHARS
+    # a file of exactly the limit loads whole, past the first 2**16 characters too
+    name = "n" * pad + "end"
+    path = write(tmp_path, "a.json", _with(classical_doc(), name=name))
+    size = len(Path(path).read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "MAX_CHARS", size)
+    assert main(["object", path]) == 0
+    assert f"object {name}: kind=classical" in capsys.readouterr().out
+    # one character over the limit, and JSON too deep to parse: the size is
+    # refused first
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP[: size + 1], encoding="utf-8")
+    for over in (path, str(deep)):
+        monkeypatch.setattr(cli, "MAX_CHARS", len(Path(over).read_text(encoding="utf-8")) - 1)
+        assert main(["object", over]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {over}: larger than {cli.MAX_CHARS} characters\n"
+
+
 def test_pbw_degree_needs_oracle(capsys):
     assert main(["pbw", *CHAIN[:2], "--degree", "3"]) == 2
     captured = capsys.readouterr()
@@ -508,6 +534,20 @@ def test_bialgebra_fails_coassociativity_on_a_corrupted_outer_hom(
     assert "comultiplication(1,2,3): pass" in lines
 
 
+def test_bialgebra_fails_only_the_second_window_of_five_objects(
+    monkeypatch, tmp_path, capsys
+):
+    # only hom(1, 4) is corrupted: it is the outer hom of the window
+    # (1, 2, 3, 4) alone, and no comultiplication reads it
+    files = chain_files(tmp_path, 2, 3, 7, 5, 11)
+    corrupt_cli_hom(monkeypatch, ("q3", "q11"))
+    assert main(["bialgebra", *files]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == ["coassociativity(1,2,3,4): FAIL"]
+    for i in range(3):
+        assert f"comultiplication({i},{i+1},{i+2}): pass" in lines
+
+
 def test_bialgebra_fails_coassociativity_of_three_objects(monkeypatch, tmp_path, capsys):
     # the cli's hom(c, c) is the second factor of the window a, b, c, c; the
     # counit of c reads it too, and the identity still kills its scaled relation
@@ -627,6 +667,8 @@ def test_pbw_oracle_below_degree_two_is_refused(capsys):
         (["det", *CHAIN, CHAIN[0]], 3),
         # three objects: the counit reads the window's hom(c, c)
         (["bialgebra", *CHAIN], 6),
+        (["bialgebra", *FIVE], 14),
+        (["det", *FIVE], 4),
     ],
 )
 def test_each_hom_algebra_is_derived_once_per_call(monkeypatch, capsys, argv, derives):
