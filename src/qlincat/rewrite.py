@@ -10,11 +10,10 @@ fixed degree.  Rewrite rules are a relation set's ``rules``, the integer
 degree-2 quotient ``homs`` reads off the span's back-substituted rows:
 nothing here eliminates or clears a rule.
 
-``normal_form`` and ``confluence_check`` share one integer reducer,
-``_reduced``.  It always cancels the largest word of a homogeneous row at
-that word's leftmost reducible pair.  ``normal_form`` reduces each
-homogeneous component fully and divides by the accumulated scale;
-``confluence_check`` stops at the first largest word that no rule reduces.
+``normal_form`` (through ``_reduced``) and ``confluence_check`` (in a
+degree-3 loop of its own) both cancel the largest word of an integer row
+at that word's leftmost reducible pair; ``confluence_check`` stops at the
+first largest word that no rule reduces.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ def _pair_shifts(n: int, degree: int) -> list[int]:
 
 
 def _reduced(
-    row: dict[int, int], rules: dict[int, IntRule], n: int, degree: int, stop: bool = False
+    row: dict[int, int], rules: dict[int, IntRule], n: int, degree: int
 ) -> tuple[dict[int, int], int]:
     """Reduce an integer row of degree-d words encoded in base n; the row
     is consumed.  Returns (normal, scale) with normal equal to scale times
@@ -240,7 +239,7 @@ def _reduced(
     r_u (base + u shift) with the pair's rule P lead = sum r_u u.  The row
     is scaled by P over gcd(P, coefficient), and so is the scale.  A
     rewrite adds only smaller words, so a largest word that no rule reduces
-    is normal.  With ``stop`` the reduction ends at the first such word.
+    is normal.
     """
     n2 = n * n
     shifts = _pair_shifts(n, degree)
@@ -255,8 +254,6 @@ def _reduced(
                 break
         else:
             normal[w] = row.pop(w)
-            if stop:
-                break
             continue
         p, rest = rule
         a = row.pop(w)
@@ -290,38 +287,66 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
     so this is the comparison of the two normal forms, made with one.
 
     The difference, scaled by P_xy P_yz, is one integer row over degree-3
-    words encoded in base n, built from the integer rules.  ``_reduced``
-    cancels its largest words as ``normal_form`` does and stops at the
-    first one that no rule reduces: that word keeps its coefficient in the
-    normal form, so the overlap is unresolved; an emptied row is resolved.
+    words encoded in base n.  Each step cancels its largest word w at the
+    leftmost reducible pair, as ``normal_form`` does: by ``left`` (pair
+    w // n, base w % n) or else ``right`` (pair w % n^2, base w - pair),
+    two tables read from ``system.rules`` once per call.  A word is always
+    rewritten at the same pair, whatever else the row holds, so the
+    reduction is one fixed linear map and the order of the steps does not
+    change its result.  A rewrite adds only smaller words, so a largest
+    word that no rule reduces keeps its coefficient: the overlap is
+    unresolved.  An emptied row is resolved.
 
     An empty failure list means the normal form is path-independent in
     degree 3, which for quadratic systems settles linear independence of the
     ordered monomials in every degree.
     """
     n = system.alphabet.size
-    rules = system.rules
-    lefts = sorted(rules)
-    by_first: dict[int, list[int]] = {}
-    for lead in lefts:
-        by_first.setdefault(lead // n, []).append(lead)
+    n2 = n * n
+    left, right = [None] * n2, [None] * n2
+    for lead, (p, rest) in system.rules.items():
+        left[lead] = (p, tuple((u * n, r) for u, r in rest.items()))
+        right[lead] = (p, tuple(rest.items()))
     reports = []
-    for xy in lefts:
+    for xy in sorted(system.rules):
         x, y = divmod(xy, n)
-        p_xy, rest_xy = rules[xy]
-        for yz in by_first.get(y, ()):
-            z = yz % n
-            p_yz, rest_yz = rules[yz]
-            row = {u * n + z: p_yz * r for u, r in rest_xy.items()}
-            for u, r in rest_yz.items():
-                k = x * n * n + u
+        p_xy, rest_xy = left[xy]
+        for z in range(n):
+            if right[y * n + z] is None:
+                continue
+            p_yz, rest_yz = right[y * n + z]
+            row = {u + z: p_yz * r for u, r in rest_xy}
+            for u, r in rest_yz:
+                k = x * n2 + u
                 v = row.get(k, 0) - p_xy * r
                 if v:
                     row[k] = v
                 else:
                     del row[k]
-            normal, _ = _reduced(row, rules, n, 3, stop=True)
-            reports.append(Overlap((x, y, z), not normal))
+            while row:
+                w = max(row)
+                rule, base = left[w // n], w % n
+                if rule is None:
+                    rule, base = right[w % n2], w - w % n2
+                    if rule is None:
+                        break
+                p, rest = rule
+                a = row.pop(w)
+                if p > 1:
+                    g = gcd(a, p)
+                    a //= g
+                    if p > g:
+                        m = p // g
+                        for k in row:
+                            row[k] *= m
+                for u, r in rest:
+                    k = base + u
+                    v = row.get(k, 0) + a * r
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+            reports.append(Overlap((x, y, z), not row))
     return reports
 
 

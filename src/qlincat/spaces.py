@@ -157,25 +157,28 @@ def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
 
 
 def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) -> None:
-    """Check reciprocity, the parity diagonal and complementarity."""
+    """Check reciprocity, the parity diagonal and complementarity on integers."""
     n = space.dim
-    for label, m in (("q", q), ("p", p)):
+    rq, rp = ([[x.as_integer_ratio() for x in row] for row in m] for m in (q, p))
+    for label, m, r in (("q", q, rq), ("p", p, rp)):
         for a in range(n):
-            expected = Fraction(koszul_sign(space.parities[a], space.parities[a]))
-            if m[a][a] != expected:
+            expected = koszul_sign(space.parities[a], space.parities[a])
+            if r[a][a] != (expected, 1):
                 raise BadParameters(
                     f"{label}[{a}][{a}] = {m[a][a]}, must equal (-1)**parity = {expected}"
                 )
             for b in range(n):
-                if m[a][b] == 0:
+                (x, y), (u, v) = r[a][b], r[b][a]
+                if x == 0:
                     raise BadParameters(f"{label}[{a}][{b}] must be nonzero")
-                if m[a][b] * m[b][a] != 1:
+                if x * u != y * v:
                     raise BadParameters(
                         f"reciprocity violated: {label}[{a}][{b}]*{label}[{b}][{a}] != 1"
                     )
     for a in range(n):
         for b in range(n):
-            if q[a][b] + p[a][b] == 0:
+            (x, y), (u, v) = rq[a][b], rp[a][b]
+            if x * v + u * y == 0:
                 raise NotComplementary(
                     f"q[{a}][{b}] + p[{a}][{b}] == 0: the two components do not span"
                 )

@@ -87,13 +87,25 @@ def test_sudbery_classical_parameters_reduce():
 
 
 def test_sudbery_not_complementary():
-    with pytest.raises(NotComplementary):
+    with pytest.raises(
+        NotComplementary, match=r"^q\[0\]\[1\] \+ p\[0\]\[1\] == 0: the two components do not span$"
+    ):
         make_sudbery(even_space(2), [[1, 2], [Fraction(1, 2), 1]], [[1, -2], [Fraction(-1, 2), 1]])
 
 
 def test_sudbery_bad_reciprocity():
-    with pytest.raises(BadParameters):
+    with pytest.raises(BadParameters, match=r"^reciprocity violated: q\[0\]\[1\]\*q\[1\]\[0\] != 1$"):
         make_sudbery(even_space(2), [[1, 2], [2, 1]], [[1, 3], [Fraction(1, 3), 1]])
+    # two proper fractions whose product is not 1
+    with pytest.raises(BadParameters, match=r"^reciprocity violated: p\[0\]\[1\]\*p\[1\]\[0\] != 1$"):
+        make_sudbery(
+            even_space(2), [[1, 2], [Fraction(1, 2), 1]], [[1, Fraction(3, 2)], [Fraction(3, 4), 1]]
+        )
+
+
+def test_sudbery_zero_entry():
+    with pytest.raises(BadParameters, match=r"^q\[0\]\[1\] must be nonzero$"):
+        make_sudbery(even_space(2), [[1, 0], [1, 1]], [[1, 3], [Fraction(1, 3), 1]])
 
 
 def test_sudbery_bad_diagonal():
