@@ -6,13 +6,11 @@ Every reduction happens in degree-2 quotient coordinates (these are always
 of classical dimension), so none of the checks here assume the PBW property
 of the algebras involved.  They read the integer forms as they are: a word
 (g, h) over n letters is its code g * n + h, Delta expands each
-``RelationSet.rows`` row into pairs of factor codes, and one integer
-coordinate table per span (``_integer_coords``, from its ``rules``) reduces
-it, once per triple; coassociativity reads the verdicts of two triples.
-The same table gives the determinant's area form, from the degree-2
-quotient (``homs._rules``) of the parity-reversed coordinate algebra: T(V)
-modulo the Pi-image of the second component, whose integer rows
-``graded.pi_image`` maps as they are.
+``RelationSet.rows`` row into pairs of factor codes, and each span's one
+integer coordinate table (``RelationSet.coords``) reduces it, once per
+triple; coassociativity reads the verdicts of two triples.  The
+determinant's area form is read off the object's cached annihilator of
+its second component, which on a purely even object is its own Pi-image.
 """
 
 from __future__ import annotations
@@ -24,10 +22,10 @@ from itertools import product
 from math import lcm
 from typing import Sequence
 
-from .graded import koszul_sign, pi_image
-from .homs import HomAlgebra, _rules, hom_algebra
-from .linalg import _back_substituted, _cleared, _echelon
-from .rewrite import IntRule, NCPoly, matrix_alphabet
+from .graded import koszul_sign
+from .homs import HomAlgebra, hom_algebra
+from .linalg import _cleared
+from .rewrite import NCPoly, matrix_alphabet
 from .spaces import QuantumObject
 
 
@@ -61,7 +59,7 @@ class ComposableTriple:
     @cached_property
     def _delta_ok(self) -> bool:
         """The comultiplication verdict, computed once."""
-        c1, c2 = _coords(self.hom_ab), _coords(self.hom_bc)
+        c1, c2 = self.hom_ab.relations.coords, self.hom_bc.relations.coords
         return all(_reduces_to_zero(_delta_bidegree(row, self.a, self.b, self.c), c1, c2)
                    for row in self.hom_ac.relations.rows)
 
@@ -97,18 +95,6 @@ def _delta_bidegree(
     return {k: v for k, v in out.items() if v}
 
 
-def _integer_coords(rules: dict[int, IntRule], n: int) -> list[dict[int, int]]:
-    """The quotient coordinates of the degree-2 word codes over n letters,
-    on the normal words, all scaled by L, the least common multiple of the
-    rules' P: a leading word w maps to {u: r_u L / P_w}, a normal word w to
-    {w: L}."""
-    scale = lcm(*(p for p, _ in rules.values()))
-    out = [{w: scale} for w in range(n * n)]
-    for w, (p, rest) in rules.items():
-        out[w] = {u: r * (scale // p) for u, r in rest.items()}
-    return out
-
-
 def _reduces_to_zero(
     expansion: dict[tuple[int, int], int], c1: list[dict[int, int]], c2: list[dict[int, int]]
 ) -> bool:
@@ -122,10 +108,6 @@ def _reduces_to_zero(
                 key = (bw1, bw2)
                 out[key] = out.get(key, 0) + cx * x2
     return not any(out.values())
-
-
-def _coords(hom: HomAlgebra) -> list[dict[int, int]]:
-    return _integer_coords(hom.relations.rules, hom.alphabet.size)
 
 
 def comultiplication_check(triple: ComposableTriple) -> bool:
@@ -185,22 +167,19 @@ def counit_check(endo: HomAlgebra) -> bool:
 
 def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fraction]:
     """Coefficients gamma with [xi^a xi^b] = gamma_{ab} [xi^1 xi^2] in the
-    degree-2 part of the parity-reversed coordinate algebra, the quotient
-    by the Pi-image of the second component.  That part must be spanned by
-    the area form [xi^1 xi^2]: gamma_{ab} is the ratio of the coordinates
-    of ab and 01 on the one normal word."""
+    degree-2 part of the parity-reversed coordinate algebra of a purely
+    even object, the quotient by the Pi-image of the second component.
+    On an even object Pi is the identity and every Koszul sign is +1, so
+    that part is V (x) V modulo the component, and its quotient map is, up
+    to scale, the one vector phi of the component's cached annihilator
+    (``QuantumObject.annihilators``).  It must be spanned by the area form
+    [xi^1 xi^2]: gamma_{ab} is phi_{ab} / phi_{01}, word (0, 1) being code 1."""
+    phis = obj.annihilators[1]
+    if len(phis) != 1 or not phis[0].get(1):
+        raise WrongShape("area form is degenerate for this object")
+    (phi,) = phis
     n = obj.space.dim
-    rows = (pi_image(obj.space, row) for row in obj.components[1])
-    rules = _rules(_back_substituted(_echelon(rows)))
-    normal = [w for w in range(n * n) if w not in rules]
-    if len(normal) != 1:
-        raise WrongShape("area form is degenerate for this object")
-    (word,) = normal
-    coord = [x.get(word, 0) for x in _integer_coords(rules, n)]
-    area = coord[0 * n + 1]
-    if not area:
-        raise WrongShape("area form is degenerate for this object")
-    return {(a, b): Fraction(coord[a * n + b], area) for a, b in product(range(n), repeat=2)}
+    return {(a, b): Fraction(phi.get(a * n + b, 0), phi[1]) for a, b in product(range(n), repeat=2)}
 
 
 def _check_det_shape(obj: QuantumObject) -> None:
@@ -255,4 +234,4 @@ def determinant_multiplicativity(
     diff = _delta_bidegree(det_ac, a, b, c)
     for (w1, x1), (w2, x2) in product(det_ab.items(), det_bc.items()):
         diff[w1, w2] = diff.get((w1, w2), 0) - x1 * x2
-    return _reduces_to_zero(_cleared(diff), _coords(hom_ab), _coords(hom_bc))
+    return _reduces_to_zero(_cleared(diff), hom_ab.relations.coords, hom_bc.relations.coords)

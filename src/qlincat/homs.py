@@ -15,16 +15,16 @@ must produce the same span, which tests enforce.
 
 A relation span is stored once, as integer rows, eliminated once and
 back-substituted once: every reader takes its ``RelationSet.echelon``, its
-``back_substituted`` rows or its ``rules``, the degree-2 quotient read off
-those rows as integer rewrite rules, and none of them mutates any of the
-three.  Both derivations build the rows on integers, from the objects'
+``back_substituted`` rows, its ``rules``, the degree-2 quotient read off
+those rows as integer rewrite rules, or its ``coords``, the one quotient
+coordinate table read off the rules, and none of them mutates any of the
+four.  Both derivations build the rows on integers, from the objects'
 integer rows or clearing each parameter matrix once; ``RelationSet.polys``
 is a view for printing.  ``_rules`` is the one routine that reads rewrite
-rules off back-substituted rows: the rewrite system, the coalgebra
-coordinates and the determinant's area form read its degree-2 output, and
-the quotient tower each degree's.  ``RelationSet.tower`` is the graded
-quotient by the span, kept and extended one degree at a time; the
-dimension oracle reads it.
+rules off back-substituted rows: the rewrite system and the coalgebra
+checks (through ``coords``) read its degree-2 output, and the quotient
+tower each degree's.  ``RelationSet.tower`` is the graded quotient by the
+span, kept and extended one degree at a time; the dimension oracle reads it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class AlphabetMismatch(Exception):
 class RelationSet:
     """A span of quadratic relations, stored as integer rows: word (g, h)
     is column g * n + h, and each row is positive at its largest column,
-    the leading word of its relation."""
+    the leading word of its relation.  ``rules``, ``coords`` and ``tower``
+    serve the rewrite system, the coalgebra checks and the oracle."""
 
     alphabet: Alphabet
     rows: tuple[dict[int, int], ...]
@@ -89,6 +90,18 @@ class RelationSet:
         integer rule per leading word (``_rules``); the words that are not
         keys are the normal words, a basis of that part."""
         return _rules(self.back_substituted)
+
+    @cached_property
+    def coords(self) -> list[dict[int, int]]:
+        """The quotient coordinates of the degree-2 word codes, on the
+        normal words, all scaled by L, the least common multiple of the
+        rules' P: a leading word w maps to {u: r_u L / P_w}, a normal word
+        w to {w: L}."""
+        scale = lcm(*(p for p, _ in self.rules.values()))
+        out = [{w: scale} for w in range(self.alphabet.size ** 2)]
+        for w, (p, rest) in self.rules.items():
+            out[w] = {u: r * (scale // p) for u, r in rest.items()}
+        return out
 
     @cached_property
     def tower(self) -> _Tower:

@@ -287,15 +287,16 @@ def confluence_check(system: RewriteSystem) -> list[Overlap]:
     so this is the comparison of the two normal forms, made with one.
 
     The difference, scaled by P_xy P_yz, is one integer row over degree-3
-    words encoded in base n.  Each step cancels its largest word w at the
-    leftmost reducible pair, as ``normal_form`` does: by ``left`` (pair
-    w // n, base w % n) or else ``right`` (pair w % n^2, base w - pair),
-    two tables read from ``system.rules`` once per call.  A word is always
-    rewritten at the same pair, whatever else the row holds, so the
-    reduction is one fixed linear map and the order of the steps does not
-    change its result.  A rewrite adds only smaller words, so a largest
-    word that no rule reduces keeps its coefficient: the overlap is
-    unresolved.  An emptied row is resolved.
+    words encoded in base n.  Each step cancels its largest word w by
+    ``left`` (pair w // n, base w % n) or else ``right`` (pair w % n^2,
+    base w - pair), two tables read from ``system.rules`` once per call.
+    Which is tried first never matters while no replacement word of a rule
+    is a leading word, as for a span's ``rules`` (back-substituted rows): a
+    left rewrite leaves words whose first pair is normal, a right one words
+    whose last pair is normal, and the starting row holds only such words,
+    so no word of the row is ever reducible at both pairs.  A rewrite adds
+    only smaller words, so a largest word that no rule reduces keeps its
+    coefficient: the overlap is unresolved.  An emptied row is resolved.
 
     An empty failure list means the normal form is path-independent in
     degree 3, which for quadratic systems settles linear independence of the

@@ -52,10 +52,6 @@ def rand_nonzero(rng: random.Random, lo: int = -5, hi: int = 5, den: int = 4) ->
             return Fraction(n, rng.randint(1, den))
 
 
-def rand_space(rng: random.Random, shapes=MIXED_SHAPES) -> GradedSpace:
-    return space_of(rng.choice(shapes))
-
-
 def rand_reciprocal(rng: random.Random, space: GradedSpace):
     """A reciprocal parameter matrix with the parity diagonal."""
     n = space.dim

@@ -4,9 +4,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qlincat import bialgebra, cli
+from qlincat import bialgebra, cli, spaces
 from qlincat.bialgebra import (
     ComposableTriple,
     WrongShape,
@@ -36,6 +36,7 @@ from support import (
     kron,
     mat_apply,
     rand_nonzero,
+    rand_normalized,
     rand_sudbery,
     scale_diagonal_word,
     scale_relation_coefficient,
@@ -408,30 +409,39 @@ def test_integer_reduction_matches_fraction_reference_determinant(corrupt, seed)
         assert expected
 
 
-def _assert_determinant_matches_reference(seed):
+# every two-parameter constructor of an even dim-2 object
+DET_KINDS = {
+    "sudbery": rand_sudbery,
+    "normalized": rand_normalized,
+    "classical": lambda rng, space: make_classical(space),
+}
+
+
+def _assert_determinant_matches_reference(seed, kinds=("sudbery", "sudbery")):
     rng = random.Random(seed)
-    src, tgt = (rand_sudbery(rng, even_space(2)) for _ in range(2))
+    src, tgt = (DET_KINDS[kind](rng, even_space(2)) for kind in kinds)
     det = determinant_2x2(src, tgt)
     with mock.patch.object(bialgebra, "_xi_quotient_coefficients", xi_quotient_reference):
         assert det == determinant_2x2(src, tgt)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_determinant_matches_dense_solve_reference(seed):
-    _assert_determinant_matches_reference(seed)
+@settings(max_examples=45, deadline=None)
+@given(st.sampled_from(sorted(DET_KINDS)), st.sampled_from(sorted(DET_KINDS)),
+       st.integers(0, 2**32 - 1))
+@example("normalized", "classical", 1)
+@example("classical", "normalized", 2)
+def test_determinant_matches_dense_solve_reference(src_kind, tgt_kind, seed):
+    _assert_determinant_matches_reference(seed, (src_kind, tgt_kind))
 
 
 def test_determinant_property_fails_on_negated_area_coordinate(monkeypatch):
-    real = bialgebra._rules
+    real = spaces._annihilator
 
-    def negate_one(back):
-        # the rule of the word (1, 0), code 1 * 2 + 0, in new dicts
-        rules = real(back)
-        p, rest = rules[2]
-        return {**rules, 2: (p, {u: -r for u, r in rest.items()})}
+    def negate_one(*args):
+        # phi's entry at the word (1, 0), code 1 * 2 + 0, in new dicts
+        return [{**g, 2: -g[2]} if 2 in g else g for g in real(*args)]
 
-    monkeypatch.setattr(bialgebra, "_rules", negate_one)
+    monkeypatch.setattr(spaces, "_annihilator", negate_one)
     with pytest.raises(AssertionError):
         _assert_determinant_matches_reference(5)
 

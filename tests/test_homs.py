@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qlincat import homs, rewrite, spaces
+from qlincat import bialgebra, homs, rewrite, spaces
 from qlincat.bialgebra import (
     ComposableTriple,
     coassociativity_check,
@@ -91,13 +91,13 @@ def test_general_derivation_fails_without_its_koszul_sign(monkeypatch):
 
 
 def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
-    """Every reader of a span's echelon, back-substituted rows and rules
-    shares them and changes none of them."""
+    """Every reader of a span's echelon, back-substituted rows, rules and
+    coordinate table shares them and changes none of them."""
     rng = random.Random(seed)
     src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
     hom = hom_algebra(src, tgt)
     rels = hom.relations
-    before = deepcopy((rels.echelon, rels.back_substituted, rels.rules))
+    before = deepcopy((rels.echelon, rels.back_substituted, rels.rules, rels.coords))
     system = build_rewrite_system(rels)
     assert system.rules is rels.rules
     confluence_check(system)
@@ -113,7 +113,7 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     coassociativity_check(triple, triple)
     if kind != "general" and src.space.parities == tgt.space.parities == (0, 0):
         determinant_multiplicativity(hom, triple.hom_bc)
-    assert (rels.echelon, rels.back_substituted, rels.rules) == before
+    assert (rels.echelon, rels.back_substituted, rels.rules, rels.coords) == before
 
 
 @settings(max_examples=15, deadline=None)
@@ -141,6 +141,19 @@ def test_read_only_property_fails_when_a_reader_mutates_a_rule(monkeypatch):
         return real(row, rules, *args, **kw)
 
     monkeypatch.setattr(rewrite, "_reduced", mutating)
+    with pytest.raises(AssertionError):
+        _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
+
+
+def test_read_only_property_fails_when_a_reader_mutates_a_coordinate(monkeypatch):
+    real = bialgebra._reduces_to_zero
+
+    def mutating(expansion, c1, c2):
+        coords = next(x for x in c1 if x)
+        coords[next(iter(coords))] *= 2
+        return real(expansion, c1, c2)
+
+    monkeypatch.setattr(bialgebra, "_reduces_to_zero", mutating)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 

@@ -54,7 +54,7 @@ LIBRARY_API = (
     # read by perfbench
     "dimension_oracle",
     # used in the README
-    "even_space", "relation_set", "RewriteSystem",
+    "even_space", "relation_set", "RewriteSystem", "pi_image",
     # state a claim of the paper: the exact graded dimensions and the PBW
     # verdict, normal words, the braid structure B and the relations in
     # projector form, the pairing and the dual object, composable homs

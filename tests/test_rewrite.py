@@ -367,6 +367,36 @@ def test_confluence_matches_two_normal_forms(kind, src_shape, tgt_shape, seed):
     assert _verdicts(incomplete) == two_normal_form_verdicts(incomplete)
 
 
+def _assert_replacement_words_are_normal(kind, src_shape, tgt_shape, seed, read):
+    """No replacement word of a rule read off the span is a leading word:
+    the precondition under which ``confluence_check`` may try a word's
+    ``left`` rule before its ``right`` one."""
+    src, tgt = criterion_pair(random.Random(seed), kind, src_shape, tgt_shape)
+    rules = read(hom_algebra(src, tgt).relations)
+    assert not any(u in rules for _, rest in rules.values() for u in rest)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["yes", "no", "general"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_rule_replacement_words_are_never_leading_words(kind, src_shape, tgt_shape, seed):
+    _assert_replacement_words_are_normal(
+        kind, src_shape, tgt_shape, seed, lambda rels: rels.rules
+    )
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_replacement_property_fails_on_rules_from_forward_rows(kind):
+    with pytest.raises(AssertionError):
+        _assert_replacement_words_are_normal(
+            kind, (0, 0), (0, 1), 0, lambda rels: homs._rules(rels.echelon)
+        )
+
+
 def test_confluence_general_rules_clear_to_non_unit_denominators():
     rng = random.Random(5)
     src = rand_general(rng, space_of((0, 1)))
