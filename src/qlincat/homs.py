@@ -37,7 +37,7 @@ from math import lcm
 
 from .graded import koszul_sign
 from .linalg import (
-    InvariantViolation, Matrix, _back_substituted, _cancel, _cleared, _echelon, _insert, _same_span,
+    InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _insert, _same_span,
 )
 from .rewrite import Alphabet, IntRule, NCPoly, matrix_alphabet
 from .spaces import BadParameters, QuantumObject, dual_object
@@ -286,12 +286,16 @@ class _Tower:
     degree d inserts one row u r for each u in N_{d-2} and each row r of
     M_2 into a fresh echelon M_d, and dim_d = n * dim_{d-1} - |M_d|.
     Because u is normal, a word u c0 c1 of u r is reducible modulo
-    I_{d-1} V iff u c0 is a pivot of M_{d-1}.  Each degree reads the
-    back-substituted M_{d-1} once, as rules P p = sum r_b b over normal
-    words b (``_rules``), and builds each row u r in one pass over r: with
-    L the lcm of the pivots P that its reducible prefixes hit, a word with
-    a normal prefix gets L v, and a word p y with p a pivot adds
-    (L/P) v r_b at each b y.  So every word of the row has a normal prefix.
+    I_{d-1} V iff u c0 is a pivot of M_{d-1}.  The tower splits each row
+    r of M_2 once into terms (x, y, v), word x n + y.  Each degree reads
+    the back-substituted M_{d-1} once, as rules P p = sum r_b b over
+    normal words b (``_rules``) with each b stored shifted to b n, and
+    each u looks its n prefixes u x up once, in a list by letter x; a
+    normal prefix p is read as the rule 1 p = p.  A row u r is then built
+    in one pass over r: with L the lcm of the pivots P of its prefixes, a
+    term (x, y, v) adds (L/P) v r_b at each b y, so every word of the row
+    has a normal prefix.  A word whose sum cancels is deleted, so the row
+    holds no zero entry, and ``_insert`` consumes it.
 
     Rows are inserted in ascending (u, lead of r) order, and a row vanishes
     if ``_insert`` rejects it or it is skipped.  From degree 4 the row u r
@@ -321,6 +325,11 @@ class _Tower:
         self.top: dict[int, dict[int, int]] = {}
         self.vanished: dict[int, set[int]] = {}
         self._dims = [n * n - len(back)]
+        # each row r of M_2 as its leading word, the first letters of its
+        # words and its terms (x, y, v), word x * n + y
+        self._relations = [(lead, tuple({c // n for c in r}),
+                            tuple((c // n, c % n, v) for c, v in r.items()))
+                           for lead, r in back.items()]
 
     def dims(self, top: int) -> list[int]:
         """The quotient dimensions at degrees 2 to top, extending the tower
@@ -337,26 +346,26 @@ class _Tower:
                     raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
-            rules, pivots, vanished, shift = _rules(new[d - 1]), {}, {}, n ** (d - 3)
+            rules = {p: (pivot, [(b * n, rb) for b, rb in rhs.items()])
+                     for p, (pivot, rhs) in _rules(new[d - 1]).items()}
+            pivots, vanished, shift = {}, {}, n ** (d - 3)
             for u in normal[d - 2]:
                 gone = set(self.vanished.get(u % shift, ()))
-                base = u * n
-                hit = {x: rules[base + x] for x in range(n) if base + x in rules}
-                base *= n
-                for lead, r in new[2].items():
+                ps, rhss = zip(*(rules.get(p) or (1, [(p * n, 1)])
+                                 for p in range(u * n, u * n + n)))
+                for lead, xs, terms in self._relations:
                     if lead in gone:
                         continue
-                    scale, row = lcm(*(hit[c // n][0] for c in r if c // n in hit)), {}
-                    for c, v in r.items():
-                        x, y = divmod(c, n)
-                        if x not in hit:
-                            row[base + c] = row.get(base + c, 0) + scale * v
-                            continue
-                        pivot, rhs = hit[x]
-                        k = scale // pivot * v
-                        for b, rb in rhs.items():
-                            w = b * n + y
-                            row[w] = row.get(w, 0) + k * rb
+                    scale, row = lcm(*[ps[x] for x in xs]), {}
+                    for x, y, v in terms:
+                        k = scale // ps[x] * v
+                        for bn, rb in rhss[x]:
+                            w = bn + y
+                            nv = row.get(w, 0) + k * rb
+                            if nv:
+                                row[w] = nv
+                            elif w in row:
+                                del row[w]
                     if _insert(pivots, row) is None:
                         gone.add(lead)
                 if gone:

@@ -2,10 +2,14 @@
 
 Every scalar is a ``fractions.Fraction``; there is no floating point
 anywhere in this package.  Every elimination runs through ``_insert``: rows
-are ``{column: int}`` dicts with denominators cleared per row, and the pivot
-of a row is its largest column.  A row is cancelled in place, by the
-multipliers b/g and a/g of the two entries a and b at a pivot and their
-gcd g, and only the rows that are stored are gcd-normalised.  Object
+are ``{column: int}`` dicts with denominators cleared per row and no zero
+entry, and the pivot of a row is its largest column.  ``_insert`` consumes
+its row: the row is cancelled in place, by the multipliers b/g and a/g of
+the two entries a and b at a pivot and their gcd g, until it is stored or
+empty, and only the rows that are stored are gcd-normalised.  A caller
+whose rows must survive inserts copies: ``_echelon`` drops zero entries
+from a copy of each input row, and ``_same_span`` and an object's joint
+rank check copy the stored rows they insert.  Object
 components, bases, annihilators and relation spans are all stored as such
 rows; ``_int_rows`` clears dense rational input to them once, where
 ``spaces.make_general`` reads it.  The forward
@@ -123,27 +127,28 @@ def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> None:
 
 
 def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int] | None:
-    """Reduce a sparse integer row against echelon rows keyed by their pivot,
-    the largest column; cancelling a pivot adds only smaller columns.  Store
-    and return the row, gcd-normalised, if it is new to their span, else
-    return None."""
-    work = {c: v for c, v in row.items() if v}
-    while work:
-        lead = max(work)
+    """Reduce a sparse integer row with no zero entry against echelon rows
+    keyed by their pivot, the largest column; cancelling a pivot adds only
+    smaller columns.  Store and return the row, gcd-normalised, if it is new
+    to their span, else return None.  The row is consumed: it is reduced in
+    place, so a caller whose row must survive passes a copy."""
+    while row:
+        lead = max(row)
         piv = pivots.get(lead)
         if piv is None:
-            pivots[lead] = work = _normalised(work)
-            return work
-        _cancel(work, piv, lead)
+            pivots[lead] = row = _normalised(row)
+            return row
+        _cancel(row, piv, lead)
     return None
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward fraction-free elimination: the echelon rows keyed by pivot
-    column, so the rank is their number.  Nothing is back-substituted."""
+    column, so the rank is their number.  Nothing is back-substituted, and
+    no row is changed."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        _insert(pivots, row)
+        _insert(pivots, {c: v for c, v in row.items() if v})
     return pivots
 
 
@@ -184,7 +189,7 @@ def _same_span(ea: dict[int, dict[int, int]], eb: dict[int, dict[int, int]]) -> 
     if len(ea) != len(eb):
         return False
     pivots = dict(ea)
-    return all(_insert(pivots, row) is None for row in eb.values())
+    return all(_insert(pivots, dict(row)) is None for row in eb.values())
 
 
 def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence,

@@ -89,7 +89,7 @@ class QuantumObject:
                 f"component dimensions sum to {total}, ambient dimension is {dim}"
             )
         joint: dict[int, dict[int, int]] = {}
-        if any(_insert(joint, row) is None for e in self._echelons for row in e.values()):
+        if any(_insert(joint, dict(row)) is None for e in self._echelons for row in e.values()):
             raise NotComplementary("joint spanning matrix is rank-deficient")
 
     @property

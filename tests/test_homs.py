@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qlincat import bialgebra, homs, rewrite, spaces
+from qlincat import bialgebra, homs, linalg, rewrite, spaces
 from qlincat.bialgebra import (
     ComposableTriple,
     coassociativity_check,
@@ -34,7 +34,7 @@ from qlincat.rewrite import (
     matrix_alphabet,
     normal_form,
 )
-from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery
+from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery, objects_equal
 
 from support import (
     MIXED_SHAPES,
@@ -91,13 +91,19 @@ def test_general_derivation_fails_without_its_koszul_sign(monkeypatch):
 
 
 def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
-    """Every reader of a span's echelon, back-substituted rows, rules and
-    coordinate table shares them and changes none of them."""
+    """Every reader of a span's rows, echelon, back-substituted rows, rules
+    and coordinate table, and of its objects' echelons, bases and
+    annihilators, shares them and changes none of them."""
     rng = random.Random(seed)
     src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
     hom = hom_algebra(src, tgt)
     rels = hom.relations
-    before = deepcopy((rels.echelon, rels.back_substituted, rels.rules, rels.coords))
+
+    def state():
+        return (rels.rows, rels.echelon, rels.back_substituted, rels.rules, rels.coords,
+                *((obj._echelons, obj.bases, obj.annihilators) for obj in (src, tgt)))
+
+    before = deepcopy(state())
     system = build_rewrite_system(rels)
     assert system.rules is rels.rules
     confluence_check(system)
@@ -113,7 +119,12 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     coassociativity_check(triple, triple)
     if kind != "general" and src.space.parities == tgt.space.parities == (0, 0):
         determinant_multiplicativity(hom, triple.hom_bc)
-    assert (rels.echelon, rels.back_substituted, rels.rules, rels.coords) == before
+    # a span comparison eliminates the second argument's stored rows into a
+    # copy of the first's echelon: compare each span with a fresh copy
+    spans_equal(relation_set(rels.alphabet, rels.polys), rels)
+    for obj in (src, tgt):
+        objects_equal(replace(obj), obj)
+    assert state() == before
 
 
 @settings(max_examples=15, deadline=None)
@@ -141,6 +152,21 @@ def test_read_only_property_fails_when_a_reader_mutates_a_rule(monkeypatch):
         return real(row, rules, *args, **kw)
 
     monkeypatch.setattr(rewrite, "_reduced", mutating)
+    with pytest.raises(AssertionError):
+        _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
+
+
+def test_read_only_property_fails_when_a_span_comparison_consumes_stored_rows(monkeypatch):
+    # _insert reduces its row in place: a comparison that hands it the
+    # second echelon's stored rows uncopied empties them
+    def uncopied(ea, eb):
+        if len(ea) != len(eb):
+            return False
+        pivots = dict(ea)
+        return all(linalg._insert(pivots, row) is None for row in eb.values())
+
+    for module in (homs, spaces):
+        monkeypatch.setattr(module, "_same_span", uncopied)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 

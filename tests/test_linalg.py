@@ -1,22 +1,25 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlincat import linalg
-from qlincat.homs import hom_algebra
+from qlincat import homs, linalg, spaces
+from qlincat.homs import hom_algebra, relation_set, spans_equal
 from qlincat.linalg import (
     InvariantViolation,
     Matrix,
     NotComplementary,
     _back_substituted,
     _echelon,
+    _insert,
     _int_rows,
     spectral_sum,
 )
 from qlincat.graded import koszul_signs, space_of
-from qlincat.spaces import make_classical, make_general, make_sudbery
+from qlincat.pbw import oracle_dims
+from qlincat.spaces import make_classical, make_general, make_sudbery, objects_equal
 
 import support
 from support import (
@@ -362,3 +365,49 @@ def test_elimination_property_fails_when_stored_rows_are_not_normalised(monkeypa
     rows = [{c: rng.randint(-10**6, 10**6) for c in rng.sample(range(8), 4)} for _ in range(6)]
     with pytest.raises(AssertionError):
         _assert_engine_matches_reference(rows)
+
+
+def _assert_inserted_rows_are_zero_free(kind, src_shape, tgt_shape, seed):
+    """Every row handed to ``_insert``, by object construction, the span
+    comparisons and the quotient tower, holds no zero entry."""
+    seen: set[str] = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (homs, linalg, spaces):
+            def checking(pivots, row, real=module._insert, name=module.__name__):
+                assert all(row.values()), f"{name} inserts a row with a zero entry: {row}"
+                seen.add(name)
+                return real(pivots, row)
+
+            mp.setattr(module, "_insert", checking)
+        src, tgt = criterion_pair(random.Random(seed), kind, src_shape, tgt_shape)
+        hom = hom_algebra(src, tgt)
+        spans_equal(relation_set(hom.alphabet, hom.relations.polys), hom.relations)
+        objects_equal(replace(src), src)
+        oracle_dims(hom, 4)
+    assert seen == {"qlincat.homs", "qlincat.linalg", "qlincat.spaces"}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["yes", "no", "general"]),
+    st.sampled_from(MIXED_SHAPES),
+    st.sampled_from(MIXED_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_inserted_row_is_zero_free(kind, src_shape, tgt_shape, seed):
+    # dense general relations grow long coefficients: keep those at 4 letters
+    if kind == "general":
+        src_shape, tgt_shape = src_shape[:2], tgt_shape[:2]
+    _assert_inserted_rows_are_zero_free(kind, src_shape, tgt_shape, seed)
+
+
+def test_a_zero_at_the_largest_column_is_stored_as_a_pivot():
+    # why _insert needs a zero-free row: a zero entry at the largest column
+    # is taken for the pivot, and the echelon no longer matches its reference
+    rows = [{0: 2, 3: 0}, {0: 1, 1: 1}]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _insert(pivots, dict(row))
+    assert 3 in pivots
+    assert pivots != echelon_reference(rows)
+    assert _echelon(rows) == echelon_reference(rows)

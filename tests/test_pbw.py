@@ -248,7 +248,7 @@ def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
 
 
 # the degree the tower is compared with its reference to, by alphabet size
-REFERENCE_TOP = {4: 6, 6: 5, 9: 4}
+REFERENCE_TOP = {4: 6, 6: 5, 9: 4, 16: 4}
 
 
 def _record(tower) -> set:
@@ -280,6 +280,14 @@ def _assert_tower_matches_reference(src, tgt):
 @example(criterion_pair(random.Random(2), "general", (0, 0, 1), (0, 0, 1)))
 def test_tower_matches_its_per_word_substitution_reference(pair):
     _assert_tower_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no"])
+@pytest.mark.parametrize("shape", [(0, 0, 0, 1), (0, 0, 1, 1)])
+def test_tower_matches_its_reference_at_16_letters(shape, kind):
+    # the benchmark's large hom shapes: rules pre-shifted to b * 16 and
+    # words read as (first letter, last letter) pairs at base 16
+    _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, shape, shape))
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
