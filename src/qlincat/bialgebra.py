@@ -35,37 +35,33 @@ class WrongShape(Exception):
 
 @dataclass(frozen=True)
 class ComposableTriple:
-    """Objects a, b, c together with the three matrix-entry algebras of the
-    composable pair of arrows."""
+    """The three matrix-entry algebras of a composable pair of arrows
+    a -> b -> c: the objects are the homs' ends, and ValueError is raised
+    unless those ends meet."""
 
-    a: QuantumObject
-    b: QuantumObject
-    c: QuantumObject
     hom_ab: HomAlgebra
     hom_bc: HomAlgebra
     hom_ac: HomAlgebra
 
     def __post_init__(self):
         if (
-            self.hom_ab.source != self.a
-            or self.hom_ab.target != self.b
-            or self.hom_bc.source != self.b
-            or self.hom_bc.target != self.c
-            or self.hom_ac.source != self.a
-            or self.hom_ac.target != self.c
+            self.hom_bc.source != self.hom_ab.target
+            or self.hom_ac.source != self.hom_ab.source
+            or self.hom_ac.target != self.hom_bc.target
         ):
-            raise ValueError("hom algebras do not match the stated objects")
+            raise ValueError("hom algebras are not a composable pair and its composite")
 
     @cached_property
     def _delta_ok(self) -> bool:
         """The comultiplication verdict, computed once."""
-        c1, c2 = self.hom_ab.relations.coords, self.hom_bc.relations.coords
-        return all(_reduces_to_zero(_delta_bidegree(row, self.a, self.b, self.c), c1, c2)
+        ab, bc = self.hom_ab, self.hom_bc
+        c1, c2 = ab.relations.coords, bc.relations.coords
+        return all(_reduces_to_zero(_delta_bidegree(row, ab.source, ab.target, bc.target), c1, c2)
                    for row in self.hom_ac.relations.rows)
 
 
 def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> ComposableTriple:
-    return ComposableTriple(a, b, c, hom_algebra(a, b), hom_algebra(b, c), hom_algebra(a, c))
+    return ComposableTriple(hom_algebra(a, b), hom_algebra(b, c), hom_algebra(a, c))
 
 
 def _delta_bidegree(
@@ -132,7 +128,7 @@ def coassociativity_check(abc: ComposableTriple, acd: ComposableTriple) -> bool:
     ValueError unless acd's first factor is abc's composite (three objects
     a -> b -> c give acd = (a, c, c) from hom(a, c) and hom(c, c)).
     """
-    if acd.a != abc.a or acd.b != abc.c or acd.hom_ab != abc.hom_ac:
+    if acd.hom_ab != abc.hom_ac:
         raise ValueError("acd's first factor is not the composite of abc")
     return abc._delta_ok and acd._delta_ok
 

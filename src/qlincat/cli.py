@@ -222,18 +222,18 @@ def object_to_json(obj: QuantumObject) -> dict:
         "parities": list(obj.space.parities),
         "kind": obj.kind,
     }
-    if obj.kind in ("sudbery", "classical") and obj.qp is not None:
-        q, p = obj.qp
-        doc["params"] = {
-            "q": [[str(x) for x in row] for row in q],
-            "p": [[str(x) for x in row] for row in p],
-        }
-    elif obj.kind == "normalized" and obj.normalized is not None:
+    if obj.normalized is not None:
         q, eps, lam = obj.normalized
         doc["params"] = {
             "q": [[str(x) for x in row] for row in q],
             "eps": eps,
             "lam": str(lam),
+        }
+    elif obj.qp is not None:
+        q, p = obj.qp
+        doc["params"] = {
+            "q": [[str(x) for x in row] for row in q],
+            "p": [[str(x) for x in row] for row in p],
         }
     else:
         words = range(obj.space.dim**2)
@@ -382,8 +382,7 @@ def _hom_table(objs):
     """Cached hom(i, j) (this module's ``hom_algebra``, read at each call) and
     triple(i, j, k) over a call's objects, so each is built once per call."""
     hom = cache(lambda i, j: hom_algebra(objs[i], objs[j]))
-    triple = cache(lambda i, j, k: ComposableTriple(
-        objs[i], objs[j], objs[k], hom(i, j), hom(j, k), hom(i, k)))
+    triple = cache(lambda i, j, k: ComposableTriple(hom(i, j), hom(j, k), hom(i, k)))
     return hom, triple
 
 

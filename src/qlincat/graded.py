@@ -30,14 +30,15 @@ class DegreeMismatch(Exception):
 class GradedSpace:
     """A finite-dimensional Z2-graded space: a parity bit per basis index."""
 
-    dim: int
     parities: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.parities) != self.dim:
-            raise ValueError("parity list length must equal dim")
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
+
+    @property
+    def dim(self) -> int:
+        return len(self.parities)
 
     @property
     def even_count(self) -> int:
@@ -49,12 +50,11 @@ class GradedSpace:
 
 
 def even_space(n: int) -> GradedSpace:
-    return GradedSpace(n, (0,) * n)
+    return GradedSpace((0,) * n)
 
 
 def space_of(parities) -> GradedSpace:
-    pair = tuple(int(p) for p in parities)
-    return GradedSpace(len(pair), pair)
+    return GradedSpace(tuple(int(p) for p in parities))
 
 
 def koszul_sign(p1: int, p2: int) -> int:

@@ -145,8 +145,11 @@ class HomAlgebra:
 
     source: QuantumObject
     target: QuantumObject
-    alphabet: Alphabet
     relations: RelationSet
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.relations.alphabet
 
 
 def derive_relations_general(src: QuantumObject, tgt: QuantumObject) -> RelationSet:
@@ -244,8 +247,7 @@ def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
 
 
 def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:
-    rels = derive_relations_general(src, tgt)
-    return HomAlgebra(src, tgt, rels.alphabet, rels)
+    return HomAlgebra(src, tgt, derive_relations_general(src, tgt))
 
 
 def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:

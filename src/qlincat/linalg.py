@@ -6,33 +6,30 @@ are ``{column: int}`` dicts with denominators cleared per row and no zero
 entry, and the pivot of a row is its largest column.  ``_insert`` consumes
 its row: the row is cancelled in place, by the multipliers b/g and a/g of
 the two entries a and b at a pivot and their gcd g, until it is stored or
-empty, and only the rows that are stored are gcd-normalised.  A caller
-whose rows must survive inserts copies: ``_echelon`` drops zero entries
-from a copy of each input row, and ``_same_span`` and an object's joint
-rank check copy the stored rows they insert.  Object
-components, bases, annihilators and relation spans are all stored as such
-rows; ``_int_rows`` clears dense rational input to them once, where
-``spaces.make_general`` reads it.  The forward
-pass alone gives the rank.  ``_back_substituted`` reduces it on integers;
-``_reduced_rows`` reads those rows in natural column order, primitive and
-positive at their pivots, for spectral sums and for
-``spaces.QuantumObject``, which reads each component's basis and
-annihilator from one ``_reduced_rows`` of its forward pass; no ``Fraction``
+empty, and only the rows that are stored are gcd-normalised, in place.  A
+caller whose rows must survive inserts copies: ``_echelon`` drops zero
+entries from a copy of each input row, and ``_same_span`` and an object's
+joint rank check copy the stored rows they insert.  Object components,
+bases, annihilators and relation spans are all stored as such rows;
+``_int_rows`` clears dense rational input to them once, where
+``spaces.make_general`` reads it.  The forward pass alone gives the rank.
+``_back_substituted`` reduces it on integers; ``_reduced_rows`` reads those
+rows in natural column order, primitive and positive at their pivots, for
+spectral sums and for ``spaces.QuantumObject.bases``, the one cache of each
+component's reduced rows, which its annihilator reads too; no ``Fraction``
 is made from an echelon.  ``spectral_sum`` returns the braid matrix B as
 one scale and sparse integer columns, which ``rmatrix`` reads as they are.
-``_back_substituted`` is also read by the determinant's area form, by
-``homs.RelationSet.back_substituted``, which back-substitutes each
-relation span once for its degree-2 rules and its quotient tower, and by
-that tower for each degree's new rows.  The largest-column pivot is the
-leading word of the monomial order; callers that work in natural column
-order (component bases, annihilators and spectral sums) reflect column c
-to ncols-1-c so that the leftmost column is pivoted first.  The yes/no
-checks form no dense product: ``_same_span``
-inserts one span's echelon rows into a copy of the other's.  There is no
-linear solver and no kernel routine here: quotient coordinates are read
-from the integer back-substitution (``homs._rules``).  ``Matrix`` is an
-immutable dense value type with no arithmetic, left only as the type of
-the read-only dense view of a relation span (``RelationSet.matrix``).
+``homs.RelationSet.back_substituted`` reads ``_back_substituted`` once per
+relation span, for its degree-2 rules and its quotient tower, which reads
+it for each degree's new rows.  The largest-column pivot is the leading
+word of the monomial order; callers that work in natural column order
+(component bases, annihilators and spectral sums) reflect column c to
+ncols-1-c so that the leftmost column is pivoted first.  The yes/no checks
+form no dense product: ``_same_span`` inserts one span's echelon rows into
+a copy of the other's.  There is no linear solver and no kernel routine
+here: quotient coordinates are read from the integer back-substitution
+(``homs._rules``).  ``Matrix``, an immutable dense value type with no
+arithmetic, is left only as the type of ``RelationSet.matrix``.
 """
 
 from __future__ import annotations
@@ -102,8 +99,12 @@ def _int_rows(vectors: Iterable[Sequence]) -> list[dict[int, int]]:
 
 
 def _normalised(row: dict[int, int]) -> dict[int, int]:
+    """The row divided in place by the gcd of its entries."""
     g = gcd(*row.values())
-    return {c: v // g for c, v in row.items()} if g > 1 else row
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return row
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> None:

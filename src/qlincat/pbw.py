@@ -75,12 +75,15 @@ class Extraction:
     """A constant and basis ordering realizing p^{AB} = q^{AB} c^{sign}.
 
     positions[A] is the rank of the original index A in the realizing order.
-    unconstrained marks spaces (dim <= 1) whose constant is arbitrary.
     """
 
     constant: Fraction
     positions: tuple[int, ...]
-    unconstrained: bool = False
+
+    @property
+    def unconstrained(self) -> bool:
+        """A space of dim <= 1, whose constant is arbitrary."""
+        return len(self.positions) <= 1
 
 
 def pbw_extract_constant(obj: QuantumObject) -> Extraction | None:
@@ -94,16 +97,12 @@ def pbw_extract_constant(obj: QuantumObject) -> Extraction | None:
         return None
     q, p = obj.qp
     n = obj.space.dim
-    if n <= 1:
-        return Extraction(Fraction(1), tuple(range(n)), unconstrained=True)
     ratios = {}
     for a in range(n):
         for b in range(n):
             if a != b:
                 ratios[(a, b)] = p[a][b] / q[a][b]
     c = next((r for r in ratios.values() if r != 1), Fraction(1))
-    if c == 1:
-        return Extraction(Fraction(1), tuple(range(n)))
     cinv = 1 / c
     # tournament: A points at B when the (A, B) ratio equals c
     wins = [0] * n

@@ -161,14 +161,24 @@ class RewriteSystem:
     copied, and read only.
 
     When the leading words are not exactly the non-ordered degree-2 words the
-    defect is recorded (missing / unexpected leaders) rather than raised; the
-    system still rewrites best-effort.
+    defect is read off the rules (missing / unexpected leaders) rather than
+    raised; the system still rewrites best-effort.
     """
 
     alphabet: Alphabet
     rules: dict[int, IntRule]
-    missing_leaders: tuple[Word, ...]
-    unexpected_leaders: tuple[Word, ...]
+
+    @property
+    def _leaders(self) -> set[Word]:
+        return {divmod(lead, self.alphabet.size) for lead in self.rules}
+
+    @property
+    def missing_leaders(self) -> tuple[Word, ...]:
+        return tuple(sorted(nonordered_degree2_words(self.alphabet) - self._leaders))
+
+    @property
+    def unexpected_leaders(self) -> tuple[Word, ...]:
+        return tuple(sorted(self._leaders - nonordered_degree2_words(self.alphabet)))
 
     @property
     def complete(self) -> bool:
@@ -178,14 +188,7 @@ class RewriteSystem:
 def build_rewrite_system(relations) -> RewriteSystem:
     """Each leading word rewrites to the smaller words it equals in the
     degree-2 quotient (``relations.rules``)."""
-    alphabet = relations.alphabet
-    rules = relations.rules
-    n = alphabet.size
-    expected = nonordered_degree2_words(alphabet)
-    leaders = {divmod(lead, n) for lead in rules}
-    missing = tuple(sorted(expected - leaders))
-    unexpected = tuple(sorted(leaders - expected))
-    return RewriteSystem(alphabet, rules, missing, unexpected)
+    return RewriteSystem(relations.alphabet, relations.rules)
 
 
 def normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:

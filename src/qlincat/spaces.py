@@ -8,15 +8,15 @@ degree-2 word basis.  Named constructors cover the two-parameter
 signs) and its one-parameter normalized form, built from the parameters'
 numerators and denominators, and ``make_general``, which clears dense
 rational vectors.  Parameter matrices are exact rationals, never
-indeterminates.
+indeterminates.  An object's ``kind`` is read off its parameters.
 
 A ``QuantumObject`` cannot exist without a complementary decomposition:
 its constructor eliminates each component once, forward only, and reads
 the component dimensions and the direct-sum condition from those echelons.
 Each echelon is back-substituted once, to the primitive integer rows
-(``linalg._reduced_rows``) that ``QuantumObject.bases`` and
-``QuantumObject.annihilators`` read: a basis is those rows, and an
-annihilator their kernel, signed by the Koszul pairing (``_annihilator``).
+(``linalg._reduced_rows``) of ``QuantumObject.bases``, the one cache of
+reduced rows: a basis is those rows, and ``QuantumObject.annihilators``
+their kernel, signed by the Koszul pairing (``_annihilator``).
 The braid matrices (``rmatrix.build_B``), the hom relations and the dual
 object read bases and annihilators and never change them.
 """
@@ -74,7 +74,6 @@ class QuantumObject:
 
     space: GradedSpace
     components: tuple[tuple[dict[int, int], ...], ...]
-    kind: str = "general"
     qp: tuple[ParamMatrix, ParamMatrix] | None = None
     normalized: tuple[ParamMatrix, int, Fraction] | None = None
     name: str = ""
@@ -105,33 +104,40 @@ class QuantumObject:
                      for comp in self.components)
 
     @cached_property
-    def _reduced(self) -> tuple[list[tuple[int, dict[int, int]]], ...]:
-        """Each component's reduced rows, (pivot column, integer row) pairs
-        from one ``_reduced_rows`` of its echelon."""
-        dim = self.space.dim**2
-        return tuple(_reduced_rows(e, dim) for e in self._echelons)
+    def kind(self) -> str:
+        """Read off ``normalized`` and ``qp``: "classical" when both
+        matrices are the Koszul signs."""
+        if self.normalized is not None:
+            return "normalized"
+        if self.qp is None:
+            return "general"
+        signs = list(koszul_signs(self.space))
+        if all([x for row in m for x in row] == signs for m in self.qp):
+            return "classical"
+        return "sudbery"
 
     @cached_property
     def bases(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        """A row basis of each component: its reduced integer rows."""
-        return tuple(tuple(row for _, row in pairs) for pairs in self._reduced)
+        """A row basis of each component: the rows of one ``_reduced_rows``
+        of its echelon."""
+        dim = self.space.dim**2
+        return tuple(tuple(row for _, row in _reduced_rows(e, dim)) for e in self._echelons)
 
     @cached_property
     def annihilators(self) -> tuple[tuple[dict[int, int], ...], ...]:
         """A basis of each component's Koszul annihilator, as integer rows."""
         signs = koszul_signs(self.space)
-        return tuple(
-            tuple(_annihilator(comp, pairs, signs))
-            for comp, pairs in zip(self.components, self._reduced)
-        )
+        return tuple(tuple(_annihilator(comp, rows, signs))
+                     for comp, rows in zip(self.components, self.bases))
 
     def component_dims(self) -> tuple[int, ...]:
         return tuple(len(e) for e in self._echelons)
 
 
-def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
+def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
     """A basis of {g : sum_u g[u] * signs[u] * f[u] = 0 for all spanning f},
-    read from the reduced integer rows ``pairs`` of the span.
+    read from the span's basis ``rows`` (``QuantumObject.bases``), each
+    keyed in ascending column order, so its first key is its pivot.
 
     The kernel of F diag(signs) is diag(signs) times the kernel of F.  For
     each free column fc, with L the lcm of the pivots of the rows with an
@@ -140,6 +146,7 @@ def _annihilator(spanning, pairs, signs) -> list[dict[int, int]]:
     v[u], gcd-normalised.  Raises InvariantViolation unless every g pairs
     to zero with every spanning row, in integer dot products.
     """
+    pairs = [(next(iter(row)), row) for row in rows]
     pivots = {pc for pc, _ in pairs}
     basis = []
     for fc in range(len(signs)):
@@ -203,15 +210,11 @@ def _pair_spans(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
     return tuple(minus), tuple(plus)
 
 
-def classical_params(space: GradedSpace) -> ParamMatrix:
-    n = space.dim
-    par = space.parities
-    return tuple(tuple(Fraction(koszul_sign(par[a], par[b])) for b in range(n)) for a in range(n))
-
-
 def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:
-    """The undeformed object: skew-symmetric and symmetric tensors."""
-    qc = classical_params(space)
+    """The undeformed object, both matrices the Koszul signs: skew-symmetric
+    and symmetric tensors."""
+    n, signs = space.dim, koszul_signs(space)
+    qc = [signs[a * n:a * n + n] for a in range(n)]
     return make_sudbery(space, qc, qc, name)
 
 
@@ -222,8 +225,7 @@ def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
     qm = _as_param_matrix(q, n, "q")
     pm = _as_param_matrix(p, n, "p")
     validate_sudbery_params(space, qm, pm)
-    kind = "classical" if qm == pm == classical_params(space) else "sudbery"
-    return QuantumObject(space, _pair_spans(space, qm, pm), kind, (qm, pm), None, name)
+    return QuantumObject(space, _pair_spans(space, qm, pm), (qm, pm), None, name)
 
 
 def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> QuantumObject:
@@ -261,7 +263,7 @@ def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> Qua
         phat.append(tuple(prow))
     qp = (tuple(qhat), tuple(phat))
     validate_sudbery_params(space, *qp)
-    return QuantumObject(space, _pair_spans(space, *qp), "normalized", qp, (qm, eps, lam), name)
+    return QuantumObject(space, _pair_spans(space, *qp), qp, (qm, eps, lam), name)
 
 
 def make_general(space: GradedSpace, components, name: str = "") -> QuantumObject:
@@ -274,7 +276,7 @@ def make_general(space: GradedSpace, components, name: str = "") -> QuantumObjec
     if any(len(v) != dim for comp in comps for v in comp):
         raise ValueError(f"component vectors must have {dim} coordinates")
     rows = tuple(tuple(_int_rows(comp)) for comp in comps)
-    return QuantumObject(space, rows, "general", None, None, name)
+    return QuantumObject(space, rows, None, None, name)
 
 
 def dual_object(obj: QuantumObject) -> QuantumObject:
@@ -288,17 +290,13 @@ def dual_object(obj: QuantumObject) -> QuantumObject:
     n = obj.space.dim
     ann_i, ann_j = obj.annihilators
     qp = None
-    kind = "general"
     if obj.qp is not None:
         q, p = obj.qp
         qd = tuple(tuple(1 / p[a][b] for b in range(n)) for a in range(n))
         pd = tuple(tuple(1 / q[a][b] for b in range(n)) for a in range(n))
         qp = (qd, pd)
-        kind = "classical" if obj.kind == "classical" else "sudbery"
-    return QuantumObject(
-        obj.space, (ann_j, ann_i), kind, qp, None,
-        f"dual({obj.name})" if obj.name else "",
-    )
+    return QuantumObject(obj.space, (ann_j, ann_i), qp, None,
+                         f"dual({obj.name})" if obj.name else "")
 
 
 def objects_equal(a: QuantumObject, b: QuantumObject) -> bool:

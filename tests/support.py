@@ -207,9 +207,7 @@ def scale_diagonal_word(hom: HomAlgebra, factor) -> HomAlgebra:
             terms = dict(poly.terms)
             terms[word] *= factor
             polys[i] = NCPoly(poly.alphabet, terms)
-            return HomAlgebra(
-                hom.source, hom.target, hom.alphabet, relation_set(hom.alphabet, polys)
-            )
+            return HomAlgebra(hom.source, hom.target, relation_set(hom.alphabet, polys))
     raise ValueError("no relation has a word of two diagonal entries")
 
 
@@ -223,7 +221,7 @@ def scale_relation_coefficient(hom: HomAlgebra, rng: random.Random, factor=7) ->
     word = rng.choice(sorted(terms))
     terms[word] *= factor
     polys[i] = NCPoly(polys[i].alphabet, terms)
-    return HomAlgebra(hom.source, hom.target, hom.alphabet, relation_set(hom.alphabet, polys))
+    return HomAlgebra(hom.source, hom.target, relation_set(hom.alphabet, polys))
 
 
 def ordering_by_enumeration(obj) -> Extraction | None:
@@ -234,7 +232,7 @@ def ordering_by_enumeration(obj) -> Extraction | None:
     q, p = obj.qp
     n = obj.space.dim
     if n <= 1:
-        return Extraction(Fraction(1), tuple(range(n)), unconstrained=True)
+        return Extraction(Fraction(1), tuple(range(n)))
     candidates = {p[a][b] / q[a][b] for a in range(n) for b in range(n) if a != b}
     candidates |= {1 / c for c in candidates}
     for c in sorted(candidates):
@@ -770,12 +768,17 @@ def _reduce_bidegree(expansion, q1, q2):
     return {k: v for k, v in out.items() if v}
 
 
+def _objects(triple):
+    """The objects a, b, c of a triple: the ends of its homs."""
+    return triple.hom_ab.source, triple.hom_ab.target, triple.hom_bc.target
+
+
 def comultiplication_reference(triple) -> bool:
     """Reference for ``comultiplication_check`` on Fraction coordinates."""
     q1 = quotient_coords(triple.hom_ab.relations)
     q2 = quotient_coords(triple.hom_bc.relations)
     return not any(
-        _reduce_bidegree(delta_bidegree_reference(rel.terms, triple.a, triple.b, triple.c), q1, q2)
+        _reduce_bidegree(delta_bidegree_reference(rel.terms, *_objects(triple)), q1, q2)
         for rel in triple.hom_ac.relations.polys
     )
 
@@ -787,7 +790,7 @@ def determinant_reference(triple, dets) -> bool:
     q1 = quotient_coords(triple.hom_ab.relations)
     q2 = quotient_coords(triple.hom_bc.relations)
     lhs = _reduce_bidegree(
-        delta_bidegree_reference(det_ac.terms, triple.a, triple.b, triple.c), q1, q2
+        delta_bidegree_reference(det_ac.terms, *_objects(triple)), q1, q2
     )
     rhs_raw = {}
     for w1, c1 in det_ab.terms.items():
@@ -804,7 +807,7 @@ def coassociativity_reference(abc, acd) -> bool:
     a time.  A generator goes to u_A^S -> sum t_A^K (x) s_K^L (x) r_L^S,
     and (x1 (x) y1 (x) z1)(x2 (x) y2 (x) z2) = (-1)**(|y1| |x2| + |z1| |x2|
     + |z1| |y2|) x1 x2 (x) y1 y2 (x) z1 z2."""
-    a, b, c, d = abc.a, abc.b, abc.c, acd.c
+    (a, b, c), d = _objects(abc), acd.hom_bc.target
     m, l, e = b.space.dim, c.space.dim, d.space.dim
     pa, pb, pc, pd = (o.space.parities for o in (a, b, c, d))
     factors = [quotient_coords(h.relations) for h in (abc.hom_ab, abc.hom_bc, acd.hom_bc)]

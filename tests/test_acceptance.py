@@ -314,7 +314,7 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
     for a, b, c in triples:
         triple = composable_triple(a, b, c)
         # the window a -> b -> c -> c: acd = (a, c, c) from hom(a, c), hom(c, c)
-        acd = ComposableTriple(a, c, c, triple.hom_ac, hom_algebra(c, c), triple.hom_ac)
+        acd = ComposableTriple(triple.hom_ac, hom_algebra(c, c), triple.hom_ac)
         assert comultiplication_check(triple)
         assert coassociativity_check(triple, acd)
         assert all(counit_check(hom_algebra(x, x)) for x in (a, b, c))
@@ -328,12 +328,11 @@ def test_criterion_09_bialgebra_axioms(monkeypatch, tmp_path, capsys):
     bad_terms[word] *= 3
     polys[0] = NCPoly(first.alphabet, bad_terms)
     corrupted = ComposableTriple(
-        a, b, c, triple.hom_ab, triple.hom_bc,
-        HomAlgebra(a, c, triple.hom_ac.alphabet,
-                   relation_set(triple.hom_ac.alphabet, polys)),
+        triple.hom_ab, triple.hom_bc,
+        HomAlgebra(a, c, relation_set(triple.hom_ac.alphabet, polys)),
     )
     assert not comultiplication_check(corrupted)
-    acd = ComposableTriple(a, c, c, corrupted.hom_ac, hom_algebra(c, c), corrupted.hom_ac)
+    acd = ComposableTriple(corrupted.hom_ac, hom_algebra(c, c), corrupted.hom_ac)
     assert not coassociativity_check(corrupted, acd)
     assert not counit_substitution_ok(hom_algebra(a, a), [[0, 1], [1, 0]])
     assert not counit_check(scale_diagonal_word(hom_algebra(a, a), 3))

@@ -588,7 +588,7 @@ def test_hom_fails_span_equality(monkeypatch, capsys):
 
     def derive(src, tgt):
         rels = real(src, tgt)
-        hom = HomAlgebra(src, tgt, rels.alphabet, rels)
+        hom = HomAlgebra(src, tgt, rels)
         return scale_relation_coefficient(hom, random.Random(0)).relations
 
     monkeypatch.setattr(cli, "derive_relations_sudbery", derive)

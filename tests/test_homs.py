@@ -114,7 +114,7 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))
     # hom is the first factor and the composite of the chain src, tgt, tgt,
     # so the triple is also the second one of the window src, tgt, tgt, tgt
-    triple = ComposableTriple(src, tgt, tgt, hom, hom_algebra(tgt, tgt), hom)
+    triple = ComposableTriple(hom, hom_algebra(tgt, tgt), hom)
     comultiplication_check(triple)
     coassociativity_check(triple, triple)
     if kind != "general" and src.space.parities == tgt.space.parities == (0, 0):

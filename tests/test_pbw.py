@@ -121,8 +121,7 @@ def test_oracle_guard():
 def _unreduced(hom):
     """The same hom algebra over a new relation set whose echelon is not
     computed yet."""
-    return HomAlgebra(hom.source, hom.target, hom.alphabet,
-                      relation_set(hom.alphabet, hom.relations.polys))
+    return HomAlgebra(hom.source, hom.target, relation_set(hom.alphabet, hom.relations.polys))
 
 
 def _no_elimination(*args):

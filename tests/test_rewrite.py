@@ -103,6 +103,19 @@ def test_degree2_defect_reported():
     assert nf == NCPoly(al, {(0, 0, 0): 1})
 
 
+def test_leader_defects_follow_the_rules():
+    # the defects are read off the rules, so a system with new rules and
+    # nothing else replaced reports them: a rule keyed by the ordered pair
+    # ab (code 1) is unexpected in a system that was complete
+    src = even2_sudbery(2, 3)
+    system = build_rewrite_system(derive_relations_general(src, src))
+    assert system.complete and 1 not in system.rules
+    extra = replace(system, rules={**system.rules, 1: (1, {0: 1})})
+    assert extra.unexpected_leaders == ((0, 1),)
+    assert extra.missing_leaders == ()
+    assert not extra.complete
+
+
 def test_normal_form_fixpoint_on_ordered_word():
     src = even2_sudbery(2, 3)
     system = build_rewrite_system(derive_relations_general(src, src))
@@ -338,10 +351,11 @@ def _verdicts(system):
 
 def _drop_rule(system, lead):
     """The system without the rule of one leading word code, in a new
-    dict: that word goes missing."""
-    rules = {w: r for w, r in system.rules.items() if w != lead}
-    word = divmod(lead, system.alphabet.size)
-    return replace(system, rules=rules, missing_leaders=system.missing_leaders + (word,))
+    dict: that word goes missing.  The leader defects are read off the
+    rules, so the new system is incomplete with nothing else replaced; a
+    system that stored them would keep its stale ``missing_leaders`` and
+    report itself complete."""
+    return replace(system, rules={w: r for w, r in system.rules.items() if w != lead})
 
 
 @settings(max_examples=20, deadline=None)

@@ -277,6 +277,37 @@ def test_dual_of_classical_is_classical():
     assert dual.kind == "classical"
 
 
+def _objects_with_duals(rng):
+    """rand_sudbery, rand_normalized, rand_general and make_classical on
+    MIXED_SHAPES and at dim 1 (rand_general needs dim 2 or more), each with
+    its dual and its double dual."""
+    for shape in MIXED_SHAPES + [(0,), (1,)]:
+        space = space_of(shape)
+        makes = [rand_sudbery, rand_normalized, lambda rng, sp: make_classical(sp)]
+        for make in makes + [rand_general] * (space.dim > 1):
+            dual = dual_object(obj := make(rng, space))
+            yield from (obj, dual, dual_object(dual))
+
+
+def test_kind_is_a_function_of_the_parameters():
+    # a two-parameter object has the kind make_sudbery gives its matrices,
+    # whichever constructor or dual built it
+    rng = random.Random(30)
+    for _ in range(4):
+        for obj in _objects_with_duals(rng):
+            if obj.normalized is not None:
+                assert obj.kind == "normalized"
+            elif obj.qp is None:
+                assert obj.kind == "general"
+            else:
+                assert obj.kind == make_sudbery(obj.space, *obj.qp).kind
+    # the dual of a normalized object whose matrices are the Koszul signs
+    # is classical, like make_sudbery on those matrices
+    obj = make_normalized(space_of((0, 1)), [[1, 1], [1, -1]], -1, 1)
+    assert obj.kind == "normalized"
+    assert dual_object(obj).kind == "classical"
+
+
 def test_dual_sudbery_closed_form():
     # dual components: e_A e_B - p_{BA} e_B e_A and e_A e_B + q_{BA} e_B e_A
     rng = random.Random(13)
@@ -397,10 +428,10 @@ def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
     # entry -1 at its free column fc where that word has two odd letters
     real = spaces._annihilator
 
-    def unsigned(spanning, pairs, signs):
-        pivots = {pc for pc, _ in pairs}
+    def unsigned(spanning, rows, signs):
+        pivots = {next(iter(row)) for row in rows}
         out = []
-        for g in real(spanning, pairs, signs):
+        for g in real(spanning, rows, signs):
             fc = next(c for c in g if c not in pivots)
             out.append({c: signs[fc] * x for c, x in g.items()})
         return out
