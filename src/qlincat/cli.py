@@ -3,13 +3,17 @@ criterion verdicts and reports out.
 
 Objects are JSON documents with rationals written as strings ("5/9") so
 round-trips stay exact.  Exit codes: 0 all checks passed, 1 checks ran and
-failed, 2 input or usage error.
+failed, 2 input, usage or output error (a closed stdout pipe among them).
+
+A ``--json`` report is exactly ``json.dumps(report, sort_keys=True, indent=2)``
+plus one newline: sorted keys, 2-space indent, non-ASCII characters escaped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -57,6 +61,8 @@ MAX_DIGITS = 100
 # characters of an object file; the bounds above admit 64 spans of 64 vectors of
 # 64 rationals of <= 203 characters (dim 8), about 54e6 with quotes and commas
 MAX_CHARS = 2**26
+# a string as ``json.dumps`` writes it with ``ensure_ascii`` (the C encoder)
+_quote = json.encoder.encode_basestring_ascii
 # a decimal with an exponent, in every form ``Fraction`` accepts
 _EXPONENT = re.compile(r"\s*[-+]?(?:\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
 
@@ -80,7 +86,21 @@ def _json_int(text: str):
     return _LongInteger() if len(text.lstrip("-")) > MAX_DIGITS else int(text)
 
 
-def _rat(value, path: str) -> Fraction:
+def _rat(value, path: str, *index: int) -> Fraction:
+    """The rational ``value`` names; a refusal names the field ``path[i][j]...``."""
+    # the plain form "-7/3", at most MAX_DIGITS digits a part and a nonzero
+    # denominator, passes every check below: read it directly
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        digits = num.removeprefix("-")
+        if (
+            0 < len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit()
+            and (not slash or 0 < len(den) <= MAX_DIGITS and den.isascii() and den.isdigit())
+        ):
+            d = int(den) if slash else 1
+            if d:
+                return Fraction(int(num), d)
+    path += "".join(f"[{i}]" for i in index)
     too_long = f"{path}: numerator and denominator may have at most {MAX_DIGITS} digits each"
     if isinstance(value, _LongInteger):
         raise ObjectSpecError(too_long)
@@ -109,7 +129,7 @@ def _rat_matrix(value, path: str, n: int):
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
             raise ObjectSpecError(f"{path}[{i}]: expected {n} entries")
-        out.append(tuple(_rat(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
+        out.append(tuple([_rat(x, path, i, j) for j, x in enumerate(row)]))
     return tuple(out)
 
 
@@ -184,6 +204,7 @@ def load_object(path: str) -> QuantumObject:
                         f"{path}: params.components[{k}]: at most {dim * dim} vectors"
                     )
             parsed = []
+            field = f"{path}: params.components"
             for k, comp in enumerate(comps):
                 if not isinstance(comp, list):
                     raise ObjectSpecError(
@@ -195,12 +216,7 @@ def load_object(path: str) -> QuantumObject:
                         raise ObjectSpecError(
                             f"{path}: params.components[{k}][{i}]: expected {dim*dim} coordinates"
                         )
-                    vecs.append(
-                        tuple(
-                            _rat(x, f"{path}: params.components[{k}][{i}][{j}]")
-                            for j, x in enumerate(vec)
-                        )
-                    )
+                    vecs.append(tuple([_rat(x, field, k, i, j) for j, x in enumerate(vec)]))
                 parsed.append(tuple(vecs))
             return make_general(space, parsed, name)
     except BadParameters as exc:
@@ -249,8 +265,48 @@ def _poly_json(poly) -> list:
     return [{"word": list(word), "coeff": str(coeff)} for word, coeff in poly.sorted_terms()]
 
 
+def _json_text(value, pad: str, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it at indentation ``pad``; that call's generic
+    encoder runs in pure Python once ``indent`` is set."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, _quote(key), ": ")
+            _json_text(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_text(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    out: list = []
+    _json_text(doc, "", out)
+    print("".join(out))
 
 
 def _parity_signature(space) -> str:
@@ -496,7 +552,20 @@ def main(argv=None) -> int:
         print("--degree needs --oracle", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early fails this flush, not the interpreter's
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the final flush cannot fail
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError, OSError):  # in process: no descriptor
+            return 2
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 2
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from qlincat import linalg
+from qlincat import cli, linalg
 from qlincat import (
     Extraction,
     GradedSpace,
@@ -487,6 +487,28 @@ def _normalised_reference(row: dict[int, int]) -> dict[int, int]:
     # a copy of ``linalg._normalised``, so that a change to it shows
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def rat_reference(value, path: str) -> Fraction:
+    """``cli._rat`` without its plain-string fast path: every value goes
+    through the general path's checks, in their order."""
+    too_long = f"{path}: numerator and denominator may have at most {cli.MAX_DIGITS} digits each"
+    if isinstance(value, cli._LongInteger):
+        raise cli.ObjectSpecError(too_long)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise cli.ObjectSpecError(f"{path}: expected a rational string, got {value!r}")
+    if isinstance(value, str) and cli._EXPONENT.fullmatch(value):
+        raise cli.ObjectSpecError(f"{path}: exponent notation is not accepted: {value!r}")
+    text = str(value)
+    if len(text.strip()) > 2 * cli.MAX_DIGITS + 3:
+        raise cli.ObjectSpecError(too_long)
+    try:
+        r = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise cli.ObjectSpecError(f"{path}: not a rational: {value!r} ({exc})") from exc
+    if len(str(abs(r.numerator))) > cli.MAX_DIGITS or len(str(r.denominator)) > cli.MAX_DIGITS:
+        raise cli.ObjectSpecError(too_long)
+    return r
 
 
 def cancel_reference(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:

@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qlincat import bialgebra, cli, homs, linalg, spaces
 from qlincat.homs import HomAlgebra
@@ -19,6 +23,7 @@ from support import (
     rand_general,
     rand_normalized,
     rand_sudbery,
+    rat_reference,
     scale_relation_coefficient,
 )
 
@@ -360,6 +365,84 @@ def test_every_exponent_fraction_accepts_is_refused(text):
         assert not cli._EXPONENT.fullmatch(text)
 
 
+# a digit run whose length is at or around the bound, after 0, 1 or 3 leading zeros
+_PART = st.tuples(
+    st.sampled_from(["", "", "0", "000"]),
+    st.sampled_from((0, 1, 2, cli.MAX_DIGITS - 1, cli.MAX_DIGITS, cli.MAX_DIGITS + 1)).flatmap(
+        lambda k: st.text(alphabet="0123456789", min_size=k, max_size=k)
+    ),
+).map("".join)
+# Unicode decimal digits (Arabic-Indic and fullwidth three), and a superscript
+# that is a digit but not a decimal
+_OFF_PLAIN = [" ", "\n", "+", "-", "_", ".", "e5", "/", "\u0663", "\uff13", "\u00b2"]
+
+
+@st.composite
+def _rat_texts(draw):
+    """A plain rational "-N/D", half the time with one character inserted or
+    replaced by one that leaves the plain form."""
+    den = draw(st.none() | _PART | st.sampled_from(["0", "000"]))
+    text = draw(st.sampled_from(["", "-"])) + draw(_PART) + ("" if den is None else "/" + den)
+    edit = draw(st.sampled_from(["keep", "keep", "insert", "replace"]))
+    if edit != "keep":
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        rest = text[at + 1:] if edit == "replace" else text[at:]
+        text = text[:at] + draw(st.sampled_from(_OFF_PLAIN)) + rest
+    return text
+
+
+_RAT_INPUTS = (
+    _rat_texts()
+    | st.text(alphabet="0123456789-+/ ._eE\u0663", max_size=12)
+    | st.integers(min_value=-(10 ** (cli.MAX_DIGITS + 2)), max_value=10 ** (cli.MAX_DIGITS + 2))
+    | st.sampled_from([True, False, None, 0.5, cli._LongInteger(), "-0", "-0/7", "7/0", "7/000"])
+)
+
+
+def _rat_outcome(rat, value, *path):
+    try:
+        return rat(value, *path)
+    except cli.ObjectSpecError as exc:
+        return f"refused: {exc}"
+
+
+# a control only needs the property to fail, not its smallest counterexample
+_CONTROL = (Phase.generate,)
+
+
+def _rat_property(rat, phases=tuple(Phase)):
+    """``rat(value, "f", 2, 0)`` returns the same Fraction as the reference
+    on field "f[2][0]", or refuses it with the same message."""
+    @settings(max_examples=600, deadline=None, database=None, phases=phases)
+    @given(_RAT_INPUTS)
+    def agrees(value):
+        got = _rat_outcome(rat, value, "f", 2, 0)
+        want = _rat_outcome(rat_reference, value, "f[2][0]")
+        assert got == want and type(got) is type(want), (value, got, want)
+    return agrees
+
+
+def test_rat_fast_path_matches_the_general_path():
+    _rat_property(cli._rat)()
+
+
+def _rat_off_by_one(value, path, *index):
+    """``cli._rat`` behind a plain-string fast path that admits one digit
+    more than ``MAX_DIGITS`` per part."""
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        parts = [num.removeprefix("-"), den] if slash else [num.removeprefix("-")]
+        if all(0 < len(x) <= cli.MAX_DIGITS + 1 and x.isascii() and x.isdigit() for x in parts):
+            if int(den or 1):
+                return Fraction(int(num), int(den or 1))
+    return cli._rat(value, path, *index)
+
+
+def test_rat_property_fails_on_an_off_by_one_fast_path():
+    with pytest.raises(AssertionError):
+        _rat_property(_rat_off_by_one, _CONTROL)()
+
+
 _DEEP = "[" * 100000 + "]" * 100000
 
 
@@ -611,6 +694,109 @@ def test_json_reports_deterministic(tmp_path, capsys):
     pbw_first = capsys.readouterr().out
     assert main(["pbw", a, b, "--oracle", "--json"]) == 1
     assert capsys.readouterr().out == pbw_first
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028\U0001f600ab'),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=25,
+)
+
+
+def _emitted(emit, value) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        emit(value)
+    return out.getvalue()
+
+
+def _writer_property(emit, phases=tuple(Phase)):
+    """``emit(value)`` prints exactly what ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes, and one newline."""
+    @settings(max_examples=300, deadline=None, database=None, phases=phases)
+    @given(_JSON)
+    def agrees(value):
+        assert _emitted(emit, value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return agrees
+
+
+def test_report_writer_matches_json_dumps():
+    _writer_property(cli._emit)()
+
+
+def test_writer_property_fails_on_spaced_separators_or_unsorted_keys(monkeypatch):
+    def spaced(value):
+        print(json.dumps(value, sort_keys=True, indent=2, separators=(", ", ": ")))
+
+    with pytest.raises(AssertionError):
+        _writer_property(spaced, _CONTROL)()
+    monkeypatch.setattr(cli, "sorted", list, raising=False)
+    with pytest.raises(AssertionError):
+        _writer_property(cli._emit, _CONTROL)()
+
+
+@pytest.mark.parametrize("doc", [{"x": 0.5}, {"x": [1, {2: "two"}]}], ids=["float", "int-key"])
+def test_report_writer_refuses_what_reports_never_hold(doc):
+    with pytest.raises(TypeError):
+        _emitted(cli._emit, doc)
+
+
+def _cli_process(argv, stdout) -> subprocess.Popen:
+    """``python -m qlincat.cli argv`` on this package, block-buffered as
+    under a shell, stderr captured."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "qlincat.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_stdout_closed_mid_report_exits_two_without_a_traceback(tmp_path, capsys):
+    # a dim-4 general pair's report is about 350 kB, far more than a pipe
+    # holds, so writing it fails once the reader has gone
+    g4 = write(tmp_path, "g4.json", cli.object_to_json(rand_general(random.Random(5), space_of([0] * 4))))
+    argv = ["hom", g4, g4, "--json"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out) > 2**18
+    proc = _cli_process(argv, subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_stdout_closed_before_a_short_report_exits_two_without_a_message():
+    # the report stays in stdout's buffer until main flushes it; what the
+    # failed flush leaves there must not fail again at interpreter exit
+    read, written = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["object", PAIR[0], "--json"], written)
+    finally:
+        os.close(written)
+    assert proc.wait(timeout=120) == 2
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_closed_stdout_in_process_exits_two_and_keeps_stdout(monkeypatch, capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    closed = Closed()
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert main(["yb", PAIR[0], "--json"]) == 2
+    assert sys.stdout is closed
+    assert capsys.readouterr().err == ""
 
 
 def test_object_json_roundtrip(tmp_path, capsys):

@@ -2,6 +2,8 @@
 argv, exit code, stdout and stderr of 2372 in-process calls, so any change
 to what the CLI prints or returns on them changes this line."""
 
+import json
+
 import cli_digest
 
 PINNED = "2372 calls ce064c7163f6893251d37de6ffd126e5a1b388e50e92b60492c5eb87f3ba14af"
@@ -11,3 +13,21 @@ def test_cli_digest_is_pinned(monkeypatch, capsys):
     monkeypatch.chdir(cli_digest.ROOT)
     cli_digest.main_digest()
     assert capsys.readouterr().out.strip() == PINNED
+
+
+def test_every_json_report_is_sorted_indented_ascii(monkeypatch):
+    # the output contract, whatever writes it: each --json report is exactly
+    # json.dumps(report, sort_keys=True, indent=2) and one newline
+    monkeypatch.chdir(cli_digest.ROOT)
+    reports = 0
+    for argv in cli_digest.calls():
+        if argv[-1] != "--json":
+            continue
+        _, code, out, _ = cli_digest.run(argv)
+        if out:
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+            reports += 1
+        else:
+            assert code == 2, argv
+    # the other 302 --json calls are refused with exit 2
+    assert reports == 884
