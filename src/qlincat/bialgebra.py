@@ -3,14 +3,12 @@ comultiplication homomorphism property, coassociativity, the counit, and
 the 2x2 determinant with its multiplicativity.
 
 Every reduction happens in degree-2 quotient coordinates (these are always
-of classical dimension), so none of the checks here assume the PBW property
-of the algebras involved.  They read the integer forms as they are: a word
-(g, h) over n letters is its code g * n + h, Delta expands each
-``RelationSet.rows`` row into pairs of factor codes, and each span's one
-integer coordinate table (``RelationSet.coords``) reduces it, once per
-triple; coassociativity reads the verdicts of two triples.  The
-determinant's area form is read off the object's cached annihilator of
-its second component, which on a purely even object is its own Pi-image.
+of classical dimension), so no check assumes the PBW property of the
+algebras involved.  Delta's image of each degree-2 word of hom(a, c) over
+both factors' coordinate tables is built once per triple (``_delta_images``);
+coassociativity reads the verdicts of two triples.  The determinant's area
+form is read off the object's cached annihilator of its second component,
+which on a purely even object is its own Pi-image.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import Sequence
 
 from .graded import koszul_sign
 from .homs import HomAlgebra, hom_algebra
-from .linalg import _cleared
 from .rewrite import NCPoly, matrix_alphabet
 from .spaces import QuantumObject
 
@@ -44,66 +41,74 @@ class ComposableTriple:
     hom_ac: HomAlgebra
 
     def __post_init__(self):
-        if (
-            self.hom_bc.source != self.hom_ab.target
-            or self.hom_ac.source != self.hom_ab.source
-            or self.hom_ac.target != self.hom_bc.target
-        ):
+        ab, bc, ac = self.hom_ab, self.hom_bc, self.hom_ac
+        if bc.source != ab.target or ac.source != ab.source or ac.target != bc.target:
             raise ValueError("hom algebras are not a composable pair and its composite")
 
     @cached_property
     def _delta_ok(self) -> bool:
-        """The comultiplication verdict, computed once."""
-        ab, bc = self.hom_ab, self.hom_bc
-        c1, c2 = ab.relations.coords, bc.relations.coords
-        return all(_reduces_to_zero(_delta_bidegree(row, ab.source, ab.target, bc.target), c1, c2)
-                   for row in self.hom_ac.relations.rows)
+        """The comultiplication verdict, computed once: Delta of each row of
+        hom(a, c) must vanish in Q(ab)_2 (x) Q(bc)_2.
+
+        It does for the spans ``derive_relations_general`` builds, so the
+        check guards the implementation.  Such a row is r(g, f) =
+        sum (-1)**(pB pS) g^AB f_ST u_A^S u_B^T, g in the Koszul annihilator
+        of I_k(a), f in I_k(c), pX = par X.  Delta(u_A^S u_B^T) is
+        sum_KL (-1)**((pK + pS)(pB + pL)) t_A^K t_B^L (x) s_K^S s_L^T, and
+        pB pS + (pK + pS)(pB + pL) = pB pK + pL pS + pK pL mod 2: the signs
+        of a hom(a, b) relation at t_A^K t_B^L and of a hom(b, c) relation at
+        s_K^S s_L^T, and the Koszul pairing's weight at (K, L).  Take a basis
+        beta_j of V_b (x) V_b adapted to b's components and its dual basis
+        beta^j under that pairing: sum_j beta_j,KL beta^j,K'L' =
+        (-1)**(pK pL) delta_KK' delta_LL', so Delta r(g, f) =
+        sum_j r_ab(g, beta_j) (x) r_bc(beta^j, f).  If beta_j is in I_k(b),
+        r_ab(g, beta_j) is a relation of hom(a, b); if not, beta^j
+        annihilates I_k(b) and r_bc(beta^j, f) is a relation of hom(b, c).
+        The counit on hom(x, x) sends r(g, f) to the pairing of g and f: 0.
+        """
+        rows = self.hom_ac.relations.rows
+        images = _delta_images(self.hom_ab, self.hom_bc, {w for row in rows for w in row})
+        return not any(any(_delta_of(row, images).values()) for row in rows)
 
 
 def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> ComposableTriple:
     return ComposableTriple(hom_algebra(a, b), hom_algebra(b, c), hom_algebra(a, c))
 
 
-def _delta_bidegree(
-    row: dict[int, int], a: QuantumObject, b: QuantumObject, c: QuantumObject
-) -> dict[tuple[int, int], int]:
-    """Coefficients of Delta(r) for a row r over the degree-2 word codes of
-    hom(a, c), keyed by pairs of hom(a, b) and hom(b, c) word codes.
-
-    r is quadratic in the entries u_A^S of the composite algebra; the
-    comultiplication is u_A^S -> sum_K t_A^K (x) s_K^S and products in the
-    tensor square pick up the transposition sign
-    (-1)**((par K + par S) * (par B + par L)).
-    """
-    n, m, l = a.space.dim, b.space.dim, c.space.dim
-    pa, pb, pc = a.space.parities, b.space.parities, c.space.parities
-    out: dict[tuple[int, int], int] = {}
-    for w, coeff in row.items():
-        (aa, s), (bb, t) = (divmod(g, l) for g in divmod(w, n * l))
+def _delta_images(ab: HomAlgebra, bc: HomAlgebra, words) -> dict[int, dict[int, int]]:
+    """The tensor reducer at two factors and degree 2: Delta of each hom(a, c)
+    word code in ``words``, signs from one table per call, factor words read
+    from their spans' ``coords``, normal words (v1, v2) keyed v1 (m l)**2 + v2."""
+    pa, pb, pc = (x.space.parities for x in (ab.source, ab.target, bc.target))
+    n, m, l = len(pa), len(pb), len(pc)
+    c1, c2 = ab.relations.coords, bc.relations.coords
+    nl, nm, ml, base = n * l, n * m, m * l, (m * l) ** 2
+    # signs[pK + pS][pB]: the transposition signs over L
+    signs = [[[koszul_sign(x, y + q) for q in pb] for y in (0, 1)] for x in (0, 1, 2)]
+    out = {}
+    for w in words:
+        (aa, s), (bb, t) = (divmod(g, l) for g in divmod(w, nl))
+        image: dict[int, int] = {}
         for k in range(m):
-            # t_A^K t_B^L and s_K^S s_L^T as codes, L still to be added
-            left = (aa * m + k) * n * m + bb * m
-            right = (k * l + s) * m * l + t
-            for ll in range(m):
-                sign = koszul_sign(pb[k] + pc[s], pa[bb] + pb[ll])
-                key = (left + ll, right + ll * l)
-                out[key] = out.get(key, 0) + coeff * sign
-    return {k: v for k, v in out.items() if v}
+            # the factor words t_A^K t_B^L and s_K^S s_L^T over L
+            left, right = (aa * m + k) * nm + bb * m, (k * l + s) * ml + t
+            for sign, terms1, terms2 in zip(signs[pb[k] + pc[s]][pa[bb]],
+                                            c1[left: left + m], c2[right: right + ml: l]):
+                for v1, x1 in terms1:
+                    key, x = v1 * base, sign * x1
+                    for v2, x2 in terms2:
+                        image[key + v2] = image.get(key + v2, 0) + x * x2
+        out[w] = image
+    return out
 
 
-def _reduces_to_zero(
-    expansion: dict[tuple[int, int], int], c1: list[dict[int, int]], c2: list[dict[int, int]]
-) -> bool:
-    """Is the integer expansion zero in the tensor product of the two
-    quotients?"""
-    out: dict[tuple[int, int], int] = {}
-    for (w1, w2), c in expansion.items():
-        for bw1, x1 in c1[w1].items():
-            cx = c * x1
-            for bw2, x2 in c2[w2].items():
-                key = (bw1, bw2)
-                out[key] = out.get(key, 0) + cx * x2
-    return not any(out.values())
+def _delta_of(row: dict[int, int], images: dict[int, dict[int, int]]) -> dict:
+    """Delta of a row over hom(a, c) word codes, from the words' images."""
+    out: dict = {}
+    for w, x in row.items():
+        for key, v in images[w].items():
+            out[key] = out.get(key, 0) + x * v
+    return out
 
 
 def comultiplication_check(triple: ComposableTriple) -> bool:
@@ -178,11 +183,6 @@ def _xi_quotient_coefficients(obj: QuantumObject) -> dict[tuple[int, int], Fract
     return {(a, b): Fraction(phi.get(a * n + b, 0), phi[1]) for a, b in product(range(n), repeat=2)}
 
 
-def _check_det_shape(obj: QuantumObject) -> None:
-    if obj.space.dim != 2 or any(obj.space.parities) or obj.qp is None:
-        raise WrongShape("determinant needs purely even dim-2 two-parameter objects")
-
-
 def determinant_2x2(src: QuantumObject, tgt: QuantumObject) -> NCPoly:
     """Coefficient of the source area form in the coaction image of the
     target area form: for parameters (q, p) this is ad - p^{21} cb.
@@ -191,15 +191,13 @@ def determinant_2x2(src: QuantumObject, tgt: QuantumObject) -> NCPoly:
     f_src / f_tgt (the coboundary freedom); callers that want that pass
     ``det.scale(f_src / f_tgt)`` to ``determinant_multiplicativity``.
     """
-    _check_det_shape(src)
-    _check_det_shape(tgt)
-    alphabet = matrix_alphabet(src.space, tgt.space)
+    if any(obj.space.dim != 2 or any(obj.space.parities) or obj.qp is None for obj in (src, tgt)):
+        raise WrongShape("determinant needs purely even dim-2 two-parameter objects")
     # purely even entries: the coaction product picks up no transposition
     # signs, and each (a, b) gives its own word t_a^1 t_b^2
     gammas = _xi_quotient_coefficients(src)
-    m = tgt.space.dim
-    return NCPoly(alphabet, {
-        (a * m + 0, b * m + 1): gammas[(a, b)]
+    return NCPoly(matrix_alphabet(src.space, tgt.space), {
+        (a * 2 + 0, b * 2 + 1): gammas[(a, b)]
         for a, b in product(range(2), repeat=2) if gammas[(a, b)]
     })
 
@@ -222,12 +220,14 @@ def determinant_multiplicativity(
         raise ValueError("hom algebras are not composable")
     if dets is None:
         dets = (determinant_2x2(a, b), determinant_2x2(b, c), determinant_2x2(a, c))
-    # each determinant's terms keyed by word codes
-    det_ab, det_bc, det_ac = ({g * d.alphabet.size + h: x for (g, h), x in d.terms.items()}
-                              for d in dets)
-    # Delta(det_ac) - det_ab (x) det_bc, cleared to integers, reduces to
-    # zero iff both sides agree
-    diff = _delta_bidegree(det_ac, a, b, c)
+    # each determinant over word codes, times L, the lcm of all their denominators
+    den = lcm(*(x.denominator for d in dets for x in d.terms.values()))
+    det_ab, det_bc, det_ac = ({g * d.alphabet.size + h: x.numerator * (den // x.denominator)
+                               for (g, h), x in d.terms.items()} for d in dets)
+    # L Delta(L det_ac) - (L det_ab) (x) (L det_bc), reduced, is zero iff they agree
+    diff = _delta_of({w: den * x for w, x in det_ac.items()}, _delta_images(hom_ab, hom_bc, det_ac))
+    c1, c2, base = hom_ab.relations.coords, hom_bc.relations.coords, hom_bc.alphabet.size ** 2
     for (w1, x1), (w2, x2) in product(det_ab.items(), det_bc.items()):
-        diff[w1, w2] = diff.get((w1, w2), 0) - x1 * x2
-    return _reduces_to_zero(_cleared(diff), hom_ab.relations.coords, hom_bc.relations.coords)
+        for (v1, y1), (v2, y2) in product(c1[w1], c2[w2]):
+            diff[v1 * base + v2] = diff.get(v1 * base + v2, 0) - x1 * x2 * y1 * y2
+    return not any(diff.values())

@@ -92,15 +92,15 @@ class RelationSet:
         return _rules(self.back_substituted)
 
     @cached_property
-    def coords(self) -> list[dict[int, int]]:
-        """The quotient coordinates of the degree-2 word codes, on the
-        normal words, all scaled by L, the least common multiple of the
-        rules' P: a leading word w maps to {u: r_u L / P_w}, a normal word
-        w to {w: L}."""
+    def coords(self) -> list[tuple[tuple[int, int], ...]]:
+        """The quotient coordinates of the degree-2 word codes, as (normal
+        word, coordinate) pairs, all scaled by L, the least common multiple
+        of the rules' P: a leading word w maps to the pairs (u, r_u L / P_w),
+        a normal word w to the one pair (w, L)."""
         scale = lcm(*(p for p, _ in self.rules.values()))
-        out = [{w: scale} for w in range(self.alphabet.size ** 2)]
+        out = [((w, scale),) for w in range(self.alphabet.size ** 2)]
         for w, (p, rest) in self.rules.items():
-            out[w] = {u: r * (scale // p) for u, r in rest.items()}
+            out[w] = tuple((u, r * (scale // p)) for u, r in rest.items())
         return out
 
     @cached_property

@@ -795,14 +795,19 @@ def _objects(triple):
     return triple.hom_ab.source, triple.hom_ab.target, triple.hom_bc.target
 
 
-def comultiplication_reference(triple) -> bool:
-    """Reference for ``comultiplication_check`` on Fraction coordinates."""
+def delta_images_reference(triple) -> list[dict]:
+    """Delta of each relation of hom(a, c), a monic ``RelationSet.polys``
+    entry, reduced in the Fraction coordinates of both factors: keyed by
+    pairs of normal degree-2 word tuples, zero entries dropped."""
     q1 = quotient_coords(triple.hom_ab.relations)
     q2 = quotient_coords(triple.hom_bc.relations)
-    return not any(
-        _reduce_bidegree(delta_bidegree_reference(rel.terms, *_objects(triple)), q1, q2)
-        for rel in triple.hom_ac.relations.polys
-    )
+    return [_reduce_bidegree(delta_bidegree_reference(rel.terms, *_objects(triple)), q1, q2)
+            for rel in triple.hom_ac.relations.polys]
+
+
+def comultiplication_reference(triple) -> bool:
+    """Reference for ``comultiplication_check`` on Fraction coordinates."""
+    return not any(delta_images_reference(triple))
 
 
 def determinant_reference(triple, dets) -> bool:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 from pathlib import Path
 from unittest import mock
 
@@ -29,9 +30,12 @@ from support import (
     MIXED_SHAPES,
     coassociativity_reference,
     comultiplication_reference,
+    delta_images_reference,
     dense,
     determinant_reference,
     even2_sudbery,
+    forbid_fraction_arithmetic,
+    forbid_new_fractions,
     identity,
     kron,
     mat_apply,
@@ -144,20 +148,22 @@ def test_coassociativity_needs_the_composite_as_first_factor():
 
 
 def test_comultiplication_verdict_is_computed_once_per_triple(monkeypatch):
+    # one call of the reducer per triple, imaging every word of its rows
     calls = []
-    real = bialgebra._delta_bidegree
+    real = bialgebra._delta_images
 
-    def counting(row, a, b, c):
-        calls.append((a, b, c))
-        return real(row, a, b, c)
+    def counting(ab, bc, words):
+        calls.append((ab, bc, set(words)))
+        return real(ab, bc, words)
 
-    monkeypatch.setattr(bialgebra, "_delta_bidegree", counting)
+    monkeypatch.setattr(bialgebra, "_delta_images", counting)
     abc, acd = window(*intro_chain(), intro_chain(lam=3)[0])
     for _ in range(2):
         assert comultiplication_check(abc)
         assert coassociativity_check(abc, acd)
-    rows = len(abc.hom_ac.relations.rows) + len(acd.hom_ac.relations.rows)
-    assert len(calls) == rows
+    assert [(ab, bc) for ab, bc, _ in calls] == [(abc.hom_ab, abc.hom_bc), (acd.hom_ab, acd.hom_bc)]
+    for (_, _, words), triple in zip(calls, (abc, acd)):
+        assert words == {w for row in triple.hom_ac.relations.rows for w in row}
 
 
 @settings(max_examples=20, deadline=None)
@@ -365,6 +371,27 @@ def test_integer_reduction_matches_fraction_reference_coproduct(shapes, corrupt,
     _assert_coproduct_matches_reference(shapes, corrupt, seed)
 
 
+DIM4_SHAPES = [(0, 0, 0, 1), (0, 0, 1, 1)]
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    st.lists(st.sampled_from(DIM4_SHAPES), min_size=2, max_size=2),
+    st.sampled_from(DIM4_SHAPES + MIXED_SHAPES),
+    st.permutations(range(3)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example([(0, 0, 0, 1), (0, 0, 1, 1)], (0, 1), [0, 1, 2], True, 0)
+def test_integer_reduction_matches_fraction_reference_coproduct_at_16_letters(
+    dim4, other, order, corrupt, seed
+):
+    # two dim-4 super objects, so at least one hom has 16 letters, and a
+    # third of any shape in any place: image keys over mixed dims
+    shapes = [(*dim4, other)[i] for i in order]
+    _assert_coproduct_matches_reference(shapes, corrupt, seed)
+
+
 def _assert_coproduct_matches_reference(shapes, corrupt, seed):
     rng = random.Random(seed)
     a, b, c = (rand_sudbery(rng, space_of(s)) for s in shapes)
@@ -377,15 +404,50 @@ def _assert_coproduct_matches_reference(shapes, corrupt, seed):
         bad = HomAlgebra(a, c, relation_set(hom.alphabet, polys))
         triple = ComposableTriple(triple.hom_ab, triple.hom_bc, bad)
     assert comultiplication_check(triple) == comultiplication_reference(triple)
+    # each row's image, key by key: normal words (v1, v2) keyed
+    # v1 * (m l)**2 + v2, every value scaled by the row's leading
+    # coefficient and by the L of both coordinate tables
+    a, b, c = triple.hom_ab.source, triple.hom_ab.target, triple.hom_bc.target
+    nm, ml = a.space.dim * b.space.dim, b.space.dim * c.space.dim
+    scale = prod(lcm(*(p for p, _ in h.relations.rules.values()))
+                 for h in (triple.hom_ab, triple.hom_bc))
+    rows = triple.hom_ac.relations.rows
+    images = bialgebra._delta_images(triple.hom_ab, triple.hom_bc, {w for r in rows for w in r})
+    for row, expected in zip(rows, delta_images_reference(triple)):
+        got = {}
+        for key, v in bialgebra._delta_of(row, images).items():
+            if v:
+                v1, v2 = divmod(key, ml * ml)
+                got[divmod(v1, nm), divmod(v2, ml)] = Fraction(v, scale * row[max(row)])
+        assert got == expected
 
 
 def test_coproduct_property_fails_on_a_flipped_transposition_sign(monkeypatch):
-    # the package's code expansion alone loses the sign of transposing odd
-    # entries; the reference's own tuple expansion keeps it
+    # the reducer's sign table, built from ``koszul_sign`` on each call,
+    # loses the sign of transposing odd entries; the reference's own tuple
+    # expansion keeps it
     monkeypatch.setattr(bialgebra, "koszul_sign", lambda p1, p2: 1)
     _assert_coproduct_matches_reference([(0, 0)] * 3, False, 0)  # no odd entry
     with pytest.raises(AssertionError):
         _assert_coproduct_matches_reference([(0, 1)] * 3, False, 0)
+
+
+def test_comultiplication_check_makes_no_fraction(monkeypatch):
+    # Delta's images and their row sums are integers read from the spans'
+    # coordinate tables: no Fraction is made or used once the homs exist;
+    # the guarded verdicts are then checked against the Fraction reference
+    rng = random.Random(59)
+    triples = []
+    for shapes in [((0, 0),) * 3, ((0, 1), (0, 0, 1), (0, 1)), ((0, 0, 1, 1), (0, 1), (0, 0, 0, 1))]:
+        triple = composable_triple(*(rand_sudbery(rng, space_of(s)) for s in shapes))
+        bad = scale_relation_coefficient(triple.hom_ac, rng)
+        triples += [triple, ComposableTriple(triple.hom_ab, triple.hom_bc, bad)]
+    forbid_new_fractions(monkeypatch, bialgebra)
+    forbid_fraction_arithmetic(monkeypatch)
+    verdicts = [comultiplication_check(triple) for triple in triples]
+    monkeypatch.undo()
+    assert verdicts == [comultiplication_reference(triple) for triple in triples]
+    assert verdicts == [True, False] * 3
 
 
 @settings(max_examples=20, deadline=None)

@@ -172,14 +172,15 @@ def test_read_only_property_fails_when_a_span_comparison_consumes_stored_rows(mo
 
 
 def test_read_only_property_fails_when_a_reader_mutates_a_coordinate(monkeypatch):
-    real = bialgebra._reduces_to_zero
+    real = bialgebra._delta_images
 
-    def mutating(expansion, c1, c2):
-        coords = next(x for x in c1 if x)
-        coords[next(iter(coords))] *= 2
-        return real(expansion, c1, c2)
+    def mutating(ab, bc, words):
+        coords = ab.relations.coords
+        w = next(w for w, terms in enumerate(coords) if terms)
+        coords[w] = tuple((u, 2 * x) for u, x in coords[w])
+        return real(ab, bc, words)
 
-    monkeypatch.setattr(bialgebra, "_reduces_to_zero", mutating)
+    monkeypatch.setattr(bialgebra, "_delta_images", mutating)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 
