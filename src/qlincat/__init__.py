@@ -68,6 +68,7 @@ from .rewrite import (
 from .rmatrix import (
     BMatrix,
     RepeatedCoefficient,
+    braid_verdicts,
     build_B,
     normalized_B,
     rmatrix_relation_span,
@@ -99,7 +100,7 @@ __all__ = [
     "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",
     "confluence_check", "failed_overlaps", "format_poly", "matrix_alphabet",
     "normal_form",
-    "BMatrix", "RepeatedCoefficient", "build_B", "normalized_B",
+    "BMatrix", "RepeatedCoefficient", "braid_verdicts", "build_B", "normalized_B",
     "rmatrix_relation_span", "yang_baxter_check",
     "BadParameters", "QuantumObject", "dual_object", "make_classical",
     "make_general", "make_normalized", "make_sudbery", "objects_equal",

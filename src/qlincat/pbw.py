@@ -44,6 +44,17 @@ def classical_dimension(parities, degree: int) -> int:
     return total
 
 
+def _tower_dims(hom: HomAlgebra, top: int) -> list[int]:
+    if top < 2:
+        raise ValueError("oracle needs degree >= 2")
+    n = hom.alphabet.size
+    # bound the degree before computing a power; only one letter needs it
+    if top >= ORACLE_WORD_LIMIT.bit_length() or n**top > ORACLE_WORD_LIMIT:
+        what = f"{n}**{top} words exceed" if n > 1 else f"degree {top} exceeds"
+        raise TooLarge(f"{what} the oracle guard")
+    return hom.relations.tower.dims(top)
+
+
 def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     """(degree, exact dimension, classical dimension) for every degree from
     2 to top; raises ValueError for top < 2, which asks for no degree.
@@ -52,22 +63,16 @@ def oracle_dims(hom: HomAlgebra, top: int) -> tuple[tuple[int, int, int], ...]:
     relation span's quotient tower (``RelationSet.tower``), which is built
     once per span and extended only by the degrees it does not hold yet.
     """
-    if top < 2:
-        raise ValueError("oracle needs degree >= 2")
-    n = hom.alphabet.size
-    # bound the degree before computing a power; only one letter needs it
-    if top >= ORACLE_WORD_LIMIT.bit_length() or n**top > ORACLE_WORD_LIMIT:
-        what = f"{n}**{top} words exceed" if n > 1 else f"degree {top} exceeds"
-        raise TooLarge(f"{what} the oracle guard")
     return tuple(
         (d, dim, classical_dimension(hom.alphabet.parities, d))
-        for d, dim in enumerate(hom.relations.tower.dims(top), start=2)
+        for d, dim in enumerate(_tower_dims(hom, top), start=2)
     )
 
 
 def dimension_oracle(hom: HomAlgebra, degree: int) -> int:
-    """Exact dimension of the degree-d part of the quotient algebra."""
-    return oracle_dims(hom, degree)[-1][1]
+    """Exact dimension of the degree-d part of the quotient algebra, behind
+    the same guard as ``oracle_dims`` and with no classical count."""
+    return _tower_dims(hom, degree)[-1]
 
 
 @dataclass(frozen=True)

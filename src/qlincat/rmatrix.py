@@ -10,6 +10,8 @@ integer columns of L B; it forms no projector, no dense sum and no
 The braid check never forms a matrix on the tensor cube: it applies L B to
 the first and to the last two factors of each cube basis word through
 those columns, and compares the two triple products one column at a time.
+``braid_verdicts`` decides the normalized form P_1 - lam P_2 for many lam
+at once, from one projector and one Hecke scalar (Gurevich 1991).
 
 The relations in projector form are the entries of
 B_source . coaction - coaction . B_target.  Each entry is summed on
@@ -51,14 +53,18 @@ class BMatrix:
     columns: tuple[dict[int, int], ...]
 
 
-def build_B(obj: QuantumObject, coefficients) -> BMatrix:
-    coeffs = tuple(frac(c) for c in coefficients)
-    if len(coeffs) != obj.s:
-        raise ValueError(f"need {obj.s} coefficients, got {len(coeffs)}")
+def _check_distinct(coeffs: tuple[Fraction, ...]) -> None:
     if len(set(coeffs)) != len(coeffs):
         raise RepeatedCoefficient(
             f"coefficients {', '.join(map(str, coeffs))} are not pairwise distinct"
         )
+
+
+def build_B(obj: QuantumObject, coefficients) -> BMatrix:
+    coeffs = tuple(frac(c) for c in coefficients)
+    if len(coeffs) != obj.s:
+        raise ValueError(f"need {obj.s} coefficients, got {len(coeffs)}")
+    _check_distinct(coeffs)
     return BMatrix(obj, coeffs, *spectral_sum(obj.bases, coeffs, obj.space.dim**2))
 
 
@@ -67,6 +73,33 @@ def normalized_B(obj: QuantumObject, lam) -> BMatrix:
     if obj.s != 2:
         raise ValueError("normalized form needs a two-component object")
     return build_B(obj, (Fraction(1), -frac(lam)))
+
+
+def _on_factors(cols: tuple[dict[int, int], ...], n: int):
+    """The maps v -> (M (x) 1) v and v -> (1 (x) M) v on sparse vectors over
+    the n**3 words of the tensor cube, for the integer columns of a matrix M
+    on the tensor square."""
+    nn = n * n
+
+    def on12(v: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for idx, x in v.items():
+            pair, last = divmod(idx, n)
+            for r, y in cols[pair].items():
+                key = r * n + last
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    def on23(v: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for idx, x in v.items():
+            first, pair = divmod(idx, nn)
+            for r, y in cols[pair].items():
+                key = first * nn + r
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    return on12, on23
 
 
 def yang_baxter_check(b: BMatrix) -> bool:
@@ -78,28 +111,8 @@ def yang_baxter_check(b: BMatrix) -> bool:
     for B, so the verdict is unchanged).
     """
     n = b.object.space.dim
-    nn = n * n
-    cols = b.columns
-
-    def b12(v: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for idx, x in v.items():
-            pair, last = divmod(idx, n)
-            for r, y in cols[pair].items():
-                key = r * n + last
-                out[key] = out.get(key, 0) + x * y
-        return out
-
-    def b23(v: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for idx, x in v.items():
-            first, pair = divmod(idx, nn)
-            for r, y in cols[pair].items():
-                key = first * nn + r
-                out[key] = out.get(key, 0) + x * y
-        return out
-
-    for word in range(n * nn):
+    b12, b23 = _on_factors(b.columns, n)
+    for word in range(n**3):
         e = {word: 1}
         diff = b12(b23(b12(e)))
         for k, x in b23(b12(b23(e))).items():
@@ -107,6 +120,54 @@ def yang_baxter_check(b: BMatrix) -> bool:
         if any(diff.values()):
             return False
     return True
+
+
+def braid_verdicts(obj: QuantumObject, lams) -> tuple[bool, ...]:
+    """``yang_baxter_check(normalized_B(obj, lam))`` for each lam in lams,
+    with the same refusals, from one projector and no braid product per lam.
+
+    With P = P_1, B = P_1 - lam P_2 = (1 + lam) P - lam, and P**2 = P gives
+    B12 B23 B12 - B23 B12 B23 = (1 + lam) [(1 + lam)**2 X - lam Y], with
+    X = P12 P23 P12 - P23 P12 P23 and Y = P12 - P23 (the Hecke condition).
+    lam = -1 repeats a coefficient and is refused, so lam passes iff
+    (1 + lam)**2 X = lam Y.  L P is read from one ``spectral_sum``, and each
+    cube word's columns of L**3 X and of L Y = L P12 - L P23 are compared
+    on integers: the first nonzero entry of L Y fixes kappa = (kx, ky) with
+    ky L**3 X = kx L Y (before it, X must vanish where Y does), and a column
+    where the two sides differ fails every lam.  Then X = kappa Y with
+    kappa = kx / (ky L**2), and lam = num / den passes iff
+    kx (den + num)**2 = ky L**2 num den; if X = Y = 0, every lam passes.
+    """
+    if obj.s != 2:
+        raise ValueError("normalized form needs a two-component object")
+    ratios = []
+    for lam in map(frac, lams):
+        _check_distinct((Fraction(1), -lam))
+        ratios.append(lam.as_integer_ratio())
+    n = obj.space.dim
+    scale, cols = spectral_sum(obj.bases, (1, 0), n * n)
+    p12, p23 = _on_factors(cols, n)
+    kappa = None
+    for word in range(n**3):
+        e = {word: 1}
+        y, z = p12(e), p23(e)
+        x = p12(p23(y))
+        for k, v in p23(p12(z)).items():
+            x[k] = x.get(k, 0) - v
+        for k, v in z.items():
+            y[k] = y.get(k, 0) - v
+        if kappa is None:
+            kappa = next(((x.get(k, 0), v) for k, v in y.items() if v), None)
+        kx, ky = kappa or (0, 1)
+        # x becomes ky x - kx y (off the support of y, ky x vanishes iff x does)
+        for k, v in y.items():
+            x[k] = ky * x.get(k, 0) - kx * v
+        if any(x.values()):
+            return (False,) * len(ratios)
+    if kappa is None:
+        return (True,) * len(ratios)
+    kx, ky = kappa[0], kappa[1] * scale * scale
+    return tuple(kx * (den + num) ** 2 == ky * num * den for num, den in ratios)
 
 
 def rmatrix_relation_span(b_src: BMatrix, b_tgt: BMatrix) -> RelationSet:

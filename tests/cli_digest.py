@@ -1,8 +1,9 @@
 """One SHA-256 over the CLI's behaviour on every sample object.
 
 Runs each subcommand in-process over ``sample_objects/``, in text and in
-``--json`` form: ``object`` and ``yb`` on each file, ``hom --form both``
-and ``pbw --oracle`` on each ordered pair, ``bialgebra`` and ``det`` on
+``--json`` form: ``object`` and ``yb`` on each file, ``yb --lam=X`` on
+each file for each X in ``LAMS``, ``hom --form both`` and ``pbw --oracle``
+on each ordered pair, ``bialgebra`` and ``det`` on
 each ordered triple (files may repeat) and on each run of 4 and of 5
 consecutive files in sorted order.  Prints the number of calls and
 one digest over (argv, exit code, stdout, stderr) of every call, so two
@@ -30,12 +31,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qlincat.cli import main  # noqa: E402
 
+# explicit braid coefficients: 0 and 1, the refused -1 (a repeated
+# coefficient), and a negative, an integer and a fractional value; the
+# "--lam=X" form lets argparse read a negative fraction as a value
+LAMS = ("0", "1", "2", "-1", "-1/3", "5/2")
+
 
 def calls() -> list[list[str]]:
     files = sorted(f"sample_objects/{p.name}" for p in (ROOT / "sample_objects").glob("*.json"))
     out = []
     for f in files:
-        out += [["object", f], ["yb", f]]
+        out += [["object", f], ["yb", f]] + [["yb", f, f"--lam={lam}"] for lam in LAMS]
     for pair in product(files, repeat=2):
         out += [["hom", *pair, "--form", "both"], ["pbw", *pair, "--oracle"]]
     for triple in product(files, repeat=3):

@@ -740,6 +740,41 @@ def dense_yang_baxter(b) -> bool:
     return matmul(matmul(b12, b23), b12) == matmul(matmul(b23, b12), b23)
 
 
+def hecke_pair(obj) -> tuple[dict, dict]:
+    """Reference for the two operators ``braid_verdicts`` reads, L**3 X and
+    L**3 Y with X = P12 P23 P12 - P23 P12 P23 and Y = P12 - P23, as sparse
+    integer matrices {(row, column): entry} on the tensor cube, zero entries
+    dropped: L P = L P_1 from the 0/1 ``spectral_sum``, and P12 = P (x) 1 and
+    P23 = 1 (x) P multiplied as whole matrices."""
+    n = obj.space.dim
+    scale, cols = linalg.spectral_sum(obj.bases, (1, 0), n * n)
+    p12, p23 = {}, {}
+    for pair, col in enumerate(cols):
+        for r, v in col.items():
+            for k in range(n):
+                p12[r * n + k, pair * n + k] = v
+                p23[k * n * n + r, k * n * n + pair] = v
+
+    def mul(a, b):
+        rows = {}
+        for (i, j), v in b.items():
+            rows.setdefault(i, []).append((j, v))
+        out = {}
+        for (i, k), v in a.items():
+            for j, w in rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + v * w
+        return out
+
+    def diff(a, b, factor=1):
+        out = {key: factor * v for key, v in a.items()}
+        for key, v in b.items():
+            out[key] = out.get(key, 0) - factor * v
+        return {key: v for key, v in out.items() if v}
+
+    x = diff(mul(mul(p12, p23), p12), mul(mul(p23, p12), p23))
+    return x, diff(p12, p23, scale * scale)
+
+
 def quotient_coords(rels) -> dict:
     """Fraction coordinates of every degree-2 word in the quotient by a
     relation span, read from its ``back_substituted`` rows rather than its

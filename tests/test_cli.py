@@ -981,15 +981,16 @@ def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects
 
 
 def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
-    # both braid matrices read the cached component bases: one forward
-    # elimination and one back-substitution per component, one elimination
-    # per braid matrix (``linalg.spectral_sum``), and no kernel
+    # every candidate is decided from one projector read from the cached
+    # component bases: one forward elimination and one back-substitution
+    # per component, one elimination per call (``linalg.spectral_sum``),
+    # whatever the number of candidates, and no kernel
     calls = _count_reductions(monkeypatch)
     assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
     assert calls == Counter({
         ("spaces", "_echelon"): 2, ("spaces", "_reduced_rows"): 2,
-        ("linalg", "_echelon"): 2, ("linalg", "_reduced_rows"): 2,
+        ("linalg", "_echelon"): 1, ("linalg", "_reduced_rows"): 1,
     })
 
 

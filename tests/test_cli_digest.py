@@ -1,12 +1,12 @@
 """The CLI's behaviour on every sample object, pinned: ``cli_digest`` hashes
-argv, exit code, stdout and stderr of 2372 in-process calls, so any change
+argv, exit code, stdout and stderr of 2468 in-process calls, so any change
 to what the CLI prints or returns on them changes this line."""
 
 import json
 
 import cli_digest
 
-PINNED = "2372 calls ce064c7163f6893251d37de6ffd126e5a1b388e50e92b60492c5eb87f3ba14af"
+PINNED = "2468 calls eaa958b1f0e73da96383e5ad8b6a4773668c4ce8f092794a4315661419c659c4"
 
 
 def test_cli_digest_is_pinned(monkeypatch, capsys):
@@ -29,5 +29,5 @@ def test_every_json_report_is_sorted_indented_ascii(monkeypatch):
             reports += 1
         else:
             assert code == 2, argv
-    # the other 302 --json calls are refused with exit 2
-    assert reports == 884
+    # the other 310 --json calls are refused with exit 2
+    assert reports == 924

@@ -63,6 +63,8 @@ LIBRARY_API = (
     "objects_equal", "composable_triple",
     # raised by the names above (koszul_pairing, spans_equal)
     "DegreeMismatch", "AlphabetMismatch",
+    # reference for `yb`'s Hecke check (``braid_verdicts``)
+    "normalized_B", "yang_baxter_check",
 )
 
 

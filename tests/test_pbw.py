@@ -118,6 +118,19 @@ def test_oracle_guard():
         dimension_oracle(hom, 1)
 
 
+def test_dimension_oracle_counts_no_classical_dimension(monkeypatch):
+    # one exact dimension per call, read off the tower behind the guard
+    sudbery = sudbery_with_constant(random.Random(3), even_space(2), Fraction(3, 2))
+    hom = hom_algebra(sudbery, sudbery)
+    expected = [dim for _, dim, _ in oracle_dims(hom, 6)]
+
+    def no_classical(*args):
+        raise AssertionError("classical dimension counted")
+
+    monkeypatch.setattr(pbw, "classical_dimension", no_classical)
+    assert [dimension_oracle(hom, d) for d in range(2, 7)] == expected
+
+
 def _unreduced(hom):
     """The same hom algebra over a new relation set whose echelon is not
     computed yet."""

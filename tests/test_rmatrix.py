@@ -15,6 +15,7 @@ from qlincat.pbw import pbw_extract_constant
 from qlincat.rmatrix import (
     BMatrix,
     RepeatedCoefficient,
+    braid_verdicts,
     build_B,
     normalized_B,
     rmatrix_relation_span,
@@ -34,6 +35,7 @@ from support import (
     even2_sudbery,
     forbid_fraction_arithmetic,
     forbid_new_fractions,
+    hecke_pair,
     identity,
     inverse,
     kron,
@@ -341,6 +343,145 @@ def test_braid_check_builds_no_dense_product():
     good = normalized_B(even2_sudbery(2, 3), Fraction(2, 3))
     assert yang_baxter_check(good)
     assert not yang_baxter_check(_perturbed(good, 0, 1))
+
+
+LINES = [(0,), (1,)]
+SUPER_DIM4 = [(0, 0, 0, 1), (0, 0, 1, 1)]
+
+
+def _two_parameter(rng, space, kind):
+    if kind == "constant":
+        return sudbery_with_constant(rng, space, rand_constant(rng))
+    return (rand_sudbery if kind == "sudbery" else rand_normalized)(rng, space)
+
+
+@st.composite
+def verdict_cases(draw):
+    """Two-component objects with candidate coefficients lam, never -1:
+    two-parameter objects (random, single-constant and normalized) over
+    ``MIXED_SHAPES`` and the dim-4 super shapes, and dense general objects
+    over ``MIXED_SHAPES``; lam from c, 1/c, 0, 1, the object's ratios and
+    random rationals, in random order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sudbery", "constant", "normalized", "general"]))
+    if kind == "general":
+        obj = rand_general(rng, space_of(draw(st.sampled_from(MIXED_SHAPES))))
+    else:
+        obj = _two_parameter(rng, space_of(draw(st.sampled_from(LINES + MIXED_SHAPES + SUPER_DIM4))), kind)
+    lams = {Fraction(0), Fraction(1), rand_nonzero(rng), rand_nonzero(rng, -9, 9, 9)}
+    if obj.qp is not None:
+        (q, p), n = obj.qp, obj.space.dim
+        lams |= {p[a][b] / q[a][b] for a in range(n) for b in range(n) if a != b}
+        if (ext := pbw_extract_constant(obj)) is not None:
+            lams |= {ext.constant, 1 / ext.constant}
+    lams.discard(Fraction(-1))
+    return obj, rng.sample(sorted(lams), len(lams))
+
+
+def _assert_verdicts_match_braid_checks(obj, lams):
+    expected = tuple(yang_baxter_check(normalized_B(obj, lam)) for lam in lams)
+    assert braid_verdicts(obj, lams) == expected
+    return expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(verdict_cases())
+def test_braid_verdicts_match_the_braid_check(case):
+    _assert_verdicts_match_braid_checks(*case)
+
+
+def test_braid_verdicts_pass_and_fail_on_fixed_cases():
+    # a single-constant object passes at c and 1/c and fails elsewhere; a
+    # dim-1 object passes everywhere; a nontransitive one fails everywhere
+    rng = random.Random(59)
+    constant = sudbery_with_constant(rng, space_of((0, 1, 1)), Fraction(5, 2))
+    lams = [Fraction(5, 2), Fraction(0), Fraction(2, 5), Fraction(1), Fraction(7)]
+    assert _assert_verdicts_match_braid_checks(constant, lams) == (True, False, True, False, False)
+    line = rand_sudbery(rng, space_of((1,)))
+    assert _assert_verdicts_match_braid_checks(line, lams) == (True,) * 5
+    one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
+    p = [[one, two, half], [half, one, two], [two, half, one]]
+    cycle = make_sudbery(even_space(3), [[one] * 3] * 3, p)
+    assert _assert_verdicts_match_braid_checks(cycle, [two, half, one]) == (False,) * 3
+
+
+def test_verdict_property_fails_on_a_perturbed_projector(monkeypatch):
+    # one entry of L P moved by 1, as ``_perturbed`` moves one entry of B
+    obj = sudbery_with_constant(random.Random(61), space_of((0, 0, 1)), Fraction(5, 2))
+    lams = [Fraction(5, 2), Fraction(2, 5)]
+    assert _assert_verdicts_match_braid_checks(obj, lams) == (True, True)
+    real = rmatrix.spectral_sum
+
+    def perturbed(bases, values, dim):
+        scale, cols = real(bases, values, dim)
+        if list(values) != [1, 0]:
+            return scale, cols
+        cols = list(cols)
+        cols[3] = {**cols[3], 1: cols[3].get(1, 0) + 1}
+        return scale, tuple(cols)
+
+    monkeypatch.setattr(rmatrix, "spectral_sum", perturbed)
+    with pytest.raises(AssertionError):
+        _assert_verdicts_match_braid_checks(obj, lams)
+
+
+def test_braid_verdicts_refuse_what_normalized_B_refuses():
+    # the same exception and message, the component count before any lam
+    three = _three_components(random.Random(5), even_space(2))
+    two = even2_sudbery(2, 3)
+    cases = [
+        (three, [Fraction(2)]), (three, [Fraction(-1)]),
+        (two, [Fraction(-1)]), (two, [Fraction(2), Fraction(-1), Fraction(3)]),
+    ]
+    for obj, lams in cases:
+        with pytest.raises((ValueError, RepeatedCoefficient)) as want:
+            [normalized_B(obj, lam) for lam in lams]
+        with pytest.raises((ValueError, RepeatedCoefficient)) as got:
+            braid_verdicts(obj, lams)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _assert_hecke_claim(ext, x, y):
+    """``pbw_extract_constant`` succeeds iff X is a multiple of Y (for X and
+    Y read by ``hecke_pair``), and a constrained constant c then satisfies
+    c + 1/c = 1/kappa - 2 for X = kappa Y."""
+    k0 = next(iter(y), None)
+    if k0 is None:
+        multiple = not x
+    else:
+        multiple = all(y[k0] * x.get(k, 0) == x.get(k0, 0) * y.get(k, 0) for k in x.keys() | y.keys())
+    assert multiple == (ext is not None)
+    if ext is not None and not ext.unconstrained:
+        c, kappa = ext.constant, Fraction(x.get(k0, 0), y[k0])
+        assert c + 1 / c == 1 / kappa - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(LINES + MIXED_SHAPES + SUPER_DIM4),
+    st.sampled_from(["sudbery", "constant", "normalized"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_extraction_succeeds_iff_x_is_a_multiple_of_y(shape, kind, seed):
+    obj = _two_parameter(random.Random(seed), space_of(shape), kind)
+    _assert_hecke_claim(pbw_extract_constant(obj), *hecke_pair(obj))
+
+
+def test_hecke_property_fails_on_a_ratio_outside_the_constant():
+    # one ratio p^{01}/q^{01} moved from {3, 1/3} to 7, its reciprocal kept
+    # by p^{10}; the unmutated extraction read against the mutated X and Y
+    space = even_space(3)
+    obj = sudbery_with_constant(random.Random(67), space, Fraction(3))
+    ext = pbw_extract_constant(obj)
+    _assert_hecke_claim(ext, *hecke_pair(obj))
+    q, p = obj.qp
+    p = [list(row) for row in p]
+    p[0][1] = 7 * q[0][1]
+    p[1][0] = 1 / p[0][1]
+    mutated = make_sudbery(space, q, p)
+    assert pbw_extract_constant(mutated) is None
+    with pytest.raises(AssertionError):
+        _assert_hecke_claim(ext, *hecke_pair(mutated))
 
 
 @st.composite
