@@ -5,10 +5,11 @@ the 2x2 determinant with its multiplicativity.
 Every reduction happens in degree-2 quotient coordinates (these are always
 of classical dimension), so no check assumes the PBW property of the
 algebras involved.  Delta's image of each degree-2 word of hom(a, c) over
-both factors' coordinate tables is built once per triple (``_delta_images``);
-coassociativity reads the verdicts of two triples.  The determinant's area
-form is read off the object's cached annihilator of its second component,
-which on a purely even object is its own Pi-image.
+both factors' coordinate tables is built once per triple and kept only while
+the rows that read it are reduced (``_delta_rows``); coassociativity reads
+the verdicts of two triples.  The determinant's area form is read off the
+object's cached annihilator of its second component, which on a purely even
+object is its own Pi-image.
 """
 
 from __future__ import annotations
@@ -66,49 +67,52 @@ class ComposableTriple:
         annihilates I_k(b) and r_bc(beta^j, f) is a relation of hom(b, c).
         The counit on hom(x, x) sends r(g, f) to the pairing of g and f: 0.
         """
-        rows = self.hom_ac.relations.rows
-        images = _delta_images(self.hom_ab, self.hom_bc, {w for row in rows for w in row})
-        return not any(any(_delta_of(row, images).values()) for row in rows)
+        # by smallest word: a two-parameter row pairs a word with few others,
+        # so each word's image is held for a few rows, not across the span
+        rows = sorted(self.hom_ac.relations.rows, key=min)
+        return not any(any(delta.values()) for delta in _delta_rows(self.hom_ab, self.hom_bc, rows))
 
 
 def composable_triple(a: QuantumObject, b: QuantumObject, c: QuantumObject) -> ComposableTriple:
     return ComposableTriple(hom_algebra(a, b), hom_algebra(b, c), hom_algebra(a, c))
 
 
-def _delta_images(ab: HomAlgebra, bc: HomAlgebra, words) -> dict[int, dict[int, int]]:
-    """The tensor reducer at two factors and degree 2: Delta of each hom(a, c)
-    word code in ``words``, signs from one table per call, factor words read
-    from their spans' ``coords``, normal words (v1, v2) keyed v1 (m l)**2 + v2."""
+def _delta_rows(ab: HomAlgebra, bc: HomAlgebra, rows: Sequence[dict[int, int]]):
+    """The tensor reducer at two factors and degree 2: Delta of each row over
+    hom(a, c) word codes in turn, signs from one table per call, factor words
+    read from their spans' ``coords``, normal words (v1, v2) keyed
+    v1 (m l)**2 + v2.  Delta is linear, so a row's image is the sum of its
+    words' images; each word's image is built when the first row that reads
+    it comes and dropped after the last."""
     pa, pb, pc = (x.space.parities for x in (ab.source, ab.target, bc.target))
     n, m, l = len(pa), len(pb), len(pc)
     c1, c2 = ab.relations.coords, bc.relations.coords
     nl, nm, ml, base = n * l, n * m, m * l, (m * l) ** 2
     # signs[pK + pS][pB]: the transposition signs over L
     signs = [[[koszul_sign(x, y + q) for q in pb] for y in (0, 1)] for x in (0, 1, 2)]
-    out = {}
-    for w in words:
-        (aa, s), (bb, t) = (divmod(g, l) for g in divmod(w, nl))
-        image: dict[int, int] = {}
-        for k in range(m):
-            # the factor words t_A^K t_B^L and s_K^S s_L^T over L
-            left, right = (aa * m + k) * nm + bb * m, (k * l + s) * ml + t
-            for sign, terms1, terms2 in zip(signs[pb[k] + pc[s]][pa[bb]],
-                                            c1[left: left + m], c2[right: right + ml: l]):
-                for v1, x1 in terms1:
-                    key, x = v1 * base, sign * x1
-                    for v2, x2 in terms2:
-                        image[key + v2] = image.get(key + v2, 0) + x * x2
-        out[w] = image
-    return out
-
-
-def _delta_of(row: dict[int, int], images: dict[int, dict[int, int]]) -> dict:
-    """Delta of a row over hom(a, c) word codes, from the words' images."""
-    out: dict = {}
-    for w, x in row.items():
-        for key, v in images[w].items():
-            out[key] = out.get(key, 0) + x * v
-    return out
+    last = {w: i for i, row in enumerate(rows) for w in row}
+    images: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        out: dict[int, int] = {}
+        for w, x in row.items():
+            image = images.get(w)
+            if image is None:
+                (aa, s), (bb, t) = (divmod(g, l) for g in divmod(w, nl))
+                image = images[w] = {}
+                for k in range(m):
+                    # the factor words t_A^K t_B^L and s_K^S s_L^T over L
+                    left, right = (aa * m + k) * nm + bb * m, (k * l + s) * ml + t
+                    for sign, terms1, terms2 in zip(signs[pb[k] + pc[s]][pa[bb]],
+                                                    c1[left: left + m], c2[right: right + ml: l]):
+                        for v1, x1 in terms1:
+                            key, y = v1 * base, sign * x1
+                            for v2, x2 in terms2:
+                                image[key + v2] = image.get(key + v2, 0) + y * x2
+            if last[w] == i:
+                del images[w]
+            for key, v in image.items():
+                out[key] = out.get(key, 0) + x * v
+        yield out
 
 
 def comultiplication_check(triple: ComposableTriple) -> bool:
@@ -225,7 +229,7 @@ def determinant_multiplicativity(
     det_ab, det_bc, det_ac = ({g * d.alphabet.size + h: x.numerator * (den // x.denominator)
                                for (g, h), x in d.terms.items()} for d in dets)
     # L Delta(L det_ac) - (L det_ab) (x) (L det_bc), reduced, is zero iff they agree
-    diff = _delta_of({w: den * x for w, x in det_ac.items()}, _delta_images(hom_ab, hom_bc, det_ac))
+    (diff,) = _delta_rows(hom_ab, hom_bc, [{w: den * x for w, x in det_ac.items()}])
     c1, c2, base = hom_ab.relations.coords, hom_bc.relations.coords, hom_bc.alphabet.size ** 2
     for (w1, x1), (w2, x2) in product(det_ab.items(), det_bc.items()):
         for (v1, y1), (v2, y2) in product(c1[w1], c2[w2]):

@@ -18,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from .bialgebra import (
     ComposableTriple,
@@ -37,7 +38,7 @@ from .homs import (
 )
 from .linalg import NotComplementary
 from .pbw import TooLarge, oracle_dims, pbw_criterion, pbw_extract_constant
-from .rewrite import build_rewrite_system, confluence_check, failed_overlaps, format_poly
+from .rewrite import build_rewrite_system, confluence_check, failed_overlaps
 from .rmatrix import RepeatedCoefficient, braid_verdicts
 from .graded import space_of
 from .spaces import (
@@ -261,8 +262,45 @@ def object_to_json(obj: QuantumObject) -> dict:
     return doc
 
 
-def _poly_json(poly) -> list:
-    return [{"word": list(word), "coeff": str(coeff)} for word, coeff in poly.sorted_terms()]
+class _Json(str):
+    """Text that ``_json_text`` writes as it is: a value already written as
+    JSON at the indentation where it is put."""
+
+
+def _row_terms(row: dict[int, int], n: int) -> list[tuple[int, int, str]]:
+    """The terms of a ``RelationSet`` row's monic polynomial as
+    ``RelationSet.polys`` lists them: (g, h, v / L) by descending word code
+    g * n + h, L the row's positive leading entry, each quotient written in
+    lowest terms as ``str(Fraction(v, L))`` writes it."""
+    lead = row[max(row)]
+    out = []
+    for c in sorted(row, reverse=True):
+        v = row[c]
+        d = gcd(v, lead)
+        out.append((*divmod(c, n), str(v // d) if d == lead else f"{v // d}/{lead // d}"))
+    return out
+
+
+def _terms_json(terms) -> str:
+    """``terms`` as the list [{"coeff": text, "word": [g, h]}, ...] that
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes at the depth where
+    both reports put one: hom's relations[i]["terms"] and det's
+    determinants[i]["terms"]."""
+    items = ",\n        ".join(
+        f'{{\n          "coeff": "{coeff}",\n          "word": [\n            {g},\n'
+        f"            {h}\n          ]\n        }}"
+        for g, h, coeff in terms
+    )
+    return f"[\n        {items}\n      ]"
+
+
+def _terms_text(terms, names) -> str:
+    """The polynomial of ``terms`` as ``rewrite.format_poly`` writes it."""
+    text = ""
+    for g, h, coeff in terms:
+        mag, word = coeff.lstrip("-"), names[g] + names[h]
+        text += (" - " if coeff[0] == "-" else " + ") + (word if mag == "1" else f"{mag} {word}")
+    return ("-" if text[1] == "-" else "") + text[3:]
 
 
 def _json_text(value, pad: str, out: list) -> None:
@@ -270,7 +308,7 @@ def _json_text(value, pad: str, out: list) -> None:
     indent=2)`` writes it at indentation ``pad``; that call's generic
     encoder runs in pure Python once ``indent`` is set."""
     if isinstance(value, str):
-        out.append(_quote(value))
+        out.append(value if type(value) is _Json else _quote(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -354,14 +392,18 @@ def cmd_hom(args) -> int:
     if args.form == "both":
         report["spans_equal"] = spans_equal(rels_by_form["general"], rels_by_form["sudbery"])
     primary = rels_by_form[forms[0]]
-    report["relations"] = [{"terms": _poly_json(p)} for p in primary.polys]
+    terms = [_row_terms(row, primary.alphabet.size) for row in primary.rows]
     report["span_dim"] = primary.span_dim
     if args.json:
+        relations = "\n    },\n    {\n      \"terms\": ".join(map(_terms_json, terms))
+        report["relations"] = _Json(
+            f'[\n    {{\n      "terms": {relations}\n    }}\n  ]' if terms else "[]"
+        )
         _emit(report)
     else:
-        print(f"relations ({forms[0]}): {len(primary.polys)}, span dim {primary.span_dim}")
-        for p in primary.polys:
-            print(f"  {format_poly(p)} = 0")
+        names = primary.alphabet.names
+        print(f"relations ({forms[0]}): {len(terms)}, span dim {primary.span_dim}")
+        print("".join(f"  {_terms_text(t, names)} = 0\n" for t in terms), end="")
         if args.form == "both":
             print(f"general and closed-form spans equal: {'yes' if report['spans_equal'] else 'NO'}")
     return 0 if report.get("spans_equal", True) else 1
@@ -475,14 +517,16 @@ def cmd_det(args) -> int:
         three = (det(i, i + 1), det(i + 1, i + 2), det(i, i + 2))
         ok = determinant_multiplicativity(hom(i, i + 1), hom(i + 1, i + 2), dets=three)
         mults.append((f"multiplicative({i},{i+1},{i+2})", ok))
+    terms = [(n, [(g, h, str(x)) for (g, h), x in d.sorted_terms()], d.alphabet.names)
+             for n, d in dets]
     if args.json:
         _emit({
-            "determinants": [{"name": n, "terms": _poly_json(d)} for n, d in dets],
+            "determinants": [{"name": n, "terms": _Json(_terms_json(t))} for n, t, _ in terms],
             "multiplicativity": [{"name": n, "passes": ok} for n, ok in mults],
         })
     else:
-        for n, d in dets:
-            print(f"{n} = {format_poly(d)}")
+        for n, t, names in terms:
+            print(f"{n} = {_terms_text(t, names)}")
         for n, ok in mults:
             print(f"{n}: {'yes' if ok else 'NO'}")
     return 0 if all(ok for _, ok in mults) else 1
@@ -522,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yb", help="braid-relation check for the normalized projector combination")
     p.add_argument("file")
-    p.add_argument("--lam", help="explicit coefficient (rational string)")
+    p.add_argument("--lam", help="explicit coefficient (rational string); write a negative "
+                   "fraction as --lam=-1/3, since argparse reads -1/3 after a space as an option")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_yb)
 

@@ -2,8 +2,8 @@
 
 Runs each subcommand in-process over ``sample_objects/``, in text and in
 ``--json`` form: ``object`` and ``yb`` on each file, ``yb --lam=X`` on
-each file for each X in ``LAMS``, ``hom --form both`` and ``pbw --oracle``
-on each ordered pair, ``bialgebra`` and ``det`` on
+each file for each X in ``LAMS``, ``hom`` in each ``--form`` and
+``pbw --oracle`` on each ordered pair, ``bialgebra`` and ``det`` on
 each ordered triple (files may repeat) and on each run of 4 and of 5
 consecutive files in sorted order.  Prints the number of calls and
 one digest over (argv, exit code, stdout, stderr) of every call, so two
@@ -43,7 +43,8 @@ def calls() -> list[list[str]]:
     for f in files:
         out += [["object", f], ["yb", f]] + [["yb", f, f"--lam={lam}"] for lam in LAMS]
     for pair in product(files, repeat=2):
-        out += [["hom", *pair, "--form", "both"], ["pbw", *pair, "--oracle"]]
+        out += [["hom", *pair, "--form", form] for form in ("general", "sudbery", "both")]
+        out.append(["pbw", *pair, "--oracle"])
     for triple in product(files, repeat=3):
         out += [["bialgebra", *triple], ["det", *triple]]
     for k in (4, 5):

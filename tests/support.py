@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -32,7 +33,7 @@ from qlincat.linalg import (
     _same_span,
     frac,
 )
-from qlincat.rewrite import NCPoly, matrix_alphabet, word_key
+from qlincat.rewrite import NCPoly, format_poly, matrix_alphabet, word_key
 from qlincat.rmatrix import BMatrix
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
@@ -397,6 +398,26 @@ def rank_bareiss(m) -> int:
         prev = piv
         r += 1
     return r
+
+
+def poly_json(poly: NCPoly) -> list:
+    """A polynomial's terms as the CLI's ``--json`` reports list them, in
+    descending word order."""
+    return [{"word": list(word), "coeff": str(coeff)} for word, coeff in poly.sorted_terms()]
+
+
+def hom_output_reference(rels, form: str, equal: bool | None = None) -> tuple[str, str]:
+    """What ``qlincat hom --form F`` prints in text and with ``--json`` when
+    ``rels`` is the span of its first form, ``form``, built from the monic
+    view ``rels.polys``; ``equal`` is the span comparison of ``--form both``."""
+    polys = rels.polys
+    lines = [f"relations ({form}): {len(polys)}, span dim {rels.span_dim}"]
+    lines += [f"  {format_poly(p)} = 0" for p in polys]
+    report = {"relations": [{"terms": poly_json(p)} for p in polys], "span_dim": rels.span_dim}
+    if equal is not None:
+        lines.append(f"general and closed-form spans equal: {'yes' if equal else 'NO'}")
+        report["spans_equal"] = equal
+    return "\n".join(lines) + "\n", json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def relation_int_rows(rels) -> list[dict[int, int]]:

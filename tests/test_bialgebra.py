@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
@@ -44,6 +45,7 @@ from support import (
     rand_sudbery,
     scale_diagonal_word,
     scale_relation_coefficient,
+    sudbery_with_constant,
     xi_quotient_reference,
 )
 
@@ -148,22 +150,47 @@ def test_coassociativity_needs_the_composite_as_first_factor():
 
 
 def test_comultiplication_verdict_is_computed_once_per_triple(monkeypatch):
-    # one call of the reducer per triple, imaging every word of its rows
+    # one call of the reducer per triple, over every row of its composite
     calls = []
-    real = bialgebra._delta_images
+    real = bialgebra._delta_rows
 
-    def counting(ab, bc, words):
-        calls.append((ab, bc, set(words)))
-        return real(ab, bc, words)
+    def counting(ab, bc, rows):
+        calls.append((ab, bc, rows))
+        return real(ab, bc, rows)
 
-    monkeypatch.setattr(bialgebra, "_delta_images", counting)
+    monkeypatch.setattr(bialgebra, "_delta_rows", counting)
     abc, acd = window(*intro_chain(), intro_chain(lam=3)[0])
     for _ in range(2):
         assert comultiplication_check(abc)
         assert coassociativity_check(abc, acd)
     assert [(ab, bc) for ab, bc, _ in calls] == [(abc.hom_ab, abc.hom_bc), (acd.hom_ab, acd.hom_bc)]
-    for (_, _, words), triple in zip(calls, (abc, acd)):
-        assert words == {w for row in triple.hom_ac.relations.rows for w in row}
+    for (_, _, rows), triple in zip(calls, (abc, acd)):
+        assert sorted(sorted(r.items()) for r in rows) == sorted(
+            sorted(r.items()) for r in triple.hom_ac.relations.rows)
+
+
+def test_comultiplication_holds_few_word_images_at_once():
+    # each word's image is dropped after the last row that reads it, and the
+    # rows come by smallest word: the check's peak is a small part of what
+    # holding the image of every word of hom(a, c) takes
+    rng = random.Random(3)
+    triple = composable_triple(*(sudbery_with_constant(rng, even_space(4), Fraction(3, 2))
+                                 for _ in range(3)))
+    ab, bc = triple.hom_ab, triple.hom_bc
+    for hom in (ab, bc):
+        assert hom.relations.coords
+    words = sorted({w for row in triple.hom_ac.relations.rows for w in row})
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    every = peak(lambda: [next(bialgebra._delta_rows(ab, bc, [{w: 1}])) for w in words])
+    assert peak(lambda: comultiplication_check(triple)) * 4 < every
 
 
 @settings(max_examples=20, deadline=None)
@@ -412,10 +439,10 @@ def _assert_coproduct_matches_reference(shapes, corrupt, seed):
     scale = prod(lcm(*(p for p, _ in h.relations.rules.values()))
                  for h in (triple.hom_ab, triple.hom_bc))
     rows = triple.hom_ac.relations.rows
-    images = bialgebra._delta_images(triple.hom_ab, triple.hom_bc, {w for r in rows for w in r})
-    for row, expected in zip(rows, delta_images_reference(triple)):
+    deltas = bialgebra._delta_rows(triple.hom_ab, triple.hom_bc, rows)
+    for row, delta, expected in zip(rows, deltas, delta_images_reference(triple), strict=True):
         got = {}
-        for key, v in bialgebra._delta_of(row, images).items():
+        for key, v in delta.items():
             if v:
                 v1, v2 = divmod(key, ml * ml)
                 got[divmod(v1, nm), divmod(v2, ml)] = Fraction(v, scale * row[max(row)])

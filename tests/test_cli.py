@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -13,13 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from qlincat import bialgebra, cli, homs, linalg, spaces
+from qlincat import bialgebra, cli, homs, linalg, rewrite, spaces
 from qlincat.homs import HomAlgebra
 from qlincat.cli import main
 from qlincat.graded import space_of
 
 from support import (
     MIXED_SHAPES,
+    forbid_new_fractions,
+    hom_output_reference,
     rand_general,
     rand_normalized,
     rand_sudbery,
@@ -746,6 +749,94 @@ def test_writer_property_fails_on_spaced_separators_or_unsorted_keys(monkeypatch
 def test_report_writer_refuses_what_reports_never_hold(doc):
     with pytest.raises(TypeError):
         _emitted(cli._emit, doc)
+
+
+def _hom_outputs(files, form: str) -> tuple[str, str]:
+    """What ``qlincat hom`` prints on ``files`` in text and with ``--json``."""
+    outputs = []
+    for extra in ([], ["--json"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(["hom", *files, "--form", form, *extra])
+        outputs.append(out.getvalue())
+    return tuple(outputs)
+
+
+_HOM_KINDS = st.sampled_from(["sudbery", "normalized", "general"])
+
+
+def _hom_output_property(phases=tuple(Phase)):
+    """``qlincat hom`` prints, in each form the pair admits, text and
+    ``--json``, what ``hom_output_reference`` builds from ``RelationSet.polys``;
+    dense ``general`` objects give coefficients with non-unit denominators."""
+    @settings(max_examples=60, deadline=None, database=None, phases=phases)
+    @given(st.tuples(_HOM_KINDS, _HOM_KINDS),
+           st.tuples(st.sampled_from(MIXED_SHAPES), st.sampled_from(MIXED_SHAPES)),
+           st.integers(0, 2**32 - 1))
+    def agrees(kinds, shapes, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as folder:
+            files = [
+                write(Path(folder), f"{i}.json",
+                      cli.object_to_json(ROUNDTRIP_KINDS[kind](rng, space_of(shape))))
+                for i, (kind, shape) in enumerate(zip(kinds, shapes))
+            ]
+            src, tgt = map(cli.load_object, files)
+            general = homs.derive_relations_general(src, tgt)
+            expected = {"general": hom_output_reference(general, "general")}
+            if src.qp is not None and tgt.qp is not None:
+                sudbery = homs.derive_relations_sudbery(src, tgt)
+                equal = homs.spans_equal(general, sudbery)
+                expected["sudbery"] = hom_output_reference(sudbery, "sudbery")
+                expected["both"] = hom_output_reference(general, "general", equal)
+            for form, outputs in expected.items():
+                assert _hom_outputs(files, form) == outputs, form
+    return agrees
+
+
+def test_hom_output_matches_the_monic_reference():
+    _hom_output_property()()
+
+
+_ROW_TERMS = cli._row_terms
+
+
+def _terms_without_gcd(row, n):
+    lead = row[max(row)]
+    return [(*divmod(c, n), str(row[c]) if lead == 1 else f"{row[c]}/{lead}")
+            for c in sorted(row, reverse=True)]
+
+
+@pytest.mark.parametrize("writer", [
+    _terms_without_gcd,
+    lambda row, n: _ROW_TERMS(row, n)[::-1],
+], ids=["no-gcd", "ascending"])
+def test_hom_output_property_fails_on_a_faulty_term_writer(monkeypatch, writer):
+    monkeypatch.setattr(cli, "_row_terms", writer)
+    with pytest.raises(AssertionError):
+        _hom_output_property(_CONTROL)()
+
+
+def test_hom_builds_no_fraction_for_a_relation(monkeypatch):
+    # the listing is written from the integer rows: no monic view, no
+    # NCPoly, no Fraction once the objects are loaded
+    expected = {form: _hom_outputs(PAIR, form) for form in ("general", "sudbery", "both")}
+    objects = {f: cli.load_object(f) for f in PAIR}
+    monkeypatch.setattr(cli, "load_object", objects.__getitem__)
+    forbid_new_fractions(monkeypatch, cli, homs, rewrite)
+    for form, outputs in expected.items():
+        assert _hom_outputs(PAIR, form) == outputs
+
+
+def test_yb_reads_a_negative_fraction_only_after_an_equals_sign(capsys):
+    # argparse takes "-1/3" after a space for an option, not for the value
+    (f,) = samples("sudbery_alpha")
+    with pytest.raises(SystemExit) as exc:
+        main(["yb", f, "--lam", "-1/3"])
+    assert exc.value.code == 2
+    assert "argument --lam: expected one argument" in capsys.readouterr().err
+    assert main(["yb", f, "--lam=-1/3"]) == 1
+    assert capsys.readouterr().out == "braid relation with P1 - (-1/3) P2: FAIL\n"
 
 
 def _cli_process(argv, stdout) -> subprocess.Popen:

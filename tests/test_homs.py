@@ -172,15 +172,15 @@ def test_read_only_property_fails_when_a_span_comparison_consumes_stored_rows(mo
 
 
 def test_read_only_property_fails_when_a_reader_mutates_a_coordinate(monkeypatch):
-    real = bialgebra._delta_images
+    real = bialgebra._delta_rows
 
-    def mutating(ab, bc, words):
+    def mutating(ab, bc, rows):
         coords = ab.relations.coords
         w = next(w for w, terms in enumerate(coords) if terms)
         coords[w] = tuple((u, 2 * x) for u, x in coords[w])
-        return real(ab, bc, words)
+        return real(ab, bc, rows)
 
-    monkeypatch.setattr(bialgebra, "_delta_images", mutating)
+    monkeypatch.setattr(bialgebra, "_delta_rows", mutating)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 

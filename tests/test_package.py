@@ -65,6 +65,9 @@ LIBRARY_API = (
     "DegreeMismatch", "AlphabetMismatch",
     # reference for `yb`'s Hecke check (``braid_verdicts``)
     "normalized_B", "yang_baxter_check",
+    # library printing (``NCPoly``'s repr) and the reference for the CLI's
+    # relation listings, which are written from the integer rows
+    "format_poly",
 )
 
 
