@@ -23,8 +23,9 @@ integer rows or clearing each parameter matrix once; ``RelationSet.polys``
 is a view for printing.  ``_rules`` is the one routine that reads rewrite
 rules off back-substituted rows: the rewrite system and the coalgebra
 checks (through ``coords``) read its degree-2 output, and the quotient
-tower each degree's.  ``RelationSet.tower`` is the graded quotient by the
-span, kept and extended one degree at a time; the dimension oracle reads it.
+tower each degree's, every word b keyed b n by ``_rules`` itself.
+``RelationSet.tower`` is the graded quotient by the span, kept and
+extended one degree at a time; the dimension oracle reads it.
 """
 
 from __future__ import annotations
@@ -250,18 +251,18 @@ def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:
     return HomAlgebra(src, tgt, derive_relations_general(src, tgt))
 
 
-def _rules(back: dict[int, dict[int, int]]) -> dict[int, IntRule]:
+def _rules(back: dict[int, dict[int, int]], shift: int = 1) -> dict[int, IntRule]:
     """The quotient by the span of ``_back_substituted`` rows over the words
     of one degree, each word its code in base n (at degree 2, column
     g * n + h is the word (g, h)): each row's leading word rewrites to the
     smaller words left in it, P lead = sum r_u u with P > 0, and is keyed
-    by its column.  The rows hold no other leading word, so each rule is
-    already in normal words."""
+    by its column, each u by u * shift (the tower reads u * n).  The rows
+    hold no other leading word, so each rule is already in normal words."""
     out = {}
     for lead, row in back.items():
         pivot = row[lead]
         sign = -1 if pivot > 0 else 1
-        out[lead] = (abs(pivot), {u: sign * v for u, v in row.items() if u != lead})
+        out[lead] = (abs(pivot), {u * shift: sign * v for u, v in row.items() if u != lead})
     return out
 
 
@@ -291,13 +292,15 @@ class _Tower:
     I_{d-1} V iff u c0 is a pivot of M_{d-1}.  The tower splits each row
     r of M_2 once into terms (x, y, v), word x n + y.  Each degree reads
     the back-substituted M_{d-1} once, as rules P p = sum r_b b over
-    normal words b (``_rules``) with each b stored shifted to b n, and
-    each u looks its n prefixes u x up once, in a list by letter x; a
-    normal prefix p is read as the rule 1 p = p.  A row u r is then built
-    in one pass over r: with L the lcm of the pivots P of its prefixes, a
-    term (x, y, v) adds (L/P) v r_b at each b y, so every word of the row
-    has a normal prefix.  A word whose sum cancels is deleted, so the row
-    holds no zero entry, and ``_insert`` consumes it.
+    normal words b keyed by b n (``_rules`` with shift n), and one loop
+    over the n prefixes u x of each u lists by letter x each rule's P and
+    its (b n, r_b) pairs, a normal prefix p as the rule 1 p = p (each rule
+    is listed once, by the one u with p = u x, and a list of pairs is what
+    the pass below iterates fastest).  A row u r is then built in one pass
+    over r: with L the lcm of the pivots P of its prefixes, a term
+    (x, y, v) adds (L/P) v r_b at each b y, so every word of the row has a
+    normal prefix.  A word whose sum cancels is deleted, so the row holds
+    no zero entry, and ``_insert`` consumes it.
 
     Rows are inserted in ascending (u, lead of r) order, and a row vanishes
     if ``_insert`` rejects it or it is skipped.  From degree 4 the row u r
@@ -348,13 +351,16 @@ class _Tower:
                     raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
-            rules = {p: (pivot, [(b * n, rb) for b, rb in rhs.items()])
-                     for p, (pivot, rhs) in _rules(new[d - 1]).items()}
+            rules = _rules(new[d - 1], n)
             pivots, vanished, shift = {}, {}, n ** (d - 3)
             for u in normal[d - 2]:
-                gone = set(self.vanished.get(u % shift, ()))
-                ps, rhss = zip(*(rules.get(p) or (1, [(p * n, 1)])
-                                 for p in range(u * n, u * n + n)))
+                prev = self.vanished.get(u % shift)
+                gone = set(prev) if prev else set()
+                ps, rhss = [], []
+                for p in range(u * n, u * n + n):
+                    rule = rules.get(p)
+                    ps.append(rule[0] if rule else 1)
+                    rhss.append([*rule[1].items()] if rule else [(p * n, 1)])
                 for lead, xs, terms in self._relations:
                     if lead in gone:
                         continue

@@ -3,9 +3,10 @@
 Runs each subcommand in-process over ``sample_objects/``, in text and in
 ``--json`` form: ``object`` and ``yb`` on each file, ``yb --lam=X`` on
 each file for each X in ``LAMS``, ``hom`` in each ``--form`` and
-``pbw --oracle`` on each ordered pair, ``bialgebra`` and ``det`` on
-each ordered triple (files may repeat) and on each run of 4 and of 5
-consecutive files in sorted order.  Prints the number of calls and
+``pbw --oracle`` to the default degree 3 and to ``--degree 6`` on each
+ordered pair, ``bialgebra`` and ``det`` on each ordered triple (files may
+repeat) and on each run of 4 and of 5 consecutive files in sorted
+order.  Prints the number of calls and
 one digest over (argv, exit code, stdout, stderr) of every call, so two
 checkouts behave the same on these inputs iff they print the same line:
 
@@ -44,7 +45,7 @@ def calls() -> list[list[str]]:
         out += [["object", f], ["yb", f]] + [["yb", f, f"--lam={lam}"] for lam in LAMS]
     for pair in product(files, repeat=2):
         out += [["hom", *pair, "--form", form] for form in ("general", "sudbery", "both")]
-        out.append(["pbw", *pair, "--oracle"])
+        out += [["pbw", *pair, "--oracle"], ["pbw", *pair, "--oracle", "--degree", "6"]]
     for triple in product(files, repeat=3):
         out += [["bialgebra", *triple], ["det", *triple]]
     for k in (4, 5):

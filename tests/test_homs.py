@@ -39,6 +39,7 @@ from qlincat.spaces import dual_object, make_classical, make_general, make_sudbe
 from support import (
     MIXED_SHAPES,
     FractionArithmetic,
+    back_substituted_reference,
     criterion_pair,
     dense,
     derive_relations_general_reference,
@@ -92,8 +93,9 @@ def test_general_derivation_fails_without_its_koszul_sign(monkeypatch):
 
 def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     """Every reader of a span's rows, echelon, back-substituted rows, rules
-    and coordinate table, and of its objects' echelons, bases and
-    annihilators, shares them and changes none of them."""
+    and coordinate table, of its quotient tower's new rows M_2 and M_3, and
+    of its objects' echelons, bases and annihilators, shares them and
+    changes none of them."""
     rng = random.Random(seed)
     src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
     hom = hom_algebra(src, tgt)
@@ -111,6 +113,12 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     words = {tuple(rng.randrange(al.size) for _ in range(4)) for _ in range(3)}
     normal_form(NCPoly(al, {w: rand_nonzero(rng) for w in words}), system)
     oracle_dims(hom, 3)
+    # degree 4 commits M_3, the back-substitution of the degree-3 echelon,
+    # and reads it as rules: snapshot it, with M_2, before that read
+    tower = rels.tower
+    snapshot = deepcopy({**tower.new, 3: back_substituted_reference(tower.top)})
+    oracle_dims(hom, 4)
+    assert {k: tower.new[k] for k in snapshot} == snapshot
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))
     # hom is the first factor and the composite of the chain src, tgt, tgt,
     # so the triple is also the second one of the window src, tgt, tgt, tgt
@@ -152,6 +160,26 @@ def test_read_only_property_fails_when_a_reader_mutates_a_rule(monkeypatch):
         return real(row, rules, *args, **kw)
 
     monkeypatch.setattr(rewrite, "_reduced", mutating)
+    with pytest.raises(AssertionError):
+        _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
+
+
+def test_read_only_property_fails_when_the_tower_shifts_its_rows_in_place(monkeypatch):
+    # a _rules that keys the words of the rows it reads by u * shift in
+    # place, from M_3 on (words of three letters or more), so that only
+    # the tower's own rows change
+    real = homs._rules
+
+    def shifting(back, shift=1):
+        out = real(back, shift)
+        if max(back, default=0) >= shift * shift > 1:
+            for row in back.values():
+                shifted = {u * shift: v for u, v in row.items()}
+                row.clear()
+                row.update(shifted)
+        return out
+
+    monkeypatch.setattr(homs, "_rules", shifting)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 

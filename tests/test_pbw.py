@@ -251,7 +251,7 @@ def test_oracle_property_fails_without_prefix_substitution(monkeypatch, kind):
     # prefix u c0 leads a row of M_{d-1} stay in the rows u r, which are not
     # reduced modulo I_{d-1} V; past degree 4 the tower's invariant may
     # catch them first
-    monkeypatch.setattr(homs, "_rules", lambda back: {})
+    monkeypatch.setattr(homs, "_rules", lambda back, shift=1: {})
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     with pytest.raises(AssertionError):
         _assert_oracle_matches_placements(src, tgt)
@@ -300,6 +300,36 @@ def test_tower_matches_its_reference_at_16_letters(shape, kind):
     # the benchmark's large hom shapes: rules pre-shifted to b * 16 and
     # words read as (first letter, last letter) pairs at base 16
     _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, shape, shape))
+
+
+@pytest.mark.parametrize("kind", ["yes", "no", "general"])
+def test_tower_reference_property_fails_on_unshifted_rules(monkeypatch, kind):
+    # each rule b keyed as b, not b * n: a word p y of a reducible prefix p
+    # then adds r_b at b + y, a word of the wrong degree
+    real = homs._rules
+    monkeypatch.setattr(homs, "_rules", lambda back, shift=1: real(back))
+    with pytest.raises((AssertionError, InvariantViolation)):
+        _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
+
+
+def _assert_shifted_rules_match(src, tgt):
+    # the tower's new rows M_2 to M_5 (M_4 at 9 letters), each read plain
+    # and shifted: the same rules in the same order, each word u keyed u * n
+    hom = hom_algebra(src, tgt)
+    n, tower = hom.alphabet.size, hom.relations.tower
+    top = min(6, REFERENCE_TOP[n] + 1)
+    tower.dims(top)
+    for k in range(2, top):
+        plain, shifted = homs._rules(tower.new[k]), homs._rules(tower.new[k], n)
+        assert list(shifted) == list(plain)
+        for lead, (pivot, rest) in plain.items():
+            assert shifted[lead] == (pivot, {u * n: r for u, r in rest.items()})
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+def test_shifted_rules_are_the_plain_rules_with_every_word_times_n(pair):
+    _assert_shifted_rules_match(*pair)
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
@@ -437,7 +467,7 @@ def test_tower_invariant_raises_when_substitution_is_skipped(monkeypatch, kind):
     # with no substitution rule read, words u c0 c1 with u c0 a pivot of
     # M_{d-1} stay in the rows u r: pivots of M_3 with a reducible prefix
     # leave N_3 longer than dim_3
-    monkeypatch.setattr(homs, "_rules", lambda back: {})
+    monkeypatch.setattr(homs, "_rules", lambda back, shift=1: {})
     hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
     oracle_dims(hom, 4)
     with pytest.raises(InvariantViolation, match="degree 3 has .* normal words"):
