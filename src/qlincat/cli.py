@@ -87,6 +87,9 @@ def _json_int(text: str):
     return _LongInteger() if len(text.lstrip("-")) > MAX_DIGITS else int(text)
 
 
+_DECODER = json.JSONDecoder(parse_int=_json_int)  # json.loads would build one per call
+
+
 def _rat(value, path: str, *index: int) -> Fraction:
     """The rational ``value`` names; a refusal names the field ``path[i][j]...``."""
     # the plain form "-7/3", at most MAX_DIGITS digits a part and a nonzero
@@ -143,7 +146,8 @@ def load_object(path: str) -> QuantumObject:
                 text += fh.read(MAX_CHARS + 1 - len(text))
         if len(text) > MAX_CHARS:
             raise ObjectSpecError(f"{path}: larger than {MAX_CHARS} characters")
-        doc = json.loads(text, parse_int=_json_int)
+        # a BOM is refused by json.loads, and not checked for by decode
+        doc = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except OSError as exc:
         raise ObjectSpecError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -532,9 +536,9 @@ def cmd_det(args) -> int:
     return 0 if all(ok for _, ok in mults) else 1
 
 
-# Built once per process and shared by every main() call: parse_args leaves
-# the parser unchanged.  Each subcommand's func is bound here once, so a
-# cmd_* function patched later is not what main() calls; no test patches one.
+# Built once per process and shared by every main() call: parsing leaves the
+# parsers unchanged.  Each subcommand's func is bound here once, so a cmd_*
+# function patched later is not what main() calls; no test patches one.
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -584,9 +588,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """build_parser's subcommand parsers by name, the choices of its subparsers action."""
+    return next(a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build_parser hands all that follows a subcommand's name to its parser; any other
+    # argv, or one that parser leaves arguments of, goes through build_parser itself
+    sub = _subparsers().get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if rest:
+        args = build_parser().parse_args(argv)
+    else:
+        args.command = argv[0]
     if args.command == "bialgebra" and len(args.files) < 3:
         print("bialgebra needs at least three object files", file=sys.stderr)
         return 2

@@ -277,7 +277,7 @@ def _reduced(
     return normal, scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Overlap:
     word: Word
     resolved: bool

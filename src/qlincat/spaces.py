@@ -50,14 +50,10 @@ ParamMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_param_matrix(m, n: int, label: str) -> ParamMatrix:
-    rows = tuple(tuple(frac(x) for x in row) for row in m)
+    rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in m)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise BadParameters(f"{label} must be a {n}x{n} matrix")
     return rows
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -80,15 +76,18 @@ class QuantumObject:
 
     def __post_init__(self):
         dim = self.space.dim**2
-        if any(not 0 <= c < dim for comp in self.components for row in comp for c in row):
+        if any(min(row, default=0) < 0 or max(row, default=0) >= dim
+               for comp in self.components for row in comp):
             raise ValueError(f"component vectors must have {dim} coordinates")
         total = sum(self.component_dims())
         if total != dim:
             raise NotComplementary(
                 f"component dimensions sum to {total}, ambient dimension is {dim}"
             )
-        joint: dict[int, dict[int, int]] = {}
-        if any(_insert(joint, dict(row)) is None for e in self._echelons for row in e.values()):
+        # the largest echelon's rows are independent: only the others' rows are inserted
+        joint = dict(big := max(self._echelons, key=len))
+        if any(_insert(joint, dict(row)) is None
+               for e in self._echelons if e is not big for row in e.values()):
             raise NotComplementary("joint spanning matrix is rank-deficient")
 
     @property
@@ -157,8 +156,17 @@ def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
         # each pivot with an entry at fc lies left of it: g is in column order
         g = {pc: -signs[fc] * signs[pc] * row[fc] * (scale // row[pc]) for pc, row in hits}
         basis.append(_normalised({**g, fc: scale}))
-    for g in basis:
-        if any(sum(signs[c] * x * g.get(c, 0) for c, x in row.items()) for row in spanning):
+    # each spanning row's products with every g at once, by the columns where g is nonzero
+    index: dict[int, list[tuple[int, int]]] = {}
+    for k, g in enumerate(basis):
+        for c, x in g.items():
+            index.setdefault(c, []).append((k, signs[c] * x))
+    for row in spanning:
+        dots = [0] * len(basis)
+        for c, x in row.items():
+            for k, v in index.get(c, ()):
+                dots[k] += x * v
+        if any(dots):
             raise InvariantViolation("annihilator vector does not annihilate its component")
     return basis
 
@@ -251,17 +259,9 @@ def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> Qua
         raise BadParameters("eps must be +1 or -1")
     n = space.dim
     qm = _as_param_matrix(q, n, "q")
-    qhat = []
-    phat = []
-    for a in range(n):
-        qrow, prow = [], []
-        for b in range(n):
-            s = _sign(a - b) * eps
-            qrow.append(qm[a][b] * lam**s)
-            prow.append(qm[a][b] * lam**-s)
-        qhat.append(tuple(qrow))
-        phat.append(tuple(prow))
-    qp = (tuple(qhat), tuple(phat))
+    # (qhat, phat): q[a][b] * lam**(t * eps * sign(a - b)) for t = 1, then t = -1
+    qp = tuple(tuple(tuple(qm[a][b] * lam ** (t * eps * ((a > b) - (a < b))) for b in range(n))
+                     for a in range(n)) for t in (1, -1))
     validate_sudbery_params(space, *qp)
     return QuantumObject(space, _pair_spans(space, *qp), qp, (qm, eps, lam), name)
 

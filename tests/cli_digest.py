@@ -6,9 +6,13 @@ each file for each X in ``LAMS``, ``hom`` in each ``--form`` and
 ``pbw --oracle`` to the default degree 3 and to ``--degree 6`` on each
 ordered pair, ``bialgebra`` and ``det`` on each ordered triple (files may
 repeat) and on each run of 4 and of 5 consecutive files in sorted
-order.  Prints the number of calls and
-one digest over (argv, exit code, stdout, stderr) of every call, so two
-checkouts behave the same on these inputs iff they print the same line:
+order, each in text and ``--json`` form; then argv forms that argparse
+parses by rarer paths: ``--js`` for ``--json``, ``--form=both``,
+``--degree=4`` and options before ``--`` and the files.  Usage errors are
+left out: argparse wraps their text to the terminal's width.  Prints the
+number of calls and one digest over (argv, exit code, stdout, stderr) of
+every call, so two checkouts behave the same on these inputs iff they
+print the same line:
 
     python tests/cli_digest.py
 
@@ -52,7 +56,18 @@ def calls() -> list[list[str]]:
         for i in range(len(files) - k + 1):
             window = files[i : i + k]
             out += [["bialgebra", *window], ["det", *window]]
-    return [argv + tail for argv in out for tail in ([], ["--json"])]
+    out = [argv + tail for argv in out for tail in ([], ["--json"])]
+    # valid forms that take argparse's rarer paths: an abbreviated option,
+    # --opt=value and "--" before the files
+    for f in files:
+        out += [["object", f, "--js"], ["yb", "--js", "--", f]]
+    for pair in product(files, repeat=2):
+        out += [["hom", *pair, "--form=both"], ["pbw", *pair, "--oracle", "--degree=4"],
+                ["hom", "--form", "sudbery", "--js", "--", *pair]]
+    for i in range(len(files) - 3):
+        window = files[i : i + 4]
+        out += [["bialgebra", "--json", "--", *window], ["det", "--js", "--", *window]]
+    return out
 
 
 def run(argv: list[str]) -> tuple:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -837,6 +837,110 @@ def test_yb_reads_a_negative_fraction_only_after_an_equals_sign(capsys):
     assert "argument --lam: expected one argument" in capsys.readouterr().err
     assert main(["yb", f, "--lam=-1/3"]) == 1
     assert capsys.readouterr().out == "braid relation with P1 - (-1/3) P2: FAIL\n"
+
+
+# argv forms main's dispatch must parse as build_parser().parse_args does;
+# the file names are never opened (each subcommand's func only records)
+A, B, C = "a.json", "b.json", "c.json"
+DISPATCH_ARGVS = [
+    # every subcommand with valid arguments
+    ["object", A], ["object", A, "--json"],
+    ["hom", A, B], ["hom", A, B, "--form", "both", "--json"],
+    ["pbw", A, B], ["pbw", A, B, "--oracle", "--degree", "4", "--json"],
+    ["yb", A], ["yb", A, "--lam", "2"], ["yb", A, "--json"],
+    ["bialgebra", A, B, C], ["bialgebra", A, B, C, A, "--json"],
+    ["det", A, B], ["det", A, B, C, "--json"],
+    # abbreviated options
+    ["object", A, "--js"], ["hom", A, B, "--for", "both"], ["pbw", A, B, "--or", "--deg", "5"],
+    # --opt=value
+    ["hom", A, B, "--form=both"], ["pbw", A, B, "--oracle", "--degree=4"],
+    ["yb", A, "--lam=-1/3"], ["hom", A, B, "--fo=sudbery", "--js"],
+    # -- before the files
+    ["hom", "--form", "both", "--json", "--", A, B], ["det", "--js", "--", A, B],
+    ["object", "--", "-a.json"],
+    # -h after a subcommand
+    ["hom", "-h"], ["yb", A, "--help"], ["bialgebra", "-h", A],
+    # a missing and an extra positional
+    ["hom", A], ["object"], ["bialgebra"], ["object", A, B], ["yb", A, B, "--json"],
+    # an unknown option, a bad value and an unknown subcommand
+    ["object", A, "--jsn"], ["hom", A, B, "--form", "neither"], ["pbw", A, B, "--degree", "x"],
+    ["yb", A, "--lam", "-1/3"], ["nosuch", A], ["Object", A],
+    # an option before the subcommand, and an empty argv
+    ["--json", "object", A], ["-h"], ["--", "object", A], [],
+]
+# the entries above that leave an argument to the subcommand's parser
+LEFTOVER_ARGVS = [["object", A, B], ["yb", A, B, "--json"], ["object", A, "--jsn"]]
+
+
+def _record_namespaces(monkeypatch) -> list:
+    """Make every subcommand's func record the Namespace it is called with
+    and return 0; the list it records into."""
+    seen: list = []
+    for sub in cli._subparsers().values():
+        monkeypatch.setitem(sub._defaults, "func", lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _outcome(call, argv, seen) -> tuple:
+    """(exit status, stdout, stderr, Namespace recorded or None) of call(argv)."""
+    seen.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = call(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue(), seen[0] if seen else None
+
+
+def _parse(seen):
+    """build_parser().parse_args as a call: record its Namespace, return 0."""
+    return lambda argv: seen.append(cli.build_parser().parse_args(argv)) or 0
+
+
+def test_dispatch_parses_every_argv_as_the_whole_parser_does(monkeypatch):
+    seen = _record_namespaces(monkeypatch)
+    statuses = Counter()
+    for argv in DISPATCH_ARGVS:
+        expected = _outcome(_parse(seen), argv, seen)
+        assert _outcome(main, argv, seen) == expected, argv
+        statuses[expected[0], expected[3] is None] += 1
+    # the corpus reaches valid parses, help (exit 0, no Namespace) and usage errors
+    assert statuses.keys() == {(0, False), (0, True), (2, True)}, statuses
+
+
+def test_dispatch_property_fails_when_leftover_arguments_are_ignored(monkeypatch):
+    seen = _record_namespaces(monkeypatch)
+    expected = [_outcome(_parse(seen), argv, seen) for argv in DISPATCH_ARGVS]
+    for sub in cli._subparsers().values():
+        def known(args=None, namespace=None, real=sub.parse_known_args):
+            return real(args, namespace)[0], []
+
+        monkeypatch.setattr(sub, "parse_known_args", known)
+    failed = [argv for argv, exp in zip(DISPATCH_ARGVS, expected)
+              if _outcome(main, argv, seen) != exp]
+    assert failed == LEFTOVER_ARGVS
+
+
+def test_main_without_arguments_dispatches_sys_argv(monkeypatch, capsys):
+    (f,) = samples("sudbery_alpha")
+    assert main(["object", f, "--json"]) == 0
+    expected = capsys.readouterr().out
+    # the whole parser is not consulted for a valid argv
+    monkeypatch.setattr(cli.build_parser(), "parse_args", None)
+    monkeypatch.setattr(sys, "argv", ["qlincat", "object", f, "--js"])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_object_file_with_a_byte_order_mark_is_refused(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + json.dumps(sudbery_doc(2, 3)), encoding="utf-8")
+    assert main(["object", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {path}: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)\n"
+    )
 
 
 def _cli_process(argv, stdout) -> subprocess.Popen:

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +14,7 @@ from qlincat.pbw import classical_dimension, dimension_oracle
 from qlincat.rewrite import (
     Alphabet,
     NCPoly,
+    Overlap,
     build_rewrite_system,
     confluence_check,
     failed_overlaps,
@@ -315,6 +316,24 @@ def test_normal_form_terminates_higher_degrees():
         for w in nf.terms:
             for i in range(len(w) - 1):
                 assert (w[i], w[i + 1]) not in reducible
+
+
+def test_overlap_is_a_frozen_slotted_value():
+    # confluence_check makes one per overlap, tens of thousands on a large pair
+    a, b = Overlap((0, 1, 2), True), Overlap((0, 1, 2), True)
+    assert a == b and hash(a) == hash(b)
+    assert a != Overlap((0, 1, 2), False) and a != Overlap((0, 1, 3), True)
+    assert len({a, b, Overlap((0, 1, 2), False)}) == 2
+    assert repr(a) == "Overlap(word=(0, 1, 2), resolved=True)"
+    assert Overlap.__slots__ == ("word", "resolved") and not hasattr(a, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        a.resolved = False
+    # no attribute can be added either (CPython 3.11's frozen slotted
+    # dataclass raises TypeError here, later versions an AttributeError)
+    with pytest.raises((AttributeError, TypeError)):
+        a.note = "x"
+    assert not hasattr(a, "note")
+    assert a.resolved is True
 
 
 def test_failed_overlaps_on_mismatched_constants():
