@@ -12,7 +12,9 @@ indeterminates.  An object's ``kind`` is read off its parameters.
 
 A ``QuantumObject`` cannot exist without a complementary decomposition:
 its constructor eliminates each component once, forward only, and reads
-the component dimensions and the direct-sum condition from those echelons.
+the component dimensions and the direct-sum condition from those echelons,
+except for a two-parameter object, written down reduced (``_pair_rows``),
+whose condition is ``validate_sudbery_params``'s q + p != 0 test.
 Each echelon is back-substituted once, to the primitive integer rows
 (``linalg._reduced_rows``) of ``QuantumObject.bases``, the one cache of
 reduced rows: a basis is those rows, and ``QuantumObject.annihilators``
@@ -50,10 +52,12 @@ ParamMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_param_matrix(m, n: int, label: str) -> ParamMatrix:
-    rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in m)
-    if len(rows) != n or any(len(r) != n for r in rows):
+    # a tuple of Fraction tuples, as cli._rat_matrix builds it, is kept as it is
+    if not (type(m) is tuple and all(type(r) is tuple and {*map(type, r)} <= {Fraction} for r in m)):
+        m = tuple(tuple(map(frac, row)) for row in m)
+    if len(m) != n or any(len(r) != n for r in m):
         raise BadParameters(f"{label} must be a {n}x{n} matrix")
-    return rows
+    return m
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class QuantumObject:
     For two-parameter kinds, qp = (Q, P) holds the defining matrices.
     Construction raises ValueError unless every column lies below dim**2,
     and NotComplementary unless the component spans form a direct-sum
-    decomposition of V' (x) V'.  Rows are dicts, so an object is unhashable.
+    decomposition of V' (x) V'; ``_two_parameter`` builds an object without
+    it.  Rows are dicts, so an object is unhashable.
     """
 
     space: GradedSpace
@@ -130,7 +135,8 @@ class QuantumObject:
                      for comp, rows in zip(self.components, self.bases))
 
     def component_dims(self) -> tuple[int, ...]:
-        return tuple(len(e) for e in self._echelons)
+        # a closed-form object holds its bases, and no echelon, from the start
+        return tuple(map(len, self.__dict__.get("bases") or self._echelons))
 
 
 def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
@@ -142,8 +148,7 @@ def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
     each free column fc, with L the lcm of the pivots of the rows with an
     entry at fc, the kernel vector v is L at fc and -row[fc] * L / row[pc]
     at each pivot column pc; the basis row is g[u] = signs[fc] * signs[u] *
-    v[u], gcd-normalised.  Raises InvariantViolation unless every g pairs
-    to zero with every spanning row, in integer dot products.
+    v[u], gcd-normalised, and checked by ``_check_pairing``.
     """
     pairs = [(next(iter(row)), row) for row in rows]
     pivots = {pc for pc, _ in pairs}
@@ -156,6 +161,12 @@ def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
         # each pivot with an entry at fc lies left of it: g is in column order
         g = {pc: -signs[fc] * signs[pc] * row[fc] * (scale // row[pc]) for pc, row in hits}
         basis.append(_normalised({**g, fc: scale}))
+    _check_pairing(spanning, basis, signs)
+    return basis
+
+
+def _check_pairing(spanning, basis, signs) -> None:
+    """InvariantViolation unless every basis row pairs to zero with every spanning row."""
     # each spanning row's products with every g at once, by the columns where g is nonzero
     index: dict[int, list[tuple[int, int]]] = {}
     for k, g in enumerate(basis):
@@ -168,11 +179,10 @@ def _annihilator(spanning, rows, signs) -> list[dict[int, int]]:
                 dots[k] += x * v
         if any(dots):
             raise InvariantViolation("annihilator vector does not annihilate its component")
-    return basis
 
 
-def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) -> None:
-    """Check reciprocity, the parity diagonal and complementarity on integers."""
+def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
+    """Check reciprocity, parity diagonal and complementarity; return the (num, den) tables."""
     n = space.dim
     rq, rp = ([[x.as_integer_ratio() for x in row] for row in m] for m in (q, p))
     for label, m, r in (("q", q, rq), ("p", p, rp)):
@@ -197,25 +207,45 @@ def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix) 
                 raise NotComplementary(
                     f"q[{a}][{b}] + p[{a}][{b}] == 0: the two components do not span"
                 )
+    return rq, rp
 
 
-def _pair_spans(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
-    """Spanning rows for the two components from parameter matrices, one
-    per unordered pair a <= b: by reciprocity the (b, a) row is a multiple
-    of the (a, b) row.  With q[a][b] = num/den the first row is
-    den e_ab - num e_ba (+ for p); on the diagonal, where den = 1, the two
-    words are one."""
-    n = space.dim
-    minus, plus = [], []
+def _pair_rows(n: int, r, sign: int):
+    """(spanning rows, basis, kernel basis) of q's component (sign -1) or
+    p's (sign 1) from its (num, den) table, one row per pair a <= b (by
+    reciprocity).  The row den e_ab + sign num e_ba is reduced as it is,
+    and -sign num e_ab + den e_ba spans its kernel: ab and ba have one
+    Koszul sign.  A diagonal row 2 e_aa reduces to e_aa; with none, e_aa is
+    a kernel row.  Kernel rows are sorted as by ``_annihilator``."""
+    spans, anns = [], []
     for a in range(n):
         for b in range(a, n):
-            for out, sign, m in ((minus, -1, q), (plus, 1, p)):
-                num, den = m[a][b].as_integer_ratio()
-                if a != b:
-                    out.append({a * n + b: den, b * n + a: sign * num})
-                elif den + sign * num:
-                    out.append({a * n + a: den + sign * num})
-    return tuple(minus), tuple(plus)
+            num, den = r[a][b]
+            if a != b:
+                spans.append({a * n + b: den, b * n + a: sign * num})
+                anns.append({a * n + b: -sign * num, b * n + a: den})
+            elif den + sign * num:
+                spans.append({a * n + a: den + sign * num})
+            else:
+                anns.append({a * n + a: 1})
+    anns.sort(key=max)
+    bases = (row if len(row) == 2 else dict.fromkeys(row, 1) for row in spans)
+    return tuple(spans), tuple(bases), tuple(anns)
+
+
+def _two_parameter(space: GradedSpace, q, p, normalized, name: str) -> QuantumObject:
+    """The object of q and p, built reduced; validation proves the direct sum."""
+    n = space.dim
+    qp = _as_param_matrix(q, n, "q"), _as_param_matrix(p, n, "p")
+    rq, rp = validate_sudbery_params(space, *qp)
+    comps, bases, anns = zip(_pair_rows(n, rq, -1), _pair_rows(n, rp, 1))
+    signs = koszul_signs(space)
+    for rows, kernel in zip(bases, anns):
+        _check_pairing(rows, kernel, signs)
+    obj = object.__new__(QuantumObject)
+    obj.__dict__.update(space=space, components=comps, qp=qp, normalized=normalized,
+                        name=name, bases=bases, annihilators=anns)
+    return obj
 
 
 def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:
@@ -229,11 +259,7 @@ def make_classical(space: GradedSpace, name: str = "") -> QuantumObject:
 def make_sudbery(space: GradedSpace, q, p, name: str = "") -> QuantumObject:
     """Two-parameter object: first component spanned by e^A e^B - q^{AB} e^B e^A,
     second by e^A e^B + p^{AB} e^B e^A."""
-    n = space.dim
-    qm = _as_param_matrix(q, n, "q")
-    pm = _as_param_matrix(p, n, "p")
-    validate_sudbery_params(space, qm, pm)
-    return QuantumObject(space, _pair_spans(space, qm, pm), (qm, pm), None, name)
+    return _two_parameter(space, q, p, None, name)
 
 
 def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> QuantumObject:
@@ -262,8 +288,7 @@ def make_normalized(space: GradedSpace, q, eps: int, lam, name: str = "") -> Qua
     # (qhat, phat): q[a][b] * lam**(t * eps * sign(a - b)) for t = 1, then t = -1
     qp = tuple(tuple(tuple(qm[a][b] * lam ** (t * eps * ((a > b) - (a < b))) for b in range(n))
                      for a in range(n)) for t in (1, -1))
-    validate_sudbery_params(space, *qp)
-    return QuantumObject(space, _pair_spans(space, *qp), qp, (qm, eps, lam), name)
+    return _two_parameter(space, *qp, (qm, eps, lam), name)
 
 
 def make_general(space: GradedSpace, components, name: str = "") -> QuantumObject:

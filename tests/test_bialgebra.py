@@ -25,7 +25,13 @@ from qlincat.graded import even_space, space_of
 from qlincat.homs import HomAlgebra, hom_algebra, relation_set
 from qlincat.linalg import Matrix
 from qlincat.rewrite import NCPoly, build_rewrite_system, normal_form
-from qlincat.spaces import make_classical, make_general, make_normalized, make_sudbery
+from qlincat.spaces import (
+    QuantumObject,
+    make_classical,
+    make_general,
+    make_normalized,
+    make_sudbery,
+)
 
 from support import (
     MIXED_SHAPES,
@@ -525,6 +531,15 @@ def test_determinant_property_fails_on_negated_area_coordinate(monkeypatch):
         # phi's entry at the word (1, 0), code 1 * 2 + 0, in new dicts
         return [{**g, 2: -g[2]} if 2 in g else g for g in real(*args)]
 
+    def generic(rng, space):
+        # the same object through the generic constructor, whose
+        # annihilators are computed by spaces._annihilator
+        obj = rand_sudbery(rng, space)
+        return QuantumObject(obj.space, obj.components, obj.qp)
+
+    _assert_determinant_matches_reference(5)
+    monkeypatch.setitem(DET_KINDS, "sudbery", generic)
+    _assert_determinant_matches_reference(5)
     monkeypatch.setattr(spaces, "_annihilator", negate_one)
     with pytest.raises(AssertionError):
         _assert_determinant_matches_reference(5)

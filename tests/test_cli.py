@@ -1109,8 +1109,8 @@ def test_each_relation_span_is_eliminated_once_per_call(monkeypatch, capsys, arg
 
 
 def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
-    # each object's two components (kernel and row basis), then the
-    # relation span once, shared by the rewrite rules and the oracle
+    # the relation span once, shared by the rewrite rules and the oracle;
+    # two-parameter objects are built reduced, with no back-substitution
     sizes = []
     real = linalg._back_substituted
 
@@ -1123,7 +1123,7 @@ def test_pbw_oracle_back_substitutes_the_span_once(monkeypatch, capsys):
             monkeypatch.setattr(module, "_back_substituted", recording)
     assert main(["pbw", *CHAIN[:2], "--oracle", "--degree", "3"]) == 0
     capsys.readouterr()
-    assert sizes == [1, 3, 1, 3, 6]
+    assert sizes == [6]
 
 
 def _count_reductions(monkeypatch) -> Counter:
@@ -1149,17 +1149,20 @@ def _count_reductions(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "argv, objects, reduced, spans",
+    "argv, echelons, reduced, spans",
     [
-        pytest.param(["object", PAIR[0]], 1, 0, 0, id="object"),
-        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 2, 2, 1, id="pbw"),
-        pytest.param(["hom", *PAIR, "--form", "both"], 2, 2, 2, id="hom"),
-        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 4, 4, 10, id="bialgebra"),
-        pytest.param(["det", *CHAIN, CHAIN[0]], 4, 4, 3, id="det"),
+        pytest.param(["object", PAIR[0]], 0, 0, 0, id="object"),
+        pytest.param(["pbw", *CHAIN[:2], "--oracle"], 0, 0, 1, id="pbw"),
+        pytest.param(["hom", *PAIR, "--form", "both"], 0, 0, 2, id="hom"),
+        pytest.param(["bialgebra", *CHAIN, CHAIN[0]], 0, 0, 10, id="bialgebra"),
+        pytest.param(["det", *CHAIN, CHAIN[0]], 0, 0, 3, id="det"),
+        pytest.param(["object", GENERAL_THREE], 3, 0, 0, id="general-object"),
+        pytest.param(["hom", GENERAL_THREE, GENERAL_THREE], 6, 6, 1, id="general-hom"),
     ],
 )
-def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects, reduced, spans):
-    # two components per object, each forward-eliminated once when its
+def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, echelons, reduced, spans):
+    # a two-parameter object is built reduced, with no elimination; each
+    # component of any other object is forward-eliminated once when its
     # object is built and reduced at most once however many homs it takes
     # part in: its bases and its annihilators read the same reduced rows.
     # Every other elimination is a relation span's: the area forms read the
@@ -1168,8 +1171,8 @@ def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects
     assert main([*argv, "--json"]) == 0
     capsys.readouterr()
     expected = {
-        ("spaces", "_echelon"): 2 * objects,
-        ("spaces", "_reduced_rows"): 2 * reduced,
+        ("spaces", "_echelon"): echelons,
+        ("spaces", "_reduced_rows"): reduced,
         ("homs", "_echelon"): spans,
     }
     assert calls == Counter({key: count for key, count in expected.items() if count})
@@ -1177,16 +1180,13 @@ def test_each_object_is_reduced_once_per_call(monkeypatch, capsys, argv, objects
 
 def test_yb_reads_the_object_bases_once(monkeypatch, capsys):
     # every candidate is decided from one projector read from the cached
-    # component bases: one forward elimination and one back-substitution
-    # per component, one elimination per call (``linalg.spectral_sum``),
-    # whatever the number of candidates, and no kernel
+    # component bases, which the object is built with: one elimination per
+    # call (``linalg.spectral_sum``), whatever the number of candidates,
+    # and no kernel
     calls = _count_reductions(monkeypatch)
     assert main(["yb", *samples("normalized_q3"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 2
-    assert calls == Counter({
-        ("spaces", "_echelon"): 2, ("spaces", "_reduced_rows"): 2,
-        ("linalg", "_echelon"): 1, ("linalg", "_reduced_rows"): 1,
-    })
+    assert calls == Counter({("linalg", "_echelon"): 1, ("linalg", "_reduced_rows"): 1})
 
 
 def test_det_computes_each_area_form_once_per_determinant(monkeypatch, capsys):

@@ -658,9 +658,15 @@ def test_hom_algebra_factory():
 
 
 def _corrupt_annihilator(monkeypatch, corrupt):
-    # objects built after the patch read their annihilators through it
-    real = spaces._annihilator
-    monkeypatch.setattr(spaces, "_annihilator", lambda *args: corrupt(real(*args)))
+    # two-parameter objects built after the patch take their annihilators,
+    # each component's kernel rows, from it
+    real = spaces._pair_rows
+
+    def corrupted(*args):
+        spans, bases, kernel = real(*args)
+        return spans, bases, tuple(corrupt(list(kernel)))
+
+    monkeypatch.setattr(spaces, "_pair_rows", corrupted)
 
 
 def test_degenerate_relation_raises(monkeypatch):

@@ -231,8 +231,8 @@ def test_constructors_build_no_projectors(monkeypatch):
 
 
 @st.composite
-def two_parameter_objects(draw):
-    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
+def two_parameter_objects(draw, shapes=st.sampled_from(MIXED_SHAPES)):
+    space = space_of(draw(shapes))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["sudbery", "normalized", "classical"]))
     if kind == "classical":
@@ -253,7 +253,7 @@ def test_pair_spans_are_independent_and_span_the_components(obj):
     _assert_pair_spans_match_reference(obj)
     # the package builds the dense reference's rows, cleared, on integers
     dense_rows = tuple(tuple(_int_rows(comp)) for comp in dense_pair_spans(obj.space, *obj.qp))
-    assert spaces._pair_spans(obj.space, *obj.qp) == dense_rows == obj.components
+    assert dense_rows == obj.components
 
 
 def test_pair_spans_property_fails_without_diagonal_vectors():
@@ -425,8 +425,10 @@ def test_annihilators_are_the_signed_kernels_of_the_components(obj):
 
 def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
     # each vector comes out as signs[fc] * g: still an annihilator, but with
-    # entry -1 at its free column fc where that word has two odd letters
-    real = spaces._annihilator
+    # entry -1 at its free column fc where that word has two odd letters;
+    # in the generic kernel (a general object) and in the closed form, where
+    # fc is a kernel row's largest column
+    real, real_rows = spaces._annihilator, spaces._pair_rows
 
     def unsigned(spanning, rows, signs):
         pivots = {next(iter(row)) for row in rows}
@@ -436,10 +438,20 @@ def test_annihilator_property_fails_without_the_free_column_sign(monkeypatch):
             out.append({c: signs[fc] * x for c, x in g.items()})
         return out
 
+    def unsigned_rows(n, r, sign):
+        spans, bases, kernel = real_rows(n, r, sign)
+        # a letter is odd where its diagonal parameter is -1
+        odd = [r[a][a][0] < 0 for a in range(n)]
+        flip = [odd[max(g) // n] and odd[max(g) % n] for g in kernel]
+        return spans, bases, tuple({c: -x for c, x in g.items()} if f else g
+                                   for f, g in zip(flip, kernel))
+
     monkeypatch.setattr(spaces, "_annihilator", unsigned)
-    _assert_annihilators_match_reference(rand_sudbery(random.Random(5), space_of((0, 0))))
-    with pytest.raises(AssertionError):
-        _assert_annihilators_match_reference(rand_sudbery(random.Random(5), space_of((0, 1))))
+    monkeypatch.setattr(spaces, "_pair_rows", unsigned_rows)
+    for make in (rand_sudbery, rand_general):
+        _assert_annihilators_match_reference(make(random.Random(5), space_of((0, 0))))
+        with pytest.raises(AssertionError):
+            _assert_annihilators_match_reference(make(random.Random(5), space_of((0, 1))))
 
 
 def test_annihilators_raise_on_a_corrupted_reduced_echelon(monkeypatch):
@@ -454,12 +466,30 @@ def test_annihilators_raise_on_a_corrupted_reduced_echelon(monkeypatch):
         fc = next(c for c in range(ncols) if c not in pivots)
         return [(pc, {**row, fc: row.get(fc, 0) + row[pc]})] + pairs[1:]
 
-    obj = rand_sudbery(random.Random(5), space_of((0, 1)))
+    # a general object reduces its components through _reduced_rows
+    obj = rand_general(random.Random(5), space_of((0, 1)))
     assert obj.annihilators
     monkeypatch.setattr(spaces, "_reduced_rows", corrupted)
-    obj = rand_sudbery(random.Random(5), space_of((0, 1)))
+    obj = rand_general(random.Random(5), space_of((0, 1)))
     with pytest.raises(InvariantViolation, match="does not annihilate"):
         obj.annihilators
+
+
+def test_closed_form_raises_on_a_corrupted_basis_row(monkeypatch):
+    # the first basis row changed at the free column of the first kernel
+    # row, by its pivot: that kernel row no longer pairs to zero with it,
+    # and the object is refused when it is built
+    real = spaces._pair_rows
+
+    def corrupted(*args):
+        spans, (row, *rest), kernel = real(*args)
+        pc, fc = next(iter(row)), max(kernel[0])
+        return spans, ({**row, fc: row.get(fc, 0) + row[pc]}, *rest), kernel
+
+    assert rand_sudbery(random.Random(5), space_of((0, 1))).annihilators
+    monkeypatch.setattr(spaces, "_pair_rows", corrupted)
+    with pytest.raises(InvariantViolation, match="does not annihilate"):
+        rand_sudbery(random.Random(5), space_of((0, 1)))
 
 
 def _assert_bases_match_reference(obj):
@@ -479,17 +509,73 @@ def test_bases_are_the_cleared_reduced_echelon_rows(obj):
     _assert_bases_match_reference(obj)
 
 
-def test_bases_property_fails_on_a_negated_row(monkeypatch):
-    # the same span and the same pivots, but one row negative at its pivot
-    real = spaces._reduced_rows
+def _negate_first_basis_row(monkeypatch, generic=True):
+    # the same span and the same pivots, but one row negative at its pivot,
+    # in the closed form and, if generic, in the generic reduction
+    real, real_rows = spaces._reduced_rows, spaces._pair_rows
 
     def negated(echelon, ncols):
         (pc, row), *rest = real(echelon, ncols)
         return [(pc, {c: -x for c, x in row.items()}), *rest]
 
-    monkeypatch.setattr(spaces, "_reduced_rows", negated)
+    def negated_rows(*args):
+        spans, (row, *rest), kernel = real_rows(*args)
+        return spans, ({c: -x for c, x in row.items()}, *rest), kernel
+
+    if generic:
+        monkeypatch.setattr(spaces, "_reduced_rows", negated)
+    monkeypatch.setattr(spaces, "_pair_rows", negated_rows)
+
+
+def test_bases_property_fails_on_a_negated_row(monkeypatch):
+    _negate_first_basis_row(monkeypatch)
+    for make in (rand_sudbery, rand_general):
+        with pytest.raises(AssertionError):
+            _assert_bases_match_reference(make(random.Random(5), space_of((0, 1))))
+
+
+# random parity shapes of dims 1-5
+ANY_SHAPE = st.lists(st.integers(0, 1), min_size=1, max_size=5)
+
+
+def _ordered(comps):
+    # relation row order and CLI bytes follow each row's key order
+    return [[list(row.items()) for row in comp] for comp in comps]
+
+
+def _assert_closed_form_matches_generic(obj):
+    # the generic constructor eliminates the same components; the components
+    # are the dense reference's rows, cleared to integers
+    ref = QuantumObject(obj.space, obj.components, obj.qp)
+    dense_rows = tuple(tuple(_int_rows(comp)) for comp in dense_pair_spans(obj.space, *obj.qp))
+    assert _ordered(obj.components) == _ordered(dense_rows)
+    assert _ordered(obj.bases) == _ordered(ref.bases)
+    assert _ordered(obj.annihilators) == _ordered(ref.annihilators)
+    assert obj.component_dims() == ref.component_dims()
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_parameter_objects(ANY_SHAPE))
+def test_closed_form_objects_match_the_generic_constructor(obj):
+    _assert_closed_form_matches_generic(obj)
+
+
+def test_closed_form_property_fails_on_a_negated_basis_row(monkeypatch):
+    obj = rand_normalized(random.Random(5), space_of((0, 1, 1)))
+    _assert_closed_form_matches_generic(obj)
+    _negate_first_basis_row(monkeypatch, generic=False)
     with pytest.raises(AssertionError):
-        _assert_bases_match_reference(rand_sudbery(random.Random(5), space_of((0, 1))))
+        _assert_closed_form_matches_generic(make_sudbery(obj.space, *obj.qp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_parameter_objects(ANY_SHAPE))
+def test_dual_matches_the_closed_form_of_its_parameters(obj):
+    # the dual stays on the generic path; its qp is (1/p, 1/q)
+    dual = dual_object(obj)
+    closed = make_sudbery(obj.space, *dual.qp)
+    assert _ordered(dual.bases) == _ordered(closed.bases)
+    assert _ordered(dual.annihilators) == _ordered(closed.annihilators)
 
 
 def _integer_object_paths(objs):
