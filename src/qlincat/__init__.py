@@ -2,10 +2,10 @@
 
 Builds objects (complementary decompositions of the tensor square of a
 dual space), derives the quadratic relations of the matrix-entry algebras
-between them, and verifies their structure: projector combinations and the
-braid relation, the classical-dimension (PBW) criterion with an exact
-dimension oracle and a cubic-overlap confluence check, the coalgebra
-axioms, and the 2x2 quantum determinant.
+between them, and verifies their structure: the braid relation of the
+normalized projector combination, the classical-dimension (PBW) criterion
+with an exact dimension oracle and a cubic-overlap confluence check, the
+coalgebra axioms, and the 2x2 quantum determinant.
 """
 
 from .bialgebra import (
@@ -32,7 +32,6 @@ from .homs import (
     ComponentCountMismatch,
     HomAlgebra,
     RelationSet,
-    bilinear_form_relations,
     derive_relations_general,
     derive_relations_sudbery,
     hom_algebra,
@@ -63,17 +62,8 @@ from .rewrite import (
     failed_overlaps,
     format_poly,
     matrix_alphabet,
-    normal_form,
 )
-from .rmatrix import (
-    BMatrix,
-    RepeatedCoefficient,
-    braid_verdicts,
-    build_B,
-    normalized_B,
-    rmatrix_relation_span,
-    yang_baxter_check,
-)
+from .rmatrix import RepeatedCoefficient, braid_verdicts
 from .spaces import (
     BadParameters,
     QuantumObject,
@@ -92,16 +82,14 @@ __all__ = [
     "DegreeMismatch", "GradedSpace", "even_space", "koszul_pairing", "koszul_signs",
     "pi_image", "space_of",
     "AlphabetMismatch", "ComponentCountMismatch", "HomAlgebra", "RelationSet",
-    "bilinear_form_relations", "derive_relations_general",
-    "derive_relations_sudbery", "hom_algebra", "relation_set", "spans_equal",
+    "derive_relations_general", "derive_relations_sudbery", "hom_algebra",
+    "relation_set", "spans_equal",
     "InvariantViolation", "Matrix", "NotComplementary",
     "Extraction", "PBWVerdict", "TooLarge", "classical_dimension",
     "dimension_oracle", "oracle_dims", "pbw_criterion", "pbw_extract_constant",
     "Alphabet", "NCPoly", "RewriteSystem", "build_rewrite_system",
     "confluence_check", "failed_overlaps", "format_poly", "matrix_alphabet",
-    "normal_form",
-    "BMatrix", "RepeatedCoefficient", "braid_verdicts", "build_B", "normalized_B",
-    "rmatrix_relation_span", "yang_baxter_check",
+    "RepeatedCoefficient", "braid_verdicts",
     "BadParameters", "QuantumObject", "dual_object", "make_classical",
     "make_general", "make_normalized", "make_sudbery", "objects_equal",
 ]

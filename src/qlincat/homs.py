@@ -41,7 +41,7 @@ from .linalg import (
     InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _insert, _same_span,
 )
 from .rewrite import Alphabet, IntRule, NCPoly, matrix_alphabet
-from .spaces import BadParameters, QuantumObject, dual_object
+from .spaces import BadParameters, QuantumObject
 
 
 class ComponentCountMismatch(Exception):
@@ -236,15 +236,6 @@ def spans_equal(r1: RelationSet, r2: RelationSet) -> bool:
     if r1.alphabet != r2.alphabet:
         raise AlphabetMismatch("relation sets over different alphabets")
     return _same_span(r1.echelon, r2.echelon)
-
-
-def bilinear_form_relations(obj: QuantumObject) -> RelationSet:
-    """Relations for coefficients t_{AB} of an even bilinear form, i.e. the
-    hom relations into the dual object (the upper index runs over the dual
-    basis)."""
-    if obj.s != 2:
-        raise ValueError("bilinear forms need a two-component object")
-    return derive_relations_general(obj, dual_object(obj))
 
 
 def hom_algebra(src: QuantumObject, tgt: QuantumObject) -> HomAlgebra:

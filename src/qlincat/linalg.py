@@ -17,8 +17,9 @@ bases, annihilators and relation spans are all stored as such rows;
 rows in natural column order, primitive and positive at their pivots, for
 spectral sums and for ``spaces.QuantumObject.bases``, the one cache of each
 component's reduced rows, which its annihilator reads too; no ``Fraction``
-is made from an echelon.  ``spectral_sum`` returns the braid matrix B as
-one scale and sparse integer columns, which ``rmatrix`` reads as they are.
+is made from an echelon.  ``spectral_sum`` returns the braid projector
+as one scale and sparse integer columns, which ``rmatrix`` reads as they
+are.
 ``homs.RelationSet.back_substituted`` reads ``_back_substituted`` once per
 relation span, for its degree-2 rules and its quotient tower, which reads
 it for each degree's new rows.  The largest-column pivot is the leading
@@ -199,15 +200,16 @@ def spectral_sum(bases: Sequence[Sequence[dict[int, int]]], values: Sequence,
     as (L, columns): a positive integer L and the nonzero entries of each
     column of L * M, keyed by row in ascending order.
 
-    One elimination of the rows (den v, num v), values[k] = num / den: when
-    the bases together form a basis of the dim-dimensional space, they
-    reduce to the primitive rows (p_i e_i, p_i M e_i), so L is the lcm of
-    the pivots p_i and column i is the second half of row i times L / p_i.
+    One elimination of the rows (den v, num v), values[k] = num / den, an
+    int or a ``Fraction`` read as it is: when the bases together form a
+    basis of the dim-dimensional space, they reduce to the primitive rows
+    (p_i e_i, p_i M e_i), so L is the lcm of the pivots p_i and column i
+    is the second half of row i times L / p_i.
     Raises InvariantViolation otherwise.
     """
     last, rows = 2 * dim - 1, []
     for b, lam in zip(bases, values):
-        num, den = frac(lam).as_integer_ratio()
+        num, den = lam.as_integer_ratio()
         rows += ({last - shift - c: k * x for shift, k in ((0, den), (dim, num))
                   for c, x in v.items()} for v in b)
     pairs = _reduced_rows(_echelon(rows), 2 * dim)

@@ -1,5 +1,5 @@
 """Noncommutative polynomials over a matrix-entry alphabet, the row-major
-monomial order, normal forms, and the cubic-overlap confluence check.
+monomial order, rewrite systems, and the cubic-overlap confluence check.
 
 Letters are the generators t_A^K of a matrix of noncommuting entries,
 numbered row-major (letter id = A * cols + K), so the natural integer order
@@ -10,17 +10,16 @@ fixed degree.  Rewrite rules are a relation set's ``rules``, the integer
 degree-2 quotient ``homs`` reads off the span's back-substituted rows:
 nothing here eliminates or clears a rule.
 
-``normal_form`` (through ``_reduced``) and ``confluence_check`` (in a
-degree-3 loop of its own) both cancel the largest word of an integer row
-at that word's leftmost reducible pair; ``confluence_check`` stops at the
-first largest word that no rule reduces.
+``confluence_check`` reduces each overlap's integer row in a degree-3
+loop of its own, cancelling its largest word at a reducible pair, and
+stops at the first largest word that no rule reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from string import ascii_letters
 
 from .graded import GradedSpace
@@ -79,14 +78,6 @@ class NCPoly:
             if c:
                 clean[tuple(word)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {})
-
-    @classmethod
-    def monomial(cls, alphabet: Alphabet, word: Word, coeff=1) -> "NCPoly":
-        return cls(alphabet, {tuple(word): frac(coeff)})
 
     @property
     def is_zero(self) -> bool:
@@ -189,92 +180,6 @@ def build_rewrite_system(relations) -> RewriteSystem:
     """Each leading word rewrites to the smaller words it equals in the
     degree-2 quotient (``relations.rules``)."""
     return RewriteSystem(relations.alphabet, relations.rules)
-
-
-def normal_form(p: NCPoly, system: RewriteSystem) -> NCPoly:
-    """Rewrite p until no rule left side occurs as a subword.
-
-    Each homogeneous component is cleared to integers and reduced by
-    ``_reduced``: the largest word first, at its leftmost reducible pair.
-    Terminates because each step replaces a word by smaller ones.  Raises
-    ValueError when p is over another alphabet or holds a letter outside it.
-    """
-    if p.alphabet != system.alphabet:
-        raise ValueError("polynomial and rewrite system have different alphabets")
-    n = system.alphabet.size
-    components: dict[int, dict[int, Fraction]] = {}
-    for word, c in p.terms.items():
-        code = 0
-        for g in word:
-            if not 0 <= g < n:
-                raise ValueError(f"letter {g} of word {word} is not in the alphabet")
-            code = code * n + g
-        components.setdefault(len(word), {})[code] = c
-    out: dict[Word, Fraction] = {}
-    for degree, terms in components.items():
-        den = lcm(*(c.denominator for c in terms.values()))
-        row = {code: int(c * den) for code, c in terms.items()}
-        normal, scale = _reduced(row, system.rules, n, degree)
-        for code, v in normal.items():
-            word = []
-            for _ in range(degree):
-                code, g = divmod(code, n)
-                word.append(g)
-            out[tuple(reversed(word))] = Fraction(v, scale * den)
-    return NCPoly(p.alphabet, out)
-
-
-def _pair_shifts(n: int, degree: int) -> list[int]:
-    """The place value n^k of each adjacent pair of a degree-d word
-    encoded in base n, leftmost pair first."""
-    return [n**k for k in range(degree - 2, -1, -1)]
-
-
-def _reduced(
-    row: dict[int, int], rules: dict[int, IntRule], n: int, degree: int
-) -> tuple[dict[int, int], int]:
-    """Reduce an integer row of degree-d words encoded in base n; the row
-    is consumed.  Returns (normal, scale) with normal equal to scale times
-    the normal form of the row.
-
-    The largest word is cancelled at its leftmost reducible pair, the pair
-    with place value ``shift``: P times the word is replaced by the sum of
-    r_u (base + u shift) with the pair's rule P lead = sum r_u u.  The row
-    is scaled by P over gcd(P, coefficient), and so is the scale.  A
-    rewrite adds only smaller words, so a largest word that no rule reduces
-    is normal.
-    """
-    n2 = n * n
-    shifts = _pair_shifts(n, degree)
-    normal: dict[int, int] = {}
-    scale = 1
-    while row:
-        w = max(row)
-        for shift in shifts:
-            pair = w // shift % n2
-            rule = rules.get(pair)
-            if rule is not None:
-                break
-        else:
-            normal[w] = row.pop(w)
-            continue
-        p, rest = rule
-        a = row.pop(w)
-        g = gcd(a, p)
-        a, p = a // g, p // g
-        if p != 1:
-            row = {k: p * v for k, v in row.items()}
-            normal = {k: p * v for k, v in normal.items()}
-            scale *= p
-        base = w - pair * shift
-        for u, r in rest.items():
-            k = base + u * shift
-            v = row.get(k, 0) + a * r
-            if v:
-                row[k] = v
-            else:
-                del row[k]
-    return normal, scale
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,8 +19,8 @@ Each echelon is back-substituted once, to the primitive integer rows
 (``linalg._reduced_rows``) of ``QuantumObject.bases``, the one cache of
 reduced rows: a basis is those rows, and ``QuantumObject.annihilators``
 their kernel, signed by the Koszul pairing (``_annihilator``).
-The braid matrices (``rmatrix.build_B``), the hom relations and the dual
-object read bases and annihilators and never change them.
+The braid projector (``rmatrix.braid_verdicts``), the hom relations and
+the dual object read bases and annihilators and never change them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .graded import GradedSpace, koszul_sign, koszul_signs
+from .graded import GradedSpace, koszul_signs
 from .linalg import (
     InvariantViolation,
     NotComplementary,
@@ -187,15 +187,18 @@ def validate_sudbery_params(space: GradedSpace, q: ParamMatrix, p: ParamMatrix):
     rq, rp = ([[x.as_integer_ratio() for x in row] for row in m] for m in (q, p))
     for label, m, r in (("q", q, rq), ("p", p, rp)):
         for a in range(n):
-            expected = koszul_sign(space.parities[a], space.parities[a])
+            expected = 1 - 2 * space.parities[a]
             if r[a][a] != (expected, 1):
                 raise BadParameters(
                     f"{label}[{a}][{a}] = {m[a][a]}, must equal (-1)**parity = {expected}"
                 )
             for b in range(n):
-                (x, y), (u, v) = r[a][b], r[b][a]
+                x, y = r[a][b]
                 if x == 0:
                     raise BadParameters(f"{label}[{a}][{b}] must be nonzero")
+                if b <= a:
+                    continue  # x u = y v is symmetric in (a, b): once per pair
+                u, v = r[b][a]
                 if x * u != y * v:
                     raise BadParameters(
                         f"reciprocity violated: {label}[{a}][{b}]*{label}[{b}][{a}] != 1"

@@ -34,7 +34,6 @@ from qlincat.linalg import (
     frac,
 )
 from qlincat.rewrite import NCPoly, format_poly, matrix_alphabet, word_key
-from qlincat.rmatrix import BMatrix
 
 MIXED_SHAPES = [(0, 0), (0, 1), (1, 1), (0, 0, 0), (0, 0, 1), (0, 1, 1)]
 ONE = Fraction(1)
@@ -695,30 +694,16 @@ def dense_spectral_sum(scale: int, columns) -> Matrix:
     return Matrix([[Fraction(col.get(r, 0), scale) for col in columns] for r in range(dim)])
 
 
-def dense_b(b) -> Matrix:
-    """The dense ``Fraction`` matrix of a ``BMatrix``."""
-    return dense_spectral_sum(b.scale, b.columns)
-
-
-def b_from_dense(obj, coefficients, m: Matrix) -> BMatrix:
-    """A ``BMatrix`` whose matrix is the dense ``Fraction`` matrix m: the
-    lcm of its denominators and the nonzero entries of each column times it."""
-    scale = lcm(*(x.denominator for row in m.data for x in row))
-    columns = tuple(
-        {r: x.numerator * (scale // x.denominator) for r, x in enumerate(col) if x}
-        for col in zip(*m.data)
-    )
-    return BMatrix(obj, tuple(frac(c) for c in coefficients), scale, columns)
+def dense_b(obj, coefficients) -> Matrix:
+    """The dense ``Fraction`` matrix of sum_k lambda_k P_k, read densely
+    from ``linalg.spectral_sum`` over the object's bases."""
+    return dense_spectral_sum(*linalg.spectral_sum(obj.bases, coefficients, obj.space.dim**2))
 
 
 def projectors(obj) -> list[Matrix]:
     """P_k onto component k along the others: the 0/1 ``spectral_sum``
     over the object's bases, read densely."""
-    return [
-        dense_spectral_sum(*linalg.spectral_sum(
-            obj.bases, [int(k == j) for j in range(obj.s)], obj.space.dim**2))
-        for k in range(obj.s)
-    ]
+    return [dense_b(obj, [int(k == j) for j in range(obj.s)]) for k in range(obj.s)]
 
 
 def projectors_reference(components, dim):
@@ -743,8 +728,8 @@ def projectors_reference(components, dim):
 
 
 def b_matrix_reference(obj, coefficients):
-    """Reference for ``rmatrix.build_B``: sum_k lambda_k P_k as a dense sum
-    of the scaled ``projectors_reference`` matrices."""
+    """Reference for ``dense_b``: sum_k lambda_k P_k as a dense sum of the
+    scaled ``projectors_reference`` matrices."""
     dim = obj.space.dim**2
     total = Matrix.zeros(dim, dim)
     for lam, p in zip(coefficients, projectors_reference(obj.components, dim)):
@@ -752,10 +737,11 @@ def b_matrix_reference(obj, coefficients):
     return total
 
 
-def dense_yang_baxter(b) -> bool:
-    """Reference for ``yang_baxter_check``: B12 = B (x) 1 and B23 = 1 (x) B
+def dense_yang_baxter(obj, m: Matrix) -> bool:
+    """Reference for ``braid_verdicts``: the braid relation of a dense
+    matrix m on the object's tensor square, B12 = m (x) 1 and B23 = 1 (x) m
     as dense n**3 x n**3 matrices, and the two triple products compared."""
-    eye, m = identity(b.object.space.dim), dense_b(b)
+    eye = identity(obj.space.dim)
     b12 = kron(m, eye)
     b23 = kron(eye, m)
     return matmul(matmul(b12, b23), b12) == matmul(matmul(b23, b12), b23)
@@ -972,66 +958,39 @@ def coaction_degree2(src, tgt):
     for c, d in product(range(n), repeat=2):
         for k, l in product(range(m), repeat=2):
             sign = -1 if (pv[d] * (pv[c] + pw[k])) % 2 else 1
-            table[c * n + d][k * m + l] = NCPoly.monomial(
-                alphabet, (c * m + k, d * m + l), sign
-            )
+            table[c * n + d][k * m + l] = NCPoly(alphabet, {(c * m + k, d * m + l): sign})
     return alphabet, table
 
 
-def rmatrix_relation_span_reference(b_src, b_tgt):
-    """Reference for ``rmatrix_relation_span``: the entries of
-    B_source . coaction - coaction . B_target summed as polynomials over the
-    ``coaction_degree2`` table."""
-    src, tgt = b_src.object, b_tgt.object
+def rmatrix_relation_span_reference(src, b_src: Matrix, tgt, b_tgt: Matrix):
+    """The relations in projector form: the entries of
+    B_source . coaction - coaction . B_target, for dense matrices B on the
+    two objects' tensor squares, summed as polynomials over the
+    ``coaction_degree2`` table.  With shared pairwise-distinct coefficients
+    this spans the relations of the matrix-entry algebra."""
     n, m = src.space.dim, tgt.space.dim
     alphabet, delta = coaction_degree2(src, tgt)
-    ba, bb = dense_b(b_src), dense_b(b_tgt)
     polys = []
     for i in range(n * n):
         for j in range(m * m):
-            acc = NCPoly.zero(alphabet)
+            acc = NCPoly(alphabet)
             for k in range(n * n):
-                if ba.data[i][k]:
-                    acc = acc + delta[k][j].scale(ba.data[i][k])
+                if b_src.data[i][k]:
+                    acc = acc + delta[k][j].scale(b_src.data[i][k])
             for k in range(m * m):
-                if bb.data[k][j]:
-                    acc = acc - delta[i][k].scale(bb.data[k][j])
+                if b_tgt.data[k][j]:
+                    acc = acc - delta[i][k].scale(b_tgt.data[k][j])
             if not acc.is_zero:
                 polys.append(monic(acc))
     return relation_set(alphabet, polys)
 
 
-def rmatrix_relation_span_fractions(b_src, b_tgt):
-    """``rmatrix_relation_span`` summed over Fractions: each entry of
-    B_source . coaction - coaction . B_target from the uncleared entries of
-    the two B matrices, made monic and then cleared by ``relation_set``."""
-    src, tgt = b_src.object, b_tgt.object
-    n, m = src.space.dim, tgt.space.dim
-    pv, pw = src.space.parities, tgt.space.parities
-    alphabet = matrix_alphabet(src.space, tgt.space)
-    sign = [
-        [koszul_sign(pv[d], pv[c] + pw[k]) for k in range(m)]
-        for c, d in product(range(n), repeat=2)
-    ]
-    a_rows = [[(r, x) for r, x in enumerate(row) if x] for row in dense_b(b_src).data]
-    b_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*dense_b(b_tgt).data)]
-    polys = []
-    for i in range(n * n):
-        c, d = divmod(i, n)
-        for j in range(m * m):
-            k, l = divmod(j, m)
-            terms: dict = {}
-            for r, x in a_rows[i]:
-                w = (r // n * m + k, r % n * m + l)
-                terms[w] = terms.get(w, 0) + sign[r][k] * x
-            for r, x in b_cols[j]:
-                kk, ll = divmod(r, m)
-                w = (c * m + kk, d * m + ll)
-                terms[w] = terms.get(w, 0) - sign[i][kk] * x
-            poly = NCPoly(alphabet, terms)
-            if not poly.is_zero:
-                polys.append(monic(poly))
-    return relation_set(alphabet, polys)
+def projector_form_span(src, tgt, c_src, c_tgt):
+    """``rmatrix_relation_span_reference`` of the reference matrices
+    sum_k c_k P_k (``b_matrix_reference``) of the two objects."""
+    return rmatrix_relation_span_reference(
+        src, b_matrix_reference(src, c_src), tgt, b_matrix_reference(tgt, c_tgt)
+    )
 
 
 def derive_relations_general_reference(src, tgt) -> tuple[NCPoly, ...]:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qlincat import bialgebra, homs, linalg, rewrite, spaces
+from qlincat import bialgebra, homs, linalg, spaces
 from qlincat.bialgebra import (
     ComposableTriple,
     coassociativity_check,
@@ -18,7 +18,6 @@ from qlincat.graded import even_space, space_of
 from qlincat.homs import (
     AlphabetMismatch,
     ComponentCountMismatch,
-    bilinear_form_relations,
     derive_relations_general,
     derive_relations_sudbery,
     hom_algebra,
@@ -27,13 +26,7 @@ from qlincat.homs import (
 )
 from qlincat.linalg import InvariantViolation, Matrix, _cleared, _echelon
 from qlincat.pbw import oracle_dims
-from qlincat.rewrite import (
-    NCPoly,
-    build_rewrite_system,
-    confluence_check,
-    matrix_alphabet,
-    normal_form,
-)
+from qlincat.rewrite import NCPoly, build_rewrite_system, confluence_check, matrix_alphabet
 from qlincat.spaces import dual_object, make_classical, make_general, make_sudbery, objects_equal
 
 from support import (
@@ -109,9 +102,6 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     system = build_rewrite_system(rels)
     assert system.rules is rels.rules
     confluence_check(system)
-    al = system.alphabet
-    words = {tuple(rng.randrange(al.size) for _ in range(4)) for _ in range(3)}
-    normal_form(NCPoly(al, {w: rand_nonzero(rng) for w in words}), system)
     oracle_dims(hom, 3)
     # degree 4 commits M_3, the back-substitution of the degree-3 echelon,
     # and reads it as rules: snapshot it, with M_2, before that read
@@ -151,15 +141,16 @@ def test_readers_leave_the_span_echelon_back_substitution_and_rules_unchanged(
 
 
 def test_read_only_property_fails_when_a_reader_mutates_a_rule(monkeypatch):
-    real = rewrite._reduced
+    # the property's confluence check doubles one rule coefficient first
+    real = confluence_check
 
-    def mutating(row, rules, *args, **kw):
-        rest = next(rest for _, rest in rules.values() if rest)
+    def mutating(system):
+        rest = next(rest for _, rest in system.rules.values() if rest)
         word = next(iter(rest))
         rest[word] *= 2
-        return real(row, rules, *args, **kw)
+        return real(system)
 
-    monkeypatch.setattr(rewrite, "_reduced", mutating)
+    monkeypatch.setitem(globals(), "confluence_check", mutating)
     with pytest.raises(AssertionError):
         _assert_readers_leave_the_span_unchanged("yes", (0, 0), (0, 0), 1)
 
@@ -498,7 +489,7 @@ def test_relation_matrix_view_matches_polys():
 def test_bilinear_form_relations_classical():
     # classical object: coefficients of a bilinear form commute
     cl = make_classical(even_space(2))
-    rels = bilinear_form_relations(cl)
+    rels = derive_relations_general(cl, dual_object(cl))
     assert spans_equal(rels, supercommutator_relations(cl.space, cl.space))
 
 
@@ -506,7 +497,7 @@ def test_bilinear_form_relations_closed_form():
     # fixed even dim-2 instance against the closed coefficient formula
     src = even2_sudbery(2, 3)
     q, p = src.qp
-    rels = bilinear_form_relations(src)
+    rels = derive_relations_general(src, dual_object(src))
     alphabet = rels.alphabet
     n = 2
     polys = []
@@ -531,7 +522,8 @@ def test_bilinear_of_dual_returns_endo_relations():
     src = even2_sudbery(2, 3)
     twice = dual_object(dual_object(src))
     assert spans_equal(
-        bilinear_form_relations(src), bilinear_form_relations(twice)
+        derive_relations_general(src, dual_object(src)),
+        derive_relations_general(twice, dual_object(twice)),
     )
 
 

@@ -56,15 +56,13 @@ LIBRARY_API = (
     # used in the README
     "even_space", "relation_set", "RewriteSystem", "pi_image",
     # state a claim of the paper: the exact graded dimensions and the PBW
-    # verdict, normal words, the braid structure B and the relations in
-    # projector form, the pairing and the dual object, composable homs
-    "classical_dimension", "PBWVerdict", "Extraction", "normal_form", "build_B", "BMatrix",
-    "rmatrix_relation_span", "koszul_pairing", "bilinear_form_relations",
+    # verdict, the pairing and the dual object, composable homs
+    "classical_dimension", "PBWVerdict", "Extraction", "koszul_pairing", "dual_object",
     "objects_equal", "composable_triple",
+    # the type of every relation span, which the derivations return
+    "RelationSet",
     # raised by the names above (koszul_pairing, spans_equal)
     "DegreeMismatch", "AlphabetMismatch",
-    # reference for `yb`'s Hecke check (``braid_verdicts``)
-    "normalized_B", "yang_baxter_check",
     # library printing (``NCPoly``'s repr) and the reference for the CLI's
     # relation listings, which are written from the integer rows
     "format_poly",
@@ -128,8 +126,8 @@ def test_caller_check_fails_on_a_public_name_without_a_caller(tmp_path):
 LIBRARY_METHODS = (
     # read by perfbench
     "RelationSet.matrix",
-    # value-type API for normal_form inputs and the determinant coboundary
-    "NCPoly.zero", "NCPoly.monomial", "NCPoly.scale",
+    # value-type API: the determinant coboundary rescales determinants
+    "NCPoly.scale",
 )
 
 _PROPERTIES = {"property", "cached_property"}

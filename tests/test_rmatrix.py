@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,37 +13,28 @@ from qlincat.graded import even_space, space_of
 from qlincat.homs import derive_relations_general, spans_equal
 from qlincat.linalg import InvariantViolation, Matrix
 from qlincat.pbw import pbw_extract_constant
-from qlincat.rmatrix import (
-    BMatrix,
-    RepeatedCoefficient,
-    braid_verdicts,
-    build_B,
-    normalized_B,
-    rmatrix_relation_span,
-    yang_baxter_check,
-)
+from qlincat.rmatrix import RepeatedCoefficient, braid_verdicts
 from qlincat.spaces import make_classical, make_general, make_normalized, make_sudbery
 
 from support import (
     MIXED_SHAPES,
     FractionArithmetic,
     FractionMade,
-    b_from_dense,
     b_matrix_reference,
     dense,
     dense_b,
+    dense_spectral_sum,
     dense_yang_baxter,
     even2_sudbery,
     forbid_fraction_arithmetic,
     forbid_new_fractions,
     hecke_pair,
     identity,
-    inverse,
-    kron,
     mat_add,
     mat_apply,
     mat_scale,
     matmul,
+    projector_form_span,
     projectors,
     projectors_reference,
     rand_constant,
@@ -51,8 +43,6 @@ from support import (
     rand_normalized,
     rand_sudbery,
     rank,
-    rmatrix_relation_span_fractions,
-    rmatrix_relation_span_reference,
     row_spans_equal,
     sudbery_with_constant,
 )
@@ -73,33 +63,36 @@ def test_classical_B_is_signed_swap():
     for parities in [(0, 0), (0, 1), (1, 1)]:
         sp = space_of(parities)
         cl = make_classical(sp)
-        b = build_B(cl, [-1, 1])  # -1 on the skew part, +1 on the symmetric part
-        assert dense_b(b) == super_swap(sp)
-        assert matmul(dense_b(b), dense_b(b)) == identity(sp.dim**2)
-        assert yang_baxter_check(b)
-        # coefficients (1, -1) give the opposite signed permutation, also square one
-        b_neg = build_B(cl, [1, -1])
-        assert dense_b(b_neg) == mat_scale(super_swap(sp), -1)
-        assert matmul(dense_b(b_neg), dense_b(b_neg)) == identity(sp.dim**2)
-        assert yang_baxter_check(b_neg)
+        swap = dense_b(cl, [-1, 1])  # -1 on the skew part, +1 on the symmetric part
+        assert swap == super_swap(sp)
+        assert matmul(swap, swap) == identity(sp.dim**2)
+        assert dense_yang_baxter(cl, swap)
+        # coefficients (1, -1), the normalized form at lam = 1, give the
+        # opposite signed permutation, also square one
+        neg = dense_b(cl, [1, -1])
+        assert neg == mat_scale(super_swap(sp), -1)
+        assert matmul(neg, neg) == identity(sp.dim**2)
+        assert dense_yang_baxter(cl, neg)
+        assert braid_verdicts(cl, [1]) == (True,)
 
 
 def test_build_B_eigenstructure():
     obj = even2_sudbery(2, 3)
-    b = build_B(obj, [1, -5])
+    b = dense_b(obj, [1, -5])
     # components are eigenspaces: (B - lam) v = 0
     for lam, comp in zip((Fraction(1), Fraction(-5)), obj.components):
         for v in comp:
-            assert mat_apply(dense_b(b), dense(v, 4)) == tuple(lam * x for x in dense(v, 4))
+            assert mat_apply(b, dense(v, 4)) == tuple(lam * x for x in dense(v, 4))
 
 
 def test_eigenspaces_recover_decomposition():
     from support import kernel_basis
 
     obj = even2_sudbery(2, 3)
-    b = build_B(obj, [Fraction(4), Fraction(-7, 2)])
-    for lam, comp in zip(b.coefficients, obj.components):
-        shifted = mat_add(dense_b(b), mat_scale(identity(4), -lam))
+    coeffs = [Fraction(4), Fraction(-7, 2)]
+    b = dense_b(obj, coeffs)
+    for lam, comp in zip(coeffs, obj.components):
+        shifted = mat_add(b, mat_scale(identity(4), -lam))
         assert row_spans_equal(kernel_basis(shifted), [dense(v, 4) for v in comp])
 
 
@@ -111,24 +104,25 @@ def test_build_B_three_components():
         [(f(0), f(1), f(1), f(0))],
     ]
     obj = make_general(even_space(2), comps)
-    b = build_B(obj, [0, 1, 2])
+    b = dense_b(obj, [0, 1, 2])
     projs = projectors(obj)
     total = Matrix.zeros(4, 4)
     for lam, p in zip((0, 1, 2), projs):
         total = mat_add(total, mat_scale(p, lam))
-    assert dense_b(b) == total
+    assert b == total
     # eigenprojection recovers each component
     for lam, comp in zip((f(0), f(1), f(2)), comps):
         for v in comp:
-            assert mat_apply(dense_b(b), v) == tuple(lam * x for x in v)
+            assert mat_apply(b, v) == tuple(lam * x for x in v)
 
 
 def test_build_B_repeated_coefficient():
+    # a repeated coefficient merges the eigenspaces (2 P_1 + 2 P_2 is 2,
+    # whatever the components), so the braid check refuses lam = -1
     obj = even2_sudbery(2, 3)
+    assert dense_b(obj, [2, 2]) == mat_scale(identity(4), 2)
     with pytest.raises(RepeatedCoefficient):
-        build_B(obj, [2, 2])
-    with pytest.raises(ValueError):
-        build_B(obj, [1, 2, 3])
+        braid_verdicts(obj, [-1])
 
 
 def test_yb_dim2_both_branches_any_admissible():
@@ -136,8 +130,7 @@ def test_yb_dim2_both_branches_any_admissible():
     for _ in range(8):
         obj = rand_sudbery(rng, space_of(rng.choice([(0, 0), (0, 1), (1, 1)])))
         c = pbw_extract_constant(obj).constant
-        for lam in {c, 1 / c}:
-            assert yang_baxter_check(normalized_B(obj, lam))
+        assert all(braid_verdicts(obj, [c, 1 / c]))
 
 
 def test_yb_dim3_nontransitive_fails():
@@ -150,16 +143,14 @@ def test_yb_dim3_nontransitive_fails():
     ]
     obj = make_sudbery(even_space(3), q, p)
     assert pbw_extract_constant(obj) is None
-    results = [yang_baxter_check(normalized_B(obj, lam)) for lam in (Fraction(2), Fraction(1, 2))]
-    assert not any(results)
+    assert not any(braid_verdicts(obj, [Fraction(2), Fraction(1, 2)]))
 
 
 def test_yb_dim3_transitive_passes():
     rng = random.Random(19)
     obj = sudbery_with_constant(rng, space_of((0, 0, 1)), Fraction(5, 2))
     c = pbw_extract_constant(obj).constant
-    for lam in (c, 1 / c):
-        assert yang_baxter_check(normalized_B(obj, lam))
+    assert braid_verdicts(obj, [c, 1 / c]) == (True, True)
 
 
 def test_yb_dichotomy_probe_scan():
@@ -168,11 +159,8 @@ def test_yb_dichotomy_probe_scan():
     c = pbw_extract_constant(obj).constant
     good = {c, 1 / c}
     probes = {Fraction(1), Fraction(2), Fraction(5), Fraction(-3), Fraction(7, 2), c * c}
-    for lam in sorted(good | probes):
-        if lam == 0:
-            continue
-        expected = lam in good
-        assert yang_baxter_check(normalized_B(obj, lam)) == expected
+    lams = sorted(good | probes)
+    assert braid_verdicts(obj, lams) == tuple(lam in good for lam in lams)
 
 
 def test_rmatrix_span_equals_relations_shared_coefficients():
@@ -181,11 +169,8 @@ def test_rmatrix_span_equals_relations_shared_coefficients():
         parities = rng.choice([(0, 0), (0, 1), (0, 0, 1)])
         src = rand_sudbery(rng, space_of(parities))
         tgt = rand_sudbery(rng, space_of(parities))
-        b_src = build_B(src, [1, -1])
-        b_tgt = build_B(tgt, [1, -1])
-        assert spans_equal(
-            rmatrix_relation_span(b_src, b_tgt), derive_relations_general(src, tgt)
-        )
+        span = projector_form_span(src, tgt, [1, -1], [1, -1])
+        assert spans_equal(span, derive_relations_general(src, tgt))
 
 
 def test_rmatrix_span_three_components():
@@ -199,13 +184,13 @@ def test_rmatrix_span_three_components():
     src = make_general(even_space(2), comps)
     tgt = make_general(even_space(2), comps)
     coeffs = [f(1), f(2), f(5)]
-    span = rmatrix_relation_span(build_B(src, coeffs), build_B(tgt, coeffs))
+    span = projector_form_span(src, tgt, coeffs, coeffs)
     assert spans_equal(span, derive_relations_general(src, tgt))
 
 
 def test_rmatrix_span_classical():
     cl = make_classical(space_of((0, 1)))
-    span = rmatrix_relation_span(build_B(cl, [3, -2]), build_B(cl, [3, -2]))
+    span = projector_form_span(cl, cl, [3, -2], [3, -2])
     assert spans_equal(span, derive_relations_general(cl, cl))
 
 
@@ -215,11 +200,9 @@ def test_rmatrix_span_mismatched_normalized_differs():
     a = make_normalized(sp, q, +1, 5)
     b = make_normalized(sp, q, +1, 5)
     rels = derive_relations_general(a, b)
-    assert spans_equal(
-        rmatrix_relation_span(normalized_B(a, 5), normalized_B(b, 5)), rels
-    )
+    assert spans_equal(projector_form_span(a, b, [1, -5], [1, -5]), rels)
     for lam_b in (Fraction(7), Fraction(2), Fraction(1, 7)):
-        span = rmatrix_relation_span(normalized_B(a, 5), normalized_B(b, lam_b))
+        span = projector_form_span(a, b, [1, -5], [1, -lam_b])
         assert not spans_equal(span, rels)
 
 
@@ -235,9 +218,7 @@ def test_pbw_extraction_failure_breaks_yb_coherence():
     ]
     obj = make_sudbery(even_space(3), q, p)
     assert pbw_extract_constant(obj) is None
-    assert not all(
-        yang_baxter_check(normalized_B(obj, lam)) for lam in (Fraction(3), Fraction(1, 3))
-    )
+    assert not all(braid_verdicts(obj, [Fraction(3), Fraction(1, 3)]))
 
 
 def _distinct(rng, count):
@@ -247,10 +228,6 @@ def _distinct(rng, count):
         if c not in coeffs:
             coeffs.append(c)
     return coeffs
-
-
-def _distinct_pair(rng):
-    return _distinct(rng, 2)
 
 
 def _full_rank_vectors(rng, space):
@@ -268,59 +245,19 @@ def _three_components(rng, space):
     return make_general(space, [vecs[:i], vecs[i:j], vecs[j:]])
 
 
-@st.composite
-def braid_matrices(draw):
-    """B matrices that pass and fail the braid relation: normalized forms of
-    random Sudbery objects at lam = c, 1/c and one other value, also in a
-    random basis, and dense random general objects with distinct random
-    coefficients."""
-    space = space_of(draw(st.sampled_from(MIXED_SHAPES)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        return [build_B(rand_general(rng, space), _distinct_pair(rng))]
-    if draw(st.booleans()):
-        obj = sudbery_with_constant(rng, space, rand_constant(rng))
-    else:
-        obj = rand_sudbery(rng, space)
-    ext = pbw_extract_constant(obj)
-    lams = {ext.constant, 1 / ext.constant} if ext is not None else set()
-    other = rand_constant(rng)
-    while other in lams:
-        other = rand_constant(rng)
-    bs = [normalized_B(obj, lam) for lam in sorted(lams | {other}) if lam != -1]
-    # a change of basis g of V keeps each verdict and makes B dense
-    while True:
-        g = Matrix([[rand_nonzero(rng) for _ in range(space.dim)] for _ in range(space.dim)])
-        if rank(g) == space.dim:
-            break
-    gg = kron(g, g)
-    ggi = inverse(gg)
-    return bs + [
-        b_from_dense(b.object, b.coefficients, matmul(matmul(gg, dense_b(b)), ggi)) for b in bs
-    ]
-
-
-@settings(max_examples=25, deadline=None)
-@given(braid_matrices())
-def test_braid_check_matches_dense_reference(bs):
-    for b in bs:
-        assert yang_baxter_check(b) == dense_yang_baxter(b)
-
-
-def _perturbed(b: BMatrix, row: int, col: int) -> BMatrix:
-    data = [list(r) for r in dense_b(b).data]
+def _perturbed(m: Matrix, row: int, col: int) -> Matrix:
+    data = [list(r) for r in m.data]
     data[row][col] += 1
-    return b_from_dense(b.object, b.coefficients, Matrix(data))
+    return Matrix(data)
 
 
 def test_braid_check_fails_on_perturbed_entry():
+    # the dense reference fails once one entry of a passing B moves by 1
     rng = random.Random(61)
     obj = sudbery_with_constant(rng, space_of((0, 0, 1)), Fraction(5, 2))
-    b = normalized_B(obj, Fraction(5, 2))
-    assert yang_baxter_check(b) and dense_yang_baxter(b)
-    bad = _perturbed(b, 1, 3)
-    assert not dense_yang_baxter(bad)
-    assert not yang_baxter_check(bad)
+    b = dense_b(obj, [1, Fraction(-5, 2)])
+    assert braid_verdicts(obj, [Fraction(5, 2)]) == (True,) and dense_yang_baxter(obj, b)
+    assert not dense_yang_baxter(obj, _perturbed(b, 1, 3))
 
 
 def test_braid_check_builds_no_dense_product():
@@ -340,9 +277,7 @@ def test_braid_check_builds_no_dense_product():
     for name in ("__matmul__", "__add__", "scale", "apply", "transpose"):
         assert not hasattr(Matrix, name), name
     assert not hasattr(linalg, "inverse")
-    good = normalized_B(even2_sudbery(2, 3), Fraction(2, 3))
-    assert yang_baxter_check(good)
-    assert not yang_baxter_check(_perturbed(good, 0, 1))
+    assert braid_verdicts(even2_sudbery(2, 3), [Fraction(2, 3), Fraction(2)]) == (True, False)
 
 
 LINES = [(0,), (1,)]
@@ -378,8 +313,15 @@ def verdict_cases(draw):
     return obj, rng.sample(sorted(lams), len(lams))
 
 
+def _dense_verdicts(obj, lams):
+    """``dense_yang_baxter`` of P_1 - lam P_2 for each lam, the projectors
+    built once per object by ``projectors_reference``."""
+    p1, p2 = projectors_reference(obj.components, obj.space.dim**2)
+    return tuple(dense_yang_baxter(obj, mat_add(p1, mat_scale(p2, -lam))) for lam in lams)
+
+
 def _assert_verdicts_match_braid_checks(obj, lams):
-    expected = tuple(yang_baxter_check(normalized_B(obj, lam)) for lam in lams)
+    expected = _dense_verdicts(obj, lams)
     assert braid_verdicts(obj, lams) == expected
     return expected
 
@@ -406,7 +348,8 @@ def test_braid_verdicts_pass_and_fail_on_fixed_cases():
 
 
 def test_verdict_property_fails_on_a_perturbed_projector(monkeypatch):
-    # one entry of L P moved by 1, as ``_perturbed`` moves one entry of B
+    # one entry of L P moved by 1, as ``_perturbed`` moves one entry of B;
+    # the dense reference reads its projectors from its own inverse
     obj = sudbery_with_constant(random.Random(61), space_of((0, 0, 1)), Fraction(5, 2))
     lams = [Fraction(5, 2), Fraction(2, 5)]
     assert _assert_verdicts_match_braid_checks(obj, lams) == (True, True)
@@ -426,19 +369,20 @@ def test_verdict_property_fails_on_a_perturbed_projector(monkeypatch):
 
 
 def test_braid_verdicts_refuse_what_normalized_B_refuses():
-    # the same exception and message, the component count before any lam
+    # the component count before any lam, then the first lam = -1, which
+    # repeats the coefficient 1 of the normalized form P_1 - lam P_2
     three = _three_components(random.Random(5), even_space(2))
     two = even2_sudbery(2, 3)
+    count = (ValueError, "normalized form needs a two-component object")
+    repeat = (RepeatedCoefficient, "coefficients 1, 1 are not pairwise distinct")
     cases = [
-        (three, [Fraction(2)]), (three, [Fraction(-1)]),
-        (two, [Fraction(-1)]), (two, [Fraction(2), Fraction(-1), Fraction(3)]),
+        (three, [Fraction(2)], count), (three, [Fraction(-1)], count),
+        (two, [Fraction(-1)], repeat), (two, [Fraction(2), Fraction(-1), Fraction(3)], repeat),
     ]
-    for obj, lams in cases:
-        with pytest.raises((ValueError, RepeatedCoefficient)) as want:
-            [normalized_B(obj, lam) for lam in lams]
-        with pytest.raises((ValueError, RepeatedCoefficient)) as got:
+    for obj, lams, want in cases:
+        with pytest.raises(Exception) as got:
             braid_verdicts(obj, lams)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert (type(got.value), str(got.value)) == want
 
 
 def _assert_hecke_claim(ext, x, y):
@@ -508,13 +452,14 @@ def spectral_objects(draw):
 
 def _assert_spectral_sums_match_reference(obj, coeffs):
     dim = obj.space.dim**2
-    b = build_B(obj, coeffs)
-    assert dense_b(b) == b_matrix_reference(obj, coeffs)
+    scale, columns = linalg.spectral_sum(obj.bases, coeffs, dim)
+    b = dense_spectral_sum(scale, columns)
+    assert b == b_matrix_reference(obj, coeffs)
     assert projectors(obj) == projectors_reference(obj.components, dim)
     # the scale is the lcm of the entries' denominators, and each column
     # holds the nonzero entries in ascending row order
-    assert b_from_dense(obj, coeffs, dense_b(b)) == b
-    assert all(list(col) == sorted(col) for col in b.columns)
+    assert scale == lcm(*(x.denominator for row in b.data for x in row))
+    assert all(all(col.values()) and list(col) == sorted(col) for col in columns)
 
 
 @settings(max_examples=30, deadline=None)
@@ -530,11 +475,10 @@ def test_spectral_sum_property_fails_on_swapped_values(monkeypatch):
     def rotated(bases, values, dim):
         return real(bases, list(values[1:]) + list(values[:1]), dim)
 
-    monkeypatch.setattr(rmatrix, "spectral_sum", rotated)
     monkeypatch.setattr(linalg, "spectral_sum", rotated)
     obj = even2_sudbery(2, 3)
     with pytest.raises(AssertionError):
-        assert dense_b(build_B(obj, [1, -5])) == b_matrix_reference(obj, [1, -5])
+        _assert_spectral_sums_match_reference(obj, [1, -5])
     with pytest.raises(AssertionError):
         assert projectors(obj) == projectors_reference(obj.components, 4)
 
@@ -546,129 +490,54 @@ def test_build_B_rejects_dependent_bases():
     # the cached bases corrupted so that both components contain e_0
     obj.__dict__["bases"] = (({0: 1}, {1: 1}), ({0: 1}, {3: 1}))
     with pytest.raises(InvariantViolation):
-        build_B(obj, [1, 2])
-
-
-def _assert_span_matches_reference(src_shape, tgt_shape, matching, seed):
-    rng = random.Random(seed)
-    src = rand_sudbery(rng, space_of(src_shape))
-    tgt = rand_sudbery(rng, space_of(tgt_shape))
-    c_src = _distinct_pair(rng)
-    c_tgt = c_src if matching else _distinct_pair(rng)
-    b_src, b_tgt = build_B(src, c_src), build_B(tgt, c_tgt)
-    # the same polynomials in the same order, not only the same span
-    assert rmatrix_relation_span(b_src, b_tgt) == rmatrix_relation_span_reference(b_src, b_tgt)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(MIXED_SHAPES),
-    st.sampled_from(MIXED_SHAPES),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_rmatrix_span_matches_coaction_table_reference(src_shape, tgt_shape, matching, seed):
-    _assert_span_matches_reference(src_shape, tgt_shape, matching, seed)
-
-
-def test_rmatrix_span_property_fails_without_coaction_sign(monkeypatch):
-    # every coaction entry then carries sign +1, also where it should be -1
-    monkeypatch.setattr(rmatrix, "koszul_sign", lambda p1, p2: 1)
-    _assert_span_matches_reference((0, 0), (0, 0), True, 3)
-    with pytest.raises(AssertionError):
-        _assert_span_matches_reference((0, 1), (0, 1), True, 3)
-
-
-def _lam(rng):
-    # normalized_B(obj, -1) would repeat the coefficient 1
-    lam = rand_nonzero(rng)
-    return lam if lam != -1 else Fraction(2)
-
-
-def _assert_span_matches_fraction_route(src_shape, tgt_shape, matching, seed):
-    rng = random.Random(seed)
-    src = rand_normalized(rng, space_of(src_shape))
-    tgt = rand_normalized(rng, space_of(tgt_shape))
-    lam = _lam(rng)
-    b_src, b_tgt = normalized_B(src, lam), normalized_B(tgt, lam if matching else _lam(rng))
-    # the same primitive integer rows in the same order
-    assert rmatrix_relation_span(b_src, b_tgt) == rmatrix_relation_span_fractions(b_src, b_tgt)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(MIXED_SHAPES),
-    st.sampled_from(MIXED_SHAPES),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_rmatrix_span_rows_match_the_fraction_route(src_shape, tgt_shape, matching, seed):
-    _assert_span_matches_fraction_route(src_shape, tgt_shape, matching, seed)
-
-
-def test_fraction_route_property_fails_without_primitive_rows(monkeypatch):
-    # the integer entries carry the factor L_s L_t of the two cleared B
-    # matrices until each row is divided by its gcd
-    monkeypatch.setattr(rmatrix, "_normalised", lambda row: row)
-    with pytest.raises(AssertionError):
-        _assert_span_matches_fraction_route((0, 0), (0, 1), False, 3)
-
+        braid_verdicts(obj, [Fraction(2)])
 
 
 def _built_braid_cases():
-    """Two-parameter, normalized, dense general and three-component objects
-    over every mixed shape, each with a target of as many components and
-    pairwise distinct Fraction coefficients, all built before any check:
-    the normalized form (1, -c) when the object has a constant c != -1,
-    so that some braid checks pass, else random coefficients."""
+    """Two-parameter, normalized and dense general objects over every mixed
+    shape, each with its candidate coefficients lam, all built before any
+    check: a random rational and, when the object has a constant c, c and
+    1/c, so that some braid checks pass (never -1)."""
     rng = random.Random(43)
     cases = []
     for shape in MIXED_SHAPES:
-        space = space_of(shape)
-        for make in (rand_sudbery, rand_normalized, rand_general, _three_components):
-            obj = make(rng, space)
-            other = space_of(rng.choice(MIXED_SHAPES))
-            tgt = rand_sudbery(rng, other) if obj.s == 2 else _three_components(rng, other)
-            ext = pbw_extract_constant(obj) if obj.s == 2 else None
-            if ext is not None and ext.constant != -1:
-                coeffs = (Fraction(1), -ext.constant)
-            else:
-                coeffs = tuple(_distinct(rng, obj.s))
-            cases.append((obj, tgt, coeffs))
+        for make in (rand_sudbery, rand_normalized, rand_general):
+            obj = make(rng, space_of(shape))
+            lams = {rand_nonzero(rng)}
+            if (ext := pbw_extract_constant(obj)) is not None:
+                lams |= {ext.constant, 1 / ext.constant}
+            lams.discard(Fraction(-1))
+            cases.append((obj, sorted(lams)))
     return cases
 
 
 def _forbid_fractions(monkeypatch):
-    forbid_new_fractions(monkeypatch, linalg, rmatrix)
+    forbid_new_fractions(monkeypatch, linalg)
     forbid_fraction_arithmetic(monkeypatch)
 
 
 def test_B_path_makes_no_fraction(monkeypatch):
-    # B is read from one integer echelon as a scale and integer columns, and
-    # the braid check and the projector-form relations read those as they
-    # are; the guarded results are then checked against the dense references
+    # the projector is read from one integer echelon as a scale and integer
+    # columns, and the verdicts from those as they are; the guarded results
+    # are then checked against the dense reference
     cases = _built_braid_cases()
     _forbid_fractions(monkeypatch)
-    results = []
-    for src, tgt, coeffs in cases:
-        b_src, b_tgt = build_B(src, coeffs), build_B(tgt, coeffs)
-        results.append((yang_baxter_check(b_src), rmatrix_relation_span(b_src, b_tgt)))
+    results = [braid_verdicts(obj, lams) for obj, lams in cases]
     monkeypatch.undo()
-    for (src, tgt, coeffs), (verdict, span) in zip(cases, results):
-        b_src, b_tgt = build_B(src, coeffs), build_B(tgt, coeffs)
-        assert verdict == dense_yang_baxter(b_src)
-        assert span == rmatrix_relation_span_fractions(b_src, b_tgt)
-    assert {verdict for verdict, _ in results} == {True, False}
+    for (obj, lams), verdicts in zip(cases, results):
+        assert verdicts == _dense_verdicts(obj, lams)
+    assert {v for verdicts in results for v in verdicts} == {True, False}
 
 
 def test_fraction_guard_fails_on_the_dense_B_path(monkeypatch):
-    (obj, _, coeffs), *_ = _built_braid_cases()
+    (obj, lams), *_ = _built_braid_cases()
+    coeffs = (1, -lams[0])
     _forbid_fractions(monkeypatch)
     with pytest.raises(FractionArithmetic):
         b_matrix_reference(obj, coeffs)
     # a dense Matrix of integers is made of Fractions built in linalg, and
-    # normalized_B builds its coefficient 1 in rmatrix
+    # so is the Fraction of an integer lam
     with pytest.raises(FractionMade):
         Matrix([[1]])
     with pytest.raises(FractionMade):
-        normalized_B(obj, coeffs[1])
+        braid_verdicts(obj, [2])

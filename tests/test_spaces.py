@@ -33,6 +33,7 @@ from support import (
     projectors,
     rand_general,
     rand_normalized,
+    rand_reciprocal,
     rand_sudbery,
     rank,
     row_basis,
@@ -101,6 +102,23 @@ def test_sudbery_bad_reciprocity():
         make_sudbery(
             even_space(2), [[1, 2], [Fraction(1, 2), 1]], [[1, Fraction(3, 2)], [Fraction(3, 4), 1]]
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_reciprocity_is_reported_at_its_upper_pair(dim):
+    # one entry of q or p moved off its reciprocal, above or below the
+    # diagonal: the first error names the pair with its smaller index first
+    rng = random.Random(dim)
+    space = space_of(tuple(rng.randrange(2) for _ in range(dim)))
+    for label, above in product("qp", (True, False)):
+        a, b = sorted(rng.sample(range(dim), 2))
+        q, p = ([list(row) for row in rand_reciprocal(rng, space)] for _ in range(2))
+        m = q if label == "q" else p
+        i, j = (a, b) if above else (b, a)
+        m[i][j] *= 2
+        with pytest.raises(BadParameters) as err:
+            make_sudbery(space, q, p)
+        assert str(err.value) == f"reciprocity violated: {label}[{a}][{b}]*{label}[{b}][{a}] != 1"
 
 
 def test_sudbery_zero_entry():
