@@ -38,7 +38,7 @@ from math import lcm
 
 from .graded import koszul_sign
 from .linalg import (
-    InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _insert, _same_span,
+    InvariantViolation, Matrix, _back_substituted, _cleared, _echelon, _insert, _normalised, _same_span,
 )
 from .rewrite import Alphabet, IntRule, NCPoly, matrix_alphabet
 from .spaces import BadParameters, QuantumObject
@@ -257,6 +257,21 @@ def _rules(back: dict[int, dict[int, int]], shift: int = 1) -> dict[int, IntRule
     return out
 
 
+def _row(ps: list[int], rhss: list[list], xs: tuple, terms: tuple) -> dict[int, int]:
+    """The row u r from the tables of u and the first letters and terms of r."""
+    scale, row = lcm(*[ps[x] for x in xs]), {}
+    for x, y, v in terms:
+        k = scale // ps[x] * v
+        for bn, rb in rhss[x]:
+            w = bn + y
+            nv = row.get(w, 0) + k * rb
+            if nv:
+                row[w] = nv
+            elif w in row:
+                del row[w]
+    return row
+
+
 class _Tower:
     """The graded quotient by a relation span R, built degree by degree in
     quotient coordinates and kept, so that a later request computes only
@@ -280,52 +295,63 @@ class _Tower:
     degree d inserts one row u r for each u in N_{d-2} and each row r of
     M_2 into a fresh echelon M_d, and dim_d = n * dim_{d-1} - |M_d|.
     Because u is normal, a word u c0 c1 of u r is reducible modulo
-    I_{d-1} V iff u c0 is a pivot of M_{d-1}.  The tower splits each row
-    r of M_2 once into terms (x, y, v), word x n + y.  Each degree reads
-    the back-substituted M_{d-1} once, as rules P p = sum r_b b over
-    normal words b keyed by b n (``_rules`` with shift n), and one loop
-    over the n prefixes u x of each u lists by letter x each rule's P and
-    its (b n, r_b) pairs, a normal prefix p as the rule 1 p = p (each rule
-    is listed once, by the one u with p = u x, and a list of pairs is what
-    the pass below iterates fastest).  A row u r is then built in one pass
-    over r: with L the lcm of the pivots P of its prefixes, a term
-    (x, y, v) adds (L/P) v r_b at each b y, so every word of the row has a
-    normal prefix.  A word whose sum cancels is deleted, so the row holds
-    no zero entry, and ``_insert`` consumes it.
+    I_{d-1} V iff u c0 is a pivot of M_{d-1}.  Each degree reads M_{d-1}
+    once as rules P p = sum r_b b keyed by b n (``_rules`` with shift n);
+    one loop over each u's prefixes u x lists each rule's P and (b n, r_b)
+    pairs (1 and (u x n, 1) for a normal u x) and handles the rows r led
+    by x.  With L the lcm of the P of its prefixes, ``_row`` adds
+    (L/P) v r_b at each b y for each term (x, y, v) of r, word x n + y.
 
-    Rows are inserted in ascending (u, lead of r) order, and a row vanishes
-    if ``_insert`` rejects it or it is skipped.  From degree 4 the row u r
-    is skipped if w r vanished at degree d-1, w being u without its first
-    letter b (F5's signature criterion, Faugere 2002): w is normal because
-    u is, and _insert would reject u r.  Proof: w r lies in I_{d-2} V plus
-    the span of the rows w' r' inserted before it at degree d-1 (for a
-    skipped row by induction), so b w r lies in I_{d-1} V plus the span of
-    the b w' r'.  Each b w' r' differs from NF(b w') r' by an element of
-    I_{d-2} V V, inside I_{d-1} V, and each word v of NF(b w') is normal
-    with v <= b w' <= u, so v r' is a row inserted before u r (if w' = w
-    then v = u and r' comes before r).  Skipped rows leave every M_k as it
-    is.  ``vanished`` maps each normal word of the top degree to the leading
+    Rows are handled in ascending (u, lead of r) order.  If u a is normal,
+    a the first letter of lead(r), ``_insert`` would store u r as built,
+    with pivot u lead(r): the words u a y keep their places, a prefix u x
+    with x < a keeps its words or rewrites them to smaller ones, each row
+    handled before has only smaller words, and cancelling adds none.  So
+    degree 3 stores u r as built, and from degree 4 u r is deferred: it is
+    counted in |M_d| and kept in ``deferred`` by its pivot until a
+    reduction reaches it (``_insert``'s ``build``) or a request extends
+    past the degree (``echelon``).  Degree 3 skips no row, so most are reached.
+
+    A row vanishes if ``_insert`` rejects it or it is skipped.  From
+    degree 4 the row u r is skipped if w r vanished at degree d-1, w being
+    u without its first letter b (F5's signature criterion, Faugere 2002):
+    w is normal because u is, and _insert would reject u r, so no deferred
+    row is skipped.  Proof: w r lies in I_{d-2} V plus the span of the rows
+    w' r' handled before it at degree d-1 (for a skipped row by
+    induction), so b w r lies in I_{d-1} V plus the span of the b w' r'.
+    Each b w' r' differs from NF(b w') r' by an element of I_{d-2} V V,
+    inside I_{d-1} V, and each word v of NF(b w') is normal with
+    v <= b w' <= u, so v r' is a row handled before u r (if w' = w then
+    v = u and r' comes before r).  Skipped rows leave every M_k as it is.
+    ``vanished`` maps each normal word of the top degree to the leading
     words of the relations whose rows vanished (none kept for degree 2).
 
     ``new[k]`` is the back-substituted M_k of each finished degree k and
     ``normal[k]`` the list N_k, built when a degree first needs it and
     checked to hold dim_k words (``InvariantViolation`` otherwise); the top
-    degree keeps its forward echelon ``top`` and its record ``vanished``
-    until a request extends past it.  A degree is committed only once
-    complete."""
+    degree keeps ``top``, its forward echelon less the rows in ``deferred``,
+    and ``vanished`` until a request extends past it.  A degree is
+    committed only once complete."""
 
     def __init__(self, n: int, back: dict[int, dict[int, int]]):
         self.n = n
         self.new = {2: back}
         self.normal = {1: list(range(n))}
         self.top: dict[int, dict[int, int]] = {}
+        self.deferred: dict[int, tuple] = {}
         self.vanished: dict[int, set[int]] = {}
         self._dims = [n * n - len(back)]
-        # each row r of M_2 as its leading word, the first letters of its
-        # words and its terms (x, y, v), word x * n + y
-        self._relations = [(lead, tuple({c // n for c in r}),
-                            tuple((c // n, c % n, v) for c, v in r.items()))
-                           for lead, r in back.items()]
+        # each row r of M_2 by first letter of lead: (lead, first letters, terms (x, y, v))
+        self._groups: list[list[tuple]] = [[] for _ in range(n)]
+        for lead, r in back.items():
+            self._groups[lead // n].append(
+                (lead, tuple({c // n for c in r}), tuple((c // n, c % n, v) for c, v in r.items())))
+
+    def echelon(self) -> dict[int, dict[int, int]]:
+        """The top degree's forward echelon M_d, with every deferred row built."""
+        self.top.update({w: _normalised(_row(*args)) for w, args in self.deferred.items()})
+        self.deferred = {}
+        return self.top
 
     def dims(self, top: int) -> list[int]:
         """The quotient dimensions at degrees 2 to top, extending the tower
@@ -334,7 +360,7 @@ class _Tower:
         while len(self._dims) < top - 1:
             d = len(self._dims) + 2
             if d - 1 not in new:
-                new[d - 1] = _back_substituted(self.top)
+                new[d - 1] = _back_substituted(self.echelon())
             if d - 2 not in normal:
                 lead = new[d - 2]
                 words = [w for p in normal[d - 3] for w in range(p * n, p * n + n) if w not in lead]
@@ -343,32 +369,30 @@ class _Tower:
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
             rules = _rules(new[d - 1], n)
-            pivots, vanished, shift = {}, {}, n ** (d - 3)
+            pivots, deferred, vanished, shift = {}, {}, {}, n ** (d - 3)
+            def build(word):
+                if (args := deferred.pop(word, None)) is not None:
+                    pivots[word] = row = _normalised(_row(*args))
+                    return row
             for u in normal[d - 2]:
                 prev = self.vanished.get(u % shift)
                 gone = set(prev) if prev else set()
-                ps, rhss = [], []
-                for p in range(u * n, u * n + n):
+                ps, rhss, base = [], [], u * n * n
+                for p, group in zip(range(u * n, u * n + n), self._groups):
                     rule = rules.get(p)
                     ps.append(rule[0] if rule else 1)
                     rhss.append([*rule[1].items()] if rule else [(p * n, 1)])
-                for lead, xs, terms in self._relations:
-                    if lead in gone:
-                        continue
-                    scale, row = lcm(*[ps[x] for x in xs]), {}
-                    for x, y, v in terms:
-                        k = scale // ps[x] * v
-                        for bn, rb in rhss[x]:
-                            w = bn + y
-                            nv = row.get(w, 0) + k * rb
-                            if nv:
-                                row[w] = nv
-                            elif w in row:
-                                del row[w]
-                    if _insert(pivots, row) is None:
-                        gone.add(lead)
+                    for lead, xs, terms in group:
+                        if lead in gone:
+                            continue
+                        if rule is None and d > 3:
+                            deferred[base + lead] = (ps, rhss, xs, terms)
+                        elif rule is None:
+                            pivots[base + lead] = _normalised(_row(ps, rhss, xs, terms))
+                        elif _insert(pivots, _row(ps, rhss, xs, terms), build) is None:
+                            gone.add(lead)
                 if gone:
                     vanished[u] = gone
-            self.top, self.vanished = pivots, vanished
-            self._dims.append(n * self._dims[-1] - len(pivots))
+            self.top, self.deferred, self.vanished = pivots, deferred, vanished
+            self._dims.append(n * self._dims[-1] - len(pivots) - len(deferred))
         return self._dims[: top - 1]

@@ -128,16 +128,17 @@ def _cancel(row: dict[int, int], piv: dict[int, int], col: int) -> None:
             del row[c]
 
 
-def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> dict[int, int] | None:
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int], build=None) -> dict[int, int] | None:
     """Reduce a sparse integer row with no zero entry against echelon rows
     keyed by their pivot, the largest column; cancelling a pivot adds only
     smaller columns.  Store and return the row, gcd-normalised, if it is new
     to their span, else return None.  The row is consumed: it is reduced in
-    place, so a caller whose row must survive passes a copy."""
+    place, so a caller whose row must survive passes a copy.  ``build``, if
+    given, stores and returns the row a missing pivot c stands for, or None."""
     while row:
         lead = max(row)
         piv = pivots.get(lead)
-        if piv is None:
+        if piv is None and (build is None or (piv := build(lead)) is None):
             pivots[lead] = row = _normalised(row)
             return row
         _cancel(row, piv, lead)

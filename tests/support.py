@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from fractions import Fraction
@@ -454,24 +455,32 @@ def reduce_once(word, rules):
 
 
 def normal_form_reference(p: NCPoly, system) -> NCPoly:
-    """Reference for ``normal_form``: every term is rewritten on its own, on
-    a stack of ``Fraction`` terms, always at its leftmost reducible pair,
-    and equal words are combined only once they are normal.  It shares no
-    code with the package's integer reducer, so tests compare the two; its
-    work grows with the number of rewrite paths, so keep it to small
-    systems."""
+    """Reference normal form: ``Fraction`` terms in one dict, rewritten
+    largest word first (by ``word_key``), each at its leftmost reducible
+    pair.  A rewrite only makes a word smaller, so every word is rewritten
+    once, with all its terms combined.  It shares no code with the
+    package's integer reducer, so tests compare the two."""
     rules = fraction_rules(system)
-    out: dict = {}
-    stack = list(p.terms.items())
-    while stack:
-        word, coeff = stack.pop()
-        hit = reduce_once(word, rules)
+    todo = dict(p.terms)
+    # a min-heap of (-length, negated letters) pops the largest word first
+    heap = [(-len(w), tuple(-c for c in w), w) for w in todo]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        word = heapq.heappop(heap)[2]
+        coeff = todo.pop(word)
+        hit = reduce_once(word, rules) if coeff else None
         if hit is None:
-            out[word] = out.get(word, Fraction(0)) + coeff
+            out[word] = coeff
             continue
         i, rule = hit
         for w2, c2 in rule.terms.items():
-            stack.append((word[:i] + w2 + word[i + 2:], coeff * c2))
+            w = word[:i] + w2 + word[i + 2:]
+            if w in todo:
+                todo[w] += coeff * c2
+            else:
+                todo[w] = coeff * c2
+                heapq.heappush(heap, (-len(w), tuple(-c for c in w), w))
     return NCPoly(p.alphabet, out)
 
 
@@ -588,15 +597,16 @@ def tower_reference(n: int, back: dict[int, dict[int, int]], top: int):
     ``cancel_reference`` per word u c0 c1 of a row u r whose prefix u c0
     leads a row of M_{d-1}, by that row followed by c1, and no row skipped:
     the dimensions from degree 2, the back-substituted M_k of each degree,
-    and for each degree d from 3 the forward echelon of M_d and the rows
-    (u, leading word of r) that reduce to zero."""
+    and for each degree d from 3 the forward echelon of M_d, the rows
+    (u, leading word of r) that reduce to zero, and the pivot of each row
+    (u, leading word of r) that is stored as built, with no cancellation."""
     new, normal, dims = {2: back}, {1: list(range(n))}, [n * n - len(back)]
-    echelons, rejected = {}, {}
+    echelons, rejected, as_built = {}, {}, {}
     for d in range(3, top + 1):
         if d - 2 not in normal:
             normal[d - 2] = [w for p in normal[d - 3] for w in range(p * n, p * n + n)
                              if w not in new[d - 2]]
-        prev, shift, pivots, zero = new[d - 1], n * n, {}, set()
+        prev, shift, pivots, zero, untouched = new[d - 1], n * n, {}, set(), {}
         for u in normal[d - 2]:
             for lead, r in back.items():
                 row = {u * shift + c: v for c, v in r.items()}
@@ -604,12 +614,15 @@ def tower_reference(n: int, back: dict[int, dict[int, int]], top: int):
                     p, y = divmod(c, n)
                     if p in prev:
                         row = cancel_reference(row, {b * n + y: v for b, v in prev[p].items()}, c)
+                largest = max((c for c, v in row.items() if v), default=None)
+                if largest is not None and largest not in pivots:
+                    untouched[(u, lead)] = largest
                 if insert_reference(pivots, row) is None:
                     zero.add((u, lead))
         dims.append(n * dims[-1] - len(pivots))
-        echelons[d], rejected[d] = pivots, zero
+        echelons[d], rejected[d], as_built[d] = pivots, zero, untouched
         new[d] = back_substituted_reference(pivots)
-    return dims, new, echelons, rejected
+    return dims, new, echelons, rejected, as_built
 
 
 def kron(a, b):

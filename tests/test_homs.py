@@ -106,7 +106,7 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     # degree 4 commits M_3, the back-substitution of the degree-3 echelon,
     # and reads it as rules: snapshot it, with M_2, before that read
     tower = rels.tower
-    snapshot = deepcopy({**tower.new, 3: back_substituted_reference(tower.top)})
+    snapshot = deepcopy({**tower.new, 3: back_substituted_reference(tower.echelon())})
     oracle_dims(hom, 4)
     assert {k: tower.new[k] for k in snapshot} == snapshot
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))

@@ -373,10 +373,10 @@ def _assert_inserted_rows_are_zero_free(kind, src_shape, tgt_shape, seed):
     seen: set[str] = set()
     with pytest.MonkeyPatch.context() as mp:
         for module in (homs, linalg, spaces):
-            def checking(pivots, row, real=module._insert, name=module.__name__):
+            def checking(pivots, row, build=None, real=module._insert, name=module.__name__):
                 assert all(row.values()), f"{name} inserts a row with a zero entry: {row}"
                 seen.add(name)
-                return real(pivots, row)
+                return real(pivots, row, build)
 
             mp.setattr(module, "_insert", checking)
         src, tgt = criterion_pair(random.Random(seed), kind, src_shape, tgt_shape)

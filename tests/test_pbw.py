@@ -151,10 +151,10 @@ def test_oracle_guards_raise_before_elimination(monkeypatch):
         (_unreduced(hom_algebra(cl, cl)), 10**12),
     ]
     # the oracle's elimination: the relation span's echelon, its cached
-    # back-substitution and the quotient tower's back-substitutions and inserts
-    monkeypatch.setattr(homs, "_echelon", _no_elimination)
-    monkeypatch.setattr(homs, "_back_substituted", _no_elimination)
-    monkeypatch.setattr(homs, "_insert", _no_elimination)
+    # back-substitution and the quotient tower's back-substitutions, rows
+    # and inserts
+    for name in ("_echelon", "_back_substituted", "_row", "_insert"):
+        monkeypatch.setattr(homs, name, _no_elimination)
     for hom, degree in cases:
         for oracle in (dimension_oracle, oracle_dims):
             with pytest.raises(TooLarge):
@@ -237,8 +237,15 @@ def test_oracle_matches_placement_oracle_past_degree_4(case):
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
 def test_oracle_property_fails_without_left_multiples(monkeypatch, kind):
-    # the tower then keeps only I_{d-1} V and drops the rows N_{d-2} R
-    monkeypatch.setattr(homs, "_insert", lambda pivots, row: None)
+    # the tower then keeps only I_{d-1} V and drops the rows N_{d-2} R:
+    # every tower is built with no relation row to multiply
+    real = homs._Tower.__init__
+
+    def without_relations(tower, n, back):
+        real(tower, n, back)
+        tower._groups = [[] for _ in range(n)]
+
+    monkeypatch.setattr(homs._Tower, "__init__", without_relations)
     src, tgt = criterion_pair(random.Random(7), kind, (0, 1), (0, 0))
     for top in (4, DEEP[kind]):
         with pytest.raises(AssertionError):
@@ -272,15 +279,17 @@ def _assert_tower_matches_reference(src, tgt):
     hom = hom_algebra(src, tgt)
     n, back = hom.alphabet.size, hom.relations.back_substituted
     top = REFERENCE_TOP[n]
-    dims, new, echelons, rejected = tower_reference(n, back, top)
+    dims, new, echelons, rejected, _ = tower_reference(n, back, top)
     tower = homs._Tower(n, back)
     # one degree at a time, so that each degree reads the record of the last
     for d in range(3, top + 1):
         assert tower.dims(d) == dims[: d - 1], "dims"
-        # each M_k is the reference's in key order, up to the sign of each row
+        # each M_k is the reference's, up to the sign of each row, and each
+        # committed M_k is in the reference's key order; the top echelon
+        # stores a deferred row only when it is built, so its keys are a set
         for k in range(2, d + 1):
-            got, rows = (tower.new[k], new[k]) if k < d else (tower.top, echelons[d])
-            assert list(got) == list(rows), "M_k"
+            got, rows = (tower.new[k], new[k]) if k < d else (tower.echelon(), echelons[d])
+            assert (list(got) == list(rows)) if k < d else (got.keys() == rows.keys()), "M_k"
             for lead, row in rows.items():
                 assert got[lead] in (row, {c: -v for c, v in row.items()}), "M_k"
         # the rows skipped or rejected are those the unskipped reference rejects
@@ -300,6 +309,80 @@ def test_tower_matches_its_reference_at_16_letters(shape, kind):
     # the benchmark's large hom shapes: rules pre-shifted to b * 16 and
     # words read as (first letter, last letter) pairs at base 16
     _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, shape, shape))
+
+
+def _assert_deferred_rows_are_stored_as_built(src, tgt):
+    """Every row u r that the top degree defers, keyed by the word u lead(r),
+    is one that the reference stores as built with that pivot, and none
+    is in the record of vanished rows."""
+    hom = hom_algebra(src, tgt)
+    n, back = hom.alphabet.size, hom.relations.back_substituted
+    top = REFERENCE_TOP[n]
+    *_, as_built = tower_reference(n, back, top)
+    tower = homs._Tower(n, back)
+    for d in range(3, top + 1):
+        tower.dims(d)
+        deferred = {divmod(word, n * n): word for word in tower.deferred}
+        assert all(as_built[d].get(row) == word for row, word in deferred.items()), "deferred"
+        assert not deferred.keys() & _record(tower), "deferred"
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+def test_deferred_rows_are_rows_the_reference_stores_as_built(pair):
+    _assert_deferred_rows_are_stored_as_built(*pair)
+
+
+# the general seed-7 pair to (0, 0) has no degree-3 normal word, so nothing to defer
+@pytest.mark.parametrize("kind, tgt_shape", [("no", (0, 0)), ("general", (0, 1))])
+def test_deferral_property_fails_when_a_reducible_prefix_is_deferred(monkeypatch, kind, tgt_shape):
+    # from degree 4 each tower handles every row r a second time, with the
+    # rows of the next letter a + 1, so it defers u r whenever u (a + 1) is
+    # normal, u a reducible or not (on YES pairs every row of reducible
+    # prefix is skipped from degree 4)
+    real = homs._Tower.dims
+
+    def next_letter(tower, top):
+        if len(tower._dims) == 2:
+            groups = tower._groups
+            tower._groups = [[]] + [groups[x - 1] + groups[x] for x in range(1, len(groups))]
+        return real(tower, top)
+
+    monkeypatch.setattr(homs._Tower, "dims", next_letter)
+    with pytest.raises(AssertionError, match="deferred"):
+        _assert_deferred_rows_are_stored_as_built(
+            *criterion_pair(random.Random(7), kind, (0, 1), tgt_shape))
+
+
+def _assert_top_builds_no_row(src, tgt, monkeypatch):
+    # past degree 3 every row of a reducible prefix is skipped and no
+    # reduction reaches a deferred row, so the top degree builds no row
+    hom = hom_algebra(src, tgt)
+    n, tower, real = hom.alphabet.size, hom.relations.tower, homs._row
+    for d in range(4, REFERENCE_TOP[n] + 1):
+        tower.dims(d - 1)
+        tower.echelon()
+        built = []
+        with monkeypatch.context() as mp:
+            mp.setattr(homs, "_row", lambda *args: built.append(args) or real(*args))
+            tower.dims(d)
+        assert not built
+        assert len(tower.deferred) == n * tower.dims(d)[-2] - tower.dims(d)[-1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs(kinds=["yes"]))
+def test_a_yes_pair_builds_no_row_at_a_top_degree_past_3(pair):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_top_builds_no_row(*pair, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["no", "general"])
+def test_no_row_known_answer_fails_off_yes_pairs(monkeypatch, kind):
+    # the (R, G_3) obstructions are rows of reducible prefix that no record
+    # names: they are built, and reduce through deferred rows
+    with pytest.raises(AssertionError):
+        _assert_top_builds_no_row(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)), monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
@@ -390,7 +473,7 @@ def test_tower_reference_property_fails_when_rejected_rows_go_unrecorded(monkeyp
     # every insert then reads as new: the record holds only skipped rows,
     # so nothing is ever skipped and only the record differs
     real = homs._insert
-    monkeypatch.setattr(homs, "_insert", lambda pivots, row: real(pivots, row) or row)
+    monkeypatch.setattr(homs, "_insert", lambda pivots, row, build=None: real(pivots, row, build) or row)
     with pytest.raises(AssertionError, match="record"):
         _assert_tower_matches_reference(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
 
@@ -475,7 +558,7 @@ def test_tower_invariant_raises_when_substitution_is_skipped(monkeypatch, kind):
 
 
 def _counting_eliminations(monkeypatch) -> dict[str, int]:
-    calls = dict.fromkeys(["_insert", "_rules", "_back_substituted"], 0)
+    calls = dict.fromkeys(["_insert", "_row", "_rules", "_back_substituted"], 0)
     for name in calls:
         def counting(*args, real=getattr(homs, name), name=name):
             calls[name] += 1
@@ -488,17 +571,21 @@ def _counting_eliminations(monkeypatch) -> dict[str, int]:
 def _assert_tower_is_extended(hom, monkeypatch):
     n = hom.alphabet.size
     dims = [dim for _, dim, _ in oracle_dims(hom, 5)]
-    record = hom.relations.tower.vanished
+    tower = hom.relations.tower
+    record, unbuilt = tower.vanished, len(tower.deferred)
     calls = _counting_eliminations(monkeypatch)
     for d in range(2, 6):
         dimension_oracle(hom, d)
-    assert calls == {"_insert": 0, "_rules": 0, "_back_substituted": 0}
+    assert calls == {"_insert": 0, "_row": 0, "_rules": 0, "_back_substituted": 0}
     dimension_oracle(hom, 6)
     # the rows u r for every normal word u of degree 4 and every r in M_2
-    # but those the degree-5 record names for the suffix of u, one
+    # but those the degree-5 record names for the suffix of u, each built
+    # or still deferred (building the deferred rows of degree 5 first), one
     # back-substitution, that of M_5, and one read of its rules
-    skipped = sum(len(record.get(u % n**3, ())) for u in hom.relations.tower.normal[4])
-    assert calls["_insert"] == dims[-2] * (n * n - dims[0]) - skipped
+    skipped = sum(len(record.get(u % n**3, ())) for u in tower.normal[4])
+    built = calls["_row"] - unbuilt
+    assert built + len(tower.deferred) == dims[-2] * (n * n - dims[0]) - skipped
+    assert calls["_insert"] <= built
     assert calls["_back_substituted"] == 1
     assert calls["_rules"] == 1
 
@@ -524,27 +611,57 @@ def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
     [(_, dim2, _), _] = oracle_dims(fresh, 3)
     record3, rows = fresh.relations.tower.vanished, n * n - dim2
     oracle_dims(fresh, 4)
-    # degree 3 inserts n |M_2| rows and degree 4 dim_2 |M_2| but those the
-    # degree-3 record names: stop halfway through degree 4's inserts
-    inserts4 = sum(rows - len(record3.get(u % n, ())) for u in fresh.relations.tower.normal[2])
-    assert 0 < inserts4 < dim2 * rows
-    limit = n * rows + inserts4 // 2
-    real, calls = homs._insert, []
+    # degree 3 builds n |M_2| rows, and degree 4 has dim_2 |M_2| rows but
+    # those the degree-3 record names, each built or deferred: stop
+    # halfway through the rows degree 4 builds
+    rows4 = sum(rows - len(record3.get(u % n, ())) for u in fresh.relations.tower.normal[2])
+    assert 0 < rows4 < dim2 * rows
+    built4 = rows4 - len(fresh.relations.tower.deferred)
+    assert built4 > 1
+    limit = n * rows + built4 // 2
+    real, calls = homs._row, []
 
-    def interrupted(pivots, row):
+    def interrupted(*args):
         calls.append(1)
         if len(calls) > limit:
             raise RuntimeError("interrupted halfway through degree 4")
-        return real(pivots, row)
+        return real(*args)
 
-    monkeypatch.setattr(homs, "_insert", interrupted)
+    monkeypatch.setattr(homs, "_row", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         oracle_dims(hom, 5)
     # degree 3 stays the top, with its own record
-    assert hom.relations.tower.top.keys() == fresh.relations.tower.new[3].keys()
+    assert hom.relations.tower.echelon().keys() == fresh.relations.tower.new[3].keys()
     assert hom.relations.tower.vanished == record3
     monkeypatch.undo()
     for d in (5, 2, 4, 3, 6):
+        assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no"])
+def test_an_error_while_building_deferred_rows_commits_nothing(monkeypatch, kind):
+    # a degree-4 top whose deferred rows are built when degree 5 is asked
+    # for: stop halfway through building them, then ask again
+    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+    tower = hom.relations.tower
+    oracle_dims(hom, 4)
+    before, unbuilt = deepcopy((tower.top, tower.deferred, tower.vanished)), len(tower.deferred)
+    assert unbuilt > 1
+    real, calls = homs._row, []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) > unbuilt // 2:
+            raise RuntimeError("interrupted while building deferred rows")
+        return real(*args)
+
+    monkeypatch.setattr(homs, "_row", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        oracle_dims(hom, 5)
+    assert (tower.top, tower.deferred, tower.vanished) == before
+    assert 4 not in tower.new
+    monkeypatch.undo()
+    for d in (5, 6, 4):
         assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
 
 
@@ -553,7 +670,7 @@ def test_guards_leave_a_warmed_tower_unchanged(monkeypatch):
     hom = hom_algebra(cl, cl)
     oracle_dims(hom, 4)
     before = deepcopy(vars(hom.relations.tower))
-    for name in ("_echelon", "_back_substituted", "_insert", "_rules"):
+    for name in ("_echelon", "_back_substituted", "_row", "_insert", "_rules"):
         monkeypatch.setattr(homs, name, _no_elimination)
     for oracle in (dimension_oracle, oracle_dims):
         with pytest.raises(TooLarge):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlincat import homs
 from qlincat.graded import even_space, space_of
@@ -382,13 +382,16 @@ def _drop_rule(system, lead):
     st.sampled_from(MIXED_SHAPES),
     st.integers(0, 2**32 - 1),
 )
+# nine letters, 181 overlaps once a rule is dropped: the incomplete system
+# took 18.4 s with a reference that rewrote each term on its own, and takes
+# 6.4 s CPU now (6.9 s for the complete one)
+@example("general", (0, 0, 0), (0, 0, 1), 0)
 def test_confluence_matches_two_normal_forms(kind, src_shape, tgt_shape, seed):
     rng = random.Random(seed)
     if kind == "general":
-        # dense rules with unequal denominators on both sides; the target
-        # stays at dimension 2 so that the Fraction reference stays fast
+        # dense rules with unequal denominators on both sides
         src = rand_general(rng, space_of(src_shape))
-        tgt = rand_general(rng, space_of(tgt_shape[:2]))
+        tgt = rand_general(rng, space_of(tgt_shape))
     else:
         src, tgt = criterion_pair(rng, kind, src_shape, tgt_shape)
     system = build_rewrite_system(hom_algebra(src, tgt).relations)
