@@ -308,9 +308,9 @@ class _Tower:
     with x < a keeps its words or rewrites them to smaller ones, each row
     handled before has only smaller words, and cancelling adds none.  So
     degree 3 stores u r as built, and from degree 4 u r is deferred: it is
-    counted in |M_d| and kept in ``deferred`` by its pivot until a
-    reduction reaches it (``_insert``'s ``build``) or a request extends
-    past the degree (``echelon``).  Degree 3 skips no row, so most are reached.
+    counted in |M_d| and kept in ``deferred[d]`` as (u, first letters,
+    terms) until a reduction reaches its pivot (``_insert``'s ``build``)
+    or degree d is committed.  Degree 3 skips no row, so most are reached.
 
     A row vanishes if ``_insert`` rejects it or it is skipped.  From
     degree 4 the row u r is skipped if w r vanished at degree d-1, w being
@@ -326,73 +326,134 @@ class _Tower:
     ``vanished`` maps each normal word of the top degree to the leading
     words of the relations whose rows vanished (none kept for degree 2).
 
-    ``new[k]`` is the back-substituted M_k of each finished degree k and
+    A finished degree k is committed lazily: its deferred rows are built,
+    its echelon back-substituted into ``new[k]`` and read as rules once,
+    the first time a row of degree k+1 must be built (an inserted row, one
+    whose prefix u x is reducible and that is not skipped, or a deferred
+    row that a reduction reaches), or M_k is asked for (``committed``), or
+    a higher degree is committed; degrees are committed in ascending
+    order.  Only the lowest uncommitted degree can build a row, so one
+    rule table is kept, that of the highest committed degree, and one memo
+    of the P and (b n, r_b) lists of each u whose row it built.  Until
+    then degree k keeps ``echelons[k]``, its forward echelon less the rows
+    in ``deferred[k]``, and its leading words, the keys of both, are all
+    the next degrees read of it: whether a prefix is reducible, and N_k.
+    A YES pair skips or defers every row past degree 3, so it commits no
+    degree past 2.
+
+    ``new[k]`` is the back-substituted M_k of each committed degree k and
     ``normal[k]`` the list N_k, built when a degree first needs it and
     checked to hold dim_k words (``InvariantViolation`` otherwise); the top
-    degree keeps ``top``, its forward echelon less the rows in ``deferred``,
-    and ``vanished`` until a request extends past it.  A degree is
-    committed only once complete."""
+    degree also keeps ``vanished`` until a request extends past it.  A
+    degree is committed only once complete, and an interrupted commit
+    stores nothing but the memo."""
 
     def __init__(self, n: int, back: dict[int, dict[int, int]]):
         self.n = n
         self.new = {2: back}
         self.normal = {1: list(range(n))}
-        self.top: dict[int, dict[int, int]] = {}
-        self.deferred: dict[int, tuple] = {}
+        self.echelons: dict[int, dict[int, dict[int, int]]] = {}
+        self.deferred: dict[int, dict[int, tuple]] = {}
         self.vanished: dict[int, set[int]] = {}
         self._dims = [n * n - len(back)]
+        # the highest committed degree's rules, and the memo of the next degree's tables by u
+        self._prefix_rules = _rules(back, n)
+        self._tables: dict[int, tuple[list[int], list[list]]] = {}
         # each row r of M_2 by first letter of lead: (lead, first letters, terms (x, y, v))
         self._groups: list[list[tuple]] = [[] for _ in range(n)]
         for lead, r in back.items():
             self._groups[lead // n].append(
                 (lead, tuple({c // n for c in r}), tuple((c // n, c % n, v) for c, v in r.items())))
 
-    def echelon(self) -> dict[int, dict[int, int]]:
-        """The top degree's forward echelon M_d, with every deferred row built."""
-        self.top.update({w: _normalised(_row(*args)) for w, args in self.deferred.items()})
-        self.deferred = {}
-        return self.top
+    def _table(self, u: int) -> tuple[list[int], list[list]]:
+        """The P and (b n, r_b) lists of each prefix u x by letter x, (1,
+        [(u x n, 1)]) for a normal one, from the highest committed
+        degree's rules; kept in the memo until the next degree commits."""
+        n, rules, ps, rhss = self.n, self._prefix_rules, [], []
+        for p in range(u * n, u * n + n):
+            rule = rules.get(p)
+            ps.append(rule[0] if rule else 1)
+            rhss.append([*rule[1].items()] if rule else [(p * n, 1)])
+        self._tables[u] = table = (ps, rhss)
+        return table
+
+    def _build_deferred(self, d: int) -> None:
+        """Build every row degree d still defers into its echelon; degree
+        d-1 must be committed.  Nothing is stored unless all are built."""
+        tables = self._tables
+        self.echelons[d].update({
+            w: _normalised(_row(*(tables.get(u) or self._table(u)), xs, terms))
+            for w, (u, xs, terms) in self.deferred[d].items()})
+        self.deferred[d].clear()
+
+    def committed(self, k: int) -> dict[int, dict[int, int]]:
+        """The back-substituted M_k of a finished degree k, committing
+        first, in ascending order, each degree up to k not yet committed."""
+        new = self.new
+        while k not in new:
+            d = len(new) + 2
+            self._build_deferred(d)
+            back = _back_substituted(self.echelons[d])
+            rules = _rules(back, self.n)
+            new[d], self._prefix_rules, self._tables = back, rules, {}
+            del self.echelons[d], self.deferred[d]
+        return new[k]
+
+    def _leads(self, k: int) -> tuple[dict, dict]:
+        """Two dicts whose keys together are the leading words of M_k."""
+        return (self.new[k], {}) if k in self.new else (self.echelons[k], self.deferred[k])
 
     def dims(self, top: int) -> list[int]:
         """The quotient dimensions at degrees 2 to top, extending the tower
         by each degree it does not hold yet."""
-        n, new, normal = self.n, self.new, self.normal
+        n, new, normal, groups = self.n, self.new, self.normal, self._groups
         while len(self._dims) < top - 1:
             d = len(self._dims) + 2
-            if d - 1 not in new:
-                new[d - 1] = _back_substituted(self.echelon())
             if d - 2 not in normal:
-                lead = new[d - 2]
-                words = [w for p in normal[d - 3] for w in range(p * n, p * n + n) if w not in lead]
+                lead, more = self._leads(d - 2)
+                words = [w for p in normal[d - 3] for w in range(p * n, p * n + n)
+                         if w not in lead and w not in more]
                 if len(words) != self._dims[d - 4]:
                     raise InvariantViolation(f"degree {d - 2} has {len(words)} normal words, "
                                              f"not its dimension {self._dims[d - 4]}")
                 normal[d - 2] = words
-            rules = _rules(new[d - 1], n)
+            lead, more = self._leads(d - 1)
             pivots, deferred, vanished, shift = {}, {}, {}, n ** (d - 3)
             def build(word):
                 if (args := deferred.pop(word, None)) is not None:
-                    pivots[word] = row = _normalised(_row(*args))
+                    u, xs, terms = args
+                    table = self._tables.get(u) or self._table(u)
+                    pivots[word] = row = _normalised(_row(*table, xs, terms))
                     return row
+            hook = build if d > 3 else None
             for u in normal[d - 2]:
                 prev = self.vanished.get(u % shift)
                 gone = set(prev) if prev else set()
-                ps, rhss, base = [], [], u * n * n
-                for p, group in zip(range(u * n, u * n + n), self._groups):
-                    rule = rules.get(p)
-                    ps.append(rule[0] if rule else 1)
-                    rhss.append([*rule[1].items()] if rule else [(p * n, 1)])
-                    for lead, xs, terms in group:
-                        if lead in gone:
-                            continue
-                        if rule is None and d > 3:
-                            deferred[base + lead] = (ps, rhss, xs, terms)
-                        elif rule is None:
-                            pivots[base + lead] = _normalised(_row(ps, rhss, xs, terms))
-                        elif _insert(pivots, _row(ps, rhss, xs, terms), build) is None:
-                            gone.add(lead)
+                table, base = None, u * n * n
+                for p, group in zip(range(u * n, u * n + n), groups):
+                    if p in lead or p in more:
+                        for row_lead, xs, terms in group:
+                            if row_lead in gone:
+                                continue
+                            if table is None:
+                                if d - 1 not in new:
+                                    self.committed(d - 1)
+                                table = self._tables.get(u) or self._table(u)
+                            if _insert(pivots, _row(*table, xs, terms), hook) is None:
+                                gone.add(row_lead)
+                    elif d > 3:
+                        for row_lead, xs, terms in group:
+                            if row_lead not in gone:
+                                deferred[base + row_lead] = (u, xs, terms)
+                    else:
+                        table = table or self._table(u)
+                        for row_lead, xs, terms in group:
+                            pivots[base + row_lead] = _normalised(_row(*table, xs, terms))
                 if gone:
                     vanished[u] = gone
-            self.top, self.deferred, self.vanished = pivots, deferred, vanished
+            if d == 3:
+                # degree 3 defers no row, so nothing reads its tables again
+                self._tables = {}
+            self.echelons[d], self.deferred[d], self.vanished = pivots, deferred, vanished
             self._dims.append(n * self._dims[-1] - len(pivots) - len(deferred))
         return self._dims[: top - 1]

@@ -455,12 +455,17 @@ def reduce_once(word, rules):
 
 
 def normal_form_reference(p: NCPoly, system) -> NCPoly:
-    """Reference normal form: ``Fraction`` terms in one dict, rewritten
-    largest word first (by ``word_key``), each at its leftmost reducible
-    pair.  A rewrite only makes a word smaller, so every word is rewritten
-    once, with all its terms combined.  It shares no code with the
-    package's integer reducer, so tests compare the two."""
-    rules = fraction_rules(system)
+    """Reference normal form of p modulo the system's rules, read as
+    ``fraction_rules`` on each call (``fraction_normal_form``)."""
+    return fraction_normal_form(p, fraction_rules(system))
+
+
+def fraction_normal_form(p: NCPoly, rules: dict) -> NCPoly:
+    """Reference normal form modulo ``fraction_rules``: ``Fraction`` terms
+    in one dict, rewritten largest word first (by ``word_key``), each at
+    its leftmost reducible pair.  A rewrite only makes a word smaller, so
+    every word is rewritten once, with all its terms combined.  It shares
+    no code with the package's integer reducer, so tests compare the two."""
     todo = dict(p.terms)
     # a min-heap of (-length, negated letters) pops the largest word first
     heap = [(-len(w), tuple(-c for c in w), w) for w in todo]

@@ -103,12 +103,13 @@ def _assert_readers_leave_the_span_unchanged(kind, src_shape, tgt_shape, seed):
     assert system.rules is rels.rules
     confluence_check(system)
     oracle_dims(hom, 3)
-    # degree 4 commits M_3, the back-substitution of the degree-3 echelon,
-    # and reads it as rules: snapshot it, with M_2, before that read
+    # committing degree 3 back-substitutes its echelon, which holds every
+    # degree-3 row, into M_3 and reads it as rules: snapshot it, with M_2,
+    # before degree 4 is built, and commit it after
     tower = rels.tower
-    snapshot = deepcopy({**tower.new, 3: back_substituted_reference(tower.echelon())})
+    snapshot = deepcopy({2: tower.committed(2), 3: back_substituted_reference(tower.echelons[3])})
     oracle_dims(hom, 4)
-    assert {k: tower.new[k] for k in snapshot} == snapshot
+    assert {k: tower.committed(k) for k in snapshot} == snapshot
     spans_equal(rels, relation_set(rels.alphabet, rels.polys))
     # hom is the first factor and the composite of the chain src, tgt, tgt,
     # so the triple is also the second one of the window src, tgt, tgt, tgt

@@ -1,6 +1,7 @@
 import random
 from copy import deepcopy
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -275,6 +276,17 @@ def _record(tower) -> set:
     return {(u, lead) for u, leads in tower.vanished.items() for lead in leads}
 
 
+def _top_echelon(tower) -> dict:
+    """The top degree's rows with every deferred row built: its forward
+    echelon, committing the degree below first, or M_d once committed."""
+    d = len(tower._dims) + 1
+    if d in tower.new:
+        return tower.new[d]
+    tower.committed(d - 1)
+    tower._build_deferred(d)
+    return tower.echelons[d]
+
+
 def _assert_tower_matches_reference(src, tgt):
     hom = hom_algebra(src, tgt)
     n, back = hom.alphabet.size, hom.relations.back_substituted
@@ -288,7 +300,7 @@ def _assert_tower_matches_reference(src, tgt):
         # committed M_k is in the reference's key order; the top echelon
         # stores a deferred row only when it is built, so its keys are a set
         for k in range(2, d + 1):
-            got, rows = (tower.new[k], new[k]) if k < d else (tower.echelon(), echelons[d])
+            got, rows = (tower.committed(k), new[k]) if k < d else (_top_echelon(tower), echelons[d])
             assert (list(got) == list(rows)) if k < d else (got.keys() == rows.keys()), "M_k"
             for lead, row in rows.items():
                 assert got[lead] in (row, {c: -v for c, v in row.items()}), "M_k"
@@ -322,7 +334,7 @@ def _assert_deferred_rows_are_stored_as_built(src, tgt):
     tower = homs._Tower(n, back)
     for d in range(3, top + 1):
         tower.dims(d)
-        deferred = {divmod(word, n * n): word for word in tower.deferred}
+        deferred = {divmod(word, n * n): word for word in tower.deferred[d]}
         assert all(as_built[d].get(row) == word for row, word in deferred.items()), "deferred"
         assert not deferred.keys() & _record(tower), "deferred"
 
@@ -361,13 +373,13 @@ def _assert_top_builds_no_row(src, tgt, monkeypatch):
     n, tower, real = hom.alphabet.size, hom.relations.tower, homs._row
     for d in range(4, REFERENCE_TOP[n] + 1):
         tower.dims(d - 1)
-        tower.echelon()
+        _top_echelon(tower)
         built = []
         with monkeypatch.context() as mp:
             mp.setattr(homs, "_row", lambda *args: built.append(args) or real(*args))
             tower.dims(d)
         assert not built
-        assert len(tower.deferred) == n * tower.dims(d)[-2] - tower.dims(d)[-1]
+        assert len(tower.deferred[d]) == n * tower.dims(d)[-2] - tower.dims(d)[-1]
 
 
 @settings(max_examples=15, deadline=None)
@@ -383,6 +395,93 @@ def test_no_row_known_answer_fails_off_yes_pairs(monkeypatch, kind):
     # names: they are built, and reduce through deferred rows
     with pytest.raises(AssertionError):
         _assert_top_builds_no_row(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)), monkeypatch)
+
+
+def test_only_a_degree_that_defers_passes_the_build_hook(monkeypatch):
+    # degree 3 stores every row of normal prefix as built, so its inserts
+    # get no hook; degree 4 of a NO pair inserts rows and passes it
+    real, hooks = homs._insert, []
+    monkeypatch.setattr(homs, "_insert", lambda pivots, row, build=None: (
+        hooks.append(build), real(pivots, row, build))[1])
+    hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 1), (0, 0)))
+    oracle_dims(hom, 3)
+    assert hooks and not any(hooks)
+    oracle_dims(hom, 4)
+    assert any(hooks)
+
+
+def _extensions_past_degree_3(src, tgt, monkeypatch) -> dict[str, int]:
+    """The eliminations a tower runs when it is extended one degree at a
+    time from degree 3 to the reference top."""
+    hom = hom_algebra(src, tgt)
+    n, tower = hom.alphabet.size, hom.relations.tower
+    tower.dims(3)
+    with monkeypatch.context() as mp:
+        calls = _counting_eliminations(mp)
+        for d in range(4, REFERENCE_TOP[n] + 1):
+            tower.dims(d)
+    return calls
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_yes_pairs_commit_no_degree_past_3(seed):
+    # every row past degree 3 is skipped or deferred, so no degree is ever
+    # committed: no row is built and nothing is back-substituted
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for src_shape, tgt_shape in product(MIXED_SHAPES, MIXED_SHAPES):
+            pair = criterion_pair(random.Random(seed), "yes", src_shape, tgt_shape)
+            calls = _extensions_past_degree_3(*pair, monkeypatch)
+            assert calls["_row"] == calls["_back_substituted"] == 0, (src_shape, tgt_shape)
+
+
+def test_commit_known_answer_fails_on_a_no_pair(monkeypatch):
+    # a NO pair inserts rows of reducible prefix: it commits degrees, and
+    # builds rows to do so
+    calls = _extensions_past_degree_3(*criterion_pair(random.Random(7), "no", (0, 1), (0, 0)), monkeypatch)
+    assert calls["_row"] > 0
+    assert calls["_back_substituted"] > 0
+
+
+def _assert_request_order_is_irrelevant(src, tgt):
+    # requests 5, 2, 4, 3, 6 (those up to the reference top), each alone
+    # or followed by a commit through the accessor, against a fresh tower
+    # asked for the top once: the same dims and the same committed M_k,
+    # keys in the same order
+    hom = hom_algebra(src, tgt)
+    n, back = hom.alphabet.size, hom.relations.back_substituted
+    top = REFERENCE_TOP[n]
+    once = homs._Tower(n, back)
+    want = once.dims(top)
+    for commit in (False, True):
+        tower = homs._Tower(n, back)
+        for d in (d for d in (5, 2, 4, 3, 6) if d <= top):
+            assert tower.dims(d) == want[: d - 1]
+            if commit:
+                tower.committed(d)
+        assert tower.dims(top) == want
+        for k in range(2, top + 1):
+            got, rows = tower.committed(k), once.committed(k)
+            assert got == rows and list(got) == list(rows), k
+
+
+@settings(max_examples=15, deadline=None)
+@given(oracle_pairs())
+def test_interleaved_requests_commit_what_one_request_does(pair):
+    _assert_request_order_is_irrelevant(*pair)
+
+
+# a YES pair builds every row past degree 3 at a commit, whatever the
+# order, each from the same stale tables
+@pytest.mark.parametrize("kind", ["no", "general"])
+def test_request_order_property_fails_when_the_table_memo_outlives_its_degree(monkeypatch, kind):
+    # a memo that no commit resets: a row built after a commit reads the
+    # table of the same code u at a lower degree, so what it holds depends
+    # on which rows were built before the commit
+    monkeypatch.setattr(homs._Tower, "_tables", property(
+        lambda tower: vars(tower).setdefault("kept", {}), lambda tower, tables: None), raising=False)
+    with pytest.raises((AssertionError, InvariantViolation)):
+        _assert_request_order_is_irrelevant(*criterion_pair(random.Random(7), kind, (0, 1), (0, 0)))
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
@@ -403,7 +502,7 @@ def _assert_shifted_rules_match(src, tgt):
     top = min(6, REFERENCE_TOP[n] + 1)
     tower.dims(top)
     for k in range(2, top):
-        plain, shifted = homs._rules(tower.new[k]), homs._rules(tower.new[k], n)
+        plain, shifted = homs._rules(tower.committed(k)), homs._rules(tower.committed(k), n)
         assert list(shifted) == list(plain)
         for lead, (pivot, rest) in plain.items():
             assert shifted[lead] == (pivot, {u * n: r for u, r in rest.items()})
@@ -438,7 +537,7 @@ def _skipping(monkeypatch, rule):
 
 def _any_vanished_row(tower) -> dict:
     # u r is skipped if any row of its suffix vanished, whatever its r
-    return {w: set(tower.new[2]) for w in tower.vanished}
+    return {w: set(tower.committed(2)) for w in tower.vanished}
 
 
 def _reducible_suffix(tower) -> dict:
@@ -448,8 +547,8 @@ def _reducible_suffix(tower) -> dict:
     n, d = tower.n, len(tower._dims) + 2
     if d < 4:
         return {}
-    pivots = tower.new[d - 2]
-    return {w: {lead for lead in tower.new[2] if w * n + lead // n in pivots}
+    pivots = tower.committed(d - 2)
+    return {w: {lead for lead in tower.committed(2) if w * n + lead // n in pivots}
             for w in tower.normal[d - 3]}
 
 
@@ -572,7 +671,8 @@ def _assert_tower_is_extended(hom, monkeypatch):
     n = hom.alphabet.size
     dims = [dim for _, dim, _ in oracle_dims(hom, 5)]
     tower = hom.relations.tower
-    record, unbuilt = tower.vanished, len(tower.deferred)
+    record, committed = tower.vanished, set(tower.new)
+    unbuilt = {k: len(rows) for k, rows in tower.deferred.items()}
     calls = _counting_eliminations(monkeypatch)
     for d in range(2, 6):
         dimension_oracle(hom, d)
@@ -580,14 +680,16 @@ def _assert_tower_is_extended(hom, monkeypatch):
     dimension_oracle(hom, 6)
     # the rows u r for every normal word u of degree 4 and every r in M_2
     # but those the degree-5 record names for the suffix of u, each built
-    # or still deferred (building the deferred rows of degree 5 first), one
-    # back-substitution, that of M_5, and one read of its rules
+    # or still deferred (building first the deferred rows of each degree
+    # it commits), and one back-substitution and one read of rules per
+    # degree it commits
+    commits = set(tower.new) - committed
     skipped = sum(len(record.get(u % n**3, ())) for u in tower.normal[4])
-    built = calls["_row"] - unbuilt
-    assert built + len(tower.deferred) == dims[-2] * (n * n - dims[0]) - skipped
+    built = calls["_row"] - sum(unbuilt[k] for k in commits)
+    assert built + len(tower.deferred[6]) == dims[-2] * (n * n - dims[0]) - skipped
     assert calls["_insert"] <= built
-    assert calls["_back_substituted"] == 1
-    assert calls["_rules"] == 1
+    assert calls["_back_substituted"] == len(commits)
+    assert calls["_rules"] == len(commits)
 
 
 @pytest.mark.parametrize("kind", ["yes", "no", "general"])
@@ -616,7 +718,7 @@ def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
     # halfway through the rows degree 4 builds
     rows4 = sum(rows - len(record3.get(u % n, ())) for u in fresh.relations.tower.normal[2])
     assert 0 < rows4 < dim2 * rows
-    built4 = rows4 - len(fresh.relations.tower.deferred)
+    built4 = rows4 - len(fresh.relations.tower.deferred[4])
     assert built4 > 1
     limit = n * rows + built4 // 2
     real, calls = homs._row, []
@@ -631,21 +733,20 @@ def test_an_error_while_extending_commits_no_partial_degree(monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         oracle_dims(hom, 5)
     # degree 3 stays the top, with its own record
-    assert hom.relations.tower.echelon().keys() == fresh.relations.tower.new[3].keys()
+    assert _top_echelon(hom.relations.tower).keys() == fresh.relations.tower.committed(3).keys()
     assert hom.relations.tower.vanished == record3
     monkeypatch.undo()
     for d in (5, 2, 4, 3, 6):
         assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
 
 
-@pytest.mark.parametrize("kind", ["yes", "no"])
-def test_an_error_while_building_deferred_rows_commits_nothing(monkeypatch, kind):
-    # a degree-4 top whose deferred rows are built when degree 5 is asked
-    # for: stop halfway through building them, then ask again
-    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+def _assert_an_interrupted_commit_stores_nothing(monkeypatch, hom, commit):
+    # a degree-4 top whose deferred rows ``commit(tower)`` builds: stop
+    # halfway through building them, then ask again
     tower = hom.relations.tower
     oracle_dims(hom, 4)
-    before, unbuilt = deepcopy((tower.top, tower.deferred, tower.vanished)), len(tower.deferred)
+    before = deepcopy((tower.echelons[4], tower.deferred[4], tower.vanished))
+    unbuilt = len(tower.deferred[4])
     assert unbuilt > 1
     real, calls = homs._row, []
 
@@ -657,12 +758,27 @@ def test_an_error_while_building_deferred_rows_commits_nothing(monkeypatch, kind
 
     monkeypatch.setattr(homs, "_row", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
-        oracle_dims(hom, 5)
-    assert (tower.top, tower.deferred, tower.vanished) == before
+        commit(tower)
+    assert (tower.echelons[4], tower.deferred[4], tower.vanished) == before
     assert 4 not in tower.new
+    assert len(tower._dims) == 3
     monkeypatch.undo()
     for d in (5, 6, 4):
         assert oracle_dims(hom, d) == oracle_dims(_unreduced(hom), d)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no"])
+def test_an_error_while_building_deferred_rows_commits_nothing(monkeypatch, kind):
+    # M_4 asked for: degree 3, if not yet committed, is first, with no row to build
+    hom = hom_algebra(*criterion_pair(random.Random(7), kind, (0, 0), (0, 1)))
+    _assert_an_interrupted_commit_stores_nothing(monkeypatch, hom, lambda tower: tower.committed(4))
+
+
+def test_an_error_in_a_commit_started_by_an_insert_commits_nothing(monkeypatch):
+    # degree 5 of a NO pair inserts a row of reducible prefix, so it
+    # commits degree 4 before it builds any row of its own
+    hom = hom_algebra(*criterion_pair(random.Random(7), "no", (0, 0), (0, 1)))
+    _assert_an_interrupted_commit_stores_nothing(monkeypatch, hom, lambda tower: tower.dims(5))
 
 
 def test_guards_leave_a_warmed_tower_unchanged(monkeypatch):

@@ -29,6 +29,7 @@ from support import (
     MIXED_SHAPES,
     criterion_pair,
     even2_sudbery,
+    fraction_normal_form,
     fraction_rules,
     normal_form_reference,
     rand_general,
@@ -345,7 +346,7 @@ def two_normal_form_verdicts(system):
     """The definition the check stands for: overlap x y z is resolved when
     rule[xy] z and x rule[yz] have the same normal form.  The normal forms
     come from the reference, which shares no code with the reducer that
-    ``confluence_check`` uses."""
+    ``confluence_check`` uses; the system's rules are read once."""
     al = system.alphabet
     rules = fraction_rules(system)
     lefts = sorted(rules, key=word_key)
@@ -357,7 +358,7 @@ def two_normal_form_verdicts(system):
             via_right = NCPoly(al, {(x,) + w: c for w, c in rules[yz].terms.items()})
             verdicts.append(
                 ((x, xy[1], z),
-                 normal_form_reference(via_left, system) == normal_form_reference(via_right, system))
+                 fraction_normal_form(via_left, rules) == fraction_normal_form(via_right, rules))
             )
     return verdicts
 
